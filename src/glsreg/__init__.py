@@ -11,6 +11,8 @@ The package has three layers:
   and a verification suite that compares the two routes.
 """
 
+__version__ = "0.1.0"
+
 from .bounds import (
     MomentEnvelope,
     generalized_bound,
@@ -97,8 +99,6 @@ from .simulate import (
     simulate_trajectories,
 )
 from .verify import run_suite
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     Divergent,
     DomainError,
-    InvalidEpsilon,
     InvalidExponent,
     ToleranceUnreachable,
 )
@@ -31,6 +30,7 @@ from .generating import (
     GeneratingFunction,
     PointDomain,
     Product,
+    check_eps,
     evaluate,
     regulator_generating,
 )
@@ -68,15 +68,10 @@ class MomentEnvelope:
         if self.index_start < 1:
             raise DomainError(f"index_start must be >= 1, got {self.index_start}")
 
-    def check_eps(self, eps: float) -> None:
-        limit = min(1.0, self.alpha)
-        if not (0.0 < eps < limit):
-            raise InvalidEpsilon(f"eps must lie in (0, {limit}), got {eps}")
-
 
 def regulator_lp_bound(env: MomentEnvelope, eps: float, p: float) -> float:
     """Moment bound envelope(p) * (p*eps - 1)**(-1/p) for the sup-regulator."""
-    env.check_eps(eps)
+    check_eps(eps, env.alpha)
     if not p > 1.0 / eps:
         raise InvalidExponent(f"the bound needs p > 1/eps = {1.0 / eps}, got {p}")
     return evaluate(env.envelope, p) * (p * eps - 1.0) ** (-1.0 / p)
@@ -84,7 +79,7 @@ def regulator_lp_bound(env: MomentEnvelope, eps: float, p: float) -> float:
 
 def regulator_norm_bound(env: MomentEnvelope, eps: float) -> tuple[GeneratingFunction, float]:
     """Generating function for the regulator and its certified norm bound 1."""
-    env.check_eps(eps)
+    check_eps(eps, env.alpha)
     return regulator_generating(env.envelope, env.alpha, eps), 1.0
 
 
@@ -235,7 +230,7 @@ def generalized_generating(
 
 
 def _tchebychev_log_rate(env: MomentEnvelope, eps: float, p: float, delta: float) -> float:
-    env.check_eps(eps)
+    check_eps(eps, env.alpha)
     if not p > 1.0 / eps:
         raise InvalidExponent(f"the tail sum needs p > 1/eps = {1.0 / eps}, got {p}")
     if not (math.isfinite(delta) and delta > 0):

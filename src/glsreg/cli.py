@@ -1,28 +1,28 @@
 """Command-line front end: norm, conjugate, bound, simulate, verify.
 
-Each subcommand reads one JSON experiment config (validated against
-schema/experiment_config.schema.json when that file is present), writes its
-artifacts into --out, and prints a one-line summary.  Config shape problems
-exit with status 2; runtime math failures exit with status 1; verify exits
-with the report's own status.
+Each subcommand reads one JSON experiment config, validates it against the
+package's experiment_config.schema.json, builds its objects from it, writes
+its artifacts into --out, and prints a one-line summary.  Config problems
+(schema violations, and domain checks the schema cannot express) exit with
+status 2; runtime math failures exit with status 1; verify exits with the
+report's own status.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import click
 
+from . import __version__
 from .errors import ConfigError, GLSError
 
 _SCHEMA_NAME = "experiment_config.schema.json"
-
-
-def _schema_path() -> Path:
-    return Path(__file__).resolve().parents[2] / "schema" / _SCHEMA_NAME
 
 
 def _load_config(path: str, command: str) -> dict:
@@ -38,22 +38,32 @@ def _load_config(path: str, command: str) -> dict:
         )
     if cfg.get("schema_version") != 1:
         raise click.UsageError(f"unsupported schema_version {cfg.get('schema_version')!r} (expected 1)")
-    schema_file = _schema_path()
-    if schema_file.exists():
-        import jsonschema
-        from jsonschema.exceptions import best_match
+    import jsonschema
+    from jsonschema.exceptions import best_match
 
-        schema = json.loads(schema_file.read_text())
-        # validate against the branch for this command so errors carry paths
-        branch = next(
-            b for b in schema["oneOf"] if b["properties"]["command"].get("const") == command
-        )
-        validator = jsonschema.Draft202012Validator({**branch, "$defs": schema["$defs"]})
-        problem = best_match(validator.iter_errors(cfg))
-        if problem is not None:
-            where = "/".join(str(part) for part in problem.absolute_path) or "(top level)"
-            raise click.UsageError(f"config rejected by schema at {where}: {problem.message}")
+    schema = json.loads(resources.files(__package__).joinpath(_SCHEMA_NAME).read_text())
+    # validate against the branch for this command so errors carry paths
+    branch = next(b for b in schema["oneOf"] if b["properties"]["command"].get("const") == command)
+    validator = jsonschema.Draft202012Validator({**branch, "$defs": schema["$defs"]})
+    problem = best_match(validator.iter_errors(cfg))
+    if problem is not None:
+        where = "/".join(str(part) for part in problem.absolute_path) or "(top level)"
+        raise click.UsageError(f"config rejected by schema at {where}: {problem.message}")
     return cfg
+
+
+@contextlib.contextmanager
+def _building():
+    """Scope where a command builds its objects from a schema-valid config.
+
+    The constructors still run the domain checks the schema cannot express
+    (q < Q, knot order, matching lengths, eps < alpha); a failure here is a
+    config error.
+    """
+    try:
+        yield
+    except GLSError as bad:
+        raise ConfigError(f"config rejected: {bad}") from bad
 
 
 def _common(fn):
@@ -97,8 +107,6 @@ def _trap(fn):
             return fn(*args, **kwargs)
         except ConfigError as bad:
             raise click.UsageError(str(bad)) from bad
-        except KeyError as missing:
-            raise click.UsageError(f"config is missing field {missing}") from None
         except GLSError as bad:
             raise click.ClickException(str(bad)) from bad
 
@@ -135,26 +143,17 @@ def _write_csv(path: Path, header: str, rows) -> None:
 def _moments_from_config(obj: dict):
     from . import moments
 
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("moments config must be an object with a 'kind' key")
     kind = obj["kind"]
-    try:
-        if kind == "std_exponential":
-            return moments.std_exponential_moments()
-        if kind == "half_normal":
-            return moments.half_normal_moments()
-        if kind == "constant":
-            return moments.constant_moments(float(obj["value"]))
-        if kind == "discrete":
-            return moments.discrete_moments(obj["atoms"], obj["weights"])
-        if kind == "table":
-            pts = obj["points"]
-            return moments.table_moments([p for p, _ in pts], [v for _, v in pts])
-    except KeyError as missing:
-        raise ConfigError(f"moments kind '{kind}' is missing field {missing}") from None
-    except (TypeError, ValueError) as bad:
-        raise ConfigError(f"malformed moments config: {bad}") from None
-    raise ConfigError(f"unknown moments kind '{kind}'")
+    if kind == "std_exponential":
+        return moments.std_exponential_moments()
+    if kind == "half_normal":
+        return moments.half_normal_moments()
+    if kind == "constant":
+        return moments.constant_moments(float(obj["value"]))
+    if kind == "discrete":
+        return moments.discrete_moments(obj["atoms"], obj["weights"])
+    pts = obj["points"]
+    return moments.table_moments([p for p, _ in pts], [v for _, v in pts])
 
 
 def _psi_from_config(cfg: dict, moments_obj=None):
@@ -165,16 +164,15 @@ def _psi_from_config(cfg: dict, moments_obj=None):
     """
     from . import generating
 
-    psi_cfg = cfg["psi"]
-    if isinstance(psi_cfg, dict) and psi_cfg.get("form") == "natural":
+    if cfg["psi"]["form"] == "natural":
         if moments_obj is None:
             raise ConfigError("psi form 'natural' needs a moments block in the config")
         return generating.natural_function(moments_obj)
-    return generating.from_config(psi_cfg)
+    return generating.from_config(cfg["psi"])
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(package_name="glsreg", prog_name="glsreg")
+@click.version_option(version=__version__, prog_name="glsreg")
 def main() -> None:
     """Grand Lebesgue norms, conjugate tail bounds, and regulator checks."""
 
@@ -189,8 +187,9 @@ def norm(config_path, out_dir, seed, threads, fmt) -> None:
     from . import moments
     from .persist import json_safe, write_json
 
-    m = _moments_from_config(cfg["moments"])
-    psi = _psi_from_config(cfg, m)
+    with _building():
+        m = _moments_from_config(cfg["moments"])
+        psi = _psi_from_config(cfg, m)
     scan = moments.gls_norm_scan(m, psi)
     report = {
         "command": "norm",
@@ -228,8 +227,9 @@ def conjugate(config_path, out_dir, seed, threads, fmt) -> None:
     from . import moments
     from .persist import atomic_write_text, json_safe, write_json
 
-    m = _moments_from_config(cfg["moments"]) if "moments" in cfg else None
-    psi = _psi_from_config(cfg, m)
+    with _building():
+        m = _moments_from_config(cfg["moments"]) if "moments" in cfg else None
+        psi = _psi_from_config(cfg, m)
     v_grid = [float(v) for v in cfg.get("v_grid", np.linspace(0.0, 5.0, 26))]
     t_grid = [float(t) for t in cfg.get("t_grid", np.geomspace(math.e, 100.0, 25))]
     conj = [(v, moments.young_fenchel(psi, v)) for v in v_grid]
@@ -271,17 +271,22 @@ def bound(config_path, out_dir, seed, threads, fmt) -> None:
     cfg = _load_config(config_path, "bound")
     from . import bounds as bmod
     from .errors import Divergent, InvalidExponent
-    from .generating import evaluate
+    from .generating import check_eps, evaluate
     from .persist import atomic_write_text, json_safe, write_json
+    from .sequences import pair_from_config
 
-    psi = _psi_from_config(cfg)
+    with _building():
+        psi = _psi_from_config(cfg)
+        if "pair" in cfg:
+            pair = pair_from_config(cfg["pair"])
+        else:
+            env = bmod.MomentEnvelope(psi, float(cfg["alpha"]), int(cfg.get("index_start", 1)))
+            eps = float(cfg["eps"])
+            check_eps(eps, env.alpha)
     p_grid = [float(p) for p in cfg["p_grid"]]
     rel_tol = float(cfg.get("rel_tol", 1e-6))
     rows = []
     if "pair" in cfg:
-        from .sequences import pair_from_config
-
-        pair = pair_from_config(cfg["pair"])
         mode = "sequence"
         for p in p_grid:
             try:
@@ -291,12 +296,6 @@ def bound(config_path, out_dir, seed, threads, fmt) -> None:
             rows.append({"p": p, "sigma": sigma, "bound": evaluate(psi, p) * sigma})
     else:
         mode = "regulator"
-        env = bmod.MomentEnvelope(
-            envelope=psi,
-            alpha=float(cfg["alpha"]),
-            index_start=int(cfg.get("index_start", 1)),
-        )
-        eps = float(cfg["eps"])
         for p in p_grid:
             try:
                 value = bmod.regulator_lp_bound(env, eps, p)
@@ -342,7 +341,8 @@ def simulate(config_path, out_dir, seed, threads, fmt) -> None:
     from .persist import atomic_write_text, config_sha256, json_safe, write_eta_samples, write_json
     from .simulate import plan_from_config, resolve_n_last, simulate_eta
 
-    plan = plan_from_config(cfg)
+    with _building():
+        plan = plan_from_config(cfg)
     if seed is not None:
         plan = dataclasses.replace(plan, seed=seed)
     n_last = resolve_n_last(plan)
@@ -402,25 +402,20 @@ def simulate(config_path, out_dir, seed, threads, fmt) -> None:
 @main.command()
 @_common
 @click.pass_context
+@_trap
 def verify(ctx, config_path, out_dir, seed, threads, fmt) -> None:
     """Run the verification suite and exit with its verdict."""
     cfg = _load_config(config_path, "verify")
     from .persist import atomic_write_text, config_sha256, json_safe, write_json
+    from .verify import run_suite
 
-    try:
-        from .verify import run_suite
-
-        report = run_suite(
-            check_ids=cfg.get("checks"),
-            seed=int(seed if seed is not None else cfg.get("seed", 42)),
-            trajectories=int(cfg.get("trajectories", 20_000)),
-            threads=threads,
-            config_sha=config_sha256(cfg),
-        )
-    except ConfigError as bad:
-        raise click.UsageError(str(bad)) from bad
-    except GLSError as bad:
-        raise click.ClickException(str(bad)) from bad
+    report = run_suite(
+        check_ids=cfg.get("checks"),
+        seed=int(seed if seed is not None else cfg.get("seed", 42)),
+        trajectories=int(cfg.get("trajectories", 20_000)),
+        threads=threads,
+        config_sha=config_sha256(cfg),
+    )
     out = _out(out_dir)
     write_json(out / "report.json", json_safe(report.to_dict()))
     atomic_write_text(out / "report.txt", report.to_text())

@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EmptyDomain, InvalidEpsilon
+from .errors import DomainError, EmptyDomain, InvalidEpsilon
 
 #: Scan cap standing in for an infinite upper exponent endpoint.
 UPPER_CAP = 1.0e4
@@ -83,6 +83,13 @@ class PointDomain:
 
 
 Domain = Union[ExponentInterval, PointDomain]
+
+
+def check_eps(eps: float, alpha: float = 1.0) -> None:
+    """Raise InvalidEpsilon unless the rate split eps lies in (0, min(1, alpha))."""
+    limit = min(1.0, alpha)
+    if not (0.0 < eps < limit):
+        raise InvalidEpsilon(f"eps must lie in (0, {limit}), got {eps}")
 
 
 def intersect_domains(a: Domain, b: Domain) -> Domain:
@@ -246,8 +253,7 @@ class RegulatorFactor(GeneratingFunction):
     eps: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps < 1.0):
-            raise InvalidEpsilon(f"eps must lie in (0, 1), got {self.eps}")
+        check_eps(self.eps)
 
     @property
     def domain(self) -> ExponentInterval:
@@ -392,8 +398,7 @@ def regulator_generating(psi: GeneratingFunction, alpha: float, eps: float) -> G
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise DomainError(f"decay rate alpha must be positive, got {alpha}")
-    if not (0.0 < eps < min(1.0, alpha)):
-        raise InvalidEpsilon(f"eps must lie in (0, min(1, alpha)) = (0, {min(1.0, alpha)}), got {eps}")
+    check_eps(eps, alpha)
     dom = psi.domain
     upper = dom.p if isinstance(dom, PointDomain) else dom.upper
     if 1.0 / eps >= upper:
@@ -421,29 +426,19 @@ def natural_function(moments) -> NaturalFunction:
 
 
 def from_config(obj: dict) -> GeneratingFunction:
-    """Parse the JSON form of a generating function.
+    """Build a generating function from its schema-validated JSON form.
 
-    Accepted shapes:
+    Shapes (the 'natural' form is built from a moment curve by the CLI):
       {"form": "power_root", "m": 1.0}
       {"form": "two_sided", "b": 2.0, "alpha": 1.0, "beta": 0.5}
       {"form": "extremal", "r": 3.0}
       {"form": "table", "points": [[p, value], ...]}
     """
-    if not isinstance(obj, dict) or "form" not in obj:
-        raise ConfigError("generating function config must be an object with a 'form' key")
     form = obj["form"]
-    try:
-        if form == "power_root":
-            return PowerRoot(m=float(obj["m"]))
-        if form == "two_sided":
-            return TwoSidedSingular(b=float(obj["b"]), alpha=float(obj["alpha"]), beta=float(obj["beta"]))
-        if form == "extremal":
-            return Extremal(r=float(obj["r"]))
-        if form == "table":
-            pts = tuple((float(p), float(v)) for p, v in obj["points"])
-            return Tabulated(points=pts)
-    except KeyError as missing:
-        raise ConfigError(f"generating function form '{form}' is missing field {missing}") from None
-    except (TypeError, ValueError) as bad:
-        raise ConfigError(f"malformed generating function config: {bad}") from None
-    raise ConfigError(f"unknown generating function form '{form}'")
+    if form == "power_root":
+        return PowerRoot(m=float(obj["m"]))
+    if form == "two_sided":
+        return TwoSidedSingular(b=float(obj["b"]), alpha=float(obj["alpha"]), beta=float(obj["beta"]))
+    if form == "extremal":
+        return Extremal(r=float(obj["r"]))
+    return Tabulated(points=tuple((float(p), float(v)) for p, v in obj["points"]))

@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import __version__
 from .estimates import Z99
 
 __all__ = ["CheckRecord", "VerificationReport", "verdict_for", "combined_allowance"]
 
-#: Package version stamped into reports; kept in sync with the distribution.
-TOOL_VERSION = "0.1.0"
+#: Package version stamped into reports.
+TOOL_VERSION = __version__
 
 #: Half-width multiplier turning a 99% interval into a verdict allowance.
 HALF_WIDTH_FACTOR = 3.0

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "PowerLogSequence",
@@ -175,43 +175,28 @@ class DecaySequencePair:
         return self.eps_seq.values(n) / self.beta_seq.values(n)
 
 
-def sequence_from_config(obj: dict, role: str = "eps") -> DecaySequence:
-    """Parse one sequence config.
+def sequence_from_config(obj: dict) -> DecaySequence:
+    """Build one sequence from its schema-validated config.
 
-    Accepted shapes (the numerator uses keys alpha/m, the normaliser
-    theta/nu with the sign convention beta_n = n**(-theta) * ln(n+1)**(-nu)):
+    Shapes (the numerator uses keys alpha/m, the normaliser theta/nu with
+    the sign convention beta_n = n**(-theta) * ln(n+1)**(-nu); theta wins
+    when both rates are given):
       {"form": "power_log", "alpha": 1.0, "m": 0.0}
       {"form": "power_log", "theta": 0.5, "nu": 0.0}
       {"form": "geometric", "q": 0.25}   (or "Q" for the normaliser)
       {"form": "slowly_varying", "alpha": 1.0, "table": [1.0, ...]}
     """
-    if not isinstance(obj, dict) or "form" not in obj:
-        raise ConfigError("sequence config must be an object with a 'form' key")
     form = obj["form"]
-    try:
-        if form == "power_log":
-            if "theta" in obj:
-                return PowerLogSequence(rate=float(obj["theta"]), log_power=-float(obj.get("nu", 0.0)))
-            return PowerLogSequence(rate=float(obj["alpha"]), log_power=float(obj.get("m", 0.0)))
-        if form == "geometric":
-            ratio = obj["Q"] if "Q" in obj else obj["q"]
-            return GeometricSequence(q=float(ratio), scale=float(obj.get("scale", 1.0)))
-        if form == "slowly_varying":
-            return SlowlyVaryingSequence(rate=float(obj["alpha"]), table=tuple(float(v) for v in obj["table"]))
-    except KeyError as missing:
-        raise ConfigError(f"sequence form '{form}' ({role}) is missing field {missing}") from None
-    except (TypeError, ValueError) as bad:
-        raise ConfigError(f"malformed sequence config ({role}): {bad}") from None
-    raise ConfigError(f"unknown sequence form '{form}'")
+    if form == "power_log":
+        if "theta" in obj:
+            return PowerLogSequence(rate=float(obj["theta"]), log_power=-float(obj.get("nu", 0.0)))
+        return PowerLogSequence(rate=float(obj["alpha"]), log_power=float(obj.get("m", 0.0)))
+    if form == "geometric":
+        ratio = obj["Q"] if "Q" in obj else obj["q"]
+        return GeometricSequence(q=float(ratio), scale=float(obj.get("scale", 1.0)))
+    return SlowlyVaryingSequence(rate=float(obj["alpha"]), table=tuple(float(v) for v in obj["table"]))
 
 
 def pair_from_config(obj: dict) -> DecaySequencePair:
-    """Parse {"eps": <sequence config>, "beta": <sequence config>}."""
-    if not isinstance(obj, dict) or "eps" not in obj or "beta" not in obj:
-        raise ConfigError("sequence pair config needs 'eps' and 'beta' entries")
-    pair_eps = sequence_from_config(obj["eps"], role="eps")
-    pair_beta = sequence_from_config(obj["beta"], role="beta")
-    try:
-        return DecaySequencePair(eps_seq=pair_eps, beta_seq=pair_beta)
-    except DomainError as bad:
-        raise ConfigError(f"invalid sequence pair: {bad}") from None
+    """Build the pair {"eps": <sequence config>, "beta": <sequence config>}."""
+    return DecaySequencePair(eps_seq=sequence_from_config(obj["eps"]), beta_seq=sequence_from_config(obj["beta"]))

@@ -28,13 +28,8 @@ import numpy as np
 from scipy import integrate, special
 
 from .criteria import TrajectoryBatch, regulator_ratio_matrix
-from .errors import (
-    DomainError,
-    InvalidEpsilon,
-    MomentInfinite,
-    TruncationInfeasible,
-)
-from .generating import natural_function
+from .errors import DomainError, MomentInfinite, TruncationInfeasible
+from .generating import check_eps, natural_function
 from .moments import half_normal_moments, std_exponential_moments
 from .bounds import MomentEnvelope
 from .sequences import PowerLogSequence
@@ -183,9 +178,7 @@ class SimulationPlan:
     u_grid: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        limit = min(1.0, self.model.alpha)
-        if not (0.0 < self.eps < limit):
-            raise InvalidEpsilon(f"eps must lie in (0, {limit}), got {self.eps}")
+        check_eps(self.eps, self.model.alpha)
         if self.trajectories < 1:
             raise DomainError(f"need at least one trajectory, got {self.trajectories}")
         if not 0 <= self.seed < 2**64:
@@ -394,11 +387,9 @@ def simulate_trajectories(plan: SimulationPlan, threads: int = 1) -> TrajectoryB
 
 
 def _check_tail_args(alpha: float, eps: float, index_start: int) -> None:
-    limit = min(1.0, alpha)
     if not (math.isfinite(alpha) and alpha > 0):
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if not (0.0 < eps < limit):
-        raise InvalidEpsilon(f"eps must lie in (0, {limit}), got {eps}")
+    check_eps(eps, alpha)
     if index_start < 1:
         raise DomainError(f"index_start must be >= 1, got {index_start}")
 
@@ -453,8 +444,7 @@ def bonferroni_sums(eps: float, u: float, abs_tol: float = 1e-12, index_start: i
 
 def asymptotic_tail_constant(eps: float) -> float:
     """Gamma(1 + 1/eps), the constant of the u**(-1/eps) tail comparison."""
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     return math.exp(special.gammaln(1.0 + 1.0 / eps))
 
 
@@ -526,50 +516,29 @@ def exact_eta_moment(
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# construction from schema-validated configs
 
 
 def model_from_config(obj: dict) -> SequenceModel:
-    from .errors import ConfigError
-
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("model config must be an object with a 'kind' key")
-    kind = obj["kind"]
-    try:
-        if kind == "exponential_power":
-            return ExponentialPower(alpha=float(obj["alpha"]), index_start=int(obj.get("index_start", 1)))
-        if kind == "gaussian_power":
-            return GaussianPower(alpha=float(obj["alpha"]), index_start=int(obj.get("index_start", 1)))
-    except KeyError as missing:
-        raise ConfigError(f"model kind '{kind}' is missing field {missing}") from None
-    except (TypeError, ValueError) as bad:
-        raise ConfigError(f"malformed model config: {bad}") from None
-    raise ConfigError(f"unknown model kind '{kind}'")
+    model = ExponentialPower if obj["kind"] == ExponentialPower.kind else GaussianPower
+    return model(alpha=float(obj["alpha"]), index_start=int(obj.get("index_start", 1)))
 
 
 def plan_from_config(obj: dict) -> SimulationPlan:
-    from .errors import ConfigError
-
-    try:
-        model = model_from_config(obj["model"])
-        trunc_obj = obj.get("truncation", {})
-        if "n_last" in trunc_obj:
-            truncation: Truncation = FixedTruncation(n_last=int(trunc_obj["n_last"]))
-        else:
-            truncation = TailTargetTruncation(
-                rho=float(trunc_obj["rho"]) if "rho" in trunc_obj else None,
-                u_min=float(trunc_obj.get("u_min", 1.0)),
-            )
-        return SimulationPlan(
-            model=model,
-            eps=float(obj["eps"]),
-            trajectories=int(obj["trajectories"]),
-            truncation=truncation,
-            seed=int(obj.get("seed", 0)),
-            p_grid=tuple(float(x) for x in obj.get("p_grid", ())),
-            u_grid=tuple(float(x) for x in obj.get("u_grid", ())),
+    trunc_obj = obj.get("truncation", {})
+    if "n_last" in trunc_obj:
+        truncation: Truncation = FixedTruncation(n_last=int(trunc_obj["n_last"]))
+    else:
+        truncation = TailTargetTruncation(
+            rho=float(trunc_obj["rho"]) if "rho" in trunc_obj else None,
+            u_min=float(trunc_obj.get("u_min", 1.0)),
         )
-    except KeyError as missing:
-        raise ConfigError(f"simulation config is missing field {missing}") from None
-    except (TypeError, ValueError) as bad:
-        raise ConfigError(f"malformed simulation config: {bad}") from None
+    return SimulationPlan(
+        model=model_from_config(obj["model"]),
+        eps=float(obj["eps"]),
+        trajectories=int(obj["trajectories"]),
+        truncation=truncation,
+        seed=int(obj.get("seed", 0)),
+        p_grid=tuple(float(x) for x in obj.get("p_grid", ())),
+        u_grid=tuple(float(x) for x in obj.get("u_grid", ())),
+    )

@@ -19,7 +19,6 @@ from glsreg.bounds import (
     tchebychev_term_bound,
 )
 from glsreg.errors import (
-    ConfigError,
     Divergent,
     DomainError,
     InvalidEpsilon,
@@ -33,7 +32,6 @@ from glsreg.sequences import (
     GeometricSequence,
     PowerLogSequence,
     SlowlyVaryingSequence,
-    pair_from_config,
     sequence_from_config,
 )
 
@@ -315,14 +313,6 @@ class TestSequences:
         assert seq.q == 0.5 and seq.scale == 2.0
         seq = sequence_from_config({"form": "slowly_varying", "alpha": 1.0, "table": [1.0, 2.0]})
         assert seq.table == (1.0, 2.0)
-
-    def test_from_config_errors(self):
-        with pytest.raises(ConfigError):
-            sequence_from_config({"form": "nope"})
-        with pytest.raises(ConfigError):
-            sequence_from_config({"form": "power_log"})
-        with pytest.raises(ConfigError):
-            pair_from_config({"eps": {"form": "geometric", "q": 0.5}, "beta": {"form": "geometric", "Q": 0.25}})
 
     @given(st.floats(min_value=0.05, max_value=0.9), st.floats(min_value=1.0, max_value=8.0))
     @settings(max_examples=50, deadline=None)

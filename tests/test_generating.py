@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from glsreg.errors import ConfigError, DomainError, EmptyDomain, InvalidEpsilon, NoFiniteMoment
+from glsreg.errors import DomainError, EmptyDomain, InvalidEpsilon, NoFiniteMoment
 from glsreg.generating import (
     EDGE_INSET,
     UPPER_CAP,
@@ -277,15 +277,3 @@ class TestFromConfig:
     def test_table(self):
         psi = from_config({"form": "table", "points": [[1.0, 1.0], [4.0, 4.0]]})
         assert evaluate(psi, 4.0) == 4.0
-
-    def test_unknown_form(self):
-        with pytest.raises(ConfigError):
-            from_config({"form": "mystery"})
-
-    def test_missing_field(self):
-        with pytest.raises(ConfigError):
-            from_config({"form": "power_root"})
-
-    def test_bad_value(self):
-        with pytest.raises(ConfigError):
-            from_config({"form": "power_root", "m": -1.0})

@@ -2,11 +2,19 @@
 
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import glsreg
 from glsreg.cli import main
 from glsreg.persist import (
     atomic_write_text,
@@ -29,6 +37,64 @@ from glsreg.reports import (
 from glsreg.simulate import EtaSample
 
 CONFIG_DIR = "configs"
+
+NORM = {
+    "schema_version": 1,
+    "command": "norm",
+    "psi": {"form": "power_root", "m": 1.0},
+    "moments": {"kind": "std_exponential"},
+}
+SIMULATE = {
+    "schema_version": 1,
+    "command": "simulate",
+    "model": {"kind": "exponential_power", "alpha": 1.0},
+    "eps": 0.5,
+    "trajectories": 10,
+    "truncation": {"n_last": 5},
+}
+BOUND_REGULATOR = {
+    "schema_version": 1,
+    "command": "bound",
+    "psi": {"form": "power_root", "m": 1.0},
+    "p_grid": [3.0],
+    "alpha": 1.0,
+    "eps": 0.5,
+}
+
+
+def bound_pair(eps_seq: dict, beta_seq: dict) -> dict:
+    return {
+        "schema_version": 1,
+        "command": "bound",
+        "psi": {"form": "power_root", "m": 1.0},
+        "p_grid": [2.0],
+        "pair": {"eps": eps_seq, "beta": beta_seq},
+    }
+
+
+# Every config here must exit 2: the schema rejects its shape, or a
+# constructor's domain check (q < Q, knot order, matching lengths,
+# eps < alpha) rejects its values while the command builds its objects.
+REJECTED_CONFIGS = {
+    "psi-unknown-form": {**NORM, "psi": {"form": "mystery"}},
+    "psi-missing-field": {**NORM, "psi": {"form": "power_root"}},
+    "psi-bad-value": {**NORM, "psi": {"form": "power_root", "m": -1.0}},
+    "sequence-unknown-form": bound_pair({"form": "nope"}, {"form": "geometric", "Q": 0.5}),
+    "power-log-without-rate": bound_pair({"form": "power_log"}, {"form": "power_log", "theta": 0.5}),
+    "pair-q-not-below-Q": bound_pair({"form": "geometric", "q": 0.5}, {"form": "geometric", "Q": 0.25}),
+    "model-unknown-kind": {**SIMULATE, "model": {"kind": "bogus"}},
+    "model-missing-alpha": {**SIMULATE, "model": {"kind": "exponential_power"}},
+    "model-missing-kind": {**SIMULATE, "model": {"alpha": 1.0}},
+    "plan-missing-eps": {k: v for k, v in SIMULATE.items() if k != "eps"},
+    "plan-trajectories-not-integer": {**SIMULATE, "trajectories": "many"},
+    "unknown-top-level-key": {**NORM, "colour": "blue"},
+    "geometric-without-ratio": bound_pair({"form": "geometric"}, {"form": "geometric", "Q": 0.5}),
+    "table-knots-descending": {**NORM, "psi": {"form": "table", "points": [[4.0, 2.0], [1.0, 1.0]]}},
+    "discrete-length-mismatch": {**NORM, "moments": {"kind": "discrete", "atoms": [1.0, 2.0], "weights": [1.0]}},
+    "natural-psi-without-moments": {"schema_version": 1, "command": "conjugate", "psi": {"form": "natural"}},
+    "simulate-eps-not-below-alpha": {**SIMULATE, "model": {"kind": "exponential_power", "alpha": 0.3}},
+    "bound-eps-not-below-alpha": {**BOUND_REGULATOR, "alpha": 0.3},
+}
 
 
 def record(**kw):
@@ -184,7 +250,7 @@ class TestRunSuite:
     def test_catalogue_matches_schema_enum(self):
         from glsreg.verify import CHECKS
 
-        schema = json.loads(open("schema/experiment_config.schema.json").read())
+        schema = json.loads(resources.files("glsreg").joinpath("experiment_config.schema.json").read_text())
         branch = next(
             b for b in schema["oneOf"] if b["properties"]["command"].get("const") == "verify"
         )
@@ -386,3 +452,63 @@ class TestCliErrors:
         assert result.exit_code == 0
         for flag in ("--config", "--out", "--seed", "--threads", "--format"):
             assert flag in result.output
+
+    @pytest.mark.parametrize("cfg", REJECTED_CONFIGS.values(), ids=REJECTED_CONFIGS.keys())
+    def test_rejected_config_exits_2(self, runner, tmp_path, cfg):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        result = runner.invoke(main, [cfg["command"], "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_normaliser_rate_wins_over_numerator_rate(self, runner, tmp_path):
+        rows = {}
+        for name, beta in (
+            ("both", {"form": "power_log", "alpha": 0.2, "theta": 0.5}),
+            ("theta", {"form": "power_log", "theta": 0.5}),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(bound_pair({"form": "power_log", "alpha": 2.0}, beta)))
+            result = invoke(runner, "bound", "--config", str(path), "--out", str(tmp_path / name))
+            assert result.exit_code == 0
+            rows[name] = json.loads((tmp_path / name / "bound.json").read_text())["rows"]
+        assert rows["both"] == rows["theta"]
+
+    def test_version_option(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert glsreg.__version__ in result.output
+
+
+class TestPackaging:
+    def test_copied_package_validates_configs(self, tmp_path):
+        # the package alone, as an installed copy sees it: no source tree around it
+        site = tmp_path / "site"
+        shutil.copytree(Path(glsreg.__file__).parent, site / "glsreg", ignore=shutil.ignore_patterns("__pycache__"))
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(REJECTED_CONFIGS["unknown-top-level-key"]))
+        result = subprocess.run(
+            [sys.executable, "-m", "glsreg.cli", "norm", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(site)},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "colour" in result.stderr
+
+    def test_sdist_ships_schema(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        tree = tmp_path / "tree"
+        shutil.copytree(root / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(root / name, tree / name)
+        dist = tmp_path / "dist"
+        build = "import sys, setuptools.build_meta as backend; backend.build_sdist(sys.argv[1])"
+        result = subprocess.run([sys.executable, "-c", build, str(dist)], cwd=tree, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        (sdist,) = dist.glob("glsreg-*.tar.gz")
+        assert sdist.name == f"glsreg-{glsreg.__version__}.tar.gz"
+        with tarfile.open(sdist) as tar:
+            names = tar.getnames()
+        assert f"glsreg-{glsreg.__version__}/src/glsreg/experiment_config.schema.json" in names

@@ -8,7 +8,6 @@ from scipy import special
 
 from glsreg.criteria import regulator_ratio_matrix
 from glsreg.errors import (
-    ConfigError,
     DomainError,
     InvalidEpsilon,
     MomentInfinite,
@@ -356,14 +355,6 @@ class TestConfig:
         model = model_from_config({"kind": "gaussian_power", "alpha": 1.0})
         assert isinstance(model, GaussianPower) and model.index_start == 1
 
-    def test_model_errors(self):
-        with pytest.raises(ConfigError):
-            model_from_config({"kind": "bogus"})
-        with pytest.raises(ConfigError):
-            model_from_config({"kind": "exponential_power"})
-        with pytest.raises(ConfigError):
-            model_from_config({"alpha": 1.0})
-
     def test_plan_round_trip_fixed(self):
         plan = plan_from_config(
             {
@@ -392,18 +383,6 @@ class TestConfig:
         )
         assert plan.truncation == TailTargetTruncation(rho=1e-6, u_min=2.0)
         assert plan.seed == 0 and plan.p_grid == ()
-
-    def test_plan_errors(self):
-        with pytest.raises(ConfigError):
-            plan_from_config({"model": {"kind": "exponential_power", "alpha": 1.0}, "trajectories": 10})
-        with pytest.raises(ConfigError):
-            plan_from_config(
-                {
-                    "model": {"kind": "exponential_power", "alpha": 1.0},
-                    "eps": 0.5,
-                    "trajectories": "many",
-                }
-            )
 
 
 class TestEtaSampleType:
