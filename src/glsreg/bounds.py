@@ -34,7 +34,7 @@ from .generating import (
     evaluate,
     regulator_generating,
 )
-from .sequences import DecaySequencePair
+from .sequences import DecaySequencePair, _chunked_sum
 
 __all__ = [
     "SERIES_TERM_CAP",
@@ -88,17 +88,16 @@ def regulator_norm_bound(env: MomentEnvelope, eps: float) -> tuple[GeneratingFun
 
 
 def _geometric_sigma_series(delta: float, p: float, rel_tol: float) -> float:
-    # exact remainder: sum_{n>N} d^n = d^(N+1) / (1 - d), with d = delta**p
+    # sum_{n<=N} d^n with d = delta**p; the exact remainder sum_{n>N} d^n =
+    # d^(N+1) / (1 - d) is <= rel_tol x partial sum iff d^(N+1) <= rel_tol / (1 + rel_tol)
     d = delta**p
-    total = 1.0
-    n = 0
-    term = 1.0
-    while term * d / (1.0 - d) > rel_tol * total:
-        n += 1
-        if n > SERIES_TERM_CAP:
-            raise ToleranceUnreachable(f"geometric series needs more than {SERIES_TERM_CAP} terms")
-        term *= d
-        total += term
+    n_last = max(0, math.ceil(math.log(rel_tol / (1.0 + rel_tol)) / (p * math.log(delta))) - 1)
+    if n_last > SERIES_TERM_CAP:
+        raise ToleranceUnreachable(f"geometric series needs more than {SERIES_TERM_CAP} terms")
+    total = _chunked_sum(lambda n: d**n, 0, n_last)
+    while d ** (n_last + 1) / (1.0 - d) > rel_tol * total:  # guards the rounding of the count
+        n_last += 1
+        total += d**n_last
     return total
 
 

@@ -6,13 +6,16 @@ correction, ``n**(-rate) * ln(n+1)**log_power``, and geometric decay
 ``eps_n`` and a slower-decaying normaliser ``beta_n`` whose ratio powers the
 series ``sum_n (eps_n / beta_n)**p``; construction validates that the ratio
 actually decays so the series has a chance to converge somewhere.
+
+The module also holds the one chunked summation loop that the exact oracles
+and the series bounds share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -26,6 +29,32 @@ __all__ = [
     "sequence_from_config",
     "pair_from_config",
 ]
+
+_FIRST_CHUNK_CELLS = 1 << 10  # cells in the first chunk of a chunked sum
+_CHUNK_CELLS = 1 << 23  # largest chunk: matrix cells generated per scheduling unit
+
+
+def _chunked_sum(
+    term: Callable[[np.ndarray], np.ndarray], lo: int, hi: int, stop: float | None = None
+) -> float:
+    """Sum term(n) over the integers lo..hi, chunk by chunk.
+
+    Chunks start at _FIRST_CHUNK_CELLS cells and double up to _CHUNK_CELLS,
+    so a sum that may stop early touches only a few thousand cells when its
+    first terms already decide it.  With ``stop``, the sum returns after the
+    first chunk whose running total is <= stop; that cut is certified only
+    when the terms cannot raise the total again (all terms <= 0).
+    """
+    total = 0.0
+    size = _FIRST_CHUNK_CELLS
+    while lo <= hi:
+        top = min(hi, lo + size - 1)
+        total += float(np.sum(term(np.arange(lo, top + 1, dtype=float))))
+        if stop is not None and total <= stop:
+            break
+        lo = top + 1
+        size = min(2 * size, _CHUNK_CELLS)
+    return total
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .errors import DomainError, MomentInfinite, TruncationInfeasible
 from .generating import check_eps, natural_function
 from .moments import half_normal_moments, std_exponential_moments
 from .bounds import MomentEnvelope
-from .sequences import PowerLogSequence
+from .sequences import _CHUNK_CELLS, PowerLogSequence, _chunked_sum
 
 __all__ = [
     "TRUNCATION_CAP",
@@ -62,7 +62,6 @@ __all__ = [
 #: Hard cap on the truncation index of a simulated trajectory.
 TRUNCATION_CAP = 10**7
 
-_CHUNK_CELLS = 1 << 23  # matrix cells generated per scheduling unit
 _BATCH_CELL_CAP = 1 << 26
 
 
@@ -187,6 +186,10 @@ class SimulationPlan:
             raise DomainError("every moment exponent in p_grid must be >= 1")
         if any(u < 0.0 for u in self.u_grid):
             raise DomainError("every tail threshold in u_grid must be >= 0")
+        if isinstance(self.truncation, FixedTruncation) and self.truncation.n_last < self.index_start:
+            raise DomainError(
+                f"fixed truncation {self.truncation.n_last} sits before index_start {self.index_start}"
+            )
 
     @property
     def alpha(self) -> float:
@@ -259,12 +262,7 @@ def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: i
     if not (0.0 < abs_tol < 1.0):
         raise DomainError(f"abs_tol must lie in (0, 1), got {abs_tol}")
     n_last = max(index_start, exp_power_threshold(c, gamma, abs_tol))
-    total = 0.0
-    for lo in range(index_start, n_last + 1, _CHUNK_CELLS):
-        hi = min(n_last, lo + _CHUNK_CELLS - 1)
-        idx = np.arange(lo, hi + 1, dtype=float)
-        total += float(np.sum(np.exp(-c * idx**gamma)))
-    return total
+    return _chunked_sum(lambda n: np.exp(-c * n**gamma), index_start, n_last)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +285,6 @@ def _discard_tail_bound(model: SequenceModel, eps: float, u: float, n_last: int)
 def resolve_n_last(plan: SimulationPlan) -> int:
     """Truncation index of a plan; certified for tail-target truncations."""
     if isinstance(plan.truncation, FixedTruncation):
-        if plan.truncation.n_last < plan.index_start:
-            raise DomainError(
-                f"fixed truncation {plan.truncation.n_last} sits before index_start {plan.index_start}"
-            )
         return plan.truncation.n_last
     if plan.model.kind == "envelope_only":
         raise DomainError("an envelope-only model cannot be simulated")
@@ -410,15 +404,8 @@ def exact_eta_tail_with_error(
     if not (0.0 < abs_tol < 1.0):
         raise DomainError(f"abs_tol must lie in (0, 1), got {abs_tol}")
     n_last = max(index_start, exp_power_threshold(u, eps, abs_tol))
-    log_keep = math.log(abs_tol)
-    log_product = 0.0
-    for lo in range(index_start, n_last + 1, _CHUNK_CELLS):
-        hi = min(n_last, lo + _CHUNK_CELLS - 1)
-        idx = np.arange(lo, hi + 1, dtype=float)
-        log_product += float(np.sum(np.log1p(-np.exp(-u * idx**eps))))
-        if log_product <= log_keep:
-            # product is below abs_tol already; later factors only shrink it
-            return min(1.0, -math.expm1(log_product)), abs_tol
+    # once the product is below abs_tol the sum may stop: later factors only shrink it
+    log_product = _chunked_sum(lambda n: np.log1p(-np.exp(-u * n**eps)), index_start, n_last, math.log(abs_tol))
     return min(1.0, -math.expm1(log_product)), abs_tol
 
 
@@ -478,11 +465,14 @@ def _moment_tail_remainder(eps: float, p: float, upper: float, index_start: int)
 def exact_eta_moment(
     alpha: float, eps: float, p: float, rel_tol: float = 1e-6, index_start: int = 1
 ) -> float:
-    """Exact ||eta||_p for the exponential-power model by certified quadrature.
+    """Exact ||eta||_p for the exponential-power model by quadrature.
 
-    Integrates p u**(p-1) P(eta > u) over [0, U] with U pushed until the
-    certified remainder is below rel_tol/2 of the integral; only p < 1/eps
-    is served, mirroring the moment-blowup threshold of the bound theory.
+    Integrates p u**(p-1) P(eta > u) over [0, U].  Only the cut at U is
+    certified: U is pushed until the certified remainder beyond it is below
+    rel_tol/2 of the integral.  The integral over [0, U] comes from
+    scipy.integrate.quad, whose error estimate is not a bound.  Only
+    p < 1/eps is served, mirroring the moment-blowup threshold of the bound
+    theory.
     """
     _check_tail_args(alpha, eps, index_start)
     if not (math.isfinite(p) and p >= 1.0):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glsreg import bounds as bounds_module
 from glsreg.bounds import (
     SERIES_TERM_CAP,
     MomentEnvelope,
@@ -115,6 +116,23 @@ class TestGeometricSigma:
         base = DecaySequencePair(GeometricSequence(q=0.25), GeometricSequence(q=0.5))
         scaled = DecaySequencePair(GeometricSequence(q=0.25, scale=3.0), GeometricSequence(q=0.5))
         assert sigma_function(scaled, 2.0) == pytest.approx(3.0 * sigma_function(base, 2.0), rel=1e-12)
+
+    def test_series_near_one_ratio(self):
+        # delta = 0.999998 needs about 6.9M terms; they are counted in closed form and summed in numpy
+        pair = DecaySequencePair(GeometricSequence(q=0.499999), GeometricSequence(q=0.5))
+        closed = sigma_function(pair, 1.0)
+        series = sigma_function(pair, 1.0, force_series=True)
+        assert series <= closed
+        assert series == pytest.approx(closed, rel=1e-6)
+
+    def test_series_over_term_cap_raises_before_summing(self, monkeypatch):
+        def no_sum(*args, **kwargs):
+            raise AssertionError("the term count alone must reject this series")
+
+        monkeypatch.setattr(bounds_module, "_chunked_sum", no_sum)
+        pair = DecaySequencePair(GeometricSequence(q=0.5 * (1.0 - 1e-9)), GeometricSequence(q=0.5))
+        with pytest.raises(ToleranceUnreachable):
+            sigma_function(pair, 1.0, force_series=True)
 
     def test_uniform_cap(self):
         for delta in (0.1, 0.5, 0.9):

@@ -93,6 +93,11 @@ REJECTED_CONFIGS = {
     "discrete-length-mismatch": {**NORM, "moments": {"kind": "discrete", "atoms": [1.0, 2.0], "weights": [1.0]}},
     "natural-psi-without-moments": {"schema_version": 1, "command": "conjugate", "psi": {"form": "natural"}},
     "simulate-eps-not-below-alpha": {**SIMULATE, "model": {"kind": "exponential_power", "alpha": 0.3}},
+    "simulate-n-last-before-index-start": {
+        **SIMULATE,
+        "model": {"kind": "exponential_power", "alpha": 1.0, "index_start": 5},
+        "truncation": {"n_last": 2},
+    },
     "bound-eps-not-below-alpha": {**BOUND_REGULATOR, "alpha": 0.3},
 }
 

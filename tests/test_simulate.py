@@ -14,6 +14,7 @@ from glsreg.errors import (
     TruncationInfeasible,
 )
 from glsreg.generating import evaluate
+from glsreg.sequences import _chunked_sum
 from glsreg.simulate import (
     EnvelopeOnly,
     EtaSample,
@@ -22,6 +23,7 @@ from glsreg.simulate import (
     GaussianPower,
     SimulationPlan,
     TailTargetTruncation,
+    _moment_tail_remainder,
     asymptotic_tail_constant,
     bonferroni_sums,
     exact_eta_moment,
@@ -81,6 +83,23 @@ class TestModels:
         assert model.moment_envelope() is base
 
 
+class TestChunkedSum:
+    def test_stop_ends_within_two_chunks(self):
+        visited = []
+
+        def term(n):
+            visited.append(n.size)
+            return -np.ones_like(n)
+
+        total = _chunked_sum(term, 1, 10**9, stop=-100.0)
+        assert total <= -100.0
+        assert sum(visited) <= 2048
+
+    def test_sums_every_cell_across_chunk_boundaries(self):
+        lo, hi = 3, 3 + 1024 + 2048 + 4096 + 17
+        assert _chunked_sum(lambda n: n, lo, hi) == (hi * (hi + 1) - (lo - 1) * lo) / 2
+
+
 class TestExpPowerCertified:
     def test_threshold_frozen_value(self):
         assert exp_power_threshold(1.0, 0.5, 1e-6) == 304
@@ -100,6 +119,13 @@ class TestExpPowerCertified:
         idx = np.arange(1.0, 5_000.0)
         brute = float(np.sum(np.exp(-1.3 * np.sqrt(idx))))
         assert exp_power_sum(1.3, 0.5, abs_tol=1e-10) == pytest.approx(brute, abs=1e-9)
+
+    def test_sum_across_chunk_boundaries_matches_fsum(self):
+        # n_last is about 4.4e5, so the geometric chunk schedule crosses about 9 boundaries
+        n_last = exp_power_threshold(0.05, 0.5, 1e-10)
+        idx = np.arange(1.0, n_last + 1.0)
+        brute = math.fsum(np.exp(-0.05 * idx**0.5))
+        assert exp_power_sum(0.05, 0.5, abs_tol=1e-10) == pytest.approx(brute, abs=1e-12)
 
     def test_sum_start_index_drops_head(self):
         full = exp_power_sum(1.0, 0.5, abs_tol=1e-12)
@@ -151,8 +177,8 @@ class TestResolveNLast:
         assert resolve_n_last(plan) == 50
 
     def test_fixed_before_start_rejected(self):
-        plan = exp_plan(start=5, truncation=FixedTruncation(n_last=3))
         with pytest.raises(DomainError):
+            plan = exp_plan(start=5, truncation=FixedTruncation(n_last=3))
             resolve_n_last(plan)
 
     def test_tail_target_matches_threshold(self):
@@ -278,6 +304,18 @@ class TestExactTail:
         value, err = exact_eta_tail_with_error(1.0, 0.5, 1e-8)
         assert value == 1.0 and err <= 1e-12
 
+    @pytest.mark.parametrize("u", [0.01, 0.05])
+    def test_small_u_stops_within_abs_tol(self, u):
+        value, err = exact_eta_tail_with_error(1.0, 0.5, u)
+        assert value <= 1.0
+        assert 1.0 - value <= err
+
+    @pytest.mark.parametrize("u", [0.2, 0.5])
+    def test_matches_fsum_product(self, u):
+        idx = np.arange(1.0, 400_001.0)
+        brute = -math.expm1(math.fsum(np.log1p(-np.exp(-u * np.sqrt(idx)))))
+        assert exact_eta_tail(1.0, 0.5, u) == pytest.approx(brute, rel=1e-9)
+
     def test_argument_guards(self):
         with pytest.raises(DomainError):
             exact_eta_tail(1.0, 0.5, 0.0)
@@ -327,6 +365,23 @@ class TestExactMoment:
         tail = np.asarray([exact_eta_tail(1.0, 0.5, float(x), abs_tol=1e-10) for x in u])
         trapezoid = float(np.trapezoid(tail, u))
         assert exact_eta_moment(1.0, 0.5, 1.0) == pytest.approx(trapezoid, rel=1e-4)
+
+    def test_monotone_tail_brackets_moment(self):
+        # T(u) = P(eta > u) never increases, so on 0 = u_0 < ... < u_K = U
+        #   sum (u_{k+1}^p - u_k^p) T(u_{k+1}) <= ||eta||_p^p
+        #   <= sum (u_{k+1}^p - u_k^p) T(u_k) + remainder beyond U
+        # checks the quadrature independently of its own error estimate
+        upper, tol = 32.0, 1e-12
+        u = np.linspace(0.0, upper, 4001)
+        tail = np.asarray([1.0] + [exact_eta_tail(1.0, 0.5, float(x), abs_tol=tol) for x in u[1:]])
+        for p in (1.0, 1.5, 1.98):
+            weights = np.diff(u**p)
+            slack = tol * upper**p
+            lower = float(np.sum(weights * tail[1:])) - slack
+            top = float(np.sum(weights * tail[:-1])) + slack + _moment_tail_remainder(0.5, p, upper, 1)
+            moment_p = exact_eta_moment(1.0, 0.5, p) ** p
+            assert lower <= moment_p <= top
+            assert top - lower <= 1e-2 * moment_p
 
     def test_dominates_first_term_moment(self):
         # eta >= Z_1 pointwise, so ||eta||_p >= Gamma(p+1)^(1/p)
