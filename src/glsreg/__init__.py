@@ -97,6 +97,7 @@ from .simulate import (
     exp_power_threshold,
     simulate_eta,
     simulate_trajectories,
+    truncation_bound,
 )
 from .verify import run_suite
 
@@ -171,6 +172,7 @@ __all__ = [
     "TailTargetTruncation",
     "simulate_eta",
     "simulate_trajectories",
+    "truncation_bound",
     "exact_eta_tail",
     "exact_eta_moment",
     "bonferroni_sums",

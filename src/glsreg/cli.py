@@ -84,8 +84,6 @@ def _common(fn):
                 type=click.Path(file_okay=False),
                 help="Directory for artifacts.",
             ),
-            click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None, help="Override the config seed."),
-            click.option("--threads", type=click.IntRange(1, 1024), default=1, show_default=True, help="Simulation worker threads."),
             click.option(
                 "--format",
                 "fmt",
@@ -98,6 +96,9 @@ def _common(fn):
     ):
         fn = opt(fn)
     return fn
+
+
+_seed = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None, help="Override the config seed.")
 
 
 def _trap(fn):
@@ -180,9 +181,8 @@ def main() -> None:
 @main.command()
 @_common
 @_trap
-def norm(config_path, out_dir, seed, threads, fmt) -> None:
+def norm(config_path, out_dir, fmt) -> None:
     """Sup-norm of a moment curve against a generating function."""
-    del seed, threads
     cfg = _load_config(config_path, "norm")
     from . import moments
     from .persist import json_safe, write_json
@@ -218,9 +218,8 @@ def norm(config_path, out_dir, seed, threads, fmt) -> None:
 @main.command()
 @_common
 @_trap
-def conjugate(config_path, out_dir, seed, threads, fmt) -> None:
+def conjugate(config_path, out_dir, fmt) -> None:
     """Conjugate transform of a generating function and its tail bound."""
-    del seed, threads
     cfg = _load_config(config_path, "conjugate")
     import numpy as np
 
@@ -265,9 +264,8 @@ def conjugate(config_path, out_dir, seed, threads, fmt) -> None:
 @main.command()
 @_common
 @_trap
-def bound(config_path, out_dir, seed, threads, fmt) -> None:
+def bound(config_path, out_dir, fmt) -> None:
     """Moment bounds: regulator envelope or weighted-sum route."""
-    del seed, threads
     cfg = _load_config(config_path, "bound")
     from . import bounds as bmod
     from .errors import Divergent, InvalidExponent
@@ -328,8 +326,9 @@ def bound(config_path, out_dir, seed, threads, fmt) -> None:
 
 @main.command()
 @_common
+@_seed
 @_trap
-def simulate(config_path, out_dir, seed, threads, fmt) -> None:
+def simulate(config_path, out_dir, fmt, seed) -> None:
     """Simulate the a.e.-convergence regulator and summarise it."""
     cfg = _load_config(config_path, "simulate")
     import dataclasses
@@ -339,16 +338,16 @@ def simulate(config_path, out_dir, seed, threads, fmt) -> None:
     from .estimates import power_mean_estimate
     from .moments import empirical_tail
     from .persist import atomic_write_text, config_sha256, json_safe, write_eta_samples, write_json
-    from .simulate import plan_from_config, resolve_n_last, simulate_eta
+    from .simulate import plan_from_config, resolve_n_last, simulate_eta, truncation_bound
 
     with _building():
         plan = plan_from_config(cfg)
     if seed is not None:
         plan = dataclasses.replace(plan, seed=seed)
     n_last = resolve_n_last(plan)
-    samples = simulate_eta(plan, threads=threads)
-    values = np.asarray([s.value for s in samples])
-    trunc = max(s.truncation_bound for s in samples)
+    samples = simulate_eta(plan)
+    values = samples.value
+    trunc = truncation_bound(plan, values)
     out = _out(out_dir)
     metadata = {
         "command": "simulate",
@@ -401,9 +400,10 @@ def simulate(config_path, out_dir, seed, threads, fmt) -> None:
 
 @main.command()
 @_common
+@_seed
 @click.pass_context
 @_trap
-def verify(ctx, config_path, out_dir, seed, threads, fmt) -> None:
+def verify(ctx, config_path, out_dir, fmt, seed) -> None:
     """Run the verification suite and exit with its verdict."""
     cfg = _load_config(config_path, "verify")
     from .persist import atomic_write_text, config_sha256, json_safe, write_json
@@ -413,7 +413,6 @@ def verify(ctx, config_path, out_dir, seed, threads, fmt) -> None:
         check_ids=cfg.get("checks"),
         seed=int(seed if seed is not None else cfg.get("seed", 42)),
         trajectories=int(cfg.get("trajectories", 20_000)),
-        threads=threads,
         config_sha=config_sha256(cfg),
     )
     out = _out(out_dir)

@@ -81,9 +81,13 @@ def config_sha256(obj) -> str:
 
 
 def write_eta_samples(samples, metadata: dict, path) -> None:
-    """Persist regulator samples as CSV (trajectory_id,eta_value) + sidecar."""
+    """Persist regulator samples as CSV (trajectory_id,eta_value) + sidecar.
+
+    ``samples`` is the record array from ``simulate_eta``; its values go
+    through ``tolist`` so each is written as a plain float repr.
+    """
     lines = ["trajectory_id,eta_value"]
-    lines.extend(f"{i},{s.value!r}" for i, s in enumerate(samples))
+    lines.extend(f"{i},{v!r}" for i, v in enumerate(samples.value.tolist()))
     atomic_write_text(path, "\n".join(lines) + "\n")
     write_json(sidecar_path(path), metadata)
 

@@ -14,13 +14,13 @@ verified against.
 
 Randomness is counter-based: trajectory j of seed s reads from a Philox
 stream keyed (s, j), and the n-th draw is a pure function of (s, j, n).
-Thread count affects wall time only, never a single bit of output.
+Rows are generated chunk by chunk in one loop; the chunk size affects memory
+only, never a single bit of output.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -43,9 +43,9 @@ __all__ = [
     "FixedTruncation",
     "TailTargetTruncation",
     "SimulationPlan",
-    "EtaSample",
     "resolve_n_last",
     "simulate_eta",
+    "truncation_bound",
     "simulate_trajectories",
     "exp_power_sum_tail_bound",
     "exp_power_threshold",
@@ -200,18 +200,6 @@ class SimulationPlan:
         return self.model.index_start
 
 
-@dataclass(frozen=True)
-class EtaSample:
-    """One realized regulator value plus its truncation risk.
-
-    ``truncation_bound`` bounds the probability that the discarded indices
-    n > n_last would have changed this sample's value.
-    """
-
-    value: float
-    truncation_bound: float
-
-
 # ---------------------------------------------------------------------------
 # certified sums of exp(-c n**gamma)
 
@@ -300,6 +288,15 @@ def resolve_n_last(plan: SimulationPlan) -> int:
     return n
 
 
+def truncation_bound(plan: SimulationPlan, values: np.ndarray) -> float:
+    """Bound on the probability that indices n > n_last changed any of ``values``.
+
+    The discarded-tail bound falls as u grows, so its largest value over a
+    batch is the one at the smallest sample; it is evaluated there once.
+    """
+    return _discard_tail_bound(plan.model, plan.eps, float(np.min(values)), resolve_n_last(plan))
+
+
 # ---------------------------------------------------------------------------
 # trajectory generation
 
@@ -323,38 +320,27 @@ def _row_chunks(trajectories: int, width: int) -> list[range]:
     return [range(lo, min(trajectories, lo + rows_per_chunk)) for lo in range(0, trajectories, rows_per_chunk)]
 
 
-def _map_chunks(fn, chunks: list[range], threads: int) -> list:
-    if threads <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, chunks))
-
-
-def simulate_eta(plan: SimulationPlan, threads: int = 1) -> list[EtaSample]:
+def simulate_eta(plan: SimulationPlan) -> np.recarray:
     """Realize eta = max_{index_start <= n <= n_last} n**(alpha-eps) |Z_n| per trajectory.
 
+    Returns one record per trajectory with the single field ``value``.
     Values are computed through the same elementwise ratio |Z_n| / delta_n
     (delta_n = n**(-(alpha-eps))) as regulator extraction from a trajectory
-    batch, so the two agree bitwise on shared seeds.
+    batch, so the two agree bitwise on shared seeds.  ``truncation_bound``
+    gives the batch's truncation risk.
     """
     if plan.model.kind == "envelope_only":
         raise DomainError("an envelope-only model cannot be simulated")
-    n_last = resolve_n_last(plan)
-    n_idx = np.arange(plan.index_start, n_last + 1, dtype=float)
+    n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
     delta = PowerLogSequence(rate=plan.alpha - plan.eps).values(n_idx)
-
-    def one_chunk(rows: range) -> np.ndarray:
-        values = _generate_rows(plan, n_idx, rows)
-        return regulator_ratio_matrix(values, delta).max(axis=1)
-
-    chunks = _row_chunks(plan.trajectories, n_idx.size)
-    etas = np.concatenate(_map_chunks(one_chunk, chunks, threads))
-    return [
-        EtaSample(float(v), _discard_tail_bound(plan.model, plan.eps, float(v), n_last)) for v in etas
+    etas = [
+        regulator_ratio_matrix(_generate_rows(plan, n_idx, rows), delta).max(axis=1)
+        for rows in _row_chunks(plan.trajectories, n_idx.size)
     ]
+    return np.rec.fromarrays([np.concatenate(etas)], names="value")
 
 
-def simulate_trajectories(plan: SimulationPlan, threads: int = 1) -> TrajectoryBatch:
+def simulate_trajectories(plan: SimulationPlan) -> TrajectoryBatch:
     """Generate the raw Z_n matrix as a TrajectoryBatch (trajectory x index)."""
     if plan.model.kind == "envelope_only":
         raise DomainError("an envelope-only model cannot be simulated")
@@ -366,8 +352,7 @@ def simulate_trajectories(plan: SimulationPlan, threads: int = 1) -> TrajectoryB
             "reduce trajectories or tighten truncation"
         )
     n_idx = np.arange(plan.index_start, n_last + 1, dtype=float)
-    chunks = _row_chunks(plan.trajectories, width)
-    values = np.concatenate(_map_chunks(lambda rows: _generate_rows(plan, n_idx, rows), chunks, threads))
+    values = np.concatenate([_generate_rows(plan, n_idx, rows) for rows in _row_chunks(plan.trajectories, width)])
     return TrajectoryBatch(
         values=values,
         index_start=plan.index_start,

@@ -10,7 +10,9 @@ decays exponentially there (see the asymptote records' claims).
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 
 import numpy as np
 from scipy import special
@@ -42,22 +44,26 @@ from .sequences import DecaySequencePair, GeometricSequence, PowerLogSequence
 from .simulate import (
     ExponentialPower,
     SimulationPlan,
-    TailTargetTruncation,
     asymptotic_tail_constant,
     bonferroni_sums,
     exact_eta_moment,
     exact_eta_tail,
     simulate_eta,
     simulate_trajectories,
+    truncation_bound,
 )
 
 __all__ = ["CHECKS", "DEFAULT_SUITE", "run_suite", "norm_axiom_violations"]
 
 
-def _eta_values(plan: SimulationPlan, threads: int) -> tuple[np.ndarray, float]:
-    samples = simulate_eta(plan, threads=threads)
-    values = np.asarray([s.value for s in samples])
-    return values, max(s.truncation_bound for s in samples)
+#: Regulator values of a plan and their truncation bound, memoised per run_suite call.
+EtaValues = Callable[[SimulationPlan], tuple[np.ndarray, float]]
+
+
+def _eta_values(plan: SimulationPlan) -> tuple[np.ndarray, float]:
+    values = simulate_eta(plan).value
+    values.flags.writeable = False  # one array serves every check that asks for this plan
+    return values, truncation_bound(plan, values)
 
 
 def _exponential_plan(seed: int, trajectories: int, alpha: float = 1.0, index_start: int = 1) -> SimulationPlan:
@@ -65,15 +71,14 @@ def _exponential_plan(seed: int, trajectories: int, alpha: float = 1.0, index_st
         model=ExponentialPower(alpha=alpha, index_start=index_start),
         eps=0.5,
         trajectories=trajectories,
-        truncation=TailTargetTruncation(),
         seed=seed,
     )
 
 
-def check_moment_sup_bound(seed: int, trajectories: int, threads: int) -> list[CheckRecord]:
+def check_moment_sup_bound(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
     """Empirical ||eta||_p against the envelope bound K(p) (p eps - 1)^(-1/p)."""
     plan = _exponential_plan(seed, trajectories, index_start=2)
-    values, trunc = _eta_values(plan, threads)
+    values, trunc = eta_values(plan)
     env = plan.model.moment_envelope()
     records = []
     for p in (2.5, 3.0, 4.0, 6.0):
@@ -93,10 +98,10 @@ def check_moment_sup_bound(seed: int, trajectories: int, threads: int) -> list[C
     return records
 
 
-def check_tail_oracle_agreement(seed: int, trajectories: int, threads: int) -> list[CheckRecord]:
+def check_tail_oracle_agreement(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
     """Empirical tail of simulated eta against the exact infinite-product tail."""
     plan = _exponential_plan(seed, trajectories)
-    values, trunc = _eta_values(plan, threads)
+    values, trunc = eta_values(plan)
     records = []
     for u in (1.0, 2.0, 5.0, 10.0, 20.0):
         est = empirical_tail(values, u)
@@ -115,9 +120,9 @@ def check_tail_oracle_agreement(seed: int, trajectories: int, threads: int) -> l
     return records
 
 
-def check_bonferroni_sandwich(seed: int, trajectories: int, threads: int) -> list[CheckRecord]:
+def check_bonferroni_sandwich(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
     """sigma1 - sigma2 <= exact tail <= sigma1 on a log grid of thresholds."""
-    del seed, trajectories, threads  # exact arithmetic, no randomness
+    del seed, trajectories, eta_values  # exact arithmetic, no randomness
     records = []
     for eps in (0.25, 0.5, 0.75):
         worst = -math.inf
@@ -139,7 +144,7 @@ def check_bonferroni_sandwich(seed: int, trajectories: int, threads: int) -> lis
     return records
 
 
-def check_tail_asymptote(seed: int, trajectories: int, threads: int) -> list[CheckRecord]:
+def check_tail_asymptote(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
     """Claimed power-law tail comparison at large u; expected to FAIL.
 
     The claim under test: exact_tail(u) * u^(1/eps) / Gamma(1 + 1/eps) sits
@@ -147,7 +152,7 @@ def check_tail_asymptote(seed: int, trajectories: int, threads: int) -> list[Che
     The exact tail instead decays like exp(-u) once u is large, so the ratio
     collapses toward 0; the records report that honestly.
     """
-    del seed, trajectories, threads
+    del seed, trajectories, eta_values
     eps = 0.5
     c = asymptotic_tail_constant(eps)
     ratio = {u: exact_eta_tail(1.0, eps, u) * u ** (1.0 / eps) / c for u in (10.0, 20.0, 50.0)}
@@ -174,9 +179,9 @@ def check_tail_asymptote(seed: int, trajectories: int, threads: int) -> list[Che
     ]
 
 
-def check_moment_blowup_bracket(seed: int, trajectories: int, threads: int) -> list[CheckRecord]:
+def check_moment_blowup_bracket(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
     """Exact moments: bracketed blowup rate near p = 1/eps, and eta >= Z_1."""
-    del seed, trajectories, threads
+    del seed, trajectories, eta_values
     eps, rel_tol = 0.5, 1e-6
     p_grid = (1.0, 1.5, 1.8, 1.98)
     records = []
@@ -209,10 +214,10 @@ def check_moment_blowup_bracket(seed: int, trajectories: int, threads: int) -> l
     return records
 
 
-def check_natural_envelope_bound(seed: int, trajectories: int, threads: int) -> list[CheckRecord]:
+def check_natural_envelope_bound(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
     """High-exponent moment bound 3^(1/eps) K(p) for the truncated regulator."""
     plan = _exponential_plan(seed, trajectories)
-    values, trunc = _eta_values(plan, threads)
+    values, trunc = eta_values(plan)
     k = std_exponential_moments()
     front = 3.0 ** (1.0 / plan.eps)
     records = []
@@ -233,9 +238,9 @@ def check_natural_envelope_bound(seed: int, trajectories: int, threads: int) -> 
     return records
 
 
-def check_sigma_closed_form(seed: int, trajectories: int, threads: int) -> list[CheckRecord]:
+def check_sigma_closed_form(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
     """Geometric sigma: truncated series vs closed form, plus the uniform cap."""
-    del seed, trajectories, threads
+    del seed, trajectories, eta_values
     rel_tol = 1e-9
     worst_rel, worst_cap = 0.0, -math.inf
     for delta in (0.1, 0.5, 0.9):
@@ -267,9 +272,9 @@ def check_sigma_closed_form(seed: int, trajectories: int, threads: int) -> list[
     ]
 
 
-def check_conjugate_closed_form(seed: int, trajectories: int, threads: int) -> list[CheckRecord]:
+def check_conjugate_closed_form(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
     """Conjugate of p ln p against its stationary-point closed form e^(v-1)."""
-    del seed, trajectories, threads
+    del seed, trajectories, eta_values
     psi = PowerRoot(m=1.0)
     records = []
     for v in (1.0, 2.0, 3.0):
@@ -352,8 +357,8 @@ def norm_axiom_violations(seed: int, cases: int) -> dict[str, float]:
     return worst
 
 
-def check_norm_axioms(seed: int, trajectories: int, threads: int) -> list[CheckRecord]:
-    del trajectories, threads
+def check_norm_axioms(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
+    del trajectories, eta_values
     cases = 250
     worst = norm_axiom_violations(seed, cases)
     axiom_checks = {
@@ -376,17 +381,11 @@ def check_norm_axioms(seed: int, trajectories: int, threads: int) -> list[CheckR
     ]
 
 
-def check_convergence_diagnostics(seed: int, trajectories: int, threads: int) -> list[CheckRecord]:
+def check_convergence_diagnostics(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
     """Monotone criterion functional, smallness at n = 100, exact extraction."""
     m = min(trajectories, 10_000)
-    plan = SimulationPlan(
-        model=ExponentialPower(alpha=2.0),
-        eps=0.5,
-        trajectories=m,
-        truncation=TailTargetTruncation(),
-        seed=seed,
-    )
-    batch = simulate_trajectories(plan, threads=threads)
+    plan = _exponential_plan(seed, m, alpha=2.0)
+    batch = simulate_trajectories(plan)
     estimates = {n: criterion_functional(batch, n) for n in (1, 10, 100)}
     worst_increase = max(
         estimates[10].value - estimates[1].value,
@@ -395,7 +394,7 @@ def check_convergence_diagnostics(seed: int, trajectories: int, threads: int) ->
     extraction = extract_regulator(batch, PowerLogSequence(rate=plan.alpha - plan.eps))
     ratios = np.abs(batch.values) / extraction.delta_values
     factor_gap = float(np.max(ratios - extraction.factors[:, None]))
-    eta = np.asarray([s.value for s in simulate_eta(plan, threads=threads)])
+    eta, _ = eta_values(plan)  # simulate_eta, not the batch, so regulator-eta-bitwise compares two routes
     return [
         CheckRecord(
             check_id="criterion-monotone",
@@ -453,7 +452,6 @@ def run_suite(
     check_ids=None,
     seed: int = 42,
     trajectories: int = 20_000,
-    threads: int = 1,
     config_sha: str = "",
 ) -> VerificationReport:
     """Run the selected checks (default: all) and collect a report."""
@@ -461,7 +459,8 @@ def run_suite(
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
         raise GLSError(f"unknown checks: {', '.join(unknown)} (known: {', '.join(CHECKS)})")
+    eta_values = functools.cache(_eta_values)  # one simulation per distinct plan, for this call only
     records: list[CheckRecord] = []
     for check_id in ids:
-        records.extend(CHECKS[check_id](seed, trajectories, threads))
+        records.extend(CHECKS[check_id](seed, trajectories, eta_values))
     return VerificationReport(records=tuple(records), seed=seed, config_sha256=config_sha)

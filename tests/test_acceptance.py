@@ -53,8 +53,8 @@ def eta_start2():
     plan = SimulationPlan(
         model=ExponentialPower(alpha=1.0, index_start=2), eps=EPS, trajectories=100_000, seed=SEED
     )
-    samples, elapsed = timed(lambda: simulate_eta(plan, threads=2))
-    return np.asarray([s.value for s in samples]), plan, elapsed
+    samples, elapsed = timed(lambda: simulate_eta(plan))
+    return samples.value, plan, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +62,8 @@ def eta_start1():
     plan = SimulationPlan(
         model=ExponentialPower(alpha=1.0, index_start=1), eps=EPS, trajectories=100_000, seed=SEED
     )
-    samples, elapsed = timed(lambda: simulate_eta(plan, threads=2))
-    return np.asarray([s.value for s in samples]), resolve_n_last(plan), elapsed
+    samples, elapsed = timed(lambda: simulate_eta(plan))
+    return samples.value, resolve_n_last(plan), elapsed
 
 
 def test_01_regulator_moment_bound(eta_start2):
@@ -246,14 +246,14 @@ def test_10_convergence_criteria_and_bitwise_regulator():
     )
 
     def check():
-        batch = simulate_trajectories(plan, threads=2)
+        batch = simulate_trajectories(plan)
         functional = [criterion_functional(batch, n).value for n in (1, 10, 100)]
         ext = extract_regulator(batch, PowerLogSequence(rate=plan.alpha - plan.eps))
         ratios = regulator_ratio_matrix(batch.values, ext.delta_values)
         factorization = bool(np.all(ratios <= ext.factors[:, None])) and bool(
             np.all(ratios.max(axis=1) == ext.factors)
         )
-        eta = np.asarray([s.value for s in simulate_eta(plan, threads=2)])
+        eta = simulate_eta(plan).value
         bitwise = bool(np.array_equal(ext.factors, eta))
         return functional, factorization, bitwise
 

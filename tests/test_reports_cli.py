@@ -34,7 +34,6 @@ from glsreg.reports import (
     combined_allowance,
     verdict_for,
 )
-from glsreg.simulate import EtaSample
 
 CONFIG_DIR = "configs"
 
@@ -225,13 +224,13 @@ class TestPersist:
         assert str(sidecar_path(tmp_path / "eta.csv")).endswith("eta.csv.meta.json")
 
     def test_eta_samples_round_trip(self, tmp_path):
-        samples = [EtaSample(1.25, 1e-8), EtaSample(0.5, 2e-8)]
+        samples = np.rec.fromarrays([[1.25, 0.1 + 0.2]], names="value")
         path = tmp_path / "eta.csv"
         write_eta_samples(samples, {"seed": 3}, path)
+        assert path.read_bytes() == b"trajectory_id,eta_value\n0,1.25\n1,0.30000000000000004\n"
         values, meta = read_eta_samples(path)
-        np.testing.assert_array_equal(values, [1.25, 0.5])
+        np.testing.assert_array_equal(values, [1.25, 0.1 + 0.2])
         assert meta["seed"] == 3
-        assert path.read_text().splitlines()[0] == "trajectory_id,eta_value"
 
 
 class TestRunSuite:
@@ -251,6 +250,22 @@ class TestRunSuite:
         assert report.to_dict()["provenance"]["config_sha256"] == "deadbeef"
         ids = {r.check_id for r in report.records}
         assert any(i.startswith("conjugate") for i in ids)
+
+    def test_each_plan_simulated_once_per_suite(self, monkeypatch):
+        import glsreg.verify as verify
+
+        plans = []
+
+        def counting(plan):
+            plans.append(plan)
+            return glsreg.simulate.simulate_eta(plan)
+
+        monkeypatch.setattr(verify, "simulate_eta", counting)
+        checks = ["moment-sup-bound", "tail-oracle-agreement", "natural-envelope-bound", "convergence-diagnostics"]
+        verify.run_suite(checks, seed=1, trajectories=500)
+        assert len(plans) == 3 and len(set(plans)) == 3
+        verify.run_suite(checks, seed=1, trajectories=500)
+        assert len(plans) == 6
 
     def test_catalogue_matches_schema_enum(self):
         from glsreg.verify import CHECKS
@@ -452,11 +467,25 @@ class TestCliErrors:
         result = runner.invoke(main, ["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
 
-    def test_help_lists_common_flags(self, runner):
-        result = runner.invoke(main, ["norm", "--help"])
-        assert result.exit_code == 0
-        for flag in ("--config", "--out", "--seed", "--threads", "--format"):
-            assert flag in result.output
+    def test_help_lists_common_flags(self, runner, tmp_path):
+        configs = {
+            "norm": "norm_natural",
+            "conjugate": "conjugate_power",
+            "bound": "bound_regulator",
+            "simulate": "simulate_small",
+            "verify": "verify_fast",
+        }
+        for command, config in configs.items():
+            result = runner.invoke(main, [command, "--help"])
+            assert result.exit_code == 0
+            for flag in ("--config", "--out", "--format"):
+                assert flag in result.output, (command, flag)
+            assert "--threads" not in result.output
+            assert ("--seed" in result.output) == (command in ("simulate", "verify")), command
+            if command not in ("simulate", "verify"):
+                args = [command, "--config", f"{CONFIG_DIR}/{config}.json", "--out", str(tmp_path), "--seed", "5"]
+                rejected = runner.invoke(main, args)
+                assert rejected.exit_code == 2 and "No such option '--seed'" in rejected.output, command
 
     @pytest.mark.parametrize("cfg", REJECTED_CONFIGS.values(), ids=REJECTED_CONFIGS.keys())
     def test_rejected_config_exits_2(self, runner, tmp_path, cfg):

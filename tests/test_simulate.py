@@ -14,15 +14,15 @@ from glsreg.errors import (
     TruncationInfeasible,
 )
 from glsreg.generating import evaluate
-from glsreg.sequences import _chunked_sum
+from glsreg.sequences import _CHUNK_CELLS, _chunked_sum
 from glsreg.simulate import (
     EnvelopeOnly,
-    EtaSample,
     ExponentialPower,
     FixedTruncation,
     GaussianPower,
     SimulationPlan,
     TailTargetTruncation,
+    _discard_tail_bound,
     _moment_tail_remainder,
     asymptotic_tail_constant,
     bonferroni_sums,
@@ -37,6 +37,7 @@ from glsreg.simulate import (
     resolve_n_last,
     simulate_eta,
     simulate_trajectories,
+    truncation_bound,
 )
 
 
@@ -231,22 +232,41 @@ class TestSimulateEta:
         other = exp_plan(trajectories=64, seed=4, truncation=FixedTruncation(n_last=32))
         assert a != [s.value for s in simulate_eta(other)]
 
-    def test_thread_count_does_not_change_values(self):
+    def test_chunked_rows_match_manual_philox_streams(self):
         # width 5000 splits 4000 rows into three chunks
         plan = exp_plan(trajectories=4000, seed=9, truncation=FixedTruncation(n_last=5000))
-        serial = np.asarray([s.value for s in simulate_eta(plan, threads=1)])
-        threaded = np.asarray([s.value for s in simulate_eta(plan, threads=3)])
-        np.testing.assert_array_equal(serial, threaded)
+        rows_per_chunk = _CHUNK_CELLS // 5000
+        assert rows_per_chunk < 2000 < 2 * rows_per_chunk < 4000
+        values = simulate_eta(plan).value
+        n_idx = np.arange(1, 5001, dtype=float)
+        for t in (0, rows_per_chunk - 1, rows_per_chunk, 1999, 2000, 2 * rows_per_chunk - 1, 2 * rows_per_chunk, 3999):
+            gen = np.random.Generator(np.random.Philox(key=np.asarray([9, t], dtype=np.uint64)))
+            theta = -np.log1p(-gen.random(5000))
+            assert values[t] == float(np.max(np.abs(theta * n_idx**-1.0) / n_idx**-0.5)), t
 
     def test_truncation_bounds_certified_above_u_min(self):
         m = 500
-        plan = exp_plan(trajectories=m)
         rho = 1e-3 / m
-        for sample in simulate_eta(plan):
-            assert math.isfinite(sample.value) and sample.value > 0.0
-            assert 0.0 <= sample.truncation_bound <= 1.0
-            if sample.value >= 1.0:
-                assert sample.truncation_bound <= rho
+        for u_min in (1.0, 0.3):
+            plan = exp_plan(trajectories=m, truncation=TailTargetTruncation(u_min=u_min))
+            values = simulate_eta(plan).value
+            assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+            bound = truncation_bound(plan, values)
+            assert 0.0 <= bound <= 1.0
+            if values.min() >= u_min:
+                assert bound <= rho
+        assert values.min() >= 0.3  # the u_min = 0.3 batch exercises the certified branch
+
+    @pytest.mark.parametrize("model", [ExponentialPower, GaussianPower])
+    @pytest.mark.parametrize("start", [1, 2])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_truncation_bound_is_largest_per_sample_bound(self, model, start, alpha):
+        for seed in (1, 2, 3):
+            plan = SimulationPlan(model=model(alpha=alpha, index_start=start), eps=0.5, trajectories=400, seed=seed)
+            values = simulate_eta(plan).value
+            n_last = resolve_n_last(plan)
+            reference = max(_discard_tail_bound(plan.model, plan.eps, float(v), n_last) for v in values)
+            assert truncation_bound(plan, values) == reference
 
     def test_gaussian_first_column_mean(self):
         plan = SimulationPlan(
@@ -440,8 +460,9 @@ class TestConfig:
         assert plan.seed == 0 and plan.p_grid == ()
 
 
-class TestEtaSampleType:
-    def test_holds_plain_floats(self):
-        sample = EtaSample(1.5, 1e-7)
-        assert isinstance(sample.value, float)
-        assert sample.truncation_bound == 1e-7
+class TestEtaRecords:
+    def test_one_float_value_field(self):
+        samples = simulate_eta(exp_plan(trajectories=7, truncation=FixedTruncation(n_last=10)))
+        assert isinstance(samples, np.recarray)
+        assert samples.dtype.names == ("value",) and samples.value.dtype == np.float64
+        assert len(samples) == 7 and samples[3].value == samples.value[3]
