@@ -4,8 +4,9 @@ The package has three layers:
 
 - weights and norms: generating functions psi(p), moment curves ||f||_p,
   the sup-norm sup_p ||f||_p / psi(p), and the conjugate tail bound;
-- bounds: moment envelopes for the a.e.-convergence regulator, weighted
-  decay-sequence sums, and certified truncation errors;
+- bounds: the moment bound for the a.e.-convergence regulator from a
+  moment envelope, and weighted decay-sequence sums cut once their
+  remainder is at most rel_tol x the partial sum;
 - simulation: counter-based Monte Carlo for the regulator with exact
   oracles (product tails, inclusion-exclusion sandwich, exact moments)
   and a verification suite that compares the two routes.
@@ -13,24 +14,12 @@ The package has three layers:
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    MomentEnvelope,
-    generalized_bound,
-    generalized_generating,
-    regulator_lp_bound,
-    regulator_norm_bound,
-    sigma_function,
-    sigma_interval,
-    tchebychev_tail_sum_bound,
-    tchebychev_term_bound,
-)
+from .bounds import MomentEnvelope, regulator_lp_bound, sigma_function
 from .criteria import (
     TrajectoryBatch,
     criterion_functional,
     extract_regulator,
     regulator_ratio_matrix,
-    rho_distance,
-    union_criterion,
 )
 from .errors import (
     ConfigError,
@@ -54,22 +43,17 @@ from .generating import (
     PointDomain,
     PowerRoot,
     Product,
-    RegulatorFactor,
     Tabulated,
     TwoSidedSingular,
     evaluate,
     natural_function,
-    regulator_generating,
 )
 from .moments import (
     MomentFunction,
-    TailFunction,
     classical_grand_norm,
     constant_moments,
     discrete_moments,
-    empirical_moments,
     empirical_tail,
-    empirical_tail_function,
     exponential_tail_bound,
     gls_norm,
     gls_norm_scan,
@@ -124,15 +108,12 @@ __all__ = [
     "TwoSidedSingular",
     "Extremal",
     "Tabulated",
-    "RegulatorFactor",
     "NaturalFunction",
     "Product",
     "evaluate",
     "natural_function",
-    "regulator_generating",
     # moments and norms
     "MomentFunction",
-    "TailFunction",
     "constant_moments",
     "std_exponential_moments",
     "half_normal_moments",
@@ -140,9 +121,7 @@ __all__ = [
     "table_moments",
     "scaled_moments",
     "sup_moment_function",
-    "empirical_moments",
     "empirical_tail",
-    "empirical_tail_function",
     "gls_norm",
     "gls_norm_scan",
     "classical_grand_norm",
@@ -152,13 +131,7 @@ __all__ = [
     # bounds
     "MomentEnvelope",
     "regulator_lp_bound",
-    "regulator_norm_bound",
     "sigma_function",
-    "sigma_interval",
-    "generalized_bound",
-    "generalized_generating",
-    "tchebychev_term_bound",
-    "tchebychev_tail_sum_bound",
     # sequences
     "GeometricSequence",
     "PowerLogSequence",
@@ -182,8 +155,6 @@ __all__ = [
     # criteria and reports
     "TrajectoryBatch",
     "criterion_functional",
-    "union_criterion",
-    "rho_distance",
     "extract_regulator",
     "regulator_ratio_matrix",
     "CheckRecord",

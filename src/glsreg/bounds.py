@@ -5,10 +5,12 @@ Given a moment envelope ``||Z_n||_p <= K(p) * n**(-alpha)``, the regulator
 
     ||eta||_p <= K(p) * (p*eps - 1)**(-1/p)      for p > 1/eps,
 
-which this module evaluates directly, packages as a generating function with
-certified norm bound 1, and generalises to arbitrary decay pairs through the
-series ``sigma(p) = (sum_n (eps_n/beta_n)**p)**(1/p)``.  Series are truncated
-with integral-test remainder bounds so every reported digit is certified.
+which ``regulator_lp_bound`` evaluates; the proof step behind it,
+``sum_{n >= n0} n**(-p*eps) <= 1/(p*eps - 1)``, needs n0 >= 2.  For a
+decay pair (eps_n, beta_n), ``sigma_function`` evaluates the series
+``sigma(p) = (sum_n (eps_n/beta_n)**p)**(1/p)``, in closed form for
+geometric pairs and otherwise by summation cut once the integral-test bound
+on the remainder is at most rel_tol x the partial sum.
 """
 
 from __future__ import annotations
@@ -18,35 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    Divergent,
-    DomainError,
-    InvalidExponent,
-    ToleranceUnreachable,
-)
-from .generating import (
-    ExponentInterval,
-    FromCallable,
-    GeneratingFunction,
-    PointDomain,
-    Product,
-    check_eps,
-    evaluate,
-    regulator_generating,
-)
+from .errors import Divergent, DomainError, InvalidExponent, ToleranceUnreachable
+from .generating import GeneratingFunction, check_eps, evaluate
 from .sequences import DecaySequencePair, _chunked_sum
 
-__all__ = [
-    "SERIES_TERM_CAP",
-    "MomentEnvelope",
-    "regulator_lp_bound",
-    "regulator_norm_bound",
-    "sigma_function",
-    "generalized_bound",
-    "generalized_generating",
-    "tchebychev_term_bound",
-    "tchebychev_tail_sum_bound",
-]
+__all__ = ["SERIES_TERM_CAP", "MomentEnvelope", "regulator_lp_bound", "sigma_function"]
 
 #: Hard cap on the number of series terms a certified summation may visit.
 SERIES_TERM_CAP = 10**8
@@ -70,17 +48,16 @@ class MomentEnvelope:
 
 
 def regulator_lp_bound(env: MomentEnvelope, eps: float, p: float) -> float:
-    """Moment bound envelope(p) * (p*eps - 1)**(-1/p) for the sup-regulator."""
+    """Moment bound envelope(p) * (p*eps - 1)**(-1/p) for the sup-regulator.
+
+    The bound rests on sum_{n >= n0} n**(-p*eps) <= 1/(p*eps - 1), which
+    holds only for n0 = env.index_start >= 2; the formula ignores the index,
+    so at index_start 1 it can fall below the true norm.
+    """
     check_eps(eps, env.alpha)
     if not p > 1.0 / eps:
         raise InvalidExponent(f"the bound needs p > 1/eps = {1.0 / eps}, got {p}")
     return evaluate(env.envelope, p) * (p * eps - 1.0) ** (-1.0 / p)
-
-
-def regulator_norm_bound(env: MomentEnvelope, eps: float) -> tuple[GeneratingFunction, float]:
-    """Generating function for the regulator and its certified norm bound 1."""
-    check_eps(eps, env.alpha)
-    return regulator_generating(env.envelope, env.alpha, eps), 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -186,75 +163,3 @@ def sigma_function(pair: DecaySequencePair, p: float, rel_tol: float = 1e-6, for
             return scale * _geometric_sigma_series(pair.delta, p, rel_tol) ** (1.0 / p)
         return scale * (1.0 - pair.delta**p) ** (-1.0 / p)
     return _power_sigma_series(pair, p, rel_tol) ** (1.0 / p)
-
-
-def generalized_bound(psi: GeneratingFunction, pair: DecaySequencePair, p: float, rel_tol: float = 1e-6) -> float:
-    """Moment bound psi(p) * sigma(p) for a regulator normalised by beta_n.
-
-    If ||Z_n||_p <= psi(p) * eps_n then zeta = sup_n |Z_n| / beta_n has
-    ||zeta||_p below this product; +inf when p is outside psi's domain.
-    """
-    return evaluate(psi, p) * sigma_function(pair, p, rel_tol)
-
-
-def sigma_interval(pair: DecaySequencePair) -> ExponentInterval:
-    """Exponent interval on which the sigma series is summable."""
-    if pair.kind == "geometric":
-        return ExponentInterval(1.0, math.inf)
-    threshold = 1.0 / pair.ratio_rate
-    if threshold < 1.0:
-        return ExponentInterval(1.0, math.inf)
-    # open at the threshold: convergence there depends on the log exponent
-    return ExponentInterval(threshold, math.inf, lower_open=True)
-
-
-def generalized_generating(
-    psi: GeneratingFunction, pair: DecaySequencePair, rel_tol: float = 1e-6
-) -> GeneratingFunction:
-    """Composite generating function gamma(p) = psi(p) * sigma(p).
-
-    The normalised regulator zeta lies in the unit ball of the space this
-    function generates; combine with the conjugate machinery for tail bounds.
-    """
-
-    def sigma_vec(p: np.ndarray) -> np.ndarray:
-        return np.asarray([sigma_function(pair, float(q), rel_tol) for q in p])
-
-    factor = FromCallable(sigma_vec, sigma_interval(pair), label="sigma", check_positive=False)
-    return Product((psi, factor))
-
-
-# ---------------------------------------------------------------------------
-# single-term and tail-sum probability bounds
-
-
-def _tchebychev_log_rate(env: MomentEnvelope, eps: float, p: float, delta: float) -> float:
-    check_eps(eps, env.alpha)
-    if not p > 1.0 / eps:
-        raise InvalidExponent(f"the tail sum needs p > 1/eps = {1.0 / eps}, got {p}")
-    if not (math.isfinite(delta) and delta > 0):
-        raise DomainError(f"threshold delta must be positive, got {delta}")
-    k_p = evaluate(env.envelope, p)
-    return p * (math.log(k_p) - math.log(delta)) if math.isfinite(k_p) else math.inf
-
-
-def tchebychev_term_bound(env: MomentEnvelope, eps: float, p: float, delta: float, n: int) -> float:
-    """Markov bound min(1, (K(p)/delta)**p * n**(-p*eps)) on P(n**(alpha-eps) |Z_n| > delta)."""
-    if n < 1:
-        raise DomainError(f"index must be >= 1, got {n}")
-    log_bound = _tchebychev_log_rate(env, eps, p, delta) - p * eps * math.log(n)
-    return min(1.0, math.exp(min(0.0, log_bound)))
-
-
-def tchebychev_tail_sum_bound(env: MomentEnvelope, eps: float, p: float, delta: float, n_last: int) -> float:
-    """Integral-test bound on the whole discarded tail sum_{n > n_last}.
-
-    Bounds P(sup_{n > n_last} n**(alpha-eps) |Z_n| > delta) by
-    (K(p)/delta)**p * n_last**(1 - p*eps) / (p*eps - 1); used to certify
-    simulation truncation.
-    """
-    if n_last < 1:
-        raise DomainError(f"truncation index must be >= 1, got {n_last}")
-    log_rate = _tchebychev_log_rate(env, eps, p, delta)
-    log_tail = log_rate + (1.0 - p * eps) * math.log(n_last) - math.log(p * eps - 1.0)
-    return min(1.0, math.exp(min(0.0, log_tail)))

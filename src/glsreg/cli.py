@@ -25,10 +25,15 @@ from .errors import ConfigError, GLSError
 _SCHEMA_NAME = "experiment_config.schema.json"
 
 
+def _reject_constant(literal: str):
+    # json.load accepts NaN and +-Infinity, which are not JSON and would pass the schema as numbers
+    raise click.UsageError(f"config is not valid JSON: {literal} is not a number")
+
+
 def _load_config(path: str, command: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as bad:
         raise click.UsageError(f"config is not valid JSON: {bad}") from None
     if not isinstance(cfg, dict) or cfg.get("command") != command:

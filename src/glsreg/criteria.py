@@ -2,11 +2,9 @@
 
 A trajectory batch is an M x W matrix of realized sequence values.  The
 diagnostics are the bounded-sup functional E sup_{m >= n} |x_m|/(1 + |x_m|)
-(which tends to 0 iff the sequence tends to 0 a.e.), the union-event
-probability P(union_{m >= n} {|x_m| <= eps}), the bounded metric
-rho(X, Y) = E |X - Y|/(1 + |X - Y|), and regulator extraction: the smallest
-per-trajectory factor v with |x_n| <= v * delta_n for a chosen null sequence
-delta_n.
+(which tends to 0 iff the sequence tends to 0 a.e.) and regulator
+extraction: the smallest per-trajectory factor v with |x_n| <= v * delta_n
+for a chosen null sequence delta_n.
 
 Every infinite-horizon quantity here is truncated at the batch window, and
 estimates carry the window's last index so reports can say so.
@@ -14,19 +12,12 @@ estimates carry the window's last index so reports can say so.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptySample,
-    IndexOutOfRange,
-    LengthMismatch,
-    NonpositiveDelta,
-)
-from .estimates import ConfidenceValue, mean_estimate, proportion_estimate
+from .errors import DomainError, IndexOutOfRange, NonpositiveDelta
+from .estimates import mean_estimate
 
 __all__ = [
     "TrajectoryBatch",
@@ -34,11 +25,7 @@ __all__ = [
     "RegulatorExtraction",
     "regulator_ratio_matrix",
     "criterion_functional",
-    "union_criterion",
-    "rho_distance",
     "extract_regulator",
-    "save_batch",
-    "load_batch",
 ]
 
 
@@ -48,8 +35,6 @@ class TrajectoryBatch:
 
     values: np.ndarray
     index_start: int = 1
-    seed: int | None = None
-    model_label: str = ""
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -60,10 +45,6 @@ class TrajectoryBatch:
         if self.index_start < 1:
             raise DomainError(f"index_start must be >= 1, got {self.index_start}")
         object.__setattr__(self, "values", v)
-
-    @property
-    def trajectories(self) -> int:
-        return self.values.shape[0]
 
     @property
     def last_index(self) -> int:
@@ -82,17 +63,13 @@ class TrajectoryBatch:
 class CriterionEstimate:
     """Monte Carlo estimate of a truncated convergence diagnostic.
 
-    The underlying sup/union runs over m <= last_index only, so the value is
-    a lower bound of the infinite-horizon quantity for nonnegative
-    functionals of the sup and the union event alike.
+    The underlying sup runs over m <= last_index only, so the value is a
+    lower bound of the infinite-horizon quantity.
     """
 
     value: float
     half_width: float
     last_index: int
-
-    def as_confidence(self) -> ConfidenceValue:
-        return ConfidenceValue(self.value, self.half_width)
 
 
 @dataclass(frozen=True)
@@ -101,7 +78,6 @@ class RegulatorExtraction:
 
     factors: np.ndarray
     delta_values: np.ndarray
-    delta_seq: object
 
 
 def regulator_ratio_matrix(values: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -129,32 +105,6 @@ def criterion_functional(batch: TrajectoryBatch, n: int) -> CriterionEstimate:
     return CriterionEstimate(est.value, est.half_width, batch.last_index)
 
 
-def union_criterion(batch: TrajectoryBatch, eps: float, n: int) -> CriterionEstimate:
-    """Estimate P(union_{m >= n} {|x_m| <= eps}) over the batch window.
-
-    The union event is taken exactly as stated: at least one index m in
-    [n, last_index] with |x_m| <= eps.
-    """
-    if not (math.isfinite(eps) and eps > 0):
-        raise DomainError(f"union threshold must be positive, got {eps}")
-    col = batch.column_of(n)
-    hits = int(np.count_nonzero(np.any(np.abs(batch.values[:, col:]) <= eps, axis=1)))
-    est = proportion_estimate(hits, batch.trajectories)
-    return CriterionEstimate(est.value, est.half_width, batch.last_index)
-
-
-def rho_distance(x_samples: np.ndarray, y_samples: np.ndarray) -> float:
-    """Bounded metric E |x - y| / (1 + |x - y|) on paired samples."""
-    x = np.asarray(x_samples, dtype=float).ravel()
-    y = np.asarray(y_samples, dtype=float).ravel()
-    if x.size != y.size:
-        raise LengthMismatch(f"paired samples differ in length: {x.size} vs {y.size}")
-    if x.size == 0:
-        raise EmptySample("rho distance of empty samples")
-    d = np.abs(x - y)
-    return float(np.mean(d / (1.0 + d)))
-
-
 def extract_regulator(batch: TrajectoryBatch, delta_seq) -> RegulatorExtraction:
     """Smallest per-trajectory v with |x_n| <= v * delta_n on the window.
 
@@ -163,51 +113,4 @@ def extract_regulator(batch: TrajectoryBatch, delta_seq) -> RegulatorExtraction:
     """
     delta = delta_seq.values(batch.indices())
     ratios = regulator_ratio_matrix(batch.values, delta)
-    return RegulatorExtraction(factors=ratios.max(axis=1), delta_values=delta, delta_seq=delta_seq)
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def save_batch(batch: TrajectoryBatch, path) -> None:
-    """Write a batch as long-format CSV (trajectory_id,n,value) plus sidecar."""
-    from .persist import atomic_write_text, sidecar_path, write_json
-
-    lines = ["trajectory_id,n,value"]
-    for i in range(batch.trajectories):
-        row = batch.values[i]
-        lines.extend(f"{i},{n},{float(v)!r}" for n, v in zip(range(batch.index_start, batch.last_index + 1), row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    write_json(
-        sidecar_path(path),
-        {
-            "index_start": batch.index_start,
-            "last_index": batch.last_index,
-            "model": batch.model_label,
-            "seed": batch.seed,
-            "trajectories": batch.trajectories,
-        },
-    )
-
-
-def load_batch(path) -> TrajectoryBatch:
-    """Read a batch written by save_batch."""
-    from .persist import read_json, sidecar_path
-
-    meta = read_json(sidecar_path(path))
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 3:
-        raise DomainError(f"expected 3 CSV columns (trajectory_id,n,value) in {path}")
-    rows = int(meta["trajectories"])
-    width = int(meta["last_index"]) - int(meta["index_start"]) + 1
-    if data.shape[0] != rows * width:
-        raise DomainError(f"batch file {path} does not match its sidecar shape")
-    order = np.lexsort((data[:, 1], data[:, 0]))
-    values = data[order, 2].reshape(rows, width)
-    return TrajectoryBatch(
-        values=values,
-        index_start=int(meta["index_start"]),
-        seed=meta.get("seed"),
-        model_label=str(meta.get("model", "")),
-    )
+    return RegulatorExtraction(factors=ratios.max(axis=1), delta_values=delta)

@@ -8,9 +8,9 @@ moment curve ``p -> ||f||_p`` in the sup-norm
 
 so evaluation is total: outside the domain the weight is infinite and the
 corresponding ratio is zero (the convention ``C / inf := 0`` applies
-downstream).  The standing assumption ``inf psi > 0`` is guaranteed
-analytically for the closed forms and checked numerically on the scan grid
-for user-supplied tables and callables.
+downstream).  The standing assumption ``inf psi > 0`` holds analytically for
+the closed forms, and tables reject nonpositive knot values; a wrapped
+callable is taken as given.
 """
 
 from __future__ import annotations
@@ -242,44 +242,12 @@ class Tabulated(GeneratingFunction):
 
 
 @dataclass(frozen=True)
-class RegulatorFactor(GeneratingFunction):
-    """psi(p) = (p*eps - 1)**(-1/p) on (1/eps, inf).
-
-    Blows up at the left edge and decreases to 1 as p -> inf; multiplying a
-    moment envelope by this factor prices the passage from per-term moment
-    decay to a moment bound for the sup-regulator.
-    """
-
-    eps: float
-
-    def __post_init__(self) -> None:
-        check_eps(self.eps)
-
-    @property
-    def domain(self) -> ExponentInterval:
-        return ExponentInterval(1.0 / self.eps, math.inf, lower_open=True)
-
-    def values(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        inside = self.domain.contains_array(p)
-        out = np.full(p.shape, math.inf)
-        q = p[inside]
-        out[inside] = (q * self.eps - 1.0) ** (-1.0 / q)
-        return out
-
-
-@dataclass(frozen=True)
 class FromCallable(GeneratingFunction):
     """Positive vectorised callable restricted to an interval."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     interval: ExponentInterval
     label: str = "callable"
-    check_positive: bool = True
-
-    def __post_init__(self) -> None:
-        if self.check_positive:
-            check_positive_infimum(self)
 
     @property
     def domain(self) -> ExponentInterval:
@@ -369,41 +337,6 @@ def scan_grid(domain: Domain, n_points: int = GRID_POINTS) -> np.ndarray:
     adjacent = [lo * (1.0 + 1e-12) if domain.lower_open else lo, hi * (1.0 - 1e-12)]
     grid = np.unique(np.concatenate([pts, adjacent]))
     return grid[domain.contains_array(grid)]
-
-
-def check_positive_infimum(psi: GeneratingFunction) -> float:
-    """Numerically verify the standing assumption inf psi > 0 on the scan grid.
-
-    Returns the observed grid infimum.  Raises DomainError when a grid value
-    is nonpositive or not a number; +inf values (off-domain or singular
-    endpoints) are ignored.
-    """
-    grid = scan_grid(psi.domain)
-    vals = psi.values(grid)
-    finite = vals[np.isfinite(vals)]
-    if finite.size and (np.any(finite <= 0) or np.any(np.isnan(finite))):
-        raise DomainError("generating function must be strictly positive on its domain")
-    if finite.size == 0:
-        raise DomainError("generating function has no finite values on the scan grid")
-    return float(finite.min())
-
-
-def regulator_generating(psi: GeneratingFunction, alpha: float, eps: float) -> GeneratingFunction:
-    """Generating function for the sup-regulator built from envelope ``psi``.
-
-    If ``||Z_n||_p <= psi(p) * n**(-alpha)`` on the domain of ``psi``, the
-    regulator ``sup_n n**(alpha-eps) |Z_n|`` lies in the unit ball of the
-    space generated by ``psi(p) * (p*eps - 1)**(-1/p)`` on the domain
-    intersected with (1/eps, inf).
-    """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise DomainError(f"decay rate alpha must be positive, got {alpha}")
-    check_eps(eps, alpha)
-    dom = psi.domain
-    upper = dom.p if isinstance(dom, PointDomain) else dom.upper
-    if 1.0 / eps >= upper:
-        raise EmptyDomain(f"exponent threshold 1/eps = {1.0 / eps} reaches past the domain end {upper}")
-    return Product((psi, RegulatorFactor(eps)))
 
 
 def natural_function(moments) -> NaturalFunction:

@@ -1,19 +1,18 @@
-"""Moment curves, tails, sup-norms over exponents, and conjugate tail bounds.
+"""Moment curves, sup-norms over exponents, and conjugate tail bounds.
 
-The central objects are the moment curve ``p -> ||f||_p`` and the tail
-``t -> P(|f| >= t)``.  Against a generating function ``psi`` the moment
-curve defines the norm
+The central object is the moment curve ``p -> ||f||_p``.  Against a
+generating function ``psi`` it defines the norm
 
     ||f|| = sup_p ||f||_p / psi(p),
 
 and on the conjugate side the Young-Fenchel transform of
 ``h(p) = p ln psi(p)`` turns a unit norm into the exponential tail bound
-``P(|f| >= t) <= exp(-h*(ln t))`` for ``t >= e``.
+``P(|f| >= t) <= exp(-h*(ln t))`` for ``t >= e``.  The empirical tail
+``P(|x| >= t)`` of a sample is estimated here too.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -22,44 +21,26 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, EmptyDomain, EmptySample, LengthMismatch
-from .estimates import Z99, ConfidenceValue, power_mean_estimate, proportion_estimate
-from .generating import (
-    Domain,
-    ExponentInterval,
-    GeneratingFunction,
-    PointDomain,
-    intersect_domains,
-    natural_function,
-)
+from .estimates import ConfidenceValue, proportion_estimate
+from .generating import Domain, ExponentInterval, GeneratingFunction, PointDomain, intersect_domains
 from .scan import ScanResult, supremum_scan
 
 __all__ = [
     "MomentFunction",
-    "TailFunction",
     "constant_moments",
     "std_exponential_moments",
     "half_normal_moments",
     "discrete_moments",
     "table_moments",
     "scaled_moments",
-    "restricted_moments",
     "sup_moment_function",
-    "empirical_moments",
     "empirical_tail",
-    "empirical_tail_function",
     "gls_norm",
     "gls_norm_scan",
     "classical_grand_norm",
     "young_fenchel",
     "young_fenchel_scan",
     "exponential_tail_bound",
-    "lyapunov_violations",
-    "log_convexity_violations",
-    "write_moment_table",
-    "read_moment_table",
-    "write_tail_table",
-    "read_tail_table",
-    "natural_function",
 ]
 
 
@@ -69,14 +50,10 @@ class MomentFunction:
 
     ``evaluator`` is vectorised and is only consulted inside the domain;
     outside it the curve reports +inf (nothing is guaranteed there).
-    Empirical instances carry a half-width evaluator and a sample count.
     """
 
     interval: ExponentInterval
     evaluator: Callable[[np.ndarray], np.ndarray]
-    half_width_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
-    source: str = "analytic"
-    sample_count: int | None = None
     label: str = ""
 
     @property
@@ -93,42 +70,6 @@ class MomentFunction:
 
     def value(self, p: float) -> float:
         return float(self.values(np.asarray([p], dtype=float))[0])
-
-    def half_widths(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if self.half_width_evaluator is None:
-            return np.zeros(p.shape)
-        inside = self.interval.contains_array(p)
-        out = np.zeros(p.shape)
-        if inside.any():
-            out[inside] = self.half_width_evaluator(p[inside])
-        return out
-
-
-@dataclass(frozen=True)
-class TailFunction:
-    """Map t -> P(|f| >= t) (or a certified upper bound for it) on t >= 0."""
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    kind: str = "exact"  # "exact" | "bound" | "empirical"
-    half_width_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
-    sample_count: int | None = None
-    label: str = ""
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise DomainError("tail thresholds must be nonnegative")
-        return np.clip(self.evaluator(t), 0.0, 1.0)
-
-    def value(self, t: float) -> float:
-        return float(self.values(np.asarray([t], dtype=float))[0])
-
-    def half_widths(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.half_width_evaluator is None:
-            return np.zeros(t.shape)
-        return self.half_width_evaluator(t)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +125,7 @@ def discrete_moments(atoms: Sequence[float], weights: Sequence[float]) -> Moment
     return MomentFunction(ExponentInterval(1.0, math.inf), ev, label="discrete")
 
 
-def table_moments(ps: Sequence[float], vals: Sequence[float], half_widths: Sequence[float] | None = None) -> MomentFunction:
+def table_moments(ps: Sequence[float], vals: Sequence[float]) -> MomentFunction:
     """Moment curve through tabulated knots, geometric interpolation inside the hull."""
     ps = np.asarray(list(ps), dtype=float)
     vals = np.asarray(list(vals), dtype=float)
@@ -204,38 +145,13 @@ def table_moments(ps: Sequence[float], vals: Sequence[float], half_widths: Seque
     def ev(p: np.ndarray) -> np.ndarray:
         return np.exp(np.interp(np.log(p), log_p, log_v))
 
-    if half_widths is None:
-        return MomentFunction(interval, ev, label="table")
-    hws = np.asarray(list(half_widths), dtype=float)
-    if hws.size != ps.size:
-        raise LengthMismatch("knot exponents and half-widths differ in length")
-
-    def hw(p: np.ndarray) -> np.ndarray:
-        return np.interp(np.log(p), log_p, hws)
-
-    source = "empirical" if np.any(hws > 0) else "analytic"
-    return MomentFunction(interval, ev, half_width_evaluator=hw, source=source, label="table")
+    return MomentFunction(interval, ev, label="table")
 
 
 def scaled_moments(mf: MomentFunction, c: float) -> MomentFunction:
     """Moment curve of c*f: every p-norm scales by |c|."""
     s = abs(float(c))
-    return MomentFunction(
-        mf.interval,
-        lambda p: s * mf.evaluator(p),
-        half_width_evaluator=None if mf.half_width_evaluator is None else (lambda p: s * mf.half_width_evaluator(p)),
-        source=mf.source,
-        sample_count=mf.sample_count,
-        label=f"{mf.label}*{s}",
-    )
-
-
-def restricted_moments(mf: MomentFunction, interval: ExponentInterval) -> MomentFunction:
-    """Restrict a moment curve to a subinterval of its domain."""
-    sub = intersect_domains(mf.interval, interval)
-    if isinstance(sub, PointDomain):
-        raise DomainError("restriction collapsed the moment domain to a point")
-    return MomentFunction(sub, mf.evaluator, mf.half_width_evaluator, mf.source, mf.sample_count, mf.label)
+    return MomentFunction(mf.interval, lambda p: s * mf.evaluator(p), label=f"{mf.label}*{s}")
 
 
 def sup_moment_function(members: Sequence[MomentFunction]) -> MomentFunction:
@@ -255,39 +171,7 @@ def sup_moment_function(members: Sequence[MomentFunction]) -> MomentFunction:
 
 
 # ---------------------------------------------------------------------------
-# empirical estimators
-
-
-def empirical_moments(samples: np.ndarray, p_grid: Sequence[float]) -> MomentFunction:
-    """Empirical moment curve from i.i.d. samples.
-
-    The returned curve evaluates at any exponent >= 1 straight from the
-    sample (stable in log space); ``p_grid`` fixes the tabulation used for
-    CSV export.  Half-widths come from the delta method on mean |x|^p.
-    """
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size == 0:
-        raise EmptySample("empirical moments of an empty sample")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("samples must be finite")
-    p_grid = tuple(float(p) for p in p_grid)
-    if any(p < 1.0 for p in p_grid):
-        raise DomainError("moment grid exponents must be >= 1")
-
-    def ev(p: np.ndarray) -> np.ndarray:
-        return np.asarray([power_mean_estimate(x, q).value for q in np.asarray(p, dtype=float)])
-
-    def hw(p: np.ndarray) -> np.ndarray:
-        return np.asarray([power_mean_estimate(x, q).half_width for q in np.asarray(p, dtype=float)])
-
-    return MomentFunction(
-        ExponentInterval(1.0, math.inf),
-        ev,
-        half_width_evaluator=hw,
-        source="empirical",
-        sample_count=int(x.size),
-        label="empirical",
-    )
+# empirical tail
 
 
 def empirical_tail(samples: np.ndarray, t: float) -> ConfidenceValue:
@@ -299,24 +183,6 @@ def empirical_tail(samples: np.ndarray, t: float) -> ConfidenceValue:
         raise DomainError(f"tail threshold must be nonnegative, got {t}")
     hits = int(np.count_nonzero(np.abs(x) >= t))
     return proportion_estimate(hits, x.size)
-
-
-def empirical_tail_function(samples: np.ndarray) -> TailFunction:
-    """Wrap a sample as a TailFunction with binomial half-widths."""
-    x = np.abs(np.asarray(samples, dtype=float).ravel())
-    if x.size == 0:
-        raise EmptySample("empirical tail of an empty sample")
-    sx = np.sort(x)
-    m = x.size
-
-    def ev(t: np.ndarray) -> np.ndarray:
-        return (m - np.searchsorted(sx, t, side="left")) / m
-
-    def hw(t: np.ndarray) -> np.ndarray:
-        p_hat = ev(t)
-        return Z99 * np.sqrt(p_hat * (1.0 - p_hat) / m) + Z99 * Z99 / (2.0 * m)
-
-    return TailFunction(ev, kind="empirical", half_width_evaluator=hw, sample_count=m, label="empirical")
 
 
 # ---------------------------------------------------------------------------
@@ -409,116 +275,3 @@ def exponential_tail_bound(psi: GeneratingFunction, t: float) -> float:
     if h_star == math.inf:
         return 0.0
     return min(1.0, math.exp(-h_star))
-
-
-# ---------------------------------------------------------------------------
-# validation checks
-
-
-def lyapunov_violations(mf: MomentFunction, p_grid: Sequence[float]) -> list[tuple[float, float, float, float]]:
-    """Points where the moment curve decreases beyond its tolerance.
-
-    p-norms on a probability space are nondecreasing in p.  For empirical
-    curves the tolerance at each step is twice the larger confidence
-    half-width; analytic curves get a pure rounding allowance.
-    Returns (p_lo, p_hi, value_lo, value_hi) for every violation.
-    """
-    ps = np.asarray(sorted(p_grid), dtype=float)
-    vals = mf.values(ps)
-    hws = mf.half_widths(ps)
-    bad = []
-    for i in range(ps.size - 1):
-        tol = 2.0 * max(hws[i], hws[i + 1]) if mf.source == "empirical" else 1e-12 * max(1.0, abs(vals[i]))
-        if vals[i + 1] < vals[i] - tol:
-            bad.append((float(ps[i]), float(ps[i + 1]), float(vals[i]), float(vals[i + 1])))
-    return bad
-
-
-def log_convexity_violations(mf: MomentFunction, p_grid: Sequence[float]) -> list[tuple[float, float]]:
-    """Grid points where p -> p ln ||f||_p fails midpoint convexity.
-
-    Only meaningful for analytic curves; sampling noise swamps second
-    differences for empirical ones.  Returns (p, second_difference).
-    """
-    ps = np.asarray(sorted(p_grid), dtype=float)
-    vals = mf.values(ps)
-    with np.errstate(divide="ignore"):
-        h = ps * np.log(vals)
-    bad = []
-    for i in range(1, ps.size - 1):
-        lam = (ps[i + 1] - ps[i]) / (ps[i + 1] - ps[i - 1])
-        chord = lam * h[i - 1] + (1.0 - lam) * h[i + 1]
-        gap = chord - h[i]
-        if gap < -1e-9 * max(1.0, abs(h[i])):
-            bad.append((float(ps[i]), float(gap)))
-    return bad
-
-
-# ---------------------------------------------------------------------------
-# CSV round trips
-
-
-def write_moment_table(mf: MomentFunction, p_grid: Sequence[float], path) -> None:
-    """Persist a moment curve on a grid as CSV with header p,value,half_width."""
-    from .persist import atomic_write_text
-
-    ps = np.asarray(list(p_grid), dtype=float)
-    vals = mf.values(ps)
-    hws = mf.half_widths(ps)
-    lines = ["p,value,half_width"]
-    lines += [f"{float(p)!r},{float(v)!r},{float(h)!r}" for p, v, h in zip(ps, vals, hws)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_moment_table(path) -> MomentFunction:
-    """Load a moment table written by write_moment_table.
-
-    The curve interpolates geometrically inside the tabulated hull and is
-    undefined (i.e. +inf) outside it.
-    """
-    rows = _read_table(path, ("p", "value", "half_width"))
-    return table_moments([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
-
-
-def write_tail_table(tf: TailFunction, t_grid: Sequence[float], path) -> None:
-    """Persist a tail function on a grid as CSV with header t,value,half_width."""
-    from .persist import atomic_write_text
-
-    ts = np.asarray(list(t_grid), dtype=float)
-    vals = tf.values(ts)
-    hws = tf.half_widths(ts)
-    lines = ["t,value,half_width"]
-    lines += [f"{float(t)!r},{float(v)!r},{float(h)!r}" for t, v, h in zip(ts, vals, hws)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_tail_table(path) -> TailFunction:
-    """Load a tail table written by write_tail_table (linear interpolation)."""
-    rows = _read_table(path, ("t", "value", "half_width"))
-    ts = np.asarray([r[0] for r in rows])
-    vals = np.asarray([r[1] for r in rows])
-    hws = np.asarray([r[2] for r in rows])
-    if ts.size < 1 or np.any(np.diff(ts) <= 0):
-        raise DomainError("a tail table needs strictly increasing thresholds")
-    if np.any((vals < 0) | (vals > 1)):
-        raise DomainError("tail table values must lie in [0, 1]")
-
-    def ev(t: np.ndarray) -> np.ndarray:
-        return np.interp(t, ts, vals)
-
-    def hw(t: np.ndarray) -> np.ndarray:
-        return np.interp(t, ts, hws)
-
-    return TailFunction(ev, kind="empirical" if np.any(hws > 0) else "bound", half_width_evaluator=hw, label="table")
-
-
-def _read_table(path, expected_header: tuple[str, ...]) -> list[tuple[float, ...]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != expected_header:
-            raise DomainError(f"expected CSV header {','.join(expected_header)} in {path}")
-        try:
-            return [tuple(float(cell) for cell in row) for row in reader if row]
-        except ValueError as bad:
-            raise DomainError(f"non-numeric cell in {path}: {bad}") from None

@@ -20,12 +20,10 @@ __all__ = [
     "atomic_write_text",
     "sidecar_path",
     "write_json",
-    "read_json",
     "canonical_json",
     "json_safe",
     "config_sha256",
     "write_eta_samples",
-    "read_eta_samples",
 ]
 
 
@@ -69,11 +67,6 @@ def write_json(path, obj) -> None:
     atomic_write_text(path, canonical_json(obj))
 
 
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def config_sha256(obj) -> str:
     """Hash of the compact canonical JSON form of a config object."""
     compact = json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -90,11 +83,3 @@ def write_eta_samples(samples, metadata: dict, path) -> None:
     lines.extend(f"{i},{v!r}" for i, v in enumerate(samples.value.tolist()))
     atomic_write_text(path, "\n".join(lines) + "\n")
     write_json(sidecar_path(path), metadata)
-
-
-def read_eta_samples(path):
-    """Read samples written by write_eta_samples; returns (values, metadata)."""
-    import numpy as np
-
-    values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1]
-    return values, read_json(sidecar_path(path))

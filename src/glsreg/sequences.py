@@ -102,11 +102,6 @@ class SlowlyVaryingSequence:
         if any(not (math.isfinite(v) and v > 0) for v in self.table):
             raise DomainError("slowly varying table values must be finite and positive")
 
-    @property
-    def tail_scale(self) -> float:
-        """Constant the table is extended by; scales the pure power tail."""
-        return self.table[-1]
-
     def values(self, n: np.ndarray) -> np.ndarray:
         n = np.asarray(n, dtype=float)
         if np.any(n < self.first_index):

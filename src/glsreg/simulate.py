@@ -38,7 +38,6 @@ __all__ = [
     "TRUNCATION_CAP",
     "ExponentialPower",
     "GaussianPower",
-    "EnvelopeOnly",
     "SequenceModel",
     "FixedTruncation",
     "TailTargetTruncation",
@@ -51,7 +50,6 @@ __all__ = [
     "exp_power_threshold",
     "exp_power_sum",
     "exact_eta_tail",
-    "exact_eta_tail_with_error",
     "bonferroni_sums",
     "asymptotic_tail_constant",
     "exact_eta_moment",
@@ -103,26 +101,7 @@ class GaussianPower:
         return math.sqrt(2.0) * special.erfinv(uniforms)
 
 
-@dataclass(frozen=True)
-class EnvelopeOnly:
-    """Analytic-only model: a moment envelope without a generator."""
-
-    envelope: MomentEnvelope
-    kind = "envelope_only"
-
-    @property
-    def alpha(self) -> float:
-        return self.envelope.alpha
-
-    @property
-    def index_start(self) -> int:
-        return self.envelope.index_start
-
-    def moment_envelope(self) -> MomentEnvelope:
-        return self.envelope
-
-
-SequenceModel = Union[ExponentialPower, GaussianPower, EnvelopeOnly]
+SequenceModel = Union[ExponentialPower, GaussianPower]
 
 
 def _check_model_fields(alpha: float, index_start: int) -> None:
@@ -264,18 +243,14 @@ def _discard_tail_bound(model: SequenceModel, eps: float, u: float, n_last: int)
     if model.kind == "exponential_power":
         # P(theta / n**eps > u) = exp(-u n**eps) exactly
         return min(1.0, exp_power_sum_tail_bound(u, eps, n_last))
-    if model.kind == "gaussian_power":
-        # half-normal tail P(|g| > t) <= exp(-t^2 / 2)
-        return min(1.0, exp_power_sum_tail_bound(u * u / 2.0, 2.0 * eps, n_last))
-    raise DomainError("an envelope-only model has no generative tail")
+    # half-normal tail P(|g| > t) <= exp(-t^2 / 2)
+    return min(1.0, exp_power_sum_tail_bound(u * u / 2.0, 2.0 * eps, n_last))
 
 
 def resolve_n_last(plan: SimulationPlan) -> int:
     """Truncation index of a plan; certified for tail-target truncations."""
     if isinstance(plan.truncation, FixedTruncation):
         return plan.truncation.n_last
-    if plan.model.kind == "envelope_only":
-        raise DomainError("an envelope-only model cannot be simulated")
     rho = plan.truncation.rho if plan.truncation.rho is not None else 1e-3 / plan.trajectories
     u_min = plan.truncation.u_min
     if plan.model.kind == "exponential_power":
@@ -329,8 +304,6 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
     batch, so the two agree bitwise on shared seeds.  ``truncation_bound``
     gives the batch's truncation risk.
     """
-    if plan.model.kind == "envelope_only":
-        raise DomainError("an envelope-only model cannot be simulated")
     n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
     delta = PowerLogSequence(rate=plan.alpha - plan.eps).values(n_idx)
     etas = [
@@ -342,8 +315,6 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
 
 def simulate_trajectories(plan: SimulationPlan) -> TrajectoryBatch:
     """Generate the raw Z_n matrix as a TrajectoryBatch (trajectory x index)."""
-    if plan.model.kind == "envelope_only":
-        raise DomainError("an envelope-only model cannot be simulated")
     n_last = resolve_n_last(plan)
     width = n_last - plan.index_start + 1
     if plan.trajectories * width > _BATCH_CELL_CAP:
@@ -353,12 +324,7 @@ def simulate_trajectories(plan: SimulationPlan) -> TrajectoryBatch:
         )
     n_idx = np.arange(plan.index_start, n_last + 1, dtype=float)
     values = np.concatenate([_generate_rows(plan, n_idx, rows) for rows in _row_chunks(plan.trajectories, width)])
-    return TrajectoryBatch(
-        values=values,
-        index_start=plan.index_start,
-        seed=plan.seed,
-        model_label=plan.model.kind,
-    )
+    return TrajectoryBatch(values=values, index_start=plan.index_start)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +339,8 @@ def _check_tail_args(alpha: float, eps: float, index_start: int) -> None:
         raise DomainError(f"index_start must be >= 1, got {index_start}")
 
 
-def exact_eta_tail_with_error(
-    alpha: float, eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1
-) -> tuple[float, float]:
-    """Exact tail P(eta > u) of the exponential-power model, with error bound.
+def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
+    """Exact tail P(eta > u) of the exponential-power model, within abs_tol.
 
     Evaluates 1 - prod_{n >= index_start} (1 - exp(-u n**eps)) by summing
     log1p terms; the product is cut once the certified remainder (either the
@@ -391,12 +355,7 @@ def exact_eta_tail_with_error(
     n_last = max(index_start, exp_power_threshold(u, eps, abs_tol))
     # once the product is below abs_tol the sum may stop: later factors only shrink it
     log_product = _chunked_sum(lambda n: np.log1p(-np.exp(-u * n**eps)), index_start, n_last, math.log(abs_tol))
-    return min(1.0, -math.expm1(log_product)), abs_tol
-
-
-def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
-    """Exact tail P(eta > u) for the exponential-power model (see _with_error)."""
-    return exact_eta_tail_with_error(alpha, eps, u, abs_tol, index_start)[0]
+    return min(1.0, -math.expm1(log_product))
 
 
 def bonferroni_sums(eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> tuple[float, float]:

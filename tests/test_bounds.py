@@ -7,18 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glsreg import bounds as bounds_module
-from glsreg.bounds import (
-    SERIES_TERM_CAP,
-    MomentEnvelope,
-    generalized_bound,
-    generalized_generating,
-    regulator_lp_bound,
-    regulator_norm_bound,
-    sigma_function,
-    sigma_interval,
-    tchebychev_tail_sum_bound,
-    tchebychev_term_bound,
-)
+from glsreg.bounds import MomentEnvelope, regulator_lp_bound, sigma_function
 from glsreg.errors import (
     Divergent,
     DomainError,
@@ -26,8 +15,8 @@ from glsreg.errors import (
     InvalidExponent,
     ToleranceUnreachable,
 )
-from glsreg.generating import PowerRoot, Tabulated, evaluate, natural_function
-from glsreg.moments import constant_moments, gls_norm, std_exponential_moments
+from glsreg.generating import Tabulated, natural_function
+from glsreg.moments import std_exponential_moments
 from glsreg.sequences import (
     DecaySequencePair,
     GeometricSequence,
@@ -75,22 +64,6 @@ class TestRegulatorLpBound:
             constant_envelope(1.0, alpha=0.0)
         with pytest.raises(DomainError):
             constant_envelope(1.0, index_start=0)
-
-
-class TestRegulatorNormBound:
-    def test_returns_unit_bound_against_composite_weight(self):
-        env = constant_envelope(2.0)
-        psi, level = regulator_norm_bound(env, 0.5)
-        assert level == 1.0
-        # composite = envelope * (p eps - 1)^(-1/p); check one value
-        assert evaluate(psi, 4.0) == pytest.approx(2.0 * 1.0, rel=1e-12)
-
-    def test_norm_of_scaled_curve_respects_bound(self):
-        # a curve sitting at half the envelope has composite norm <= 1
-        env = constant_envelope(2.0)
-        psi, level = regulator_norm_bound(env, 0.5)
-        m = constant_moments(1.0)
-        assert gls_norm(m, psi) <= level + 1e-12
 
 
 class TestGeometricSigma:
@@ -221,69 +194,6 @@ class TestSigmaValidation:
             sigma_function(pair, 1.0, rel_tol=1.5)
 
 
-class TestSigmaInterval:
-    def test_geometric_always_from_one(self):
-        pair = DecaySequencePair(GeometricSequence(q=0.25), GeometricSequence(q=0.5))
-        iv = sigma_interval(pair)
-        assert iv.lower == 1.0 and not iv.lower_open and iv.upper == math.inf
-
-    def test_power_pair_opens_at_reciprocal_rate(self):
-        pair = DecaySequencePair(PowerLogSequence(rate=1.0), PowerLogSequence(rate=0.5))
-        iv = sigma_interval(pair)
-        assert iv.lower == 2.0 and iv.lower_open
-
-    def test_fast_power_decay_covers_everything(self):
-        pair = DecaySequencePair(PowerLogSequence(rate=3.0), PowerLogSequence(rate=0.5))
-        iv = sigma_interval(pair)
-        assert iv.lower == 1.0 and not iv.lower_open
-
-
-class TestGeneralized:
-    def test_bound_is_product(self):
-        pair = DecaySequencePair(GeometricSequence(q=0.25), GeometricSequence(q=0.5))
-        psi = PowerRoot(m=2.0)
-        p = 3.0
-        expect = evaluate(psi, p) * sigma_function(pair, p)
-        assert generalized_bound(psi, pair, p) == pytest.approx(expect, rel=1e-12)
-
-    def test_generating_matches_bound_on_grid(self):
-        pair = DecaySequencePair(GeometricSequence(q=0.25), GeometricSequence(q=0.5))
-        psi = PowerRoot(m=2.0)
-        combined = generalized_generating(psi, pair)
-        for p in (1.0, 2.0, 6.0):
-            assert evaluate(combined, p) == pytest.approx(generalized_bound(psi, pair, p), rel=1e-9)
-
-
-class TestTchebychev:
-    def test_term_bound_is_probability(self):
-        env = constant_envelope(1.0)
-        for n in (1, 2, 10, 1000):
-            b = tchebychev_term_bound(env, 0.5, 4.0, delta=0.5, n=n)
-            assert 0.0 <= b <= 1.0
-
-    def test_term_bound_decays_in_n(self):
-        env = constant_envelope(1.0)
-        bs = [tchebychev_term_bound(env, 0.5, 4.0, delta=0.5, n=n) for n in (10, 100, 1000)]
-        assert bs[0] > bs[1] > bs[2]
-
-    def test_term_bound_explicit_value(self):
-        # (K(p) / delta)^p n^(-p eps) once below one
-        env = constant_envelope(1.0)
-        b = tchebychev_term_bound(env, 0.5, 4.0, delta=1.0, n=100)
-        assert b == pytest.approx(1.0 * 100.0 ** (-2.0), rel=1e-9)
-
-    def test_tail_sum_dominates_term(self):
-        env = constant_envelope(1.0)
-        tail = tchebychev_tail_sum_bound(env, 0.5, 4.0, delta=1.0, n_last=100)
-        term = tchebychev_term_bound(env, 0.5, 4.0, delta=1.0, n=101)
-        assert tail >= term
-
-    def test_needs_integrable_exponent(self):
-        env = constant_envelope(1.0)
-        with pytest.raises(InvalidExponent):
-            tchebychev_tail_sum_bound(env, 0.5, 2.0, delta=1.0, n_last=10)
-
-
 class TestSequences:
     def test_power_log_values(self):
         seq = PowerLogSequence(rate=1.0, log_power=1.0)
@@ -305,7 +215,6 @@ class TestSequences:
     def test_slowly_varying_extends_by_last_value(self):
         seq = SlowlyVaryingSequence(rate=1.0, table=(2.0, 3.0))
         np.testing.assert_allclose(seq.values(np.asarray([1.0, 2.0, 5.0])), [2.0, 1.5, 0.6])
-        assert seq.tail_scale == 3.0
 
     def test_pair_requires_decaying_ratio(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from glsreg.errors import DomainError, EmptyDomain, InvalidEpsilon, NoFiniteMoment
+from glsreg.errors import DomainError, EmptyDomain, NoFiniteMoment
 from glsreg.generating import (
     EDGE_INSET,
     UPPER_CAP,
@@ -16,15 +16,12 @@ from glsreg.generating import (
     PointDomain,
     PowerRoot,
     Product,
-    RegulatorFactor,
     Tabulated,
     TwoSidedSingular,
-    check_positive_infimum,
     evaluate,
     from_config,
     intersect_domains,
     natural_function,
-    regulator_generating,
     scan_grid,
 )
 from glsreg.moments import constant_moments, std_exponential_moments
@@ -154,45 +151,21 @@ class TestTabulated:
             Tabulated(points=((1.0, 1.0), (2.0, 0.0)))
 
 
-class TestRegulatorFactor:
-    def test_value(self):
-        f = RegulatorFactor(eps=0.5)
-        assert evaluate(f, 4.0) == pytest.approx((4.0 * 0.5 - 1.0) ** -0.25)
-
-    def test_domain_opens_at_reciprocal_eps(self):
-        f = RegulatorFactor(eps=0.25)
-        assert f.domain.lower == 4.0 and f.domain.lower_open
-        assert evaluate(f, 4.0) == math.inf
-
-    def test_eps_validated(self):
-        for bad in (0.0, 1.0, 1.5, -0.2):
-            with pytest.raises(DomainError):
-                RegulatorFactor(eps=bad)
-
-
 class TestFromCallable:
     def test_wraps_callable(self):
         psi = FromCallable(lambda p: p + 1.0, ExponentInterval(1.0, 10.0))
         assert evaluate(psi, 3.0) == 4.0
 
-    def test_positivity_check_rejects_vanishing(self):
-        with pytest.raises(DomainError):
-            FromCallable(lambda p: p - 1.0, ExponentInterval(1.0, 10.0))
-
-    def test_check_can_be_skipped(self):
-        psi = FromCallable(lambda p: p - 1.0, ExponentInterval(1.0, 10.0), check_positive=False)
-        assert evaluate(psi, 1.0) == 0.0
-
 
 class TestProduct:
     def test_multiplies_values_and_intersects_domains(self):
-        prod = Product((PowerRoot(m=1.0), RegulatorFactor(eps=0.5)))
-        assert evaluate(prod, 4.0) == pytest.approx(4.0 * (1.0) ** -0.25)
-        assert prod.domain.lower == 2.0 and prod.domain.lower_open
+        prod = Product((PowerRoot(m=1.0), TwoSidedSingular(b=3.0, alpha=1.0, beta=0.0)))
+        assert evaluate(prod, 2.0) == pytest.approx(2.0)
+        assert prod.domain.lower == 1.0 and prod.domain.lower_open and prod.domain.upper == 3.0
 
     def test_disjoint_factors_raise(self):
         with pytest.raises(EmptyDomain):
-            Product((Tabulated(points=((1.0, 1.0), (2.0, 1.0))), RegulatorFactor(eps=0.25)))
+            Product((Tabulated(points=((1.0, 1.0), (2.0, 1.0))), Extremal(r=4.0)))
 
 
 class TestScanGrid:
@@ -216,33 +189,6 @@ class TestScanGrid:
     def test_strictly_increasing(self):
         grid = scan_grid(ExponentInterval(1.0, 50.0, lower_open=True), 128)
         assert np.all(np.diff(grid) > 0)
-
-
-class TestCheckPositiveInfimum:
-    def test_accepts_bounded_below(self):
-        assert check_positive_infimum(PowerRoot(m=2.0)) >= 1.0
-
-    def test_rejects_zero_on_grid(self):
-        psi = FromCallable(lambda p: np.maximum(p - 3.0, 0.0), ExponentInterval(1.0, 10.0), check_positive=False)
-        with pytest.raises(DomainError):
-            check_positive_infimum(psi)
-
-
-class TestRegulatorGenerating:
-    def test_composite_value(self):
-        psi = regulator_generating(PowerRoot(m=1.0), alpha=1.0, eps=0.5)
-        assert evaluate(psi, 4.0) == pytest.approx(4.0 * 1.0 ** -0.25)
-
-    def test_eps_must_undershoot_alpha_and_one(self):
-        with pytest.raises(InvalidEpsilon):
-            regulator_generating(PowerRoot(m=1.0), alpha=0.3, eps=0.5)
-        with pytest.raises(InvalidEpsilon):
-            regulator_generating(PowerRoot(m=1.0), alpha=2.0, eps=1.0)
-
-    def test_domain_must_reach_past_threshold(self):
-        # psi lives on (1, 3) but the factor starts above 1/0.3 > 3
-        with pytest.raises(EmptyDomain):
-            regulator_generating(TwoSidedSingular(b=3.0, alpha=0.5, beta=0.5), alpha=1.0, eps=0.3)
 
 
 class TestNaturalFunction:

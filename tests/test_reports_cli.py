@@ -21,8 +21,6 @@ from glsreg.persist import (
     canonical_json,
     config_sha256,
     json_safe,
-    read_eta_samples,
-    read_json,
     sidecar_path,
     write_eta_samples,
     write_json,
@@ -71,9 +69,10 @@ def bound_pair(eps_seq: dict, beta_seq: dict) -> dict:
     }
 
 
-# Every config here must exit 2: the schema rejects its shape, or a
-# constructor's domain check (q < Q, knot order, matching lengths,
-# eps < alpha) rejects its values while the command builds its objects.
+# Every config here must exit 2: the loader rejects a NaN or Infinity
+# literal, the schema rejects its shape, or a constructor's domain check
+# (q < Q, knot order, matching lengths, eps < alpha) rejects its values
+# while the command builds its objects.
 REJECTED_CONFIGS = {
     "psi-unknown-form": {**NORM, "psi": {"form": "mystery"}},
     "psi-missing-field": {**NORM, "psi": {"form": "power_root"}},
@@ -98,6 +97,11 @@ REJECTED_CONFIGS = {
         "truncation": {"n_last": 2},
     },
     "bound-eps-not-below-alpha": {**BOUND_REGULATOR, "alpha": 0.3},
+    # json.dumps writes these as the bare literals NaN and Infinity, which json.load would accept
+    "simulate-p-grid-nan": {**SIMULATE, "p_grid": [math.nan]},
+    "simulate-p-grid-infinity": {**SIMULATE, "p_grid": [math.inf]},
+    "simulate-u-grid-nan": {**SIMULATE, "u_grid": [math.nan]},
+    "bound-p-grid-nan": {**BOUND_REGULATOR, "p_grid": [math.nan, 3.0]},
 }
 
 
@@ -218,7 +222,7 @@ class TestPersist:
         atomic_write_text(path, "hello\n")
         assert path.read_text() == "hello\n"
         write_json(path, {"k": [1, 2]})
-        assert read_json(path) == {"k": [1, 2]}
+        assert json.loads(path.read_text()) == {"k": [1, 2]}
 
     def test_sidecar_name(self, tmp_path):
         assert str(sidecar_path(tmp_path / "eta.csv")).endswith("eta.csv.meta.json")
@@ -228,9 +232,9 @@ class TestPersist:
         path = tmp_path / "eta.csv"
         write_eta_samples(samples, {"seed": 3}, path)
         assert path.read_bytes() == b"trajectory_id,eta_value\n0,1.25\n1,0.30000000000000004\n"
-        values, meta = read_eta_samples(path)
+        values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1]
         np.testing.assert_array_equal(values, [1.25, 0.1 + 0.2])
-        assert meta["seed"] == 3
+        assert json.loads(sidecar_path(path).read_text())["seed"] == 3
 
 
 class TestRunSuite:
@@ -350,6 +354,8 @@ class TestBoundCommand:
         assert payload["mode"] == "sequence"
         for row in payload["rows"]:
             assert math.isfinite(row["bound"]) and row["sigma"] >= 1.0
+            # psi is the power root p^(1/2), and the weighted-sum bound is psi(p) sigma(p)
+            assert row["bound"] == pytest.approx(row["p"] ** 0.5 * row["sigma"], rel=1e-12)
         assert (out / "bounds.csv").read_text().splitlines()[0] == "p,sigma,bound"
 
     def test_regulator_mode(self, runner, tmp_path):
