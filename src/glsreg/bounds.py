@@ -10,7 +10,10 @@ which ``regulator_lp_bound`` evaluates; the proof step behind it,
 decay pair (eps_n, beta_n), ``sigma_function`` evaluates the series
 ``sigma(p) = (sum_n (eps_n/beta_n)**p)**(1/p)``, in closed form for
 geometric pairs and otherwise by summation cut once the integral-test bound
-on the remainder is at most rel_tol x the partial sum.
+on the remainder is at most rel_tol x the partial sum; ``generalized_bound``
+is the product psi(p) * sigma(p).  The Tchebychev functions bound
+P(n**(alpha-eps) |Z_n| > delta) for one term and for a whole tail.  The CLI
+and ``verify`` call neither of these two groups.
 """
 
 from __future__ import annotations
@@ -24,7 +27,15 @@ from .errors import Divergent, DomainError, InvalidExponent, ToleranceUnreachabl
 from .generating import GeneratingFunction, check_eps, evaluate
 from .sequences import DecaySequencePair, _chunked_sum
 
-__all__ = ["SERIES_TERM_CAP", "MomentEnvelope", "regulator_lp_bound", "sigma_function"]
+__all__ = [
+    "SERIES_TERM_CAP",
+    "MomentEnvelope",
+    "regulator_lp_bound",
+    "sigma_function",
+    "generalized_bound",
+    "tchebychev_term_bound",
+    "tchebychev_tail_sum_bound",
+]
 
 #: Hard cap on the number of series terms a certified summation may visit.
 SERIES_TERM_CAP = 10**8
@@ -163,3 +174,48 @@ def sigma_function(pair: DecaySequencePair, p: float, rel_tol: float = 1e-6, for
             return scale * _geometric_sigma_series(pair.delta, p, rel_tol) ** (1.0 / p)
         return scale * (1.0 - pair.delta**p) ** (-1.0 / p)
     return _power_sigma_series(pair, p, rel_tol) ** (1.0 / p)
+
+
+def generalized_bound(psi: GeneratingFunction, pair: DecaySequencePair, p: float, rel_tol: float = 1e-6) -> float:
+    """Moment bound psi(p) * sigma(p) for a regulator normalised by beta_n.
+
+    If ||Z_n||_p <= psi(p) * eps_n then zeta = sup_n |Z_n| / beta_n has
+    ||zeta||_p below this product; +inf when p is outside psi's domain.
+    """
+    return evaluate(psi, p) * sigma_function(pair, p, rel_tol)
+
+
+# ---------------------------------------------------------------------------
+# single-term and tail-sum probability bounds
+
+
+def _tchebychev_log_rate(env: MomentEnvelope, eps: float, p: float, delta: float) -> float:
+    check_eps(eps, env.alpha)
+    if not p > 1.0 / eps:
+        raise InvalidExponent(f"the tail sum needs p > 1/eps = {1.0 / eps}, got {p}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise DomainError(f"threshold delta must be positive, got {delta}")
+    k_p = evaluate(env.envelope, p)
+    return p * (math.log(k_p) - math.log(delta)) if math.isfinite(k_p) else math.inf
+
+
+def tchebychev_term_bound(env: MomentEnvelope, eps: float, p: float, delta: float, n: int) -> float:
+    """Markov bound min(1, (K(p)/delta)**p * n**(-p*eps)) on P(n**(alpha-eps) |Z_n| > delta)."""
+    if n < 1:
+        raise DomainError(f"index must be >= 1, got {n}")
+    log_bound = _tchebychev_log_rate(env, eps, p, delta) - p * eps * math.log(n)
+    return min(1.0, math.exp(min(0.0, log_bound)))
+
+
+def tchebychev_tail_sum_bound(env: MomentEnvelope, eps: float, p: float, delta: float, n_last: int) -> float:
+    """Integral-test bound on the whole discarded tail sum_{n > n_last}.
+
+    Bounds P(sup_{n > n_last} n**(alpha-eps) |Z_n| > delta) by
+    (K(p)/delta)**p * n_last**(1 - p*eps) / (p*eps - 1).  Simulation
+    truncation does not use it; it cuts with ``exp_power_sum_tail_bound``.
+    """
+    if n_last < 1:
+        raise DomainError(f"truncation index must be >= 1, got {n_last}")
+    log_rate = _tchebychev_log_rate(env, eps, p, delta)
+    log_tail = log_rate + (1.0 - p * eps) * math.log(n_last) - math.log(p * eps - 1.0)
+    return min(1.0, math.exp(min(0.0, log_tail)))

@@ -4,7 +4,9 @@ A trajectory batch is an M x W matrix of realized sequence values.  The
 diagnostics are the bounded-sup functional E sup_{m >= n} |x_m|/(1 + |x_m|)
 (which tends to 0 iff the sequence tends to 0 a.e.) and regulator
 extraction: the smallest per-trajectory factor v with |x_n| <= v * delta_n
-for a chosen null sequence delta_n.
+for a chosen null sequence delta_n.  ``rho_distance`` is the bounded metric
+E |x - y| / (1 + |x - y|) on paired samples; the CLI and ``verify`` do not
+call it.
 
 Every infinite-horizon quantity here is truncated at the batch window, and
 estimates carry the window's last index so reports can say so.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRange, NonpositiveDelta
+from .errors import DomainError, EmptySample, IndexOutOfRange, LengthMismatch, NonpositiveDelta
 from .estimates import mean_estimate
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "RegulatorExtraction",
     "regulator_ratio_matrix",
     "criterion_functional",
+    "rho_distance",
     "extract_regulator",
 ]
 
@@ -103,6 +106,18 @@ def criterion_functional(batch: TrajectoryBatch, n: int) -> CriterionEstimate:
     transformed = sups / (1.0 + sups)
     est = mean_estimate(transformed)
     return CriterionEstimate(est.value, est.half_width, batch.last_index)
+
+
+def rho_distance(x_samples: np.ndarray, y_samples: np.ndarray) -> float:
+    """Bounded metric E |x - y| / (1 + |x - y|) on paired samples."""
+    x = np.asarray(x_samples, dtype=float).ravel()
+    y = np.asarray(y_samples, dtype=float).ravel()
+    if x.size != y.size:
+        raise LengthMismatch(f"paired samples differ in length: {x.size} vs {y.size}")
+    if x.size == 0:
+        raise EmptySample("rho distance of empty samples")
+    d = np.abs(x - y)
+    return float(np.mean(d / (1.0 + d)))
 
 
 def extract_regulator(batch: TrajectoryBatch, delta_seq) -> RegulatorExtraction:

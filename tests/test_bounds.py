@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glsreg import bounds as bounds_module
-from glsreg.bounds import MomentEnvelope, regulator_lp_bound, sigma_function
+from glsreg.bounds import (
+    MomentEnvelope,
+    generalized_bound,
+    regulator_lp_bound,
+    sigma_function,
+    tchebychev_tail_sum_bound,
+    tchebychev_term_bound,
+)
 from glsreg.errors import (
     Divergent,
     DomainError,
@@ -15,7 +22,7 @@ from glsreg.errors import (
     InvalidExponent,
     ToleranceUnreachable,
 )
-from glsreg.generating import Tabulated, natural_function
+from glsreg.generating import PowerRoot, Tabulated, evaluate, natural_function
 from glsreg.moments import std_exponential_moments
 from glsreg.sequences import (
     DecaySequencePair,
@@ -192,6 +199,45 @@ class TestSigmaValidation:
             sigma_function(pair, 1.0, rel_tol=0.0)
         with pytest.raises(DomainError):
             sigma_function(pair, 1.0, rel_tol=1.5)
+
+
+class TestGeneralized:
+    def test_bound_is_product(self):
+        pair = DecaySequencePair(GeometricSequence(q=0.25), GeometricSequence(q=0.5))
+        psi = PowerRoot(m=2.0)
+        p = 3.0
+        expect = evaluate(psi, p) * sigma_function(pair, p)
+        assert generalized_bound(psi, pair, p) == pytest.approx(expect, rel=1e-12)
+
+
+class TestTchebychev:
+    def test_term_bound_is_probability(self):
+        env = constant_envelope(1.0)
+        for n in (1, 2, 10, 1000):
+            b = tchebychev_term_bound(env, 0.5, 4.0, delta=0.5, n=n)
+            assert 0.0 <= b <= 1.0
+
+    def test_term_bound_decays_in_n(self):
+        env = constant_envelope(1.0)
+        bs = [tchebychev_term_bound(env, 0.5, 4.0, delta=0.5, n=n) for n in (10, 100, 1000)]
+        assert bs[0] > bs[1] > bs[2]
+
+    def test_term_bound_explicit_value(self):
+        # (K(p) / delta)^p n^(-p eps) once below one
+        env = constant_envelope(1.0)
+        b = tchebychev_term_bound(env, 0.5, 4.0, delta=1.0, n=100)
+        assert b == pytest.approx(1.0 * 100.0 ** (-2.0), rel=1e-9)
+
+    def test_tail_sum_dominates_term(self):
+        env = constant_envelope(1.0)
+        tail = tchebychev_tail_sum_bound(env, 0.5, 4.0, delta=1.0, n_last=100)
+        term = tchebychev_term_bound(env, 0.5, 4.0, delta=1.0, n=101)
+        assert tail >= term
+
+    def test_needs_integrable_exponent(self):
+        env = constant_envelope(1.0)
+        with pytest.raises(InvalidExponent):
+            tchebychev_tail_sum_bound(env, 0.5, 2.0, delta=1.0, n_last=10)
 
 
 class TestSequences:
