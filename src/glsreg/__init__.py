@@ -12,78 +12,81 @@ The package has three layers:
   and a verification suite that compares the two routes.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .bounds import MomentEnvelope, regulator_lp_bound, sigma_function
-from .criteria import (
-    TrajectoryBatch,
-    criterion_functional,
-    extract_regulator,
-    regulator_ratio_matrix,
-)
-from .errors import (
-    ConfigError,
-    Divergent,
-    DomainError,
-    EmptyDomain,
-    EmptySample,
-    GLSError,
-    InvalidEpsilon,
-    InvalidExponent,
-    MomentInfinite,
-    NoFiniteMoment,
-    ToleranceUnreachable,
-    TruncationInfeasible,
-)
-from .generating import (
-    ExponentInterval,
-    Extremal,
-    GeneratingFunction,
-    NaturalFunction,
-    PointDomain,
-    PowerRoot,
-    Product,
-    Tabulated,
-    TwoSidedSingular,
-    evaluate,
-    natural_function,
-)
-from .moments import (
-    MomentFunction,
-    classical_grand_norm,
-    constant_moments,
-    discrete_moments,
-    empirical_tail,
-    exponential_tail_bound,
-    gls_norm,
-    gls_norm_scan,
-    half_normal_moments,
-    scaled_moments,
-    std_exponential_moments,
-    sup_moment_function,
-    table_moments,
-    young_fenchel,
-    young_fenchel_scan,
-)
-from .reports import CheckRecord, VerificationReport
-from .sequences import DecaySequencePair, GeometricSequence, PowerLogSequence, SlowlyVaryingSequence
-from .simulate import (
-    ExponentialPower,
-    FixedTruncation,
-    GaussianPower,
-    SimulationPlan,
-    TailTargetTruncation,
-    asymptotic_tail_constant,
-    bonferroni_sums,
-    exact_eta_moment,
-    exact_eta_tail,
-    exp_power_sum,
-    exp_power_threshold,
-    simulate_eta,
-    simulate_trajectories,
-    truncation_bound,
-)
-from .verify import run_suite
+# Each module with the public names it exports.  Names load on first use
+# (PEP 562), so a command pays only for the modules it runs: ``glsreg --help``
+# loads neither numpy nor scipy.
+_EXPORTS = {
+    "bounds": ("MomentEnvelope", "regulator_lp_bound", "sigma_function"),
+    "criteria": ("TrajectoryBatch", "criterion_functional", "extract_regulator", "regulator_ratio_matrix"),
+    "errors": (
+        "ConfigError",
+        "Divergent",
+        "DomainError",
+        "EmptyDomain",
+        "EmptySample",
+        "GLSError",
+        "InvalidEpsilon",
+        "InvalidExponent",
+        "MomentInfinite",
+        "NoFiniteMoment",
+        "ToleranceUnreachable",
+        "TruncationInfeasible",
+    ),
+    "generating": (
+        "ExponentInterval",
+        "Extremal",
+        "GeneratingFunction",
+        "NaturalFunction",
+        "PointDomain",
+        "PowerRoot",
+        "Product",
+        "Tabulated",
+        "TwoSidedSingular",
+        "evaluate",
+        "natural_function",
+    ),
+    "moments": (
+        "MomentFunction",
+        "classical_grand_norm",
+        "constant_moments",
+        "discrete_moments",
+        "empirical_tail",
+        "exponential_tail_bound",
+        "gls_norm",
+        "gls_norm_scan",
+        "half_normal_moments",
+        "scaled_moments",
+        "std_exponential_moments",
+        "sup_moment_function",
+        "table_moments",
+        "young_fenchel",
+        "young_fenchel_scan",
+    ),
+    "reports": ("CheckRecord", "VerificationReport"),
+    "sequences": ("DecaySequencePair", "GeometricSequence", "PowerLogSequence", "SlowlyVaryingSequence"),
+    "simulate": (
+        "ExponentialPower",
+        "FixedTruncation",
+        "GaussianPower",
+        "SimulationPlan",
+        "TailTargetTruncation",
+        "asymptotic_tail_constant",
+        "bonferroni_sums",
+        "exact_eta_moment",
+        "exact_eta_tail",
+        "exp_power_sum",
+        "exp_power_threshold",
+        "simulate_eta",
+        "simulate_trajectories",
+        "truncation_bound",
+    ),
+    "verify": ("run_suite",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "__version__",
@@ -161,3 +164,15 @@ __all__ = [
     "VerificationReport",
     "run_suite",
 ]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

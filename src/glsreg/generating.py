@@ -247,7 +247,6 @@ class FromCallable(GeneratingFunction):
 
     fn: Callable[[np.ndarray], np.ndarray]
     interval: ExponentInterval
-    label: str = "callable"
 
     @property
     def domain(self) -> ExponentInterval:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, EmptyDomain, EmptySample, LengthMismatch
 from .estimates import ConfidenceValue, proportion_estimate
@@ -54,7 +53,6 @@ class MomentFunction:
 
     interval: ExponentInterval
     evaluator: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
     @property
     def domain(self) -> ExponentInterval:
@@ -81,26 +79,41 @@ def constant_moments(c: float, interval: ExponentInterval | None = None) -> Mome
     if c < 0 or not math.isfinite(c):
         raise DomainError(f"a p-norm level must be finite and nonnegative, got {c}")
     interval = interval or ExponentInterval(1.0, math.inf)
-    return MomentFunction(interval, lambda p: np.full(p.shape, float(c)), label=f"constant({c})")
+    return MomentFunction(interval, lambda p: np.full(p.shape, float(c)))
 
 
 def std_exponential_moments() -> MomentFunction:
     """||theta||_p = Gamma(p+1)^(1/p) for a standard exponential variable."""
-    return MomentFunction(
-        ExponentInterval(1.0, math.inf),
-        lambda p: np.exp(special.gammaln(p + 1.0) / p),
-        label="std_exponential",
-    )
+    from scipy import special
+
+    return MomentFunction(ExponentInterval(1.0, math.inf), lambda p: np.exp(special.gammaln(p + 1.0) / p))
 
 
 def half_normal_moments() -> MomentFunction:
     """||g||_p = (2^(p/2) Gamma((p+1)/2) / sqrt(pi))^(1/p) for |g|, g standard normal."""
+    from scipy import special
 
     def ev(p: np.ndarray) -> np.ndarray:
         log_moment = 0.5 * p * math.log(2.0) + special.gammaln((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)
         return np.exp(log_moment / p)
 
-    return MomentFunction(ExponentInterval(1.0, math.inf), ev, label="half_normal")
+    return MomentFunction(ExponentInterval(1.0, math.inf), ev)
+
+
+def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x), axis=1)) without overflow.
+
+    Each row is shifted by its max, or by 0 when that max is not finite.  As
+    in scipy.special.logsumexp, the terms equal to the max are counted, not
+    summed: the result is log1p(rest / count) + log(count) + max, which is
+    -inf with no warning for a row of -inf (all atoms zero).
+    """
+    top = x.max(axis=1)
+    at_top = x == top[:, None]
+    count = at_top.sum(axis=1, dtype=float)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    rest = np.exp(np.where(at_top, -np.inf, x) - shift[:, None]).sum(axis=1)
+    return np.log1p(rest / count) + np.log(count) + top
 
 
 def discrete_moments(atoms: Sequence[float], weights: Sequence[float]) -> MomentFunction:
@@ -119,10 +132,9 @@ def discrete_moments(atoms: Sequence[float], weights: Sequence[float]) -> Moment
 
     def ev(p: np.ndarray) -> np.ndarray:
         # log E|f|^p = logsumexp(p log a + log w), columns over atoms
-        lp = p[:, None] * log_a[None, :] + log_w[None, :]
-        return np.exp(special.logsumexp(lp, axis=1) / p)
+        return np.exp(_logsumexp_rows(p[:, None] * log_a[None, :] + log_w[None, :]) / p)
 
-    return MomentFunction(ExponentInterval(1.0, math.inf), ev, label="discrete")
+    return MomentFunction(ExponentInterval(1.0, math.inf), ev)
 
 
 def table_moments(ps: Sequence[float], vals: Sequence[float]) -> MomentFunction:
@@ -145,13 +157,13 @@ def table_moments(ps: Sequence[float], vals: Sequence[float]) -> MomentFunction:
     def ev(p: np.ndarray) -> np.ndarray:
         return np.exp(np.interp(np.log(p), log_p, log_v))
 
-    return MomentFunction(interval, ev, label="table")
+    return MomentFunction(interval, ev)
 
 
 def scaled_moments(mf: MomentFunction, c: float) -> MomentFunction:
     """Moment curve of c*f: every p-norm scales by |c|."""
     s = abs(float(c))
-    return MomentFunction(mf.interval, lambda p: s * mf.evaluator(p), label=f"{mf.label}*{s}")
+    return MomentFunction(mf.interval, lambda p: s * mf.evaluator(p))
 
 
 def sup_moment_function(members: Sequence[MomentFunction]) -> MomentFunction:
@@ -167,7 +179,7 @@ def sup_moment_function(members: Sequence[MomentFunction]) -> MomentFunction:
     def ev(p: np.ndarray) -> np.ndarray:
         return np.max(np.stack([m.evaluator(p) for m in members]), axis=0)
 
-    return MomentFunction(dom, ev, label="family_sup")
+    return MomentFunction(dom, ev)
 
 
 # ---------------------------------------------------------------------------

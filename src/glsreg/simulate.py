@@ -14,8 +14,9 @@ verified against.
 
 Randomness is counter-based: trajectory j of seed s reads from a Philox
 stream keyed (s, j), and the n-th draw is a pure function of (s, j, n).
-Rows are generated chunk by chunk in one loop; the chunk size affects memory
-only, never a single bit of output.
+``simulate_eta`` generates rows chunk by chunk and keeps only each row's
+max; the chunk size affects memory only, never a single bit of output.
+``simulate_trajectories`` writes every row straight into the batch matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .criteria import TrajectoryBatch, regulator_ratio_matrix
 from .errors import DomainError, MomentInfinite, TruncationInfeasible
@@ -281,9 +282,9 @@ def _row_stream(seed: int, trajectory: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _generate_rows(plan: SimulationPlan, n_idx: np.ndarray, rows: range) -> np.ndarray:
+def _generate_rows(plan: SimulationPlan, n_idx: np.ndarray, rows: range, out: np.ndarray) -> np.ndarray:
+    """Write trajectory rows ``rows`` into ``out`` (one row each) and return it."""
     decay = n_idx ** (-plan.alpha)
-    out = np.empty((len(rows), n_idx.size))
     for i, trajectory in enumerate(rows):
         uniforms = _row_stream(plan.seed, trajectory).random(n_idx.size)
         out[i] = plan.model.draw_magnitudes(uniforms) * decay
@@ -307,7 +308,7 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
     n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
     delta = PowerLogSequence(rate=plan.alpha - plan.eps).values(n_idx)
     etas = [
-        regulator_ratio_matrix(_generate_rows(plan, n_idx, rows), delta).max(axis=1)
+        regulator_ratio_matrix(_generate_rows(plan, n_idx, rows, np.empty((len(rows), n_idx.size))), delta).max(axis=1)
         for rows in _row_chunks(plan.trajectories, n_idx.size)
     ]
     return np.rec.fromarrays([np.concatenate(etas)], names="value")
@@ -323,7 +324,7 @@ def simulate_trajectories(plan: SimulationPlan) -> TrajectoryBatch:
             "reduce trajectories or tighten truncation"
         )
     n_idx = np.arange(plan.index_start, n_last + 1, dtype=float)
-    values = np.concatenate([_generate_rows(plan, n_idx, rows) for rows in _row_chunks(plan.trajectories, width)])
+    values = _generate_rows(plan, n_idx, range(plan.trajectories), np.empty((plan.trajectories, width)))
     return TrajectoryBatch(values=values, index_start=plan.index_start)
 
 
@@ -433,6 +434,8 @@ def exact_eta_moment(
         upper *= 2.0
         if upper > 1e9:
             raise DomainError("moment quadrature cannot certify its truncation point")
+
+    from scipy import integrate
 
     def integrand(u: float) -> float:
         return p * u ** (p - 1.0) * exact_eta_tail(alpha, eps, u, tail_tol, index_start)

@@ -338,7 +338,7 @@ def norm_axiom_violations(seed: int, cases: int) -> dict[str, float]:
 
         # constant factor >= 1 on the full domain keeps both scans on one grid
         k = 1.0 + float(rng.uniform(0.0, 2.0))
-        grown = FromCallable(lambda p, k=k: np.full_like(p, k), psi.domain, label="factor")
+        grown = FromCallable(lambda p, k=k: np.full_like(p, k), psi.domain)
         big = gls_norm(m, Product((psi, grown)), n_points=n_points, refine=False)
         if math.isfinite(base) and math.isfinite(big):
             worst["anti_monotonicity"] = max(worst["anti_monotonicity"], big - base)

@@ -1,6 +1,7 @@
 """Moment curves, sup-norms, and conjugate transforms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from glsreg.errors import DomainError, EmptyDomain, EmptySample, LengthMismatch
 from glsreg.estimates import power_mean_estimate
 from glsreg.generating import ExponentInterval, Extremal, PowerRoot, Tabulated, TwoSidedSingular
 from glsreg.moments import (
+    _logsumexp_rows,
     classical_grand_norm,
     constant_moments,
     discrete_moments,
@@ -77,6 +79,37 @@ class TestDiscreteMoments:
             discrete_moments([1.0], [0.5, 0.5])
         with pytest.raises(DomainError):
             discrete_moments([1.0], [-1.0])
+
+    def test_log_sum_exp_matches_scipy(self):
+        # 4 ulp relative to max(1, |ref|): a log-sum-exp errs by a few ulp of its
+        # unit-sized shifted sum, so near ref = 0 the error is absolute, not relative
+        rng = np.random.default_rng(17)
+        p = np.concatenate([np.linspace(1.0, 10.0, 40), np.geomspace(10.0, 1e3, 40)])
+        for case in range(200):
+            atoms = rng.lognormal(0.0, 1.5, size=int(rng.integers(2, 9)))
+            if case % 3 == 0:
+                atoms[0] = 0.0
+            weights = rng.uniform(0.1, 2.0, size=atoms.size)
+            log_w = np.log(weights) - math.log(float(weights.sum()))
+            with np.errstate(divide="ignore"):
+                x = p[:, None] * np.log(atoms)[None, :] + log_w[None, :]
+            ref = special.logsumexp(x, axis=1)
+            got = _logsumexp_rows(x)
+            assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))), case
+            np.testing.assert_allclose(discrete_moments(atoms, weights).values(p), np.exp(ref / p), rtol=1e-13)
+
+    def test_zero_atoms_and_large_exponents(self):
+        p = np.asarray([1.0, 2.0, 50.0, 1e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            all_zero = discrete_moments([0.0, 0.0], [0.3, 0.7]).values(p)
+            one_zero = discrete_moments([0.0, 3.0], [0.5, 0.5]).values(p)
+            large = discrete_moments([1e3, 2e3, 0.5], [1.0, 1.0, 1.0]).values(p)
+        assert np.array_equal(all_zero, np.zeros(p.size))
+        np.testing.assert_allclose(one_zero, 3.0 * 0.5 ** (1.0 / p), rtol=1e-14)
+        # (2000^p / 3)^(1/p) with 2000^1000 far beyond the float range: no overflow
+        assert np.all(np.isfinite(large))
+        assert large[-1] == pytest.approx(2e3 * 3.0 ** (-1e-3) * (1.0 + 2.0**-1e3) ** 1e-3, rel=1e-14)
 
 
 class TestTableMoments:

@@ -1,11 +1,13 @@
 """Trajectory simulation, certified truncation, and exact-model oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special
 
+from glsreg import simulate as simulate_module
 from glsreg.criteria import regulator_ratio_matrix
 from glsreg.errors import (
     DomainError,
@@ -280,6 +282,27 @@ class TestTrajectoryBatches:
         reduced = regulator_ratio_matrix(batch.values, delta).max(axis=1)
         eta = np.asarray([s.value for s in simulate_eta(plan)])
         np.testing.assert_array_equal(reduced, eta)
+
+    def test_eta_chunks_agree_bitwise_with_batch_reduction(self, monkeypatch):
+        # 300 rows of width 25 in chunks of 40 rows: the last chunk is short
+        monkeypatch.setattr(simulate_module, "_CHUNK_CELLS", 1000)
+        plan = exp_plan(trajectories=300, seed=8, truncation=FixedTruncation(n_last=25))
+        reduced = regulator_ratio_matrix(simulate_trajectories(plan).values, np.arange(1, 26, dtype=float) ** -0.5)
+        np.testing.assert_array_equal(reduced.max(axis=1), simulate_eta(plan).value)
+
+    def test_batch_peak_memory_near_batch_size(self):
+        plan = exp_plan(trajectories=2000, seed=4, truncation=FixedTruncation(n_last=1000))
+        tracemalloc.start()
+        try:
+            batch = simulate_trajectories(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * batch.values.nbytes
+        for t in (0, 1999):
+            gen = np.random.Generator(np.random.Philox(key=np.asarray([4, t], dtype=np.uint64)))
+            row = -np.log1p(-gen.random(1000)) * np.arange(1, 1001, dtype=float) ** -1.0
+            np.testing.assert_array_equal(batch.values[t], row)
 
 
 class TestExactTail:

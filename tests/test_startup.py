@@ -1,0 +1,115 @@
+"""Start-up cost: package names load on first use, and each command imports only what it runs."""
+
+import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import glsreg
+
+ROOT = Path(__file__).resolve().parents[1]
+# the child imports the same glsreg as this process, installed or not
+PACKAGE_PARENT = str(Path(glsreg.__file__).parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([PACKAGE_PARENT, os.environ.get("PYTHONPATH", "")])}
+
+# Runs the CLI as `python -m glsreg.cli` would, then writes the names of the
+# loaded numpy and scipy modules to the file named by the first argument.
+_PROBE = """
+import json, runpy, sys
+report, sys.argv = sys.argv[1], ["glsreg", *sys.argv[2:]]
+try:
+    runpy.run_module("glsreg.cli", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    code = done.code
+else:
+    code = 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+with open(report, "w") as fh:
+    json.dump({"code": code, "loaded": loaded}, fh)
+"""
+
+
+def _loaded_after(tmp_path, *args) -> set[str]:
+    report = tmp_path / "loaded.json"
+    result = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(report), *args], cwd=ROOT, env=CHILD_ENV, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(report.read_text())
+    assert probe["code"] in (0, None), result.stderr
+    return set(probe["loaded"])
+
+
+class TestCommandImports:
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_load_no_numpy_or_scipy(self, tmp_path, flag):
+        loaded = _loaded_after(tmp_path, flag)
+        assert "numpy" not in loaded and "scipy" not in loaded
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("bound", "bound_geometric.json"),
+            ("bound", "bound_regulator.json"),
+            ("conjugate", "conjugate_power.json"),
+        ],
+    )
+    def test_analytic_commands_load_no_scipy(self, tmp_path, command, config):
+        loaded = _loaded_after(tmp_path, command, "--config", f"configs/{config}", "--out", str(tmp_path / "out"))
+        assert "numpy" in loaded  # the probe sees the modules the command really loaded
+        assert "scipy" not in loaded
+
+    def test_simulate_loads_no_quadrature(self, tmp_path):
+        loaded = _loaded_after(
+            tmp_path, "simulate", "--config", "configs/simulate_small.json", "--out", str(tmp_path / "out")
+        )
+        assert "scipy.special" in loaded
+        assert "scipy.integrate" not in loaded
+
+
+def _literal(name: str):
+    tree = ast.parse(Path(glsreg.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+class TestLazyExports:
+    def test_module_map_names_exactly_all(self):
+        mapped = [name for names in _literal("_EXPORTS").values() for name in names]
+        assert len(mapped) == len(set(mapped))
+        assert set(mapped) == set(glsreg.__all__) - {"__version__"}
+
+    def test_every_export_resolves_to_its_module_object(self):
+        for module, names in _literal("_EXPORTS").items():
+            home = importlib.import_module(f"glsreg.{module}")
+            for name in names:
+                assert getattr(glsreg, name) is getattr(home, name), name
+
+    def test_submodules_reachable_as_attributes(self):
+        for module in _literal("_EXPORTS"):
+            assert getattr(glsreg, module).__name__ == f"glsreg.{module}"
+
+    def test_dir_lists_every_export(self):
+        assert set(glsreg.__all__) <= set(dir(glsreg))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            glsreg.no_such_name  # noqa: B018
+
+    def test_import_loads_no_numpy(self):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, glsreg; print('numpy' in sys.modules, glsreg.__version__)"],
+            cwd=ROOT,
+            env=CHILD_ENV,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", glsreg.__version__]
