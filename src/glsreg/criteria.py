@@ -43,7 +43,8 @@ class TrajectoryBatch:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DomainError(f"a batch needs a 2-D value matrix, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        # NaN propagates through min and max, and +-inf shows in one of them
+        if not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise DomainError("batch values must all be finite")
         if self.index_start < 1:
             raise DomainError(f"index_start must be >= 1, got {self.index_start}")
@@ -83,16 +84,19 @@ class RegulatorExtraction:
     delta_values: np.ndarray
 
 
-def regulator_ratio_matrix(values: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def regulator_ratio_matrix(values: np.ndarray, delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise |values| / delta with delta broadcast across trajectories.
 
     This single expression is shared by regulator extraction and by the
-    direct simulation of sup-regulators, so the two agree bitwise.
+    direct simulation of sup-regulators, so the two agree bitwise.  As in
+    numpy, ``out`` (which may be ``values``) receives the result; without it
+    a new array is returned and ``values`` is left as it is.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.size == 0 or np.any(~np.isfinite(delta)) or np.any(delta <= 0.0):
         raise NonpositiveDelta("every delta_n must be finite and positive")
-    return np.abs(np.asarray(values, dtype=float)) / delta
+    ratios = np.abs(np.asarray(values, dtype=float), out=out)
+    return np.divide(ratios, delta, out=ratios)
 
 
 def criterion_functional(batch: TrajectoryBatch, n: int) -> CriterionEstimate:

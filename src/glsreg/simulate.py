@@ -14,8 +14,12 @@ verified against.
 
 Randomness is counter-based: trajectory j of seed s reads from a Philox
 stream keyed (s, j), and the n-th draw is a pure function of (s, j, n).
-``simulate_eta`` generates rows chunk by chunk and keeps only each row's
-max; the chunk size affects memory only, never a single bit of output.
+One Philox is re-keyed for every row: its state is set to counter 0, key
+(s, j) and an empty buffer, which is the state of a fresh
+``Philox(key=(s, j))``, so each row's stream is unchanged.
+``simulate_eta`` generates rows chunk by chunk into one reused buffer,
+transforms each chunk in place and keeps only each row's max; the chunk
+size affects memory only, never a single bit of output.
 ``simulate_trajectories`` writes every row straight into the batch matrix.
 """
 
@@ -79,8 +83,11 @@ class ExponentialPower:
         """Exact envelope: ||Z_n||_p = Gamma(p+1)**(1/p) * n**(-alpha)."""
         return MomentEnvelope(natural_function(std_exponential_moments()), self.alpha, self.index_start)
 
-    def draw_magnitudes(self, uniforms: np.ndarray) -> np.ndarray:
-        return -np.log1p(-uniforms)
+    def draw_magnitudes(self, uniforms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # -log1p(-u), one ufunc at a time so that ``out`` may be ``uniforms``
+        out = np.negative(uniforms, out=out)
+        np.log1p(out, out=out)
+        return np.negative(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -97,9 +104,10 @@ class GaussianPower:
     def moment_envelope(self) -> MomentEnvelope:
         return MomentEnvelope(natural_function(half_normal_moments()), self.alpha, self.index_start)
 
-    def draw_magnitudes(self, uniforms: np.ndarray) -> np.ndarray:
+    def draw_magnitudes(self, uniforms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # inverse CDF of |g|: P(|g| <= t) = erf(t / sqrt(2))
-        return math.sqrt(2.0) * special.erfinv(uniforms)
+        out = special.erfinv(uniforms, out=out)
+        return np.multiply(math.sqrt(2.0), out, out=out)
 
 
 SequenceModel = Union[ExponentialPower, GaussianPower]
@@ -277,18 +285,32 @@ def truncation_bound(plan: SimulationPlan, values: np.ndarray) -> float:
 # trajectory generation
 
 
-def _row_stream(seed: int, trajectory: int) -> np.random.Generator:
-    key = np.asarray([seed, trajectory], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _generate_rows(plan: SimulationPlan, n_idx: np.ndarray, rows: range, out: np.ndarray) -> np.ndarray:
-    """Write trajectory rows ``rows`` into ``out`` (one row each) and return it."""
-    decay = n_idx ** (-plan.alpha)
+    """Write trajectory rows ``rows`` into ``out`` (one row each) and return it.
+
+    One Philox serves every row.  Before each row its state is set to
+    counter 0, key (seed, trajectory) and buffer_pos 4, which drops any
+    partly used 4-word buffer: the row reads exactly the stream of a fresh
+    ``Philox(key=(seed, trajectory))``.  The magnitude draw and the decay
+    then run over the whole of ``out`` in place.
+    """
+    key = np.asarray([plan.seed, 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bits = np.random.Philox(key=key)
+    gen = np.random.Generator(bits)
     for i, trajectory in enumerate(rows):
-        uniforms = _row_stream(plan.seed, trajectory).random(n_idx.size)
-        out[i] = plan.model.draw_magnitudes(uniforms) * decay
-    return out
+        key[1] = trajectory
+        bits.state = state
+        gen.random(out=out[i])
+    plan.model.draw_magnitudes(out, out=out)
+    return np.multiply(out, n_idx ** (-plan.alpha), out=out)
 
 
 def _row_chunks(trajectories: int, width: int) -> list[range]:
@@ -307,11 +329,13 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
     """
     n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
     delta = PowerLogSequence(rate=plan.alpha - plan.eps).values(n_idx)
-    etas = [
-        regulator_ratio_matrix(_generate_rows(plan, n_idx, rows, np.empty((len(rows), n_idx.size))), delta).max(axis=1)
-        for rows in _row_chunks(plan.trajectories, n_idx.size)
-    ]
-    return np.rec.fromarrays([np.concatenate(etas)], names="value")
+    chunks = _row_chunks(plan.trajectories, n_idx.size)
+    buffer = np.empty((len(chunks[0]), n_idx.size))
+    eta = np.empty(plan.trajectories)
+    for rows in chunks:
+        block = _generate_rows(plan, n_idx, rows, buffer[: len(rows)])
+        regulator_ratio_matrix(block, delta, out=block).max(axis=1, out=eta[rows.start : rows.stop])
+    return np.rec.fromarrays([eta], names="value")
 
 
 def simulate_trajectories(plan: SimulationPlan) -> TrajectoryBatch:

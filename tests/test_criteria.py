@@ -36,6 +36,14 @@ class TestTrajectoryBatch:
         with pytest.raises(DomainError):
             TrajectoryBatch(values=np.ones((2, 2)), index_start=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 3), (4, 5)])
+    def test_rejects_every_non_finite_value(self, bad, where):
+        values = np.random.default_rng(0).normal(size=(5, 6))
+        values[where] = bad
+        with pytest.raises(DomainError):
+            TrajectoryBatch(values=values)
+
     def test_coerces_to_float(self):
         batch = TrajectoryBatch(values=np.asarray([[1, 2], [3, 4]]))
         assert batch.values.dtype == np.float64
@@ -106,6 +114,21 @@ class TestRatioMatrix:
     def test_broadcast(self):
         out = regulator_ratio_matrix(np.asarray([[-2.0, 9.0]]), np.asarray([2.0, 3.0]))
         np.testing.assert_array_equal(out, [[1.0, 3.0]])
+
+    def test_without_out_is_pure_and_matches_expression(self):
+        values = np.random.default_rng(3).normal(size=(7, 13))
+        delta = np.arange(1, 14, dtype=float) ** -0.5
+        kept = values.copy()
+        ratios = regulator_ratio_matrix(values, delta)
+        np.testing.assert_array_equal(values, kept)
+        np.testing.assert_array_equal(ratios, np.abs(kept) / delta)
+
+    def test_out_may_be_the_input(self):
+        values = np.random.default_rng(4).normal(size=(7, 13))
+        delta = np.arange(1, 14, dtype=float) ** -0.5
+        expected = np.abs(values) / delta
+        assert regulator_ratio_matrix(values, delta, out=values) is values
+        np.testing.assert_array_equal(values, expected)
 
     def test_delta_guards(self):
         values = np.ones((1, 2))

@@ -40,6 +40,20 @@ from glsreg.simulate import (
     truncation_bound,
 )
 
+MODELS = [ExponentialPower, GaussianPower]
+
+
+def fresh_stream_row(plan, trajectory):
+    """Row ``trajectory`` of a plan, drawn from its own fresh Philox(key=(seed, trajectory))."""
+    n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
+    gen = np.random.Generator(np.random.Philox(key=np.asarray([plan.seed, trajectory], dtype=np.uint64)))
+    u = gen.random(n_idx.size)
+    if isinstance(plan.model, ExponentialPower):
+        magnitudes = -np.log1p(-u)
+    else:
+        magnitudes = math.sqrt(2.0) * special.erfinv(u)
+    return magnitudes * n_idx ** (-plan.alpha), n_idx ** (-(plan.alpha - plan.eps))
+
 
 def exp_plan(eps=0.5, trajectories=100, seed=7, start=1, **kw):
     return SimulationPlan(
@@ -70,6 +84,23 @@ class TestModels:
         model = GaussianPower(alpha=1.0)
         u = np.asarray([0.0, float(special.erf(1.0 / math.sqrt(2.0)))])
         np.testing.assert_allclose(model.draw_magnitudes(u), [0.0, 1.0], atol=1e-9)
+
+    def test_draws_without_out_are_pure_and_match_expressions(self):
+        u = np.random.default_rng(2).random((4, 9))
+        kept = u.copy()
+        exp_draw = ExponentialPower(alpha=1.0).draw_magnitudes(u)
+        np.testing.assert_array_equal(u, kept)
+        np.testing.assert_array_equal(exp_draw, -np.log1p(-kept))
+        gauss_draw = GaussianPower(alpha=1.0).draw_magnitudes(u)
+        np.testing.assert_array_equal(u, kept)
+        np.testing.assert_array_equal(gauss_draw, math.sqrt(2.0) * special.erfinv(kept))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_draws_in_place_match_draws_into_new_array(self, model):
+        u = np.random.default_rng(3).random((4, 9))
+        expected = model(alpha=1.0).draw_magnitudes(u)
+        assert model(alpha=1.0).draw_magnitudes(u, out=u) is u
+        np.testing.assert_array_equal(u, expected)
 
     def test_field_guards(self):
         with pytest.raises(DomainError):
@@ -230,6 +261,60 @@ class TestSimulateEta:
             theta = -np.log1p(-gen.random(5000))
             assert values[t] == float(np.max(np.abs(theta * n_idx**-1.0) / n_idx**-0.5)), t
 
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("width", [1, 3, 5, 39])
+    @pytest.mark.parametrize("seed", [12, 2**64 - 1])
+    def test_rekeyed_rows_match_fresh_streams_across_chunks(self, monkeypatch, model, width, seed):
+        # widths that are not multiples of 4 leave a partly used Philox buffer after each row;
+        # chunks of 4 rows put a boundary between rows 3|4 and 7|8
+        monkeypatch.setattr(simulate_module, "_CHUNK_CELLS", 4 * width)
+        plan = SimulationPlan(
+            model=model(alpha=1.0), eps=0.5, trajectories=10, seed=seed, truncation=FixedTruncation(n_last=width)
+        )
+        eta = simulate_eta(plan).value
+        batch = simulate_trajectories(plan).values
+        for t in range(plan.trajectories):
+            row, delta = fresh_stream_row(plan, t)
+            np.testing.assert_array_equal(batch[t], row)
+            assert eta[t] == float(np.max(np.abs(row) / delta)), t
+
+    def test_one_philox_per_chunk(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(kwargs.get("key"))
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(simulate_module, "_CHUNK_CELLS", 50 * 300)
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        plan = exp_plan(trajectories=1000, seed=21, truncation=FixedTruncation(n_last=50))
+        chunks = len(simulate_module._row_chunks(plan.trajectories, 50))
+        assert chunks == 4
+        values = simulate_eta(plan).value
+        assert 1 <= len(built) <= chunks
+        monkeypatch.setattr(np.random, "Philox", philox)
+        for t in (0, 299, 300, 999):
+            row, delta = fresh_stream_row(plan, t)
+            assert values[t] == float(np.max(np.abs(row) / delta)), t
+
+    def test_eta_peak_memory_near_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "_CHUNK_CELLS", 1 << 20)
+        plan = exp_plan(trajectories=3000, seed=5, truncation=FixedTruncation(n_last=1000))
+        chunks = simulate_module._row_chunks(plan.trajectories, 1000)
+        assert len(chunks) >= 2
+        chunk_bytes = len(chunks[0]) * 1000 * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            values = simulate_eta(plan).value
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * chunk_bytes
+        for t in (0, len(chunks[0]) - 1, len(chunks[0]), 2999):
+            row, delta = fresh_stream_row(plan, t)
+            assert values[t] == float(np.max(np.abs(row) / delta)), t
+
     def test_truncation_bounds_certified_above_u_min(self):
         m = 500
         rho = 1e-3 / m
@@ -303,6 +388,17 @@ class TestTrajectoryBatches:
             gen = np.random.Generator(np.random.Philox(key=np.asarray([4, t], dtype=np.uint64)))
             row = -np.log1p(-gen.random(1000)) * np.arange(1, 1001, dtype=float) ** -1.0
             np.testing.assert_array_equal(batch.values[t], row)
+
+
+    def test_batch_peak_memory_within_five_percent_of_batch(self):
+        plan = exp_plan(trajectories=2000, seed=4, truncation=FixedTruncation(n_last=1000))
+        tracemalloc.start()
+        try:
+            batch = simulate_trajectories(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * batch.values.nbytes
 
 
 class TestExactTail:
