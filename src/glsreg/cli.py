@@ -236,8 +236,8 @@ def conjugate(config_path, out_dir, fmt) -> None:
         psi = _psi_from_config(cfg, m)
     v_grid = [float(v) for v in cfg.get("v_grid", np.linspace(0.0, 5.0, 26))]
     t_grid = [float(t) for t in cfg.get("t_grid", np.geomspace(math.e, 100.0, 25))]
-    conj = [(v, moments.young_fenchel(psi, v)) for v in v_grid]
-    tail = [(t, moments.exponential_tail_bound(psi, t)) for t in t_grid]
+    conj = list(zip(v_grid, moments.young_fenchel(psi, np.asarray(v_grid)).tolist()))
+    tail = list(zip(t_grid, moments.exponential_tail_bound(psi, np.asarray(t_grid)).tolist()))
     report = {
         "command": "conjugate",
         "conjugate": [{"v": v, "value": h} for v, h in conj],

@@ -210,7 +210,7 @@ def gls_norm_scan(
     """Scan detail behind gls_norm: grid, objective, argmax, unbounded flag."""
     dom = intersect_domains(moments.domain, psi.domain)
 
-    def ratio(p: np.ndarray) -> np.ndarray:
+    def ratio(p: np.ndarray, _: np.ndarray) -> np.ndarray:
         num = moments.values(p)
         den = psi.values(p)
         out = np.zeros(p.shape)
@@ -219,7 +219,8 @@ def gls_norm_scan(
         out[~den_finite] = 0.0  # C / inf := 0
         return out
 
-    return supremum_scan(ratio, dom, n_points=n_points, refine=refine)
+    # one lane; the ratio takes no lane parameter
+    return supremum_scan(ratio, dom, (0.0,), n_points=n_points, refine=refine)[0]
 
 
 def gls_norm(moments: MomentFunction, psi: GeneratingFunction, n_points: int = 512, refine: bool = True) -> float:
@@ -241,49 +242,67 @@ def classical_grand_norm(moments: MomentFunction, q: float, n_points: int = 512)
         raise EmptyDomain(f"classical grand norm needs q > 1, got {q}")
     dom = intersect_domains(moments.domain, ExponentInterval(1.0, q, lower_open=True))
 
-    def objective(p: np.ndarray) -> np.ndarray:
+    def objective(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return (q - p) ** (1.0 / p) * moments.values(p)
 
-    return supremum_scan(objective, dom, n_points=n_points).value
+    return supremum_scan(objective, dom, (q,), n_points=n_points)[0].value
 
 
 # ---------------------------------------------------------------------------
 # conjugate transform and tail bound
 
 
-def young_fenchel_scan(psi: GeneratingFunction, v: float, n_points: int = 512, refine: bool = True) -> ScanResult:
-    """Scan detail behind young_fenchel: sup_p [p v - p ln psi(p)]."""
-    if not math.isfinite(v):
-        raise DomainError(f"conjugate argument must be finite, got {v}")
+def _conjugate_scans(psi: GeneratingFunction, v, n_points: int, refine: bool) -> list[ScanResult]:
+    """One lockstep scan of sup_p [p v - p ln psi(p)], a lane per entry of the 1-D array ``v``."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise DomainError(f"conjugate arguments must form a 1-D array, got shape {v.shape}")
+    bad = v[~np.isfinite(v)]
+    if bad.size:
+        raise DomainError(f"conjugate argument must be finite, got {float(bad[0])}")
 
-    def objective(p: np.ndarray) -> np.ndarray:
+    def objective(p: np.ndarray, v: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             log_psi = np.log(psi.values(p))
         return p * (v - log_psi)
 
-    return supremum_scan(objective, psi.domain, n_points=n_points, refine=refine)
+    return supremum_scan(objective, psi.domain, v, n_points=n_points, refine=refine)
 
 
-def young_fenchel(psi: GeneratingFunction, v: float, n_points: int = 512, refine: bool = True) -> float:
+def young_fenchel_scan(psi: GeneratingFunction, v: float, n_points: int = 512, refine: bool = True) -> ScanResult:
+    """Scan detail behind young_fenchel: sup_p [p v - p ln psi(p)]."""
+    return _conjugate_scans(psi, [v], n_points, refine)[0]
+
+
+def young_fenchel(psi: GeneratingFunction, v, n_points: int = 512, refine: bool = True):
     """Young-Fenchel transform of h(p) = p ln psi(p), evaluated at v.
 
-    Returns +inf (flagged unbounded in the scan variant) when the objective
-    keeps growing at the cap of an unbounded domain.
+    ``v`` is a float, giving a float, or a 1-D array, giving an array with
+    one lockstep scan for all its entries.  An entry is +inf (flagged
+    unbounded in the scan variant) when the objective keeps growing at the
+    cap of an unbounded domain.
     """
-    return young_fenchel_scan(psi, v, n_points=n_points, refine=refine).value
+    if np.ndim(v) == 0:
+        return young_fenchel_scan(psi, v, n_points=n_points, refine=refine).value
+    return np.array([scan.value for scan in _conjugate_scans(psi, v, n_points, refine)])
 
 
-def exponential_tail_bound(psi: GeneratingFunction, t: float) -> float:
+def exponential_tail_bound(psi: GeneratingFunction, t):
     """Tail bound exp(-h*(ln t)) for a variable of unit norm under psi.
 
-    Valid for t >= e only; smaller thresholds are a hard error.  Callers
-    must rescale their variable to unit norm first -- the bound is not
-    homogeneous.  Equals inf_p (psi(p)/t)^p, hence always in [0, 1] after
-    clamping.
+    ``t`` is a float, giving a float, or a 1-D array, giving an array from
+    one conjugate scan.  Valid for t >= e only; a smaller threshold anywhere
+    is a hard error.  Callers must rescale their variable to unit norm
+    first -- the bound is not homogeneous.  Equals inf_p (psi(p)/t)^p, hence
+    always in [0, 1] after clamping.
     """
-    if not (math.isfinite(t) and t >= math.e):
-        raise DomainError(f"the conjugate tail bound needs t >= e, got {t}")
-    h_star = young_fenchel(psi, math.log(t))
-    if h_star == math.inf:
-        return 0.0
-    return min(1.0, math.exp(-h_star))
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1:
+        raise DomainError(f"tail thresholds must form a 1-D array, got shape {ts.shape}")
+    bad = ts[~(np.isfinite(ts) & (ts >= math.e))]
+    if bad.size:
+        raise DomainError(f"the conjugate tail bound needs t >= e, got {float(bad[0])}")
+    # math.log and math.exp per entry keep every value equal to the scalar formula's
+    h_star = young_fenchel(psi, np.array([math.log(x) for x in ts]))
+    bounds = np.array([0.0 if h == math.inf else min(1.0, math.exp(-h)) for h in h_star])
+    return float(bounds[0]) if np.ndim(t) == 0 else bounds

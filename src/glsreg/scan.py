@@ -6,6 +6,12 @@ the best bracket by golden-section search.  When the domain stretches past
 the scan cap and the objective is still climbing at the cap, the scan
 reports +inf with an ``unbounded`` flag instead of the capped value: a
 finite underestimate would silently break the norm axioms.
+
+A scan maximises a batch of objectives ``p -> f(p, c)``, one lane per lane
+parameter ``c``, in lockstep: one call evaluates the whole (lanes x grid)
+table, and each golden-section step evaluates every still-open lane in one
+call.  Each lane does exactly the arithmetic of a scan of its own, so a
+lane's result does not depend on the other lanes.
 """
 
 from __future__ import annotations
@@ -32,69 +38,111 @@ class ScanResult:
     objective: np.ndarray
 
 
-def golden_section_max(f: Callable[[float], float], a: float, b: float, iters: int = 90) -> tuple[float, float]:
-    """Golden-section maximisation of a scalar function on [a, b]."""
+def _finite_part(values: np.ndarray) -> np.ndarray:
+    """The objective with NaN read as -inf."""
+    return np.where(np.isnan(values), -math.inf, values)
+
+
+def _golden_section_max(
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    lanes: np.ndarray,
+    iters: int = 90,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximisation of objective(., lanes[i]) on [a[i], b[i]], all lanes in lockstep.
+
+    A lane stops once its bracket is no wider than |b| 1e-15 + 1e-300, or
+    after ``iters`` steps; each step evaluates the open lanes in one call.
+    """
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f12 = _finite_part(objective(np.concatenate([x1, x2]), np.concatenate([lanes, lanes])))
+    f1, f2 = f12[: a.size], f12[a.size :]
+    best_x, best_f = np.empty(a.size), np.empty(a.size)
+    open_ = np.arange(a.size)  # the lanes still searching; the arrays below hold only those
+
+    def close(done: np.ndarray) -> None:
+        first = f1[done] >= f2[done]
+        best_x[open_[done]] = np.where(first, x1[done], x2[done])
+        best_f[open_[done]] = np.where(first, f1[done], f2[done])
+
     for _ in range(iters):
-        if b - a <= abs(b) * 1e-15 + 1e-300:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+        done = b - a <= np.abs(b) * 1e-15 + 1e-300
+        if np.count_nonzero(done):
+            close(done)
+            left = ~done
+            open_, a, b, x1, x2, f1, f2, lanes = (v[left] for v in (open_, a, b, x1, x2, f1, f2, lanes))
+            if not open_.size:
+                break
+        # a rising lane moves a up to x1, keeps (x2, f2) as its new (x1, f1) and probes
+        # a new x2; a falling lane moves b down to x2, keeps (x1, f1) as its new (x2, f2)
+        # and probes a new x1
+        rising = f1 < f2
+        kept_x, kept_f = np.where(rising, x2, x1), np.where(rising, f2, f1)
+        a, b = np.where(rising, x1, a), np.where(rising, b, x2)
+        step = _INV_PHI * (b - a)
+        x = np.where(rising, a + step, b - step)
+        fx = _finite_part(objective(x, lanes))
+        x1, f1 = np.where(rising, kept_x, x), np.where(rising, kept_f, fx)
+        x2, f2 = np.where(rising, x, kept_x), np.where(rising, fx, kept_f)
+    close(np.ones(open_.size, dtype=bool))
+    return best_x, best_f
 
 
-def _is_climbing_at_cap(obj: np.ndarray, best: int) -> bool:
-    if best != obj.size - 1 or obj.size < 2:
-        return False
-    last, prev = obj[-1], obj[-2]
-    if not (math.isfinite(last) and math.isfinite(prev)):
-        return False
-    return last > prev + 1e-12 * max(1.0, abs(last))
+def _climbing_at_cap(obj: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Per lane: the grid maximum is the last point and the objective still rises into it."""
+    at_cap = best == obj.shape[1] - 1
+    if obj.shape[1] < 2 or not at_cap.any():
+        return np.zeros(best.size, dtype=bool)
+    last, prev = obj[:, -1], obj[:, -2]
+    finite = np.isfinite(last) & np.isfinite(prev)
+    with np.errstate(invalid="ignore"):
+        rising = last > prev + 1e-12 * np.maximum(1.0, np.abs(last))
+    return at_cap & finite & rising
 
 
 def supremum_scan(
-    objective: Callable[[np.ndarray], np.ndarray],
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     domain: Domain,
+    lanes,
     n_points: int = GRID_POINTS,
     refine: bool = True,
-) -> ScanResult:
-    """Maximise a vectorised objective over an exponent domain.
+) -> list[ScanResult]:
+    """Maximise p -> objective(p, c) over an exponent domain, for every c in ``lanes``.
 
-    NaNs in the objective are treated as -inf.  The result keeps the grid and
-    grid objective so callers can re-check identities on the exact scan points.
+    ``objective`` must act elementwise under broadcasting: the grid is
+    evaluated as objective(grid, c[:, None]), an (n,) row against a lane
+    column, and refinement steps pass matching (k,) arrays of points and
+    lane parameters.  NaNs in the objective are treated as -inf.  Each result
+    keeps the grid and its lane's grid objective so callers can re-check
+    identities on the exact scan points.
     """
+    c = np.asarray(lanes, dtype=float)
     grid = scan_grid(domain, n_points)
-    obj = np.asarray(objective(grid), dtype=float)
-    obj = np.where(np.isnan(obj), -math.inf, obj)
+    obj = np.empty((c.size, grid.size))
+    obj[...] = objective(grid, c[:, None])  # a lane-free objective's row fills every lane
+    obj[np.isnan(obj)] = -math.inf
 
-    best = int(np.argmax(obj))
-    best_x, best_v = float(grid[best]), float(obj[best])
+    best = obj.argmax(axis=1)
+    best_x, best_v = grid[best], obj[np.arange(c.size), best]
+    unbounded = np.zeros(c.size, dtype=bool)
 
-    if isinstance(domain, PointDomain):
-        return ScanResult(best_v, best_x, False, grid, obj)
+    if not isinstance(domain, PointDomain):
+        if domain.upper > UPPER_CAP:
+            unbounded = _climbing_at_cap(obj, best)
+        todo = ~unbounded & np.isfinite(best_v)
+        if refine and grid.size >= 2 and todo.any():
+            lo = grid[np.maximum(best[todo] - 1, 0)]
+            hi = grid[np.minimum(best[todo] + 1, grid.size - 1)]
+            x, v = _golden_section_max(objective, lo, hi, c[todo])
+            better = v > best_v[todo]
+            lane = np.flatnonzero(todo)[better]
+            best_x[lane], best_v[lane] = x[better], v[better]
 
-    capped = domain.upper > UPPER_CAP
-    if capped and _is_climbing_at_cap(obj, best):
-        return ScanResult(math.inf, math.inf, True, grid, obj)
-
-    if refine and grid.size >= 2 and math.isfinite(best_v):
-        lo = grid[best - 1] if best > 0 else grid[0]
-        hi = grid[best + 1] if best < grid.size - 1 else grid[-1]
-
-        def scalar(x: float) -> float:
-            v = float(objective(np.asarray([x]))[0])
-            return -math.inf if math.isnan(v) else v
-
-        x, v = golden_section_max(scalar, float(lo), float(hi))
-        if v > best_v:
-            best_x, best_v = x, v
-
-    return ScanResult(best_v, best_x, False, grid, obj)
+    return [
+        ScanResult(math.inf, math.inf, True, grid, obj[i])
+        if unbounded[i]
+        else ScanResult(float(best_v[i]), float(best_x[i]), False, grid, obj[i])
+        for i in range(c.size)
+    ]

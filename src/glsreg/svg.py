@@ -23,16 +23,18 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def line_plot_svg(x, y, title: str, x_label: str, y_label: str, log_y: bool = False) -> str:
-    """Render one series as a polyline; returns the SVG document text."""
+    """Render one series as a polyline; returns the SVG document text.
+
+    With no finite point the document keeps its frame, labels and data block
+    and draws no ticks and no polyline.
+    """
     pairs = [(float(a), float(b)) for a, b in zip(x, y) if math.isfinite(a) and math.isfinite(b)]
     if log_y:
         pairs = [(a, math.log10(b)) for a, b in pairs if b > 0]
-    if not pairs:
-        raise ValueError("nothing finite to plot")
     xs = [a for a, _ in pairs]
     ys = [b for _, b in pairs]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    x_lo, x_hi = min(xs, default=0.0), max(xs, default=0.0)
+    y_lo, y_hi = min(ys, default=0.0), max(ys, default=0.0)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
     inner_w = _WIDTH - 2 * _MARGIN
@@ -55,20 +57,21 @@ def line_plot_svg(x, y, title: str, x_label: str, y_label: str, log_y: bool = Fa
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="16">{escape(title)}</text>',
     ]
-    for t in _ticks(x_lo, x_hi):
+    for t in _ticks(x_lo, x_hi) if pairs else ():
         px = sx(t)
         parts.append(f'<line x1="{px:.2f}" y1="{_MARGIN}" x2="{px:.2f}" y2="{_HEIGHT - _MARGIN}" stroke="#ddd"/>')
         parts.append(
             f'<text x="{px:.2f}" y="{_HEIGHT - _MARGIN + 18}" text-anchor="middle" font-size="11">{t:.4g}</text>'
         )
-    for t in _ticks(y_lo, y_hi):
+    for t in _ticks(y_lo, y_hi) if pairs else ():
         py = sy(t)
         parts.append(f'<line x1="{_MARGIN}" y1="{py:.2f}" x2="{_WIDTH - _MARGIN}" y2="{py:.2f}" stroke="#ddd"/>')
         parts.append(f'<text x="{_MARGIN - 6}" y="{py + 4:.2f}" text-anchor="end" font-size="11">{t:.4g}</text>')
     parts.append(
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{inner_w}" height="{inner_h}" fill="none" stroke="#333"/>'
     )
-    parts.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>')
+    if pairs:
+        parts.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>')
     parts.append(
         f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle" font-size="13">{escape(x_label)}</text>'
     )

@@ -275,21 +275,20 @@ def check_sigma_closed_form(seed: int, trajectories: int, eta_values: EtaValues)
 def check_conjugate_closed_form(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
     """Conjugate of p ln p against its stationary-point closed form e^(v-1)."""
     del seed, trajectories, eta_values
-    psi = PowerRoot(m=1.0)
-    records = []
-    for v in (1.0, 2.0, 3.0):
-        records.append(
-            CheckRecord(
-                check_id=f"conjugate-closed-form-v{v:g}",
-                claim="numeric conjugate of p ln p matches e^(v-1)",
-                kind="equality",
-                theoretical=math.exp(v - 1.0),
-                estimate=young_fenchel(psi, v),
-                tolerance=1e-6,
-                params={"v": v},
-            )
+    vs = (1.0, 2.0, 3.0)
+    estimates = young_fenchel(PowerRoot(m=1.0), np.asarray(vs))
+    return [
+        CheckRecord(
+            check_id=f"conjugate-closed-form-v{v:g}",
+            claim="numeric conjugate of p ln p matches e^(v-1)",
+            kind="equality",
+            theoretical=math.exp(v - 1.0),
+            estimate=float(h),
+            tolerance=1e-6,
+            params={"v": v},
         )
-    return records
+        for v, h in zip(vs, estimates)
+    ]
 
 
 # ---------------------------------------------------------------------------

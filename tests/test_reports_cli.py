@@ -341,6 +341,41 @@ class TestConjugateCommand:
         assert all(0.0 <= b <= 1.0 for b in bounds)
         assert bounds == sorted(bounds, reverse=True)
 
+    def test_svg_with_nothing_finite(self, runner, tmp_path):
+        # h*(v) = inf at v = 4 and 5 for p^(1/3): the plot keeps its frame and draws no line
+        cfg = {"schema_version": 1, "command": "conjugate", "psi": {"form": "power_root", "m": 3.0}, "v_grid": [4, 5]}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        result = invoke(runner, "conjugate", "--config", str(tmp_path / "c.json"), "--out", str(out), "--format", "svg")
+        assert result.exit_code == 0
+        assert [row["value"] for row in json.loads((out / "conjugate.json").read_text())["conjugate"]] == ["inf"] * 2
+        svg = (out / "conjugate.svg").read_text()
+        assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+        assert "<desc>v,h*(v)" in svg and "<polyline" not in svg
+
+    def test_one_scan_per_grid(self, runner, tmp_path, monkeypatch):
+        from glsreg import moments
+
+        calls = []
+        scan = moments.supremum_scan
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "supremum_scan", counted)
+        cfg = {
+            "schema_version": 1,
+            "command": "conjugate",
+            "psi": {"form": "power_root", "m": 1.3},
+            "v_grid": np.linspace(0.0, 3.5, 100).tolist(),
+            "t_grid": np.geomspace(math.e, 40.0, 100).tolist(),
+        }
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        result = invoke(runner, "conjugate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 0
+        assert len(calls) == 2
+
 
 class TestBoundCommand:
     def test_sequence_mode(self, runner, tmp_path):
@@ -365,6 +400,17 @@ class TestBoundCommand:
         payload = json.loads((out / "bound.json").read_text())
         assert payload["mode"] == "regulator"
         assert all(math.isfinite(row["bound"]) for row in payload["rows"])
+
+    def test_svg_with_nothing_finite(self, runner, tmp_path):
+        # p eps <= 1 at every exponent: every regulator bound is inf
+        (tmp_path / "b.json").write_text(json.dumps({**BOUND_REGULATOR, "p_grid": [1, 1.5]}))
+        out = tmp_path / "o"
+        result = invoke(runner, "bound", "--config", str(tmp_path / "b.json"), "--out", str(out), "--format", "svg")
+        assert result.exit_code == 0
+        assert "finite at 0/2 exponents" in result.output
+        svg = (out / "bounds.svg").read_text()
+        assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+        assert "<desc>p,bound" in svg and "<polyline" not in svg
 
 
 class TestSimulateCommand:
