@@ -10,16 +10,18 @@ which ``regulator_lp_bound`` evaluates; the proof step behind it,
 decay pair (eps_n, beta_n), ``sigma_function`` evaluates the series
 ``sigma(p) = (sum_n (eps_n/beta_n)**p)**(1/p)``, in closed form for
 geometric pairs and otherwise by summation cut once the integral-test bound
-on the remainder is at most rel_tol x the partial sum; ``generalized_bound``
-is the product psi(p) * sigma(p).  The Tchebychev functions bound
-P(n**(alpha-eps) |Z_n| > delta) for one term and for a whole tail.  The CLI
-and ``verify`` call neither of these two groups.
+on the remainder is at most rel_tol x the partial sum.  A tolerance that no
+cut within ``SERIES_TERM_CAP`` terms can certify raises before the sum, and
+the largest ratio is factored out of the power sum, so a tiny or huge ratio
+neither underflows to 0 nor overflows to inf.  The CLI's weighted-sum bound
+is the product psi(p) * sigma(p).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,15 +34,10 @@ __all__ = [
     "MomentEnvelope",
     "regulator_lp_bound",
     "sigma_function",
-    "generalized_bound",
-    "tchebychev_term_bound",
-    "tchebychev_tail_sum_bound",
 ]
 
 #: Hard cap on the number of series terms a certified summation may visit.
 SERIES_TERM_CAP = 10**8
-
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -98,36 +95,23 @@ def _power_ratio_params(pair: DecaySequencePair, p: float) -> tuple[float, float
     return gamma, mu, head
 
 
-def _power_remainder_bound(pair: DecaySequencePair, p: float, gamma: float, mu: float, n_last: int) -> float:
-    """Certified upper bound on sum_{n > n_last} (eps_n/beta_n)**p.
+def _power_remainder_bound(
+    term: Callable[[np.ndarray], np.ndarray], gamma: float, mu: float, n_last: int
+) -> float:
+    """Certified upper bound on sum_{n > n_last} term(n).
 
     Valid once the term function is nonincreasing (n_last past the log bump)
-    and n_last is past any tabulated head, so the ratio is exactly
-    c * x**(-rate) * ln(x+1)**(log_power) there.
+    and n_last is past any tabulated head, so term(n) is exactly
+    C * n**(-gamma) * ln(n+1)**mu there; the bound is written through
+    term(n_last), so C, which may under- or overflow, never appears.
     """
-    c = float(pair.ratio_values(np.asarray([n_last]))[0]) / (
-        n_last ** (-pair.ratio_rate) * math.log(n_last + 1.0) ** pair.ratio_log_power
-    )
-    scale = c**p
-    log_term = math.log(n_last + 1.0) ** mu
+    tail = n_last * float(term(np.asarray([float(n_last)]))[0])
     if gamma > 1.0:
         # mu > 0 trades half the power margin for the growing log factor
         denom = gamma - 1.0 if mu <= 0 else (gamma - 1.0) / 2.0
-        return scale * log_term * n_last ** (1.0 - gamma) / denom
+        return tail / denom
     # boundary gamma == 1, mu < -1: integral of ln^mu(x)/x
-    return scale * math.log(n_last) ** (mu + 1.0) / (-1.0 - mu)
-
-
-def _power_monotone_from(gamma: float, mu: float, head: int) -> int:
-    n = head
-    if mu > 0:
-        n = max(n, math.ceil(math.exp(mu / gamma)))
-        if gamma > 1.0:
-            # validity threshold of the mu > 0 remainder bound above
-            n = max(n, math.ceil(math.exp(2.0 * mu / (gamma - 1.0))))
-    if gamma <= 1.0:
-        n = max(n, 2)
-    return n
+    return tail * math.log(n_last) ** (mu + 1.0) / math.log(n_last + 1.0) ** mu / (-1.0 - mu)
 
 
 def _power_sigma_series(pair: DecaySequencePair, p: float, rel_tol: float) -> float:
@@ -135,24 +119,38 @@ def _power_sigma_series(pair: DecaySequencePair, p: float, rel_tol: float) -> fl
     if gamma < 1.0 or (gamma == 1.0 and mu >= -1.0):
         raise Divergent(f"series of (eps_n/beta_n)^p diverges at p = {p} (gamma = {gamma}, mu = {mu})")
     start = pair.first_index
-    n_mono = _power_monotone_from(gamma, mu, head)
+    # the remainder bound needs n >= 2 at gamma == 1 and, for mu > 0, ln n >= 2 mu / (gamma - 1);
+    # clamped just past the cap, so exp stays finite and the cap check still fires
+    log_valid = min(2.0 * mu / (gamma - 1.0) if mu > 0 else 0.0, math.log(2.0 * SERIES_TERM_CAP))
+    n_mono = max(head, 2 if gamma == 1.0 else 1, math.ceil(math.exp(log_valid)))
     if n_mono > SERIES_TERM_CAP:
         raise ToleranceUnreachable(f"term function only becomes monotone past {n_mono} > {SERIES_TERM_CAP}")
+    # past the table the ratio falls once ln(n+1) >= mu/gamma (< log_valid, so peak <= n_mono)
+    peak = max(head, math.ceil(math.exp(mu / gamma))) if mu > 0 else head
 
+    # sigma = r_max * (sum (r_n / r_max)**p)**(1/p), so no scaled term under- or overflows.  r_max lies
+    # on the table or within 64 indices below peak: peak < 56 when mu/gamma < 4, and otherwise the
+    # rise ends fewer than mu/gamma + 4 < 23 indices below peak (mu/gamma <= ln cap)
+    idx = np.union1d(np.arange(start, head + 1), np.arange(max(start, peak - 64), peak + 1))
+    r_max = float(np.max(pair.ratio_values(idx.astype(float))))
+
+    def term(n: np.ndarray) -> np.ndarray:
+        return (pair.ratio_values(n) / r_max) ** p
+
+    def remainder(n: int) -> float:
+        return _power_remainder_bound(term, gamma, mu, n)
+
+    # the remainder bound falls past n_mono, so a tolerance the cap's remainder misses is unreachable:
+    # tested against an upper bound on the whole sum before summing, and against the sum after
+    cap_remainder = remainder(SERIES_TERM_CAP)
     total = 0.0
-    n = start - 1
-    while True:
-        hi = max(n_mono, 2 * n) if n >= n_mono else n_mono
-        hi = min(hi, n + _CHUNK, SERIES_TERM_CAP)
-        idx = np.arange(n + 1, hi + 1, dtype=float)
-        total += float(np.sum(pair.ratio_values(idx) ** p))
-        n = hi
-        if n >= n_mono and _power_remainder_bound(pair, p, gamma, mu, n) <= rel_tol * total:
-            return total
-        if n >= SERIES_TERM_CAP:
-            raise ToleranceUnreachable(
-                f"remainder bound still above {rel_tol} x partial sum after {SERIES_TERM_CAP} terms"
-            )
+    if cap_remainder <= rel_tol * (_chunked_sum(term, start, n_mono) + remainder(n_mono)):
+        total = _chunked_sum(
+            term, start, SERIES_TERM_CAP, lambda partial, top: top >= n_mono and remainder(top) <= rel_tol * partial
+        )
+    if cap_remainder > rel_tol * total:
+        raise ToleranceUnreachable(f"remainder bound after {SERIES_TERM_CAP} terms stays above {rel_tol} x the sum")
+    return r_max * total ** (1.0 / p)
 
 
 def sigma_function(pair: DecaySequencePair, p: float, rel_tol: float = 1e-6, force_series: bool = False) -> float:
@@ -162,7 +160,8 @@ def sigma_function(pair: DecaySequencePair, p: float, rel_tol: float = 1e-6, for
     ``force_series`` asks for the truncated summation (the two must agree to
     rel_tol, which the verification suite checks).  Power-type pairs always
     sum, truncating when the integral-test remainder drops below
-    rel_tol x partial sum.
+    rel_tol x partial sum; a tolerance that SERIES_TERM_CAP terms cannot
+    reach raises ``ToleranceUnreachable`` before the sum starts.
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"sigma needs an exponent p >= 1, got {p}")
@@ -173,49 +172,4 @@ def sigma_function(pair: DecaySequencePair, p: float, rel_tol: float = 1e-6, for
         if force_series:
             return scale * _geometric_sigma_series(pair.delta, p, rel_tol) ** (1.0 / p)
         return scale * (1.0 - pair.delta**p) ** (-1.0 / p)
-    return _power_sigma_series(pair, p, rel_tol) ** (1.0 / p)
-
-
-def generalized_bound(psi: GeneratingFunction, pair: DecaySequencePair, p: float, rel_tol: float = 1e-6) -> float:
-    """Moment bound psi(p) * sigma(p) for a regulator normalised by beta_n.
-
-    If ||Z_n||_p <= psi(p) * eps_n then zeta = sup_n |Z_n| / beta_n has
-    ||zeta||_p below this product; +inf when p is outside psi's domain.
-    """
-    return evaluate(psi, p) * sigma_function(pair, p, rel_tol)
-
-
-# ---------------------------------------------------------------------------
-# single-term and tail-sum probability bounds
-
-
-def _tchebychev_log_rate(env: MomentEnvelope, eps: float, p: float, delta: float) -> float:
-    check_eps(eps, env.alpha)
-    if not p > 1.0 / eps:
-        raise InvalidExponent(f"the tail sum needs p > 1/eps = {1.0 / eps}, got {p}")
-    if not (math.isfinite(delta) and delta > 0):
-        raise DomainError(f"threshold delta must be positive, got {delta}")
-    k_p = evaluate(env.envelope, p)
-    return p * (math.log(k_p) - math.log(delta)) if math.isfinite(k_p) else math.inf
-
-
-def tchebychev_term_bound(env: MomentEnvelope, eps: float, p: float, delta: float, n: int) -> float:
-    """Markov bound min(1, (K(p)/delta)**p * n**(-p*eps)) on P(n**(alpha-eps) |Z_n| > delta)."""
-    if n < 1:
-        raise DomainError(f"index must be >= 1, got {n}")
-    log_bound = _tchebychev_log_rate(env, eps, p, delta) - p * eps * math.log(n)
-    return min(1.0, math.exp(min(0.0, log_bound)))
-
-
-def tchebychev_tail_sum_bound(env: MomentEnvelope, eps: float, p: float, delta: float, n_last: int) -> float:
-    """Integral-test bound on the whole discarded tail sum_{n > n_last}.
-
-    Bounds P(sup_{n > n_last} n**(alpha-eps) |Z_n| > delta) by
-    (K(p)/delta)**p * n_last**(1 - p*eps) / (p*eps - 1).  Simulation
-    truncation does not use it; it cuts with ``exp_power_sum_tail_bound``.
-    """
-    if n_last < 1:
-        raise DomainError(f"truncation index must be >= 1, got {n_last}")
-    log_rate = _tchebychev_log_rate(env, eps, p, delta)
-    log_tail = log_rate + (1.0 - p * eps) * math.log(n_last) - math.log(p * eps - 1.0)
-    return min(1.0, math.exp(min(0.0, log_tail)))
+    return _power_sigma_series(pair, p, rel_tol)

@@ -252,12 +252,11 @@ def conjugate(config_path, out_dir, fmt) -> None:
     elif fmt == "svg":
         from .svg import line_plot_svg
 
-        finite = [(v, h) for v, h in conj if math.isfinite(h)]
         atomic_write_text(
             out / "conjugate.svg",
             line_plot_svg(
-                [v for v, _ in finite],
-                [h for _, h in finite],
+                v_grid,
+                [h for _, h in conj],
                 title="conjugate transform",
                 x_label="v",
                 y_label="h*(v)",
@@ -314,12 +313,11 @@ def bound(config_path, out_dir, fmt) -> None:
     elif fmt == "svg":
         from .svg import line_plot_svg
 
-        finite = [(r["p"], r["bound"]) for r in rows if math.isfinite(r["bound"])]
         atomic_write_text(
             out / "bounds.svg",
             line_plot_svg(
-                [p for p, _ in finite],
-                [b for _, b in finite],
+                p_grid,
+                [r["bound"] for r in rows],
                 title=f"{mode} moment bound",
                 x_label="p",
                 y_label="bound",

@@ -35,22 +35,26 @@ _CHUNK_CELLS = 1 << 23  # largest chunk: matrix cells generated per scheduling u
 
 
 def _chunked_sum(
-    term: Callable[[np.ndarray], np.ndarray], lo: int, hi: int, stop: float | None = None
+    term: Callable[[np.ndarray], np.ndarray],
+    lo: int,
+    hi: int,
+    stop: Callable[[float, int], bool] | None = None,
 ) -> float:
     """Sum term(n) over the integers lo..hi, chunk by chunk.
 
     Chunks start at _FIRST_CHUNK_CELLS cells and double up to _CHUNK_CELLS,
     so a sum that may stop early touches only a few thousand cells when its
     first terms already decide it.  With ``stop``, the sum returns after the
-    first chunk whose running total is <= stop; that cut is certified only
-    when the terms cannot raise the total again (all terms <= 0).
+    first chunk for which ``stop(total, top)`` holds, ``top`` being the last
+    index summed.  The helper certifies nothing: the caller's predicate
+    carries the certificate that the terms past ``top`` may be dropped.
     """
     total = 0.0
     size = _FIRST_CHUNK_CELLS
     while lo <= hi:
         top = min(hi, lo + size - 1)
         total += float(np.sum(term(np.arange(lo, top + 1, dtype=float))))
-        if stop is not None and total <= stop:
+        if stop is not None and stop(total, top):
             break
         lo = top + 1
         size = min(2 * size, _CHUNK_CELLS)

@@ -379,7 +379,9 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
         raise DomainError(f"abs_tol must lie in (0, 1), got {abs_tol}")
     n_last = max(index_start, exp_power_threshold(u, eps, abs_tol))
     # once the product is below abs_tol the sum may stop: later factors only shrink it
-    log_product = _chunked_sum(lambda n: np.log1p(-np.exp(-u * n**eps)), index_start, n_last, math.log(abs_tol))
+    log_product = _chunked_sum(
+        lambda n: np.log1p(-np.exp(-u * n**eps)), index_start, n_last, lambda total, _: total <= math.log(abs_tol)
+    )
     return min(1.0, -math.expm1(log_product))
 
 

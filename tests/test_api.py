@@ -8,17 +8,6 @@ import glsreg
 PACKAGE = Path(glsreg.__file__).parent
 ROOTS = ("cli.py", "verify.py")
 
-# Public names kept with their own tests though neither root calls them yet.
-# The walk must find exactly these unreached: a new caller or a new dead
-# export both fail the test.
-KEPT_UNREACHED = [
-    "generalized_bound",
-    "rho_distance",
-    "tchebychev_tail_sum_bound",
-    "tchebychev_term_bound",
-]
-
-
 def _identifiers(node: ast.AST) -> set[str]:
     found = set()
     for sub in ast.walk(node):
@@ -59,4 +48,4 @@ def test_every_export_is_reached_from_cli_or_verify():
             todo.extend(uses.get(name, ()))
 
     unreached = sorted(exports - reached - {"__version__"})
-    assert unreached == KEPT_UNREACHED
+    assert unreached == []

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glsreg import bounds as bounds_module
-from glsreg.bounds import (
-    MomentEnvelope,
-    generalized_bound,
-    regulator_lp_bound,
-    sigma_function,
-    tchebychev_tail_sum_bound,
-    tchebychev_term_bound,
-)
+from glsreg.bounds import MomentEnvelope, regulator_lp_bound, sigma_function
 from glsreg.errors import (
     Divergent,
     DomainError,
@@ -22,7 +15,7 @@ from glsreg.errors import (
     InvalidExponent,
     ToleranceUnreachable,
 )
-from glsreg.generating import PowerRoot, Tabulated, evaluate, natural_function
+from glsreg.generating import Tabulated, natural_function
 from glsreg.moments import std_exponential_moments
 from glsreg.sequences import (
     DecaySequencePair,
@@ -36,6 +29,17 @@ from glsreg.sequences import (
 def constant_envelope(level: float, alpha: float = 1.0, index_start: int = 1) -> MomentEnvelope:
     psi = Tabulated(points=((1.0, level), (1000.0, level)))
     return MomentEnvelope(envelope=psi, alpha=alpha, index_start=index_start)
+
+
+def forbid_sums_past(monkeypatch, n_mono: int) -> None:
+    """Fail any _chunked_sum call in bounds that would sum past index n_mono."""
+    chunked = bounds_module._chunked_sum
+
+    def guarded(term, lo, hi, stop=None):
+        assert hi <= n_mono, "an unreachable tolerance must raise before the main sum"
+        return chunked(term, lo, hi, stop)
+
+    monkeypatch.setattr(bounds_module, "_chunked_sum", guarded)
 
 
 class TestRegulatorLpBound:
@@ -162,19 +166,47 @@ class TestPowerLogSigma:
         # 1/ln(N) remainder: both estimates sit a little below the limit
         assert value == pytest.approx(brute, rel=0.05)
 
-    def test_boundary_tight_tolerance_unreachable(self):
-        # the 1/ln(N) remainder cannot certify 1e-4 within the term cap
+    def test_boundary_tight_tolerance_unreachable(self, monkeypatch):
+        # the 1/ln(N) remainder cannot certify 1e-4 within the term cap; the
+        # remainder bound holds from n_mono = 2 on, and no sum may pass it
+        forbid_sums_past(monkeypatch, 2)
         pair = DecaySequencePair(
             PowerLogSequence(rate=1.0, log_power=-1.0), PowerLogSequence(rate=0.5)
         )
         with pytest.raises(ToleranceUnreachable):
             sigma_function(pair, 2.0, rel_tol=1e-4)
 
-    def test_tolerance_cap(self):
-        # p gamma - 1 = 1e-3 needs ~1e9000 terms at 1e-9: unreachable
+    def test_tolerance_cap(self, monkeypatch):
+        # p gamma - 1 = 1e-3 needs ~1e9000 terms at 1e-9: unreachable, and
+        # known so before any sum past n_mono = 1
+        forbid_sums_past(monkeypatch, 1)
         pair = DecaySequencePair(PowerLogSequence(rate=1.0), PowerLogSequence(rate=0.5))
         with pytest.raises(ToleranceUnreachable):
             sigma_function(pair, 2.002, rel_tol=1e-9)
+
+    def test_validity_index_beyond_float_range(self, monkeypatch):
+        # 2 mu / (gamma - 1) = 2e4: the mu > 0 remainder bound holds only past
+        # e^20000 terms, an index math.exp cannot even represent
+        forbid_sums_past(monkeypatch, 0)
+        pair = DecaySequencePair(PowerLogSequence(rate=1.0, log_power=0.5), PowerLogSequence(rate=0.5))
+        with pytest.raises(ToleranceUnreachable):
+            sigma_function(pair, 2.0002)
+
+    @pytest.mark.parametrize("level", [1e-10, 1e10])
+    def test_tiny_or_huge_ratio_is_scaled_out(self, level):
+        # (1e-10 n^-1.5)^40 underflows to 0 for every n and (1e10)^40 overflows
+        # to inf; sigma is linear in the table level, so it must scale exactly
+        unit = DecaySequencePair(SlowlyVaryingSequence(rate=2.0, table=(1.0,)), PowerLogSequence(rate=0.5))
+        pair = DecaySequencePair(SlowlyVaryingSequence(rate=2.0, table=(level,)), PowerLogSequence(rate=0.5))
+        assert sigma_function(unit, 40.0) == pytest.approx(1.0, rel=1e-15)
+        assert sigma_function(pair, 40.0) == pytest.approx(level, rel=1e-12)
+
+    def test_log_bump_at_large_p_stays_finite(self):
+        # ratio n^(-1/2) ln(n+1)^2 peaks near n = e^4 at about 2.18, and its
+        # 2000th power overflows; sigma lies between the peak and 1.01 x it
+        pair = DecaySequencePair(PowerLogSequence(rate=1.0, log_power=2.0), PowerLogSequence(rate=0.5))
+        peak = float(np.max(pair.ratio_values(np.arange(1.0, 1000.0))))
+        assert peak <= sigma_function(pair, 2000.0) <= 1.01 * peak
 
     def test_slowly_varying_constant_table_scales_sigma(self):
         plain = DecaySequencePair(PowerLogSequence(rate=2.0), PowerLogSequence(rate=0.5))
@@ -199,45 +231,6 @@ class TestSigmaValidation:
             sigma_function(pair, 1.0, rel_tol=0.0)
         with pytest.raises(DomainError):
             sigma_function(pair, 1.0, rel_tol=1.5)
-
-
-class TestGeneralized:
-    def test_bound_is_product(self):
-        pair = DecaySequencePair(GeometricSequence(q=0.25), GeometricSequence(q=0.5))
-        psi = PowerRoot(m=2.0)
-        p = 3.0
-        expect = evaluate(psi, p) * sigma_function(pair, p)
-        assert generalized_bound(psi, pair, p) == pytest.approx(expect, rel=1e-12)
-
-
-class TestTchebychev:
-    def test_term_bound_is_probability(self):
-        env = constant_envelope(1.0)
-        for n in (1, 2, 10, 1000):
-            b = tchebychev_term_bound(env, 0.5, 4.0, delta=0.5, n=n)
-            assert 0.0 <= b <= 1.0
-
-    def test_term_bound_decays_in_n(self):
-        env = constant_envelope(1.0)
-        bs = [tchebychev_term_bound(env, 0.5, 4.0, delta=0.5, n=n) for n in (10, 100, 1000)]
-        assert bs[0] > bs[1] > bs[2]
-
-    def test_term_bound_explicit_value(self):
-        # (K(p) / delta)^p n^(-p eps) once below one
-        env = constant_envelope(1.0)
-        b = tchebychev_term_bound(env, 0.5, 4.0, delta=1.0, n=100)
-        assert b == pytest.approx(1.0 * 100.0 ** (-2.0), rel=1e-9)
-
-    def test_tail_sum_dominates_term(self):
-        env = constant_envelope(1.0)
-        tail = tchebychev_tail_sum_bound(env, 0.5, 4.0, delta=1.0, n_last=100)
-        term = tchebychev_term_bound(env, 0.5, 4.0, delta=1.0, n=101)
-        assert tail >= term
-
-    def test_needs_integrable_exponent(self):
-        env = constant_envelope(1.0)
-        with pytest.raises(InvalidExponent):
-            tchebychev_tail_sum_bound(env, 0.5, 2.0, delta=1.0, n_last=10)
 
 
 class TestSequences:

@@ -1,18 +1,15 @@
-"""Convergence diagnostics, regulator extraction, the rho metric."""
+"""Convergence diagnostics and regulator extraction."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as npst
 
 from glsreg.criteria import (
     TrajectoryBatch,
     criterion_functional,
     extract_regulator,
     regulator_ratio_matrix,
-    rho_distance,
 )
-from glsreg.errors import DomainError, EmptySample, IndexOutOfRange, LengthMismatch, NonpositiveDelta
+from glsreg.errors import DomainError, IndexOutOfRange, NonpositiveDelta
 from glsreg.sequences import PowerLogSequence
 
 SMALL = TrajectoryBatch(values=np.asarray([[3.0, 1.0, 0.5], [0.2, 2.0, 0.1]]))
@@ -81,33 +78,6 @@ class TestCriterionFunctional:
         est = criterion_functional(batch, 1)
         assert 0.0 <= est.value < 1.0
         assert est.half_width > 0.0
-
-
-class TestRhoDistance:
-    def test_exact_value(self):
-        assert rho_distance([0.0, 1.0], [1.0, 1.0]) == pytest.approx(0.25, rel=1e-12)
-
-    def test_metric_shape(self):
-        x = np.asarray([1.0, -2.0, 3.0])
-        y = np.asarray([0.5, 0.0, 3.0])
-        assert rho_distance(x, x) == 0.0
-        assert rho_distance(x, y) == rho_distance(y, x)
-        assert 0.0 < rho_distance(x, y) < 1.0
-
-    def test_errors(self):
-        with pytest.raises(LengthMismatch):
-            rho_distance([1.0], [1.0, 2.0])
-        with pytest.raises(EmptySample):
-            rho_distance([], [])
-
-    @given(
-        npst.arrays(np.float64, 8, elements=st.floats(-50, 50)),
-        npst.arrays(np.float64, 8, elements=st.floats(-50, 50)),
-        npst.arrays(np.float64, 8, elements=st.floats(-50, 50)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_triangle_inequality(self, x, y, z):
-        assert rho_distance(x, z) <= rho_distance(x, y) + rho_distance(y, z) + 1e-12
 
 
 class TestRatioMatrix:

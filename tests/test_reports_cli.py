@@ -351,7 +351,7 @@ class TestConjugateCommand:
         assert [row["value"] for row in json.loads((out / "conjugate.json").read_text())["conjugate"]] == ["inf"] * 2
         svg = (out / "conjugate.svg").read_text()
         assert svg.startswith("<svg") and svg.endswith("</svg>\n")
-        assert "<desc>v,h*(v)" in svg and "<polyline" not in svg
+        assert "<desc>v,h*(v)\n4.0,inf\n5.0,inf</desc>" in svg and "<polyline" not in svg
 
     def test_one_scan_per_grid(self, runner, tmp_path, monkeypatch):
         from glsreg import moments
@@ -410,7 +410,15 @@ class TestBoundCommand:
         assert "finite at 0/2 exponents" in result.output
         svg = (out / "bounds.svg").read_text()
         assert svg.startswith("<svg") and svg.endswith("</svg>\n")
-        assert "<desc>p,bound" in svg and "<polyline" not in svg
+        assert "<desc>p,bound\n1.0,inf\n1.5,inf</desc>" in svg and "<polyline" not in svg
+
+    def test_unreachable_tolerance_exits_1(self, runner, tmp_path):
+        # p gamma - 1 = 1e-3 cannot certify 1e-9 within the term cap: a typed error, found before summing
+        cfg = bound_pair({"form": "power_log", "alpha": 1.0}, {"form": "power_log", "theta": 0.5})
+        (tmp_path / "b.json").write_text(json.dumps({**cfg, "p_grid": [2.002], "rel_tol": 1e-9}))
+        result = runner.invoke(main, ["bound", "--config", str(tmp_path / "b.json"), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert "Error: remainder bound after 100000000 terms stays above 1e-09 x the sum" in result.output
 
 
 class TestSimulateCommand:

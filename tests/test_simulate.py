@@ -117,9 +117,21 @@ class TestChunkedSum:
             visited.append(n.size)
             return -np.ones_like(n)
 
-        total = _chunked_sum(term, 1, 10**9, stop=-100.0)
+        total = _chunked_sum(term, 1, 10**9, stop=lambda total, _: total <= -100.0)
         assert total <= -100.0
         assert sum(visited) <= 2048
+
+    def test_stop_sees_last_index_summed(self):
+        tops = []
+
+        def stop(total, top):
+            tops.append(top)
+            return top >= 5000
+
+        total = _chunked_sum(lambda n: np.ones_like(n), 3, 10**9, stop)
+        # chunks of 1024, 2048 and 4096 cells from index 3
+        assert tops == [1026, 3074, 7170]
+        assert total == 7170 - 3 + 1
 
     def test_sums_every_cell_across_chunk_boundaries(self):
         lo, hi = 3, 3 + 1024 + 2048 + 4096 + 17
