@@ -438,6 +438,16 @@ class TestSimulateCommand:
         path.write_text(json.dumps(cfg))
         return path
 
+    def test_far_truncation_target_exits_1_fast(self, runner, tmp_path, deadline):
+        # eps 0.25 at u_min 1e-4 puts the threshold's first estimate past 2**53
+        cfg = {**SIMULATE, "eps": 0.25, "trajectories": 2000, "truncation": {"u_min": 1e-4}}
+        (tmp_path / "s.json").write_text(json.dumps(cfg))
+        with deadline(2.0):
+            result = invoke(runner, "simulate", "--config", str(tmp_path / "s.json"), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 1
+        assert "Error: meeting rho = 5e-07 needs n_last = " in result.output
+        assert "> 10000000" in result.output
+
     def test_reruns_are_byte_identical(self, runner, tmp_path):
         cfg = self.write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

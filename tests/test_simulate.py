@@ -147,6 +147,13 @@ class TestExpPowerCertified:
         assert exp_power_sum_tail_bound(1.0, 0.5, n) <= 1e-6
         assert exp_power_sum_tail_bound(1.0, 0.5, n - 1) > 1e-6
 
+    def test_threshold_past_float_precision_returns_certified(self, deadline):
+        # the first estimate is 3.9e23 > 2**53, where n and n - 1 are the same float
+        with deadline(1.0):
+            n = exp_power_threshold(1e-4, 0.25, 1e-12)
+        assert n > 2**53
+        assert exp_power_sum_tail_bound(1e-4, 0.25, n) <= 1e-12
+
     def test_tail_bound_dominates_series(self):
         for n_last in (1, 5, 50):
             idx = np.arange(n_last + 1, 50_000, dtype=float)
@@ -519,6 +526,16 @@ class TestExactMoment:
         for p in (1.0, 1.5, 1.9):
             lower = math.exp(special.gammaln(p + 1.0) / p)
             assert exact_eta_moment(1.0, 0.5, p) >= lower * (1.0 - 1e-5)
+
+    def test_rule_stable_under_node_doubling(self, monkeypatch):
+        points = [(0.5, p, start) for p in (1.0, 1.5, 1.8, 1.98) for start in (1, 2)]
+        points += [(0.25, p, 1) for p in (1.0, 2.0, 3.5)]
+        sixteen = [exact_eta_moment(1.0, eps, p, index_start=start) for eps, p, start in points]
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        monkeypatch.setattr(simulate_module, "_GL_NODES", nodes)
+        monkeypatch.setattr(simulate_module, "_GL_WEIGHTS", weights)
+        for (eps, p, start), value in zip(points, sixteen):
+            assert exact_eta_moment(1.0, eps, p, index_start=start) == pytest.approx(value, rel=1e-9, abs=0.0)
 
     def test_infinite_moment_guard(self):
         with pytest.raises(MomentInfinite):

@@ -71,6 +71,26 @@ class TestCommandImports:
         assert "scipy.special" in loaded
         assert "scipy.integrate" not in loaded
 
+    def test_exact_moments_load_no_quadrature(self, tmp_path):
+        config = tmp_path / "moments.json"
+        config.write_text(
+            json.dumps({"schema_version": 1, "command": "verify", "checks": ["moment-blowup-bracket"], "seed": 42})
+        )
+        loaded = _loaded_after(tmp_path, "verify", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert "scipy.special" in loaded
+        assert "scipy.integrate" not in loaded
+
+    def test_no_module_imports_scipy_integrate(self):
+        for path in Path(glsreg.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                assert not any(name.startswith("scipy.integrate") for name in names), path.name
+
 
 def _literal(name: str):
     tree = ast.parse(Path(glsreg.__file__).read_text())
