@@ -88,82 +88,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    # errors
-    "GLSError",
-    "DomainError",
-    "EmptyDomain",
-    "EmptySample",
-    "ConfigError",
-    "Divergent",
-    "InvalidEpsilon",
-    "InvalidExponent",
-    "MomentInfinite",
-    "NoFiniteMoment",
-    "ToleranceUnreachable",
-    "TruncationInfeasible",
-    # generating functions
-    "GeneratingFunction",
-    "ExponentInterval",
-    "PointDomain",
-    "PowerRoot",
-    "TwoSidedSingular",
-    "Extremal",
-    "Tabulated",
-    "NaturalFunction",
-    "Product",
-    "evaluate",
-    "natural_function",
-    # moments and norms
-    "MomentFunction",
-    "constant_moments",
-    "std_exponential_moments",
-    "half_normal_moments",
-    "discrete_moments",
-    "table_moments",
-    "scaled_moments",
-    "sup_moment_function",
-    "empirical_tail",
-    "gls_norm",
-    "gls_norm_scan",
-    "classical_grand_norm",
-    "young_fenchel",
-    "young_fenchel_scan",
-    "exponential_tail_bound",
-    # bounds
-    "MomentEnvelope",
-    "regulator_lp_bound",
-    "sigma_function",
-    # sequences
-    "GeometricSequence",
-    "PowerLogSequence",
-    "SlowlyVaryingSequence",
-    "DecaySequencePair",
-    # simulation and oracles
-    "ExponentialPower",
-    "GaussianPower",
-    "SimulationPlan",
-    "FixedTruncation",
-    "TailTargetTruncation",
-    "simulate_eta",
-    "simulate_trajectories",
-    "truncation_bound",
-    "exact_eta_tail",
-    "exact_eta_moment",
-    "bonferroni_sums",
-    "asymptotic_tail_constant",
-    "exp_power_sum",
-    "exp_power_threshold",
-    # criteria and reports
-    "TrajectoryBatch",
-    "criterion_functional",
-    "extract_regulator",
-    "regulator_ratio_matrix",
-    "CheckRecord",
-    "VerificationReport",
-    "run_suite",
-]
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name: str):

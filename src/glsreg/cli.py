@@ -127,9 +127,8 @@ def _out(out_dir: str) -> Path:
 
 def _provenance(cfg: dict, seed=None) -> dict:
     from .persist import config_sha256
-    from .reports import TOOL_VERSION
 
-    prov = {"config_sha256": config_sha256(cfg), "tool_version": TOOL_VERSION}
+    prov = {"config_sha256": config_sha256(cfg), "tool_version": __version__}
     if seed is not None:
         prov["seed"] = seed
     return prov

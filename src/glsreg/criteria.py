@@ -6,8 +6,7 @@ diagnostics are the bounded-sup functional E sup_{m >= n} |x_m|/(1 + |x_m|)
 extraction: the smallest per-trajectory factor v with |x_n| <= v * delta_n
 for a chosen null sequence delta_n.
 
-Every infinite-horizon quantity here is truncated at the batch window, and
-estimates carry the window's last index so reports can say so.
+Every infinite-horizon quantity here is truncated at the batch window.
 """
 
 from __future__ import annotations
@@ -17,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IndexOutOfRange, NonpositiveDelta
-from .estimates import mean_estimate
+from .estimates import ConfidenceValue, mean_estimate
 
 __all__ = [
     "TrajectoryBatch",
-    "CriterionEstimate",
     "RegulatorExtraction",
     "regulator_ratio_matrix",
     "criterion_functional",
@@ -61,19 +59,6 @@ class TrajectoryBatch:
 
 
 @dataclass(frozen=True)
-class CriterionEstimate:
-    """Monte Carlo estimate of a truncated convergence diagnostic.
-
-    The underlying sup runs over m <= last_index only, so the value is a
-    lower bound of the infinite-horizon quantity.
-    """
-
-    value: float
-    half_width: float
-    last_index: int
-
-
-@dataclass(frozen=True)
 class RegulatorExtraction:
     """Per-trajectory regulator factors for a fixed null sequence."""
 
@@ -96,8 +81,11 @@ def regulator_ratio_matrix(values: np.ndarray, delta: np.ndarray, out: np.ndarra
     return np.divide(ratios, delta, out=ratios)
 
 
-def criterion_functional(batch: TrajectoryBatch, n: int) -> CriterionEstimate:
+def criterion_functional(batch: TrajectoryBatch, n: int) -> ConfidenceValue:
     """Estimate E sup_{m >= n} |x_m| / (1 + |x_m|) over the batch window.
+
+    The sup runs over m <= batch.last_index only, so the value is a lower
+    bound of the infinite-horizon quantity.
 
     t -> t/(1+t) is increasing on t >= 0, so the sup of the transformed
     entries is the transform of the sup; only one max per trajectory needed.
@@ -105,8 +93,7 @@ def criterion_functional(batch: TrajectoryBatch, n: int) -> CriterionEstimate:
     col = batch.column_of(n)
     sups = np.max(np.abs(batch.values[:, col:]), axis=1)
     transformed = sups / (1.0 + sups)
-    est = mean_estimate(transformed)
-    return CriterionEstimate(est.value, est.half_width, batch.last_index)
+    return mean_estimate(transformed)
 
 
 def extract_regulator(batch: TrajectoryBatch, delta_seq) -> RegulatorExtraction:

@@ -74,12 +74,11 @@ class MomentFunction:
 # moment-curve constructors
 
 
-def constant_moments(c: float, interval: ExponentInterval | None = None) -> MomentFunction:
+def constant_moments(c: float) -> MomentFunction:
     """Moment curve of a variable with ||f||_p = c for every p."""
     if c < 0 or not math.isfinite(c):
         raise DomainError(f"a p-norm level must be finite and nonnegative, got {c}")
-    interval = interval or ExponentInterval(1.0, math.inf)
-    return MomentFunction(interval, lambda p: np.full(p.shape, float(c)))
+    return MomentFunction(ExponentInterval(1.0, math.inf), lambda p: np.full(p.shape, float(c)))
 
 
 def std_exponential_moments() -> MomentFunction:
@@ -232,7 +231,7 @@ def gls_norm(moments: MomentFunction, psi: GeneratingFunction, n_points: int = 5
     return gls_norm_scan(moments, psi, n_points=n_points, refine=refine).value
 
 
-def classical_grand_norm(moments: MomentFunction, q: float, n_points: int = 512) -> float:
+def classical_grand_norm(moments: MomentFunction, q: float) -> float:
     """Classical grand Lebesgue norm sup_{0<eps<q-1} eps^(1/(q-eps)) ||f||_{q-eps}.
 
     Computed by substituting p = q - eps and scanning (q - p)^(1/p) ||f||_p
@@ -245,14 +244,14 @@ def classical_grand_norm(moments: MomentFunction, q: float, n_points: int = 512)
     def objective(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return (q - p) ** (1.0 / p) * moments.values(p)
 
-    return supremum_scan(objective, dom, (q,), n_points=n_points)[0].value
+    return supremum_scan(objective, dom, (q,))[0].value
 
 
 # ---------------------------------------------------------------------------
 # conjugate transform and tail bound
 
 
-def _conjugate_scans(psi: GeneratingFunction, v, n_points: int, refine: bool) -> list[ScanResult]:
+def _conjugate_scans(psi: GeneratingFunction, v, refine: bool = True) -> list[ScanResult]:
     """One lockstep scan of sup_p [p v - p ln psi(p)], a lane per entry of the 1-D array ``v``."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
@@ -266,15 +265,15 @@ def _conjugate_scans(psi: GeneratingFunction, v, n_points: int, refine: bool) ->
             log_psi = np.log(psi.values(p))
         return p * (v - log_psi)
 
-    return supremum_scan(objective, psi.domain, v, n_points=n_points, refine=refine)
+    return supremum_scan(objective, psi.domain, v, refine=refine)
 
 
-def young_fenchel_scan(psi: GeneratingFunction, v: float, n_points: int = 512, refine: bool = True) -> ScanResult:
+def young_fenchel_scan(psi: GeneratingFunction, v: float, refine: bool = True) -> ScanResult:
     """Scan detail behind young_fenchel: sup_p [p v - p ln psi(p)]."""
-    return _conjugate_scans(psi, [v], n_points, refine)[0]
+    return _conjugate_scans(psi, [v], refine)[0]
 
 
-def young_fenchel(psi: GeneratingFunction, v, n_points: int = 512, refine: bool = True):
+def young_fenchel(psi: GeneratingFunction, v):
     """Young-Fenchel transform of h(p) = p ln psi(p), evaluated at v.
 
     ``v`` is a float, giving a float, or a 1-D array, giving an array with
@@ -283,8 +282,8 @@ def young_fenchel(psi: GeneratingFunction, v, n_points: int = 512, refine: bool 
     cap of an unbounded domain.
     """
     if np.ndim(v) == 0:
-        return young_fenchel_scan(psi, v, n_points=n_points, refine=refine).value
-    return np.array([scan.value for scan in _conjugate_scans(psi, v, n_points, refine)])
+        return young_fenchel_scan(psi, v).value
+    return np.array([scan.value for scan in _conjugate_scans(psi, v)])
 
 
 def exponential_tail_bound(psi: GeneratingFunction, t):

@@ -34,10 +34,10 @@ import numpy as np
 from scipy import special
 
 from .criteria import TrajectoryBatch, regulator_ratio_matrix
-from .errors import DomainError, MomentInfinite, TruncationInfeasible
+from .errors import DomainError, MomentInfinite, ToleranceUnreachable, TruncationInfeasible
 from .generating import check_eps, natural_function
 from .moments import half_normal_moments, std_exponential_moments
-from .bounds import MomentEnvelope
+from .bounds import SERIES_TERM_CAP, MomentEnvelope
 from .sequences import _CHUNK_CELLS, PowerLogSequence, _chunked_sum
 
 __all__ = [
@@ -245,13 +245,17 @@ def exp_power_threshold(c: float, gamma: float, rho: float) -> int:
 def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
     """Certified evaluation of sum_{n >= index_start} exp(-c n**gamma).
 
-    The returned partial sum is within abs_tol of the full series.
+    The returned partial sum is within abs_tol of the full series.  A
+    tolerance that needs more than ``SERIES_TERM_CAP`` terms raises
+    ``ToleranceUnreachable`` before the sum starts.
     """
     if index_start < 1:
         raise DomainError(f"index_start must be >= 1, got {index_start}")
     if not (0.0 < abs_tol < 1.0):
         raise DomainError(f"abs_tol must lie in (0, 1), got {abs_tol}")
     n_last = max(index_start, exp_power_threshold(c, gamma, abs_tol))
+    if n_last > SERIES_TERM_CAP:
+        raise ToleranceUnreachable(f"a sum within {abs_tol} needs {n_last} > {SERIES_TERM_CAP} terms")
     return _chunked_sum(lambda n: np.exp(-c * n**gamma), index_start, n_last)
 
 
@@ -361,14 +365,6 @@ def simulate_trajectories(plan: SimulationPlan) -> TrajectoryBatch:
 # exact oracles for the exponential model
 
 
-def _check_tail_args(alpha: float, eps: float, index_start: int) -> None:
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    check_eps(eps, alpha)
-    if index_start < 1:
-        raise DomainError(f"index_start must be >= 1, got {index_start}")
-
-
 def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
     """Exact tail P(eta > u) of the exponential-power model, within abs_tol.
 
@@ -377,7 +373,8 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
     discarded-factor sum or the size of the surviving product) drops below
     abs_tol.  alpha cancels from the tail and only gates eps.
     """
-    _check_tail_args(alpha, eps, index_start)
+    _check_model_fields(alpha, index_start)
+    check_eps(eps, alpha)
     if not u > 0.0:
         raise DomainError(f"tail threshold must be positive, got {u}")
     if not (0.0 < abs_tol < 1.0):
@@ -451,7 +448,8 @@ def exact_eta_moment(
     p < 1/eps is served, mirroring the moment-blowup threshold of the bound
     theory.
     """
-    _check_tail_args(alpha, eps, index_start)
+    _check_model_fields(alpha, index_start)
+    check_eps(eps, alpha)
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"moment exponent must be >= 1, got {p}")
     if p >= 1.0 / eps:

@@ -164,7 +164,6 @@ def check_tail_asymptote(seed: int, trajectories: int, eta_values: EtaValues) ->
             theoretical=1.0,
             estimate=ratio[50.0],
             tolerance=0.15,
-            allow_inconclusive=False,
             params={"eps": eps, "u": 50.0},
         ),
         CheckRecord(
@@ -173,7 +172,6 @@ def check_tail_asymptote(seed: int, trajectories: int, eta_values: EtaValues) ->
             kind="upper",
             theoretical=0.0,
             estimate=abs(ratio[50.0] - 1.0) - abs(ratio[10.0] - 1.0),
-            allow_inconclusive=False,
             params={"eps": eps, "u_pair": [10.0, 50.0]},
         ),
     ]

@@ -18,7 +18,9 @@ def _identifiers(node: ast.AST) -> set[str]:
     return found
 
 
-def _exports(tree: ast.Module) -> set[str]:
+def _exports(path: Path, tree: ast.Module) -> set[str]:
+    if path.name == "__init__.py":  # the package derives its __all__ from its module map
+        return set(glsreg.__all__)
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             return set(ast.literal_eval(node.value))
@@ -32,7 +34,7 @@ def test_every_export_is_reached_from_cli_or_verify():
     exports: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        exports |= _exports(tree)
+        exports |= _exports(path, tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 uses.setdefault(node.name, set()).update(_identifiers(node))

@@ -64,7 +64,6 @@ class TestCriterionFunctional:
         # row sups over [2, 3]: 1.0 and 2.0, transformed 1/2 and 2/3
         est = criterion_functional(SMALL, 2)
         assert est.value == pytest.approx((0.5 + 2.0 / 3.0) / 2.0, rel=1e-12)
-        assert est.last_index == 3
         full = criterion_functional(SMALL, 1)
         assert full.value == pytest.approx((0.75 + 2.0 / 3.0) / 2.0, rel=1e-12)
 

@@ -1,5 +1,6 @@
 """Verdict records, artifact persistence, and the command-line surface."""
 
+import itertools
 import json
 import math
 import os
@@ -29,8 +30,6 @@ from glsreg.reports import (
     HALF_WIDTH_FACTOR,
     CheckRecord,
     VerificationReport,
-    combined_allowance,
-    verdict_for,
 )
 
 CONFIG_DIR = "configs"
@@ -117,30 +116,39 @@ def record(**kw):
     return CheckRecord(**base)
 
 
-class TestVerdictFor:
-    def test_nan_fails(self):
-        assert verdict_for(math.nan, 1.0, strict=False) == "FAIL"
+def oriented(kind: str, violation: float, **kw):
+    """A record of the given kind whose violation is ``violation``."""
+    sign = -1.0 if kind == "lower" else 1.0
+    return record(kind=kind, theoretical=1.0, estimate=1.0 + sign * violation, **kw)
 
-    def test_violation_beyond_allowance_fails(self):
-        assert verdict_for(0.2, 0.1, strict=False) == "FAIL"
 
-    def test_equality_within_allowance_passes(self):
-        assert verdict_for(0.05, 0.1, strict=True, equality=True) == "PASS"
-        assert verdict_for(0.2, 0.1, strict=True, equality=True) == "FAIL"
-
-    def test_clean_separation_passes(self):
-        assert verdict_for(-0.2, 0.1, strict=True) == "PASS"
-
-    def test_lenient_accepts_any_nonpositive(self):
-        assert verdict_for(-0.05, 0.1, strict=False) == "PASS"
-        assert verdict_for(0.0, 0.1, strict=False) == "PASS"
-
-    def test_strict_band_is_inconclusive(self):
-        assert verdict_for(-0.05, 0.1, strict=True) == "INCONCLUSIVE"
-        assert verdict_for(0.05, 0.1, strict=True) == "INCONCLUSIVE"
+# violation, allowance, verdict of a one-sided (upper or lower) check, verdict of an equality
+VERDICT_TABLE = [
+    (math.nan, 0.25, "FAIL", "FAIL"),
+    (0.5, 0.25, "FAIL", "FAIL"),
+    (0.25, 0.25, "INCONCLUSIVE", "PASS"),
+    (0.125, 0.25, "INCONCLUSIVE", "PASS"),
+    (0.0, 0.25, "PASS", "PASS"),
+    (-0.5, 0.25, "PASS", None),  # an equality's violation is never negative
+    (1e300, math.inf, "INCONCLUSIVE", "PASS"),
+    (math.nan, math.inf, "FAIL", "FAIL"),
+]
+VERDICT_CASES = [
+    pytest.param(kind, violation, allowance, verdict, id=f"{kind}-{violation:g}-within-{allowance:g}")
+    for violation, allowance, one_sided, equality in VERDICT_TABLE
+    for kind, verdict in (("upper", one_sided), ("lower", one_sided), ("equality", equality))
+    if verdict is not None
+]
 
 
 class TestCheckRecord:
+    @pytest.mark.parametrize("kind, violation, allowance, verdict", VERDICT_CASES)
+    def test_verdict_rule(self, kind, violation, allowance, verdict):
+        r = oriented(kind, violation, tolerance=allowance)
+        assert r.allowance == allowance
+        assert r.violation == violation or (math.isnan(r.violation) and math.isnan(violation))
+        assert r.verdict == verdict
+
     def test_violation_orientation(self):
         assert record(kind="upper", estimate=1.3).violation == pytest.approx(0.3)
         assert record(kind="lower", estimate=1.3).violation == pytest.approx(-0.3)
@@ -154,10 +162,9 @@ class TestCheckRecord:
     def test_allowance_composition(self):
         r = record(half_width=0.01, truncation_bound=0.002, tolerance=0.003)
         assert r.allowance == pytest.approx(HALF_WIDTH_FACTOR * 0.01 + 0.005)
-        assert combined_allowance(0.01, 0.002, 0.003) == r.allowance
 
     def test_verdict_uses_equality_mode(self):
-        near = record(kind="equality", estimate=1.0 + 1e-9, tolerance=1e-6, strict=True)
+        near = record(kind="equality", estimate=1.0 + 1e-9, tolerance=1e-6)
         assert near.verdict == "PASS"
 
     def test_to_dict_carries_derived_fields(self):
@@ -176,14 +183,27 @@ class TestVerificationReport:
         assert rep.counts() == {"PASS": 1, "FAIL": 1, "INCONCLUSIVE": 0}
         assert rep.exit_code == 1
 
-    def test_disallowed_inconclusive_fails_run(self):
-        borderline = record(estimate=1.0 + 1e-12, half_width=0.1, strict=True)
-        assert borderline.verdict == "INCONCLUSIVE"
-        assert VerificationReport(records=(borderline,), seed=1).exit_code == 0
-        blocked = record(
-            estimate=1.0 + 1e-12, half_width=0.1, strict=True, allow_inconclusive=False
-        )
-        assert VerificationReport(records=(blocked,), seed=1).exit_code == 1
+    def test_exit_code_is_one_exactly_when_a_record_fails(self):
+        by_verdict = {
+            "PASS": record(),
+            "FAIL": record(estimate=2.0),
+            "INCONCLUSIVE": record(estimate=1.125, tolerance=0.25),
+        }
+        for n in range(4):
+            for mix in itertools.product(by_verdict, repeat=n):
+                rep = VerificationReport(records=tuple(by_verdict[v] for v in mix), seed=1)
+                assert [r.verdict for r in rep.records] == list(mix)
+                assert rep.exit_code == int("FAIL" in mix), mix
+
+    def test_text_table_aligns_every_row(self):
+        ids = ("demo", "norm-axioms-anti-monotonicity", "norm-axioms-extremal-reduction")
+        rows = VerificationReport(records=tuple(record(check_id=i) for i in ids), seed=1).to_text().splitlines()
+        head, body = rows[0], rows[2 : 2 + len(ids)]
+        offset = head.index("verdict")
+        for check_id, row in zip(ids, body):
+            assert row[:offset].rstrip() == check_id
+            assert row[offset:].startswith("PASS ")
+            assert len(row) == len(head)
 
     def test_text_table_lists_every_check(self):
         rep = VerificationReport(records=(record(), record(check_id="second")), seed=9)

@@ -13,6 +13,7 @@ from glsreg.errors import (
     DomainError,
     InvalidEpsilon,
     MomentInfinite,
+    ToleranceUnreachable,
     TruncationInfeasible,
 )
 from glsreg.generating import evaluate
@@ -468,6 +469,12 @@ class TestBonferroni:
         s1, s2 = bonferroni_sums(0.5, 1.0)
         assert s1 == pytest.approx(1.6704068179653595, abs=1e-11)
         assert s2 == pytest.approx(1.2544063681904971, abs=1e-11)
+
+    @pytest.mark.parametrize("u", [1e-4, 0.05])
+    def test_unreachable_tolerance_raises_before_summing(self, u):
+        # exp_power_threshold asks for 3.9e23 terms at u 1e-4 and 1.3e12 at u 0.05
+        with pytest.raises(ToleranceUnreachable, match="terms"):
+            bonferroni_sums(0.25, u)
 
     def test_brute_force_at_u_two(self):
         idx = np.arange(1.0, 5_000.0)
