@@ -46,7 +46,6 @@ _EXPORTS = {
         "Product",
         "Tabulated",
         "TwoSidedSingular",
-        "evaluate",
         "natural_function",
     ),
     "moments": (

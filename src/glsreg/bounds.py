@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import Divergent, DomainError, InvalidExponent, ToleranceUnreachable
-from .generating import GeneratingFunction, check_eps, evaluate
+from .generating import GeneratingFunction, check_eps
 from .sequences import DecaySequencePair, _chunked_sum
 
 __all__ = [
@@ -49,10 +49,14 @@ class MomentEnvelope:
     index_start: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise DomainError(f"decay exponent alpha must be positive, got {self.alpha}")
-        if self.index_start < 1:
-            raise DomainError(f"index_start must be >= 1, got {self.index_start}")
+        _check_model_fields(self.alpha, self.index_start)
+
+
+def _check_model_fields(alpha: float, index_start: int) -> None:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise DomainError(f"decay exponent alpha must be positive, got {alpha}")
+    if index_start < 1:
+        raise DomainError(f"index_start must be >= 1, got {index_start}")
 
 
 def regulator_lp_bound(env: MomentEnvelope, eps: float, p: float) -> float:
@@ -65,7 +69,7 @@ def regulator_lp_bound(env: MomentEnvelope, eps: float, p: float) -> float:
     check_eps(eps, env.alpha)
     if not p > 1.0 / eps:
         raise InvalidExponent(f"the bound needs p > 1/eps = {1.0 / eps}, got {p}")
-    return evaluate(env.envelope, p) * (p * eps - 1.0) ** (-1.0 / p)
+    return env.envelope.value(p) * (p * eps - 1.0) ** (-1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,7 @@ def bound(config_path, out_dir, fmt) -> None:
     cfg = _load_config(config_path, "bound")
     from . import bounds as bmod
     from .errors import Divergent, InvalidExponent
-    from .generating import check_eps, evaluate
+    from .generating import check_eps
     from .persist import atomic_write_text, json_safe, write_json
     from .sequences import pair_from_config
 
@@ -294,7 +294,7 @@ def bound(config_path, out_dir, fmt) -> None:
                 sigma = bmod.sigma_function(pair, p, rel_tol)
             except Divergent:
                 sigma = math.inf
-            rows.append({"p": p, "sigma": sigma, "bound": evaluate(psi, p) * sigma})
+            rows.append({"p": p, "sigma": sigma, "bound": psi.value(p) * sigma})
     else:
         mode = "regulator"
         for p in p_grid:

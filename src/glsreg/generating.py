@@ -8,9 +8,11 @@ moment curve ``p -> ||f||_p`` in the sup-norm
 
 so evaluation is total: outside the domain the weight is infinite and the
 corresponding ratio is zero (the convention ``C / inf := 0`` applies
-downstream).  The standing assumption ``inf psi > 0`` holds analytically for
-the closed forms, and tables reject nonpositive knot values; a wrapped
-callable is taken as given.
+downstream).  A weight gives only its domain and its formula ``on_domain``;
+``GeneratingFunction.values`` alone masks the domain and fills +inf.  A
+moment curve (``moments.MomentFunction``) is a weight too.  The standing
+assumption ``inf psi > 0`` holds analytically for the closed forms, and
+tables reject nonpositive knot values; a moment curve is taken as given.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -54,12 +56,6 @@ class ExponentInterval:
         if not self.upper > self.lower:
             raise EmptyDomain(f"empty exponent interval [{self.lower}, {self.upper})")
 
-    def contains(self, p: float) -> bool:
-        if not math.isfinite(p):
-            return False
-        above = p > self.lower if self.lower_open else p >= self.lower
-        return above and p < self.upper
-
     def contains_array(self, p: np.ndarray) -> np.ndarray:
         above = p > self.lower if self.lower_open else p >= self.lower
         return above & (p < self.upper) & np.isfinite(p)
@@ -74,9 +70,6 @@ class PointDomain:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p) and self.p >= 1.0):
             raise DomainError(f"point domain needs a finite exponent >= 1, got {self.p}")
-
-    def contains(self, p: float) -> bool:
-        return p == self.p
 
     def contains_array(self, p: np.ndarray) -> np.ndarray:
         return p == self.p
@@ -99,7 +92,7 @@ def intersect_domains(a: Domain, b: Domain) -> Domain:
             return a
         raise EmptyDomain(f"point domains {a.p} and {b.p} are disjoint")
     if isinstance(a, PointDomain):
-        if b.contains(a.p):
+        if b.contains_array(np.asarray(a.p)):
             return a
         raise EmptyDomain(f"exponent {a.p} lies outside [{b.lower}, {b.upper})")
     if isinstance(b, PointDomain):
@@ -113,7 +106,11 @@ def intersect_domains(a: Domain, b: Domain) -> Domain:
 
 
 class GeneratingFunction(abc.ABC):
-    """Positive exponent weight, evaluated as +inf off its domain."""
+    """Positive exponent weight, evaluated as +inf off its domain.
+
+    A subclass gives its domain and its formula ``on_domain``; ``values`` is
+    the one place that masks the domain and fills +inf everywhere else.
+    """
 
     @property
     @abc.abstractmethod
@@ -121,18 +118,20 @@ class GeneratingFunction(abc.ABC):
         ...
 
     @abc.abstractmethod
+    def on_domain(self, q: np.ndarray) -> np.ndarray:
+        """The weight at exponents that all lie in the domain."""
+
     def values(self, p: np.ndarray) -> np.ndarray:
         """Vectorised evaluation; entries off the domain come back +inf."""
+        p = np.asarray(p, dtype=float)
+        out = np.full(p.shape, math.inf)
+        inside = self.domain.contains_array(p)
+        if inside.any():
+            out[inside] = self.on_domain(p[inside])
+        return out
 
     def value(self, p: float) -> float:
         return float(self.values(np.asarray([p], dtype=float))[0])
-
-
-def evaluate(psi: GeneratingFunction, p: float) -> float:
-    """Total evaluation of ``psi`` at ``p``: the weight, or +inf off-domain."""
-    if not math.isfinite(p):
-        return math.inf
-    return psi.value(float(p))
 
 
 @dataclass(frozen=True)
@@ -149,12 +148,8 @@ class PowerRoot(GeneratingFunction):
     def domain(self) -> ExponentInterval:
         return ExponentInterval(1.0, math.inf)
 
-    def values(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        inside = self.domain.contains_array(p)
-        out = np.full(p.shape, math.inf)
-        out[inside] = p[inside] ** (1.0 / self.m)
-        return out
+    def on_domain(self, q: np.ndarray) -> np.ndarray:
+        return q ** (1.0 / self.m)
 
 
 @dataclass(frozen=True)
@@ -175,13 +170,8 @@ class TwoSidedSingular(GeneratingFunction):
     def domain(self) -> ExponentInterval:
         return ExponentInterval(1.0, self.b, lower_open=True)
 
-    def values(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        inside = self.domain.contains_array(p)
-        out = np.full(p.shape, math.inf)
-        q = p[inside]
-        out[inside] = (q - 1.0) ** (-self.alpha) * (self.b - q) ** (-self.beta)
-        return out
+    def on_domain(self, q: np.ndarray) -> np.ndarray:
+        return (q - 1.0) ** (-self.alpha) * (self.b - q) ** (-self.beta)
 
 
 @dataclass(frozen=True)
@@ -198,9 +188,8 @@ class Extremal(GeneratingFunction):
     def domain(self) -> PointDomain:
         return PointDomain(self.r)
 
-    def values(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return np.where(p == self.r, 1.0, math.inf)
+    def on_domain(self, q: np.ndarray) -> np.ndarray:
+        return np.ones(q.shape)
 
 
 @dataclass(frozen=True)
@@ -231,34 +220,10 @@ class Tabulated(GeneratingFunction):
         # nextafter keeps the last knot itself inside the always-open upper end
         return ExponentInterval(self.points[0][0], np.nextafter(self.points[-1][0], math.inf))
 
-    def values(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        log_p = np.log([q for q, _ in self.points])
+    def on_domain(self, q: np.ndarray) -> np.ndarray:
+        log_p = np.log([k for k, _ in self.points])
         log_v = np.log([v for _, v in self.points])
-        inside = self.domain.contains_array(p)
-        out = np.full(p.shape, math.inf)
-        out[inside] = np.exp(np.interp(np.log(p[inside]), log_p, log_v))
-        return out
-
-
-@dataclass(frozen=True)
-class FromCallable(GeneratingFunction):
-    """Positive vectorised callable restricted to an interval."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    interval: ExponentInterval
-
-    @property
-    def domain(self) -> ExponentInterval:
-        return self.interval
-
-    def values(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        inside = self.interval.contains_array(p)
-        out = np.full(p.shape, math.inf)
-        if inside.any():
-            out[inside] = self.fn(p[inside])
-        return out
+        return np.exp(np.interp(np.log(q), log_p, log_v))
 
 
 @dataclass(frozen=True)
@@ -271,7 +236,7 @@ class NaturalFunction(GeneratingFunction):
     gives the variable sup-norm exactly 1.
     """
 
-    moments: object  # duck-typed: needs .domain and .values(ndarray)
+    moments: GeneratingFunction
     a: float
     nu_a: float
     upper: float
@@ -280,15 +245,11 @@ class NaturalFunction(GeneratingFunction):
     def domain(self) -> ExponentInterval:
         return ExponentInterval(1.0, self.upper)
 
-    def values(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        out = np.full(p.shape, math.inf)
-        inside = self.domain.contains_array(p)
-        low = inside & (p <= self.a)
-        high = inside & (p > self.a)
-        out[low] = self.nu_a
+    def on_domain(self, q: np.ndarray) -> np.ndarray:
+        out = np.full(q.shape, self.nu_a)
+        high = q > self.a
         if high.any():
-            out[high] = self.moments.values(p[high])
+            out[high] = self.moments.values(q[high])
         return out
 
 
@@ -310,12 +271,10 @@ class Product(GeneratingFunction):
             dom = intersect_domains(dom, f.domain)
         return dom
 
-    def values(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        out = np.ones(p.shape)
+    def on_domain(self, q: np.ndarray) -> np.ndarray:
+        out = np.ones(q.shape)
         for f in self.factors:
-            out = out * f.values(p)
-        out[~self.domain.contains_array(p)] = math.inf
+            out = out * f.values(q)
         return out
 
 
@@ -338,7 +297,7 @@ def scan_grid(domain: Domain, n_points: int = GRID_POINTS) -> np.ndarray:
     return grid[domain.contains_array(grid)]
 
 
-def natural_function(moments) -> NaturalFunction:
+def natural_function(moments: GeneratingFunction) -> NaturalFunction:
     """Build the natural generating function of a moment curve.
 
     ``moments`` must expose a finite value at the lower end of its domain;
@@ -351,7 +310,7 @@ def natural_function(moments) -> NaturalFunction:
         raise DomainError("a natural function needs moments on an interval, not a point")
     a = dom.lower
     probe = a * (1.0 + EDGE_INSET) if dom.lower_open else a
-    nu_a = float(moments.values(np.asarray([probe]))[0])
+    nu_a = float(moments.value(probe))
     if not (math.isfinite(nu_a) and nu_a > 0):
         raise NoFiniteMoment(f"moment curve is not finite and positive at exponent {a}")
     return NaturalFunction(moments=moments, a=probe, nu_a=nu_a, upper=dom.upper)

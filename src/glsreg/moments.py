@@ -44,11 +44,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MomentFunction:
+class MomentFunction(GeneratingFunction):
     """Map p -> ||f||_p on an exponent interval.
 
     ``evaluator`` is vectorised and is only consulted inside the domain;
-    outside it the curve reports +inf (nothing is guaranteed there).
+    outside it the curve reports +inf (nothing is guaranteed there).  A
+    moment curve is itself a weight: a positive one serves as the
+    ``psi`` of a norm.
     """
 
     interval: ExponentInterval
@@ -58,16 +60,8 @@ class MomentFunction:
     def domain(self) -> ExponentInterval:
         return self.interval
 
-    def values(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        inside = self.interval.contains_array(p)
-        out = np.full(p.shape, math.inf)
-        if inside.any():
-            out[inside] = self.evaluator(p[inside])
-        return out
-
-    def value(self, p: float) -> float:
-        return float(self.values(np.asarray([p], dtype=float))[0])
+    def on_domain(self, q: np.ndarray) -> np.ndarray:
+        return self.evaluator(q)
 
 
 # ---------------------------------------------------------------------------

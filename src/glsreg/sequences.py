@@ -80,6 +80,8 @@ class PowerLogSequence:
         n = np.asarray(n, dtype=float)
         if np.any(n < self.first_index):
             raise DomainError(f"sequence indices must be >= {self.first_index}")
+        if self.log_power == 0:  # ln(n+1)**0 is exactly 1, so skip the log
+            return n ** (-self.rate)
         return n ** (-self.rate) * np.log(n + 1.0) ** self.log_power
 
 

@@ -37,7 +37,7 @@ from .criteria import TrajectoryBatch, regulator_ratio_matrix
 from .errors import DomainError, MomentInfinite, ToleranceUnreachable, TruncationInfeasible
 from .generating import check_eps, natural_function
 from .moments import half_normal_moments, std_exponential_moments
-from .bounds import SERIES_TERM_CAP, MomentEnvelope
+from .bounds import SERIES_TERM_CAP, MomentEnvelope, _check_model_fields
 from .sequences import _CHUNK_CELLS, PowerLogSequence, _chunked_sum
 
 __all__ = [
@@ -123,13 +123,6 @@ class GaussianPower:
 
 
 SequenceModel = Union[ExponentialPower, GaussianPower]
-
-
-def _check_model_fields(alpha: float, index_start: int) -> None:
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise DomainError(f"decay exponent alpha must be positive, got {alpha}")
-    if index_start < 1:
-        raise DomainError(f"index_start must be >= 1, got {index_start}")
 
 
 @dataclass(frozen=True)

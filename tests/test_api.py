@@ -1,9 +1,12 @@
-"""The public surface: every exported name is reached from the CLI or the verify suite."""
+"""The public surface: every exported name is reached from the CLI or the verify suite,
+and every weight leaves the off-domain +inf to GeneratingFunction.values."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import glsreg
+from glsreg.generating import GeneratingFunction
 
 PACKAGE = Path(glsreg.__file__).parent
 ROOTS = ("cli.py", "verify.py")
@@ -51,3 +54,17 @@ def test_every_export_is_reached_from_cli_or_verify():
 
     unreached = sorted(exports - reached - {"__version__"})
     assert unreached == []
+
+
+def test_only_generating_function_masks_the_domain():
+    # every weight gives on_domain; GeneratingFunction.values is the one +inf fill
+    for path in PACKAGE.glob("[!_]*.py"):
+        importlib.import_module(f"glsreg.{path.stem}")
+    todo, weights = [GeneratingFunction], []
+    while todo:
+        cls = todo.pop()
+        weights.append(cls)
+        todo.extend(cls.__subclasses__())
+    overrides = sorted(c.__qualname__ for c in weights[1:] if c.__module__.startswith("glsreg") and "values" in vars(c))
+    assert len(weights) > 7
+    assert overrides == []

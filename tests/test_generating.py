@@ -12,33 +12,27 @@ from glsreg.generating import (
     UPPER_CAP,
     ExponentInterval,
     Extremal,
-    FromCallable,
     PointDomain,
     PowerRoot,
     Product,
     Tabulated,
     TwoSidedSingular,
-    evaluate,
     from_config,
     intersect_domains,
     natural_function,
     scan_grid,
 )
-from glsreg.moments import constant_moments, std_exponential_moments
+from glsreg.moments import MomentFunction, constant_moments, std_exponential_moments, table_moments
 
 
 class TestExponentInterval:
     def test_contains_respects_open_sides(self):
         iv = ExponentInterval(1.0, 4.0, lower_open=True)
-        assert not iv.contains(1.0)
-        assert iv.contains(2.0)
-        assert not iv.contains(4.0)
+        np.testing.assert_array_equal(iv.contains_array(np.asarray([1.0, 2.0, 4.0])), [False, True, False])
 
     def test_closed_lower_contains_endpoint(self):
         iv = ExponentInterval(1.0, math.inf)
-        assert iv.contains(1.0)
-        assert iv.contains(1e6)
-        assert not iv.contains(math.inf)
+        np.testing.assert_array_equal(iv.contains_array(np.asarray([1.0, 1e6, math.inf])), [True, True, False])
 
     def test_lower_below_one_rejected(self):
         with pytest.raises(DomainError):
@@ -47,11 +41,6 @@ class TestExponentInterval:
     def test_empty_interval_rejected(self):
         with pytest.raises(DomainError):
             ExponentInterval(3.0, 3.0)
-
-    def test_contains_array_matches_scalar(self):
-        iv = ExponentInterval(1.0, 3.0, lower_open=True)
-        ps = np.asarray([1.0, 1.5, 2.999, 3.0])
-        np.testing.assert_array_equal(iv.contains_array(ps), [iv.contains(p) for p in ps])
 
 
 class TestIntersect:
@@ -75,11 +64,11 @@ class TestIntersect:
 class TestPowerRoot:
     def test_values(self):
         psi = PowerRoot(m=2.0)
-        assert evaluate(psi, 4.0) == 2.0
-        assert evaluate(psi, 1.0) == 1.0
+        assert psi.value(4.0) == 2.0
+        assert psi.value(1.0) == 1.0
 
     def test_identity_weight(self):
-        assert evaluate(PowerRoot(m=1.0), 3.0) == 3.0
+        assert PowerRoot(m=1.0).value(3.0) == 3.0
 
     def test_nonpositive_m_rejected(self):
         with pytest.raises(DomainError):
@@ -87,22 +76,21 @@ class TestPowerRoot:
 
     @given(st.floats(min_value=0.2, max_value=8.0), st.floats(min_value=1.0, max_value=50.0))
     def test_always_at_least_one(self, m, p):
-        assert evaluate(PowerRoot(m=m), p) >= 1.0
+        assert PowerRoot(m=m).value(p) >= 1.0
 
 
 class TestTwoSidedSingular:
     def test_blows_up_at_both_ends(self):
         psi = TwoSidedSingular(b=4.0, alpha=0.5, beta=1.0)
-        mid = evaluate(psi, 2.0)
+        mid = psi.value(2.0)
         assert mid == pytest.approx((2.0 - 1.0) ** -0.5 * (4.0 - 2.0) ** -1.0)
-        assert evaluate(psi, 1.0 + 1e-12) > mid
-        assert evaluate(psi, 4.0 - 1e-12) > mid
+        assert psi.value(1.0 + 1e-12) > mid
+        assert psi.value(4.0 - 1e-12) > mid
 
     def test_domain_is_open(self):
         psi = TwoSidedSingular(b=4.0, alpha=0.5, beta=1.0)
-        assert not psi.domain.contains(1.0)
-        assert not psi.domain.contains(4.0)
-        assert evaluate(psi, 1.0) == math.inf
+        assert not psi.domain.contains_array(np.asarray([1.0, 4.0])).any()
+        assert psi.value(1.0) == math.inf
 
     def test_needs_b_above_one(self):
         with pytest.raises(DomainError):
@@ -117,8 +105,8 @@ class TestExtremal:
     def test_point_domain(self):
         psi = Extremal(r=3.0)
         assert isinstance(psi.domain, PointDomain)
-        assert evaluate(psi, 3.0) == 1.0
-        assert evaluate(psi, 2.0) == math.inf
+        assert psi.value(3.0) == 1.0
+        assert psi.value(2.0) == math.inf
 
     def test_r_below_one_rejected(self):
         with pytest.raises(DomainError):
@@ -129,16 +117,16 @@ class TestTabulated:
     def test_interpolates_geometrically(self):
         psi = Tabulated(points=((1.0, 1.0), (4.0, 4.0)))
         # log-log straight line through (1,1),(4,4) is the identity
-        assert evaluate(psi, 2.0) == pytest.approx(2.0, rel=1e-12)
+        assert psi.value(2.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_constant_table(self):
         psi = Tabulated(points=((1.0, 3.0), (100.0, 3.0)))
-        assert evaluate(psi, 7.0) == pytest.approx(3.0)
+        assert psi.value(7.0) == pytest.approx(3.0)
 
     def test_outside_hull_is_infinite(self):
         psi = Tabulated(points=((2.0, 1.0), (3.0, 1.0)))
-        assert evaluate(psi, 1.5) == math.inf
-        assert evaluate(psi, 3.5) == math.inf
+        assert psi.value(1.5) == math.inf
+        assert psi.value(3.5) == math.inf
 
     def test_needs_two_increasing_knots(self):
         with pytest.raises(DomainError):
@@ -151,16 +139,16 @@ class TestTabulated:
             Tabulated(points=((1.0, 1.0), (2.0, 0.0)))
 
 
-class TestFromCallable:
+class TestMomentFunction:
     def test_wraps_callable(self):
-        psi = FromCallable(lambda p: p + 1.0, ExponentInterval(1.0, 10.0))
-        assert evaluate(psi, 3.0) == 4.0
+        psi = MomentFunction(ExponentInterval(1.0, 10.0), lambda p: p + 1.0)
+        assert psi.value(3.0) == 4.0
 
 
 class TestProduct:
     def test_multiplies_values_and_intersects_domains(self):
         prod = Product((PowerRoot(m=1.0), TwoSidedSingular(b=3.0, alpha=1.0, beta=0.0)))
-        assert evaluate(prod, 2.0) == pytest.approx(2.0)
+        assert prod.value(2.0) == pytest.approx(2.0)
         assert prod.domain.lower == 1.0 and prod.domain.lower_open and prod.domain.upper == 3.0
 
     def test_disjoint_factors_raise(self):
@@ -201,7 +189,7 @@ class TestNaturalFunction:
     def test_constant_below_anchor(self):
         m = constant_moments(2.5)
         theta = natural_function(m)
-        assert evaluate(theta, 1.0) == 2.5
+        assert theta.value(1.0) == 2.5
 
     def test_rejects_vanishing_moment(self):
         with pytest.raises(NoFiniteMoment):
@@ -211,15 +199,43 @@ class TestNaturalFunction:
 class TestFromConfig:
     def test_power_root(self):
         psi = from_config({"form": "power_root", "m": 2.0})
-        assert evaluate(psi, 16.0) == 4.0
+        assert psi.value(16.0) == 4.0
 
     def test_two_sided(self):
         psi = from_config({"form": "two_sided", "b": 4.0, "alpha": 0.5, "beta": 1.0})
-        assert evaluate(psi, 2.0) == pytest.approx(0.5)
+        assert psi.value(2.0) == pytest.approx(0.5)
 
     def test_extremal(self):
-        assert evaluate(from_config({"form": "extremal", "r": 2.0}), 2.0) == 1.0
+        assert from_config({"form": "extremal", "r": 2.0}).value(2.0) == 1.0
 
     def test_table(self):
         psi = from_config({"form": "table", "points": [[1.0, 1.0], [4.0, 4.0]]})
-        assert evaluate(psi, 4.0) == 4.0
+        assert psi.value(4.0) == 4.0
+
+
+# one instance of each concrete weight: (weight, a point just outside its domain, a point inside)
+WEIGHTS = {
+    "PowerRoot": (PowerRoot(m=2.0), np.nextafter(1.0, 0.0), 2.0),
+    "TwoSidedSingular": (TwoSidedSingular(b=4.0, alpha=0.5, beta=1.0), 1.0, 2.0),
+    "Extremal": (Extremal(r=3.0), np.nextafter(3.0, math.inf), 3.0),
+    "Tabulated": (Tabulated(points=((2.0, 1.0), (3.0, 2.0))), np.nextafter(2.0, 0.0), 2.5),
+    "NaturalFunction": (natural_function(table_moments([1.0, 4.0], [1.0, 2.0])), np.nextafter(4.0, math.inf), 2.0),
+    "Product": (Product((PowerRoot(m=1.0), TwoSidedSingular(b=3.0, alpha=1.0, beta=0.0))), 3.0, 2.0),
+    "MomentFunction": (MomentFunction(ExponentInterval(1.0, 10.0), lambda p: p + 1.0), 10.0, 3.0),
+}
+
+
+class TestTotality:
+    @pytest.mark.parametrize("name", WEIGHTS)
+    def test_infinite_off_domain(self, name):
+        psi, outside, _ = WEIGHTS[name]
+        ps = [math.nan, math.inf, -math.inf, 0.5, outside]
+        assert not psi.domain.contains_array(np.asarray(ps)).any()
+        np.testing.assert_array_equal(psi.values(np.asarray(ps)), math.inf)
+        assert all(psi.value(p) == math.inf for p in ps)
+
+    @pytest.mark.parametrize("name", WEIGHTS)
+    def test_value_is_values_entry(self, name):
+        psi, _, inside = WEIGHTS[name]
+        assert psi.value(inside) == psi.values(np.asarray([inside]))[0]
+        assert math.isfinite(psi.value(inside)) and psi.value(inside) > 0
