@@ -1,7 +1,8 @@
 """Command-line front end: norm, conjugate, bound, simulate, verify.
 
 Each subcommand reads one JSON experiment config, validates it against the
-package's experiment_config.schema.json, builds its objects from it, writes
+package's experiment_config.schema.json (with the package's own checker,
+glsreg.schema), builds its objects from it, writes
 its artifacts into --out, and prints a one-line summary.  Config problems
 (schema violations, and domain checks the schema cannot express) exit with
 status 2; runtime math failures exit with status 1; verify exits with the
@@ -41,19 +42,14 @@ def _load_config(path: str, command: str) -> dict:
             f"config command {cfg.get('command') if isinstance(cfg, dict) else cfg!r} "
             f"does not match subcommand '{command}'"
         )
-    if cfg.get("schema_version") != 1:
-        raise click.UsageError(f"unsupported schema_version {cfg.get('schema_version')!r} (expected 1)")
-    import jsonschema
-    from jsonschema.exceptions import best_match
+    from .schema import find_error
 
     schema = json.loads(resources.files(__package__).joinpath(_SCHEMA_NAME).read_text())
-    # validate against the branch for this command so errors carry paths
-    branch = next(b for b in schema["oneOf"] if b["properties"]["command"].get("const") == command)
-    validator = jsonschema.Draft202012Validator({**branch, "$defs": schema["$defs"]})
-    problem = best_match(validator.iter_errors(cfg))
+    problem = find_error(cfg, schema)
     if problem is not None:
-        where = "/".join(str(part) for part in problem.absolute_path) or "(top level)"
-        raise click.UsageError(f"config rejected by schema at {where}: {problem.message}")
+        path, message = problem
+        where = "/".join(str(part) for part in path) or "(top level)"
+        raise click.UsageError(f"config rejected by schema at {where}: {message}")
     return cfg
 
 

@@ -293,24 +293,26 @@ def _generate_rows(plan: SimulationPlan, n_idx: np.ndarray, rows: range, out: np
     One Philox serves every row.  Before each row its state is set to
     counter 0, key (seed, trajectory) and buffer_pos 4, which drops any
     partly used 4-word buffer: the row reads exactly the stream of a fresh
-    ``Philox(key=(seed, trajectory))``.  The magnitude draw and the decay
-    then run over the whole of ``out`` in place.
+    ``Philox(key=(seed, trajectory))``.  The state holds plain Python ints,
+    which the ``Philox.state`` setter converts faster than numpy scalars.
+    The magnitude draw and the decay then run over the whole of ``out`` in
+    place.
     """
-    key = np.asarray([plan.seed, 0], dtype=np.uint64)
+    key = [plan.seed, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    bits = np.random.Philox(key=key)
+    bits = np.random.Philox(key=0)  # re-keyed before every row
     gen = np.random.Generator(bits)
-    for i, trajectory in enumerate(rows):
+    for trajectory, row in zip(rows, out):
         key[1] = trajectory
         bits.state = state
-        gen.random(out=out[i])
+        gen.random(out=row)
     plan.model.draw_magnitudes(out, out=out)
     return np.multiply(out, n_idx ** (-plan.alpha), out=out)
 

@@ -96,6 +96,9 @@ REJECTED_CONFIGS = {
         "truncation": {"n_last": 2},
     },
     "bound-eps-not-below-alpha": {**BOUND_REGULATOR, "alpha": 0.3},
+    "schema-version-true": {**NORM, "schema_version": True},
+    "verify-seed-past-u64": {"schema_version": 1, "command": "verify", "seed": 2**64},
+    "simulate-seed-past-u64": {**SIMULATE, "seed": 2**64},
     # json.dumps writes these as the bare literals NaN and Infinity, which json.load would accept
     "simulate-p-grid-nan": {**SIMULATE, "p_grid": [math.nan]},
     "simulate-p-grid-infinity": {**SIMULATE, "p_grid": [math.inf]},

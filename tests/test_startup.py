@@ -1,4 +1,6 @@
-"""Start-up cost: package names load on first use, and each command imports only what it runs."""
+"""Start-up cost: package names load on first use, and each command imports only what it runs.
+
+Every command probe also checks that jsonschema stays unloaded."""
 
 import ast
 import importlib
@@ -18,7 +20,7 @@ PACKAGE_PARENT = str(Path(glsreg.__file__).parents[1])
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([PACKAGE_PARENT, os.environ.get("PYTHONPATH", "")])}
 
 # Runs the CLI as `python -m glsreg.cli` would, then writes the names of the
-# loaded numpy and scipy modules to the file named by the first argument.
+# loaded numpy, scipy and jsonschema modules to the file named by the first argument.
 _PROBE = """
 import json, runpy, sys
 report, sys.argv = sys.argv[1], ["glsreg", *sys.argv[2:]]
@@ -28,13 +30,18 @@ except SystemExit as done:
     code = done.code
 else:
     code = 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "jsonschema"))
 with open(report, "w") as fh:
     json.dump({"code": code, "loaded": loaded}, fh)
 """
 
 
 def _loaded_after(tmp_path, *args) -> set[str]:
+    """Modules the CLI run with ``args`` loaded; fails if any is jsonschema's.
+
+    Configs are checked by the package's own schema checker, so no command
+    pays for importing jsonschema.
+    """
     report = tmp_path / "loaded.json"
     result = subprocess.run(
         [sys.executable, "-c", _PROBE, str(report), *args], cwd=ROOT, env=CHILD_ENV, capture_output=True, text=True
@@ -42,6 +49,7 @@ def _loaded_after(tmp_path, *args) -> set[str]:
     assert result.returncode == 0, result.stderr
     probe = json.loads(report.read_text())
     assert probe["code"] in (0, None), result.stderr
+    assert not [m for m in probe["loaded"] if m.split(".")[0] == "jsonschema"], args
     return set(probe["loaded"])
 
 
@@ -64,6 +72,10 @@ class TestCommandImports:
         assert "numpy" in loaded  # the probe sees the modules the command really loaded
         assert "scipy" not in loaded
 
+    def test_norm_loads_no_jsonschema(self, tmp_path):
+        loaded = _loaded_after(tmp_path, "norm", "--config", "configs/norm_natural.json", "--out", str(tmp_path / "out"))
+        assert "numpy" in loaded  # the run got past the config check
+
     def test_simulate_loads_no_quadrature(self, tmp_path):
         loaded = _loaded_after(
             tmp_path, "simulate", "--config", "configs/simulate_small.json", "--out", str(tmp_path / "out")
@@ -81,15 +93,22 @@ class TestCommandImports:
         assert "scipy.integrate" not in loaded
 
     def test_no_module_imports_scipy_integrate(self):
-        for path in Path(glsreg.__file__).parent.glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [f"{node.module}.{alias.name}" for alias in node.names]
-                else:
-                    continue
-                assert not any(name.startswith("scipy.integrate") for name in names), path.name
+        for path, names in _imported_names():
+            assert not any(name.startswith("scipy.integrate") for name in names), path.name
+
+    def test_no_module_imports_jsonschema(self):
+        for path, names in _imported_names():
+            assert not any(name.split(".")[0] == "jsonschema" for name in names), path.name
+
+
+def _imported_names():
+    """(module path, dotted names it imports) for every import statement in the package."""
+    for path in Path(glsreg.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield path, [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                yield path, [f"{node.module}.{alias.name}" for alias in node.names]
 
 
 def _literal(name: str):
