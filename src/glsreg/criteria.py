@@ -91,7 +91,8 @@ def criterion_functional(batch: TrajectoryBatch, n: int) -> ConfidenceValue:
     entries is the transform of the sup; only one max per trajectory needed.
     """
     col = batch.column_of(n)
-    sups = np.max(np.abs(batch.values[:, col:]), axis=1)
+    window = batch.values[:, col:]
+    sups = np.maximum(window.max(axis=1), -window.min(axis=1))  # max |x| without an |x| copy
     transformed = sups / (1.0 + sups)
     return mean_estimate(transformed)
 

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 __all__ = [
@@ -27,14 +28,21 @@ __all__ = [
 ]
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text via a temp file + rename in the destination directory."""
+def atomic_write_text(path, text: str | Iterable[str]) -> None:
+    """Write text via a temp file + rename in the destination directory.
+
+    ``text`` is one string or an iterable of str pieces, written in order;
+    if the iterable raises, neither the temp file nor the target is left.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,13 +81,22 @@ def config_sha256(obj) -> str:
     return hashlib.sha256(compact.encode()).hexdigest()
 
 
+_ETA_BLOCK_ROWS = 1 << 14  # rows of eta.csv formatted at a time
+
+
+def _eta_csv_blocks(values) -> Iterator[str]:
+    yield "trajectory_id,eta_value\n"
+    for lo in range(0, len(values), _ETA_BLOCK_ROWS):
+        yield "".join([f"{i},{v!r}\n" for i, v in enumerate(values[lo : lo + _ETA_BLOCK_ROWS].tolist(), lo)])
+
+
 def write_eta_samples(samples, metadata: dict, path) -> None:
     """Persist regulator samples as CSV (trajectory_id,eta_value) + sidecar.
 
     ``samples`` is the record array from ``simulate_eta``; its values go
-    through ``tolist`` so each is written as a plain float repr.
+    through ``tolist`` so each is written as a plain float repr.  The CSV is
+    streamed in blocks of ``_ETA_BLOCK_ROWS`` rows, so the text of the whole
+    file is never held at once.
     """
-    lines = ["trajectory_id,eta_value"]
-    lines.extend(f"{i},{v!r}" for i, v in enumerate(samples.value.tolist()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, _eta_csv_blocks(samples.value))
     write_json(sidecar_path(path), metadata)

@@ -31,7 +31,9 @@ __all__ = [
 ]
 
 _FIRST_CHUNK_CELLS = 1 << 10  # cells in the first chunk of a chunked sum
-_CHUNK_CELLS = 1 << 23  # largest chunk: matrix cells generated per scheduling unit
+# largest chunk of a chunked sum; it sizes no matrix, but it fixes how the terms
+# are grouped for summation, and so the bits of every certified sum
+_CHUNK_CELLS = 1 << 23
 
 
 def _chunked_sum(

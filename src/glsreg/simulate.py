@@ -18,9 +18,12 @@ stream keyed (s, j), and the n-th draw is a pure function of (s, j, n).
 One Philox is re-keyed for every row: its state is set to counter 0, key
 (s, j) and an empty buffer, which is the state of a fresh
 ``Philox(key=(s, j))``, so each row's stream is unchanged.
-``simulate_eta`` generates rows chunk by chunk into one reused buffer,
-transforms each chunk in place and keeps only each row's max; the chunk
-size affects memory only, never a single bit of output.
+``simulate_eta`` generates rows chunk by chunk into one reused buffer of
+about 1 MiB (``_ROW_CHUNK_CELLS`` float64 cells, at least one row),
+transforms each chunk in place and keeps only each row's max, so it holds
+one row chunk plus 8 bytes per trajectory; the chunk size affects memory
+only, never a single bit of output.  ``glsreg simulate`` then streams
+eta.csv in blocks (``persist.write_eta_samples``).
 ``simulate_trajectories`` writes every row straight into the batch matrix.
 """
 
@@ -38,7 +41,7 @@ from .errors import DomainError, MomentInfinite, ToleranceUnreachable, Truncatio
 from .generating import check_eps, natural_function
 from .moments import half_normal_moments, std_exponential_moments
 from .bounds import SERIES_TERM_CAP, MomentEnvelope, _check_model_fields
-from .sequences import _CHUNK_CELLS, PowerLogSequence, _chunked_sum
+from .sequences import PowerLogSequence, _chunked_sum
 
 __all__ = [
     "TRUNCATION_CAP",
@@ -67,6 +70,7 @@ __all__ = [
 TRUNCATION_CAP = 10**7
 
 _BATCH_CELL_CAP = 1 << 26
+_ROW_CHUNK_CELLS = 1 << 17  # cells of simulate_eta's row buffer: 1 MiB of float64, cache-sized
 
 # nodes and weights on [-1, 1] of the rule exact_eta_moment applies on every panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -318,7 +322,7 @@ def _generate_rows(plan: SimulationPlan, n_idx: np.ndarray, rows: range, out: np
 
 
 def _row_chunks(trajectories: int, width: int) -> list[range]:
-    rows_per_chunk = max(1, _CHUNK_CELLS // max(1, width))
+    rows_per_chunk = max(1, _ROW_CHUNK_CELLS // max(1, width))
     return [range(lo, min(trajectories, lo + rows_per_chunk)) for lo in range(0, trajectories, rows_per_chunk)]
 
 
@@ -335,11 +339,11 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
     delta = PowerLogSequence(rate=plan.alpha - plan.eps).values(n_idx)
     chunks = _row_chunks(plan.trajectories, n_idx.size)
     buffer = np.empty((len(chunks[0]), n_idx.size))
-    eta = np.empty(plan.trajectories)
+    eta = np.recarray(plan.trajectories, dtype=[("value", float)])  # filled in place: no copy at the end
     for rows in chunks:
         block = _generate_rows(plan, n_idx, rows, buffer[: len(rows)])
-        regulator_ratio_matrix(block, delta, out=block).max(axis=1, out=eta[rows.start : rows.stop])
-    return np.rec.fromarrays([eta], names="value")
+        regulator_ratio_matrix(block, delta, out=block).max(axis=1, out=eta.value[rows.start : rows.stop])
+    return eta
 
 
 def simulate_trajectories(plan: SimulationPlan) -> TrajectoryBatch:

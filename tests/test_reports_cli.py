@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tarfile
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 import glsreg
+from glsreg import persist as persist_module
 from glsreg.cli import main
 from glsreg.persist import (
     atomic_write_text,
@@ -258,6 +260,41 @@ class TestPersist:
         values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1]
         np.testing.assert_array_equal(values, [1.25, 0.1 + 0.2])
         assert json.loads(sidecar_path(path).read_text())["seed"] == 3
+
+    def test_eta_samples_streamed_bytes_match_one_string(self, tmp_path):
+        # 40 001 rows: two full blocks of 2**14 rows and a partial one, with the extreme reprs
+        values = np.random.default_rng(7).exponential(size=40_001) * 3.0
+        values[[0, 16_384, 40_000]] = [5e-324, 1e300, 0.1 + 0.2]
+        path = tmp_path / "eta.csv"
+        write_eta_samples(np.rec.fromarrays([values], names="value"), {}, path)
+        lines = ["trajectory_id,eta_value"]
+        lines.extend(f"{i},{v!r}" for i, v in enumerate(values.tolist()))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_eta_samples_peak_memory_below_quarter_of_file(self, tmp_path, monkeypatch):
+        # the peak is about one block of rows, whatever the file size; blocks of 2**10 rows
+        # show that on a 1 MB file, where the default 2**14 would need a file of about 8 MB
+        monkeypatch.setattr(persist_module, "_ETA_BLOCK_ROWS", 1 << 10)
+        samples = np.rec.fromarrays([np.random.default_rng(8).exponential(size=40_001)], names="value")
+        path = tmp_path / "eta.csv"
+        tracemalloc.start()
+        try:
+            write_eta_samples(samples, {}, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+
+    def test_atomic_write_of_failing_pieces_leaves_no_file(self, tmp_path):
+        def pieces():
+            yield "trajectory_id,eta_value\n"
+            yield "0,1.0\n"
+            raise RuntimeError("formatting failed")
+
+        path = tmp_path / "eta.csv"
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            atomic_write_text(path, pieces())
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunSuite:

@@ -16,7 +16,7 @@ from glsreg.errors import (
     ToleranceUnreachable,
     TruncationInfeasible,
 )
-from glsreg.sequences import _CHUNK_CELLS, _chunked_sum
+from glsreg.sequences import _chunked_sum
 from glsreg.simulate import (
     ExponentialPower,
     FixedTruncation,
@@ -268,10 +268,11 @@ class TestSimulateEta:
         other = exp_plan(trajectories=64, seed=4, truncation=FixedTruncation(n_last=32))
         assert a != [s.value for s in simulate_eta(other)]
 
-    def test_chunked_rows_match_manual_philox_streams(self):
-        # width 5000 splits 4000 rows into three chunks
+    def test_chunked_rows_match_manual_philox_streams(self, monkeypatch):
+        # chunks of 1500 rows of width 5000 split 4000 rows into three chunks
+        monkeypatch.setattr(simulate_module, "_ROW_CHUNK_CELLS", 1500 * 5000)
         plan = exp_plan(trajectories=4000, seed=9, truncation=FixedTruncation(n_last=5000))
-        rows_per_chunk = _CHUNK_CELLS // 5000
+        rows_per_chunk = simulate_module._ROW_CHUNK_CELLS // 5000
         assert rows_per_chunk < 2000 < 2 * rows_per_chunk < 4000
         values = simulate_eta(plan).value
         n_idx = np.arange(1, 5001, dtype=float)
@@ -286,7 +287,7 @@ class TestSimulateEta:
     def test_rekeyed_rows_match_fresh_streams_across_chunks(self, monkeypatch, model, width, seed):
         # widths that are not multiples of 4 leave a partly used Philox buffer after each row;
         # chunks of 4 rows put a boundary between rows 3|4 and 7|8
-        monkeypatch.setattr(simulate_module, "_CHUNK_CELLS", 4 * width)
+        monkeypatch.setattr(simulate_module, "_ROW_CHUNK_CELLS", 4 * width)
         plan = SimulationPlan(
             model=model(alpha=1.0), eps=0.5, trajectories=10, seed=seed, truncation=FixedTruncation(n_last=width)
         )
@@ -305,7 +306,7 @@ class TestSimulateEta:
             built.append(1)
             return philox(*args, **kwargs)
 
-        monkeypatch.setattr(simulate_module, "_CHUNK_CELLS", 50 * 300)
+        monkeypatch.setattr(simulate_module, "_ROW_CHUNK_CELLS", 50 * 300)
         monkeypatch.setattr(np.random, "Philox", counting_philox)
         plan = exp_plan(trajectories=1000, seed=21, truncation=FixedTruncation(n_last=50))
         chunks = len(simulate_module._row_chunks(plan.trajectories, 50))
@@ -317,7 +318,7 @@ class TestSimulateEta:
             assert values[t] == float(np.max(np.abs(row) / delta)), t
 
     def test_eta_peak_memory_near_one_chunk(self, monkeypatch):
-        monkeypatch.setattr(simulate_module, "_CHUNK_CELLS", 1 << 20)
+        monkeypatch.setattr(simulate_module, "_ROW_CHUNK_CELLS", 1 << 20)
         plan = exp_plan(trajectories=3000, seed=5, truncation=FixedTruncation(n_last=1000))
         chunks = simulate_module._row_chunks(plan.trajectories, 1000)
         assert len(chunks) >= 2
@@ -332,6 +333,18 @@ class TestSimulateEta:
         for t in (0, len(chunks[0]) - 1, len(chunks[0]), 2999):
             row, delta = fresh_stream_row(plan, t)
             assert values[t] == float(np.max(np.abs(row) / delta)), t
+
+    def test_eta_peak_memory_at_default_chunk(self):
+        # 20k rows of width 500 would fill 80 MB; the default chunk holds about 1 MiB of them
+        plan = exp_plan(trajectories=20_000, seed=5, truncation=FixedTruncation(n_last=500))
+        eta_bytes = plan.trajectories * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            simulate_eta(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (4 << 20) + eta_bytes
 
     def test_truncation_bounds_certified_above_u_min(self):
         m = 500
@@ -388,7 +401,7 @@ class TestTrajectoryBatches:
 
     def test_eta_chunks_agree_bitwise_with_batch_reduction(self, monkeypatch):
         # 300 rows of width 25 in chunks of 40 rows: the last chunk is short
-        monkeypatch.setattr(simulate_module, "_CHUNK_CELLS", 1000)
+        monkeypatch.setattr(simulate_module, "_ROW_CHUNK_CELLS", 1000)
         plan = exp_plan(trajectories=300, seed=8, truncation=FixedTruncation(n_last=25))
         reduced = regulator_ratio_matrix(simulate_trajectories(plan).values, np.arange(1, 26, dtype=float) ** -0.5)
         np.testing.assert_array_equal(reduced.max(axis=1), simulate_eta(plan).value)

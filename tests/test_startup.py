@@ -1,6 +1,8 @@
 """Start-up cost: package names load on first use, and each command imports only what it runs.
 
-Every command probe also checks that jsonschema stays unloaded."""
+Every command probe also checks that jsonschema stays unloaded.  The probe
+also reports the child's own peak resident memory, which bounds what a
+command holds."""
 
 import ast
 import importlib
@@ -19,10 +21,15 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_PARENT = str(Path(glsreg.__file__).parents[1])
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([PACKAGE_PARENT, os.environ.get("PYTHONPATH", "")])}
 
+PROC_STATUS = Path("/proc/self/status")
+
 # Runs the CLI as `python -m glsreg.cli` would, then writes the names of the
-# loaded numpy, scipy and jsonschema modules to the file named by the first argument.
+# loaded numpy, scipy and jsonschema modules and the child's own peak RSS
+# (VmHWM, in kB; None where the kernel has no such file) to the file named by
+# the first argument.  VmHWM counts only this process since its exec, unlike
+# the parent's ru_maxrss of a child, which also counts the forked parent image.
 _PROBE = """
-import json, runpy, sys
+import json, os, runpy, sys
 report, sys.argv = sys.argv[1], ["glsreg", *sys.argv[2:]]
 try:
     runpy.run_module("glsreg.cli", run_name="__main__", alter_sys=True)
@@ -31,9 +38,25 @@ except SystemExit as done:
 else:
     code = 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "jsonschema"))
+peak_kb = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        peak_kb = next((int(line.split()[1]) for line in status if line.startswith("VmHWM:")), None)
 with open(report, "w") as fh:
-    json.dump({"code": code, "loaded": loaded}, fh)
+    json.dump({"code": code, "loaded": loaded, "peak_kb": peak_kb}, fh)
 """
+
+
+def _probe(tmp_path, *args) -> dict:
+    """Run the CLI with ``args`` in a child; its exit code, loaded modules and peak RSS."""
+    report = tmp_path / "probe.json"
+    result = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(report), *args], cwd=ROOT, env=CHILD_ENV, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(report.read_text())
+    assert probe["code"] in (0, None), result.stderr
+    return probe
 
 
 def _loaded_after(tmp_path, *args) -> set[str]:
@@ -42,13 +65,7 @@ def _loaded_after(tmp_path, *args) -> set[str]:
     Configs are checked by the package's own schema checker, so no command
     pays for importing jsonschema.
     """
-    report = tmp_path / "loaded.json"
-    result = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(report), *args], cwd=ROOT, env=CHILD_ENV, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
-    probe = json.loads(report.read_text())
-    assert probe["code"] in (0, None), result.stderr
+    probe = _probe(tmp_path, *args)
     assert not [m for m in probe["loaded"] if m.split(".")[0] == "jsonschema"], args
     return set(probe["loaded"])
 
@@ -99,6 +116,35 @@ class TestCommandImports:
     def test_no_module_imports_jsonschema(self):
         for path, names in _imported_names():
             assert not any(name.split(".")[0] == "jsonschema" for name in names), path.name
+
+
+@pytest.mark.skipif(not PROC_STATUS.exists(), reason="needs /proc/self/status for the child's VmHWM")
+class TestCommandMemory:
+    def _simulate_peak_mb(self, tmp_path, trajectories: int) -> float:
+        config = tmp_path / f"simulate-{trajectories}.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "command": "simulate",
+                    "model": {"kind": "exponential_power", "alpha": 1.0},
+                    "eps": 0.5,
+                    "trajectories": trajectories,
+                    "truncation": {"n_last": 496},
+                    "seed": 301,
+                }
+            )
+        )
+        probe = _probe(tmp_path, "simulate", "--config", str(config), "--out", str(tmp_path / f"out-{trajectories}"))
+        assert probe["peak_kb"] is not None
+        return probe["peak_kb"] / 1024.0
+
+    def test_simulate_peak_barely_grows_with_trajectories(self, tmp_path):
+        # 50k rows of 496 cells would fill 198 MB: simulate holds one row chunk, 8 bytes a
+        # trajectory and one block of eta.csv text, so 49k more trajectories add a few MB
+        small = self._simulate_peak_mb(tmp_path, 1_000)
+        large = self._simulate_peak_mb(tmp_path, 50_000)
+        assert large - small < 16.0, (small, large)
 
 
 def _imported_names():
