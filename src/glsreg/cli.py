@@ -1,9 +1,13 @@
 """Command-line front end: norm, conjugate, bound, simulate, verify.
 
-Each subcommand reads one JSON experiment config, validates it against the
-package's experiment_config.schema.json (with the package's own checker,
-glsreg.schema), builds its objects from it, writes
-its artifacts into --out, and prints a one-line summary.  Config problems
+Every subcommand is one body under the ``_command`` skeleton.  The skeleton
+declares --config/--out/--format (and --seed for the seeded commands), reads
+the JSON experiment config and checks it against the package's
+experiment_config.schema.json with the package's own checker, glsreg.schema.
+The body builds its objects from the config and returns an artifact map (file
+name -> JSON tree, text, or writer taking the path), a summary and an exit
+status.  The skeleton writes the map into --out only after the body returns,
+so a failed command writes nothing, then prints the summary.  Config problems
 (schema violations, and domain checks the schema cannot express) exit with
 status 2; runtime math failures exit with status 1; verify exits with the
 report's own status.
@@ -67,58 +71,61 @@ def _building():
         raise ConfigError(f"config rejected: {bad}") from bad
 
 
-def _common(fn):
-    for opt in reversed(
-        (
-            click.option(
-                "--config",
-                "config_path",
-                required=True,
-                type=click.Path(exists=True, dir_okay=False),
-                help="Experiment config (JSON).",
-            ),
-            click.option(
-                "--out",
-                "out_dir",
-                default="out",
-                show_default=True,
-                type=click.Path(file_okay=False),
-                help="Directory for artifacts.",
-            ),
-            click.option(
-                "--format",
-                "fmt",
-                type=click.Choice(("json", "csv", "svg")),
-                default="json",
-                show_default=True,
-                help="Extra artifact format beside the JSON report.",
-            ),
-        )
-    ):
-        fn = opt(fn)
-    return fn
+def _command(seeded: bool = False):
+    """Register a body as the subcommand of its own name.
 
+    The body gets the schema-checked config, the --format value and, when
+    ``seeded``, the --seed value.  It returns (artifacts, summary, status):
+    artifacts maps a file name in --out to a JSON tree, a text, or a writer
+    that takes the path.  The map is written only after the body returns, so
+    a failed command writes nothing; then the summary is echoed and the
+    command exits with the status.
+    """
+    params = [
+        click.option(
+            "--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False),
+            help="Experiment config (JSON).",
+        ),
+        click.option(
+            "--out", "out_dir", default="out", show_default=True, type=click.Path(file_okay=False),
+            help="Directory for artifacts.",
+        ),
+        click.option(
+            "--format", "fmt", type=click.Choice(("json", "csv", "svg")), default="json", show_default=True,
+            help="Extra artifact format beside the JSON report.",
+        ),
+    ]
+    if seeded:
+        params.append(click.option("--seed", type=click.IntRange(0, 2**64 - 1), help="Override the config seed."))
 
-_seed = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None, help="Override the config seed.")
+    def register(body):
+        @functools.wraps(body)
+        def command(config_path, out_dir, fmt, **options):
+            cfg = _load_config(config_path, body.__name__)
+            try:
+                artifacts, summary, status = body(cfg, fmt, **options)
+            except ConfigError as bad:
+                raise click.UsageError(str(bad)) from bad
+            except GLSError as bad:
+                raise click.ClickException(str(bad)) from bad
+            from .persist import atomic_write_text, write_json
 
+            for name, artifact in artifacts.items():
+                path = Path(out_dir) / name
+                if callable(artifact):
+                    artifact(path)
+                elif isinstance(artifact, str):
+                    atomic_write_text(path, artifact)
+                else:
+                    write_json(path, artifact)
+            click.echo(summary)
+            click.get_current_context().exit(status)
 
-def _trap(fn):
-    @functools.wraps(fn)
-    def inner(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConfigError as bad:
-            raise click.UsageError(str(bad)) from bad
-        except GLSError as bad:
-            raise click.ClickException(str(bad)) from bad
+        for param in reversed(params):
+            command = param(command)
+        return main.command()(command)
 
-    return inner
-
-
-def _out(out_dir: str) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return register
 
 
 def _provenance(cfg: dict, seed=None) -> dict:
@@ -130,15 +137,19 @@ def _provenance(cfg: dict, seed=None) -> dict:
     return prov
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    from .persist import atomic_write_text
-
+def _csv(header: str, rows) -> str:
     def cell_text(cell) -> str:
         return cell if isinstance(cell, str) else repr(float(cell))
 
     lines = [header]
     lines.extend(",".join(cell_text(cell) for cell in row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _svg(x, y, title: str, x_label: str, y_label: str) -> str:
+    from .svg import line_plot_svg
+
+    return line_plot_svg(x, y, title=title, x_label=x_label, y_label=y_label)
 
 
 def _moments_from_config(obj: dict):
@@ -178,14 +189,10 @@ def main() -> None:
     """Grand Lebesgue norms, conjugate tail bounds, and regulator checks."""
 
 
-@main.command()
-@_common
-@_trap
-def norm(config_path, out_dir, fmt) -> None:
+@_command()
+def norm(cfg, fmt):
     """Sup-norm of a moment curve against a generating function."""
-    cfg = _load_config(config_path, "norm")
     from . import moments
-    from .persist import json_safe, write_json
 
     with _building():
         m = _moments_from_config(cfg["moments"])
@@ -200,31 +207,21 @@ def norm(config_path, out_dir, fmt) -> None:
     }
     if "grand_q" in cfg:
         report["classical_grand_norm"] = moments.classical_grand_norm(m, float(cfg["grand_q"]))
-    out = _out(out_dir)
-    write_json(out / "norm.json", json_safe(report))
+    artifacts = {"norm.json": report}
     if fmt == "csv":
-        _write_csv(out / "ratio_curve.csv", "p,ratio", zip(scan.grid, scan.objective))
+        artifacts["ratio_curve.csv"] = _csv("p,ratio", zip(scan.grid, scan.objective))
     elif fmt == "svg":
-        from .svg import line_plot_svg
-        from .persist import atomic_write_text
-
-        atomic_write_text(
-            out / "ratio_curve.svg",
-            line_plot_svg(scan.grid, scan.objective, title="moment-to-weight ratio", x_label="p", y_label="ratio"),
-        )
-    click.echo(f"gls_norm {scan.value:.9g} at p {scan.argmax:.6g}" + (" (unbounded)" if scan.unbounded else ""))
+        artifacts["ratio_curve.svg"] = _svg(scan.grid, scan.objective, "moment-to-weight ratio", "p", "ratio")
+    summary = f"gls_norm {scan.value:.9g} at p {scan.argmax:.6g}" + (" (unbounded)" if scan.unbounded else "")
+    return artifacts, summary, 0
 
 
-@main.command()
-@_common
-@_trap
-def conjugate(config_path, out_dir, fmt) -> None:
+@_command()
+def conjugate(cfg, fmt):
     """Conjugate transform of a generating function and its tail bound."""
-    cfg = _load_config(config_path, "conjugate")
     import numpy as np
 
     from . import moments
-    from .persist import atomic_write_text, json_safe, write_json
 
     with _building():
         m = _moments_from_config(cfg["moments"]) if "moments" in cfg else None
@@ -239,37 +236,21 @@ def conjugate(config_path, out_dir, fmt) -> None:
         "tail_bound": [{"t": t, "value": b} for t, b in tail],
         "provenance": _provenance(cfg),
     }
-    out = _out(out_dir)
-    write_json(out / "conjugate.json", json_safe(report))
+    artifacts = {"conjugate.json": report}
     if fmt == "csv":
-        _write_csv(out / "conjugate.csv", "v,h_star", conj)
-        _write_csv(out / "tail_bound.csv", "t,bound", tail)
+        artifacts["conjugate.csv"] = _csv("v,h_star", conj)
+        artifacts["tail_bound.csv"] = _csv("t,bound", tail)
     elif fmt == "svg":
-        from .svg import line_plot_svg
-
-        atomic_write_text(
-            out / "conjugate.svg",
-            line_plot_svg(
-                v_grid,
-                [h for _, h in conj],
-                title="conjugate transform",
-                x_label="v",
-                y_label="h*(v)",
-            ),
-        )
-    click.echo(f"conjugate evaluated at {len(v_grid)} points, tail bound at {len(t_grid)}")
+        artifacts["conjugate.svg"] = _svg(v_grid, [h for _, h in conj], "conjugate transform", "v", "h*(v)")
+    return artifacts, f"conjugate evaluated at {len(v_grid)} points, tail bound at {len(t_grid)}", 0
 
 
-@main.command()
-@_common
-@_trap
-def bound(config_path, out_dir, fmt) -> None:
+@_command()
+def bound(cfg, fmt):
     """Moment bounds: regulator envelope or weighted-sum route."""
-    cfg = _load_config(config_path, "bound")
     from . import bounds as bmod
     from .errors import Divergent, InvalidExponent
     from .generating import check_eps
-    from .persist import atomic_write_text, json_safe, write_json
     from .sequences import pair_from_config
 
     with _building():
@@ -299,43 +280,26 @@ def bound(config_path, out_dir, fmt) -> None:
             except InvalidExponent:
                 value = math.inf
             rows.append({"p": p, "bound": value})
-    report = {"command": "bound", "mode": mode, "rows": rows, "provenance": _provenance(cfg)}
-    out = _out(out_dir)
-    write_json(out / "bound.json", json_safe(report))
+    artifacts = {"bound.json": {"command": "bound", "mode": mode, "rows": rows, "provenance": _provenance(cfg)}}
     if fmt == "csv":
         header = "p,sigma,bound" if mode == "sequence" else "p,bound"
-        _write_csv(out / "bounds.csv", header, [tuple(r.values()) for r in rows])
+        artifacts["bounds.csv"] = _csv(header, [tuple(r.values()) for r in rows])
     elif fmt == "svg":
-        from .svg import line_plot_svg
-
-        atomic_write_text(
-            out / "bounds.svg",
-            line_plot_svg(
-                p_grid,
-                [r["bound"] for r in rows],
-                title=f"{mode} moment bound",
-                x_label="p",
-                y_label="bound",
-            ),
-        )
+        artifacts["bounds.svg"] = _svg(p_grid, [r["bound"] for r in rows], f"{mode} moment bound", "p", "bound")
     finite_count = sum(1 for r in rows if math.isfinite(r["bound"]))
-    click.echo(f"{mode} bound finite at {finite_count}/{len(rows)} exponents")
+    return artifacts, f"{mode} bound finite at {finite_count}/{len(rows)} exponents", 0
 
 
-@main.command()
-@_common
-@_seed
-@_trap
-def simulate(config_path, out_dir, fmt, seed) -> None:
+@_command(seeded=True)
+def simulate(cfg, fmt, seed):
     """Simulate the a.e.-convergence regulator and summarise it."""
-    cfg = _load_config(config_path, "simulate")
     import dataclasses
 
     import numpy as np
 
     from .estimates import power_mean_estimate
     from .moments import empirical_tail
-    from .persist import atomic_write_text, config_sha256, json_safe, write_eta_samples, write_json
+    from .persist import config_sha256, write_eta_samples
     from .simulate import plan_from_config, resolve_n_last, simulate_eta, truncation_bound
 
     with _building():
@@ -346,7 +310,6 @@ def simulate(config_path, out_dir, fmt, seed) -> None:
     samples = simulate_eta(plan)
     values = samples.value
     trunc = truncation_bound(plan, values)
-    out = _out(out_dir)
     metadata = {
         "command": "simulate",
         "config_sha256": config_sha256(cfg),
@@ -358,7 +321,6 @@ def simulate(config_path, out_dir, fmt, seed) -> None:
         "model": plan.model.kind,
         "eps": plan.eps,
     }
-    write_eta_samples(samples, metadata, out / "eta.csv")
     p_norms = []
     for p in plan.p_grid:
         est = power_mean_estimate(values, p)
@@ -377,34 +339,20 @@ def simulate(config_path, out_dir, fmt, seed) -> None:
         "tails": tails,
         "provenance": _provenance(cfg, seed=plan.seed),
     }
-    write_json(out / "summary.json", json_safe(summary))
+    artifacts = {"eta.csv": functools.partial(write_eta_samples, samples, metadata), "summary.json": summary}
     if fmt == "csv" and plan.u_grid:
-        _write_csv(
-            out / "tails.csv",
-            "u,value,half_width",
-            [(row["u"], row["value"], row["half_width"]) for row in summary["tails"]],
-        )
+        artifacts["tails.csv"] = _csv("u,value,half_width", [(t["u"], t["value"], t["half_width"]) for t in tails])
     elif fmt == "svg":
-        from .svg import line_plot_svg
-
         u_grid = np.asarray(plan.u_grid) if plan.u_grid else np.geomspace(1.0, max(2.0, float(values.max())), 33)
         tail_vals = [empirical_tail(values, float(u)).value for u in u_grid]
-        atomic_write_text(
-            out / "tails.svg",
-            line_plot_svg(u_grid, tail_vals, title="empirical regulator tail", x_label="u", y_label="P(eta >= u)"),
-        )
-    click.echo(f"simulated {plan.trajectories} trajectories to n={n_last}; mean eta {values.mean():.6g}")
+        artifacts["tails.svg"] = _svg(u_grid, tail_vals, "empirical regulator tail", "u", "P(eta >= u)")
+    return artifacts, f"simulated {plan.trajectories} trajectories to n={n_last}; mean eta {values.mean():.6g}", 0
 
 
-@main.command()
-@_common
-@_seed
-@click.pass_context
-@_trap
-def verify(ctx, config_path, out_dir, fmt, seed) -> None:
+@_command(seeded=True)
+def verify(cfg, fmt, seed):
     """Run the verification suite and exit with its verdict."""
-    cfg = _load_config(config_path, "verify")
-    from .persist import atomic_write_text, config_sha256, json_safe, write_json
+    from .persist import config_sha256
     from .verify import run_suite
 
     report = run_suite(
@@ -413,17 +361,14 @@ def verify(ctx, config_path, out_dir, fmt, seed) -> None:
         trajectories=int(cfg.get("trajectories", 20_000)),
         config_sha=config_sha256(cfg),
     )
-    out = _out(out_dir)
-    write_json(out / "report.json", json_safe(report.to_dict()))
-    atomic_write_text(out / "report.txt", report.to_text())
+    text = report.to_text()
+    artifacts = {"report.json": report.to_dict(), "report.txt": text}
     if fmt == "csv":
-        _write_csv(
-            out / "report.csv",
+        artifacts["report.csv"] = _csv(
             "check_id,verdict,violation,allowance",
             [(r.check_id, r.verdict, r.violation, r.allowance) for r in report.records],
         )
-    click.echo(report.to_text(), nl=False)
-    ctx.exit(report.exit_code)
+    return artifacts, text.removesuffix("\n"), report.exit_code
 
 
 if __name__ == "__main__":

@@ -26,6 +26,8 @@ __all__ = [
     "extract_regulator",
 ]
 
+_ROW_CHUNK_CELLS = 1 << 17  # cells of extract_regulator's ratio buffer: 1 MiB of float64
+
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
@@ -60,10 +62,15 @@ class TrajectoryBatch:
 
 @dataclass(frozen=True)
 class RegulatorExtraction:
-    """Per-trajectory regulator factors for a fixed null sequence."""
+    """Per-trajectory regulator factors for a fixed null sequence.
+
+    ``gap`` is the largest |x_n| / delta_n - factor over the batch: 0.0 when
+    every factor dominates its trajectory exactly.
+    """
 
     factors: np.ndarray
     delta_values: np.ndarray
+    gap: float
 
 
 def regulator_ratio_matrix(values: np.ndarray, delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -101,8 +108,19 @@ def extract_regulator(batch: TrajectoryBatch, delta_seq) -> RegulatorExtraction:
     """Smallest per-trajectory v with |x_n| <= v * delta_n on the window.
 
     v = max_n |x_n| / delta_n, so the factorization holds exactly (not up to
-    tolerance) for every entry of every trajectory.
+    tolerance) for every entry of every trajectory.  The ratios are taken a
+    row chunk at a time in one reused buffer of about ``_ROW_CHUNK_CELLS``
+    cells, so no batch-sized ratio matrix is held.
     """
     delta = delta_seq.values(batch.indices())
-    ratios = regulator_ratio_matrix(batch.values, delta)
-    return RegulatorExtraction(factors=ratios.max(axis=1), delta_values=delta)
+    values = batch.values
+    rows_per_chunk = max(1, _ROW_CHUNK_CELLS // values.shape[1])
+    buffer = np.empty((min(rows_per_chunk, values.shape[0]), values.shape[1]))
+    factors = np.empty(values.shape[0])
+    gap = -np.inf
+    for lo in range(0, values.shape[0], rows_per_chunk):
+        block = values[lo : lo + rows_per_chunk]
+        ratios = regulator_ratio_matrix(block, delta, out=buffer[: len(block)])
+        chunk_factors = ratios.max(axis=1, out=factors[lo : lo + len(block)])
+        gap = max(gap, float(np.max(np.subtract(ratios, chunk_factors[:, None], out=ratios))))
+    return RegulatorExtraction(factors=factors, delta_values=delta, gap=gap)

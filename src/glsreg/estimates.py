@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample
+from .errors import DomainError, EmptySample
 
 #: Two-sided 99% normal quantile used for every confidence half-width.
 Z99 = 2.576
@@ -50,8 +50,11 @@ def power_mean_estimate(samples: np.ndarray, p: float) -> ConfidenceValue:
     """Empirical p-norm (mean |x|^p)^(1/p) with a delta-method half-width.
 
     Powers are accumulated in shifted log space, so exponents with
-    p * ln max|x| beyond the float range stay finite.
+    p * ln max|x| beyond the float range stay finite.  p must be finite and
+    at least 1.
     """
+    if not (math.isfinite(p) and p >= 1.0):
+        raise DomainError(f"moment exponent must be finite and >= 1, got {p}")
     x = np.abs(np.asarray(samples, dtype=float).ravel())
     if x.size == 0:
         raise EmptySample("p-norm of an empty sample")

@@ -184,7 +184,7 @@ def empirical_tail(samples: np.ndarray, t: float) -> ConfidenceValue:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise EmptySample("empirical tail of an empty sample")
-    if t < 0:
+    if not t >= 0:  # NaN fails this too
         raise DomainError(f"tail threshold must be nonnegative, got {t}")
     hits = int(np.count_nonzero(np.abs(x) >= t))
     return proportion_estimate(hits, x.size)

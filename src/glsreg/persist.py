@@ -72,7 +72,8 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    atomic_write_text(path, canonical_json(obj))
+    """Write ``obj`` as canonical JSON, non-finite floats as their repr strings."""
+    atomic_write_text(path, canonical_json(json_safe(obj)))
 
 
 def config_sha256(obj) -> str:

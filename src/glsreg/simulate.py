@@ -393,6 +393,7 @@ def bonferroni_sums(eps: float, u: float, abs_tol: float = 1e-12, index_start: i
     sigma2 = sum_{n < m} exp(-u (n**eps + m**eps)) = (sigma1^2 - sigma1(2u)) / 2,
     so that sigma1 - sigma2 <= P(eta > u) <= sigma1.
     """
+    check_eps(eps)
     if not u > 0.0:
         raise DomainError(f"tail threshold must be positive, got {u}")
     s1 = exp_power_sum(u, eps, abs_tol, index_start)

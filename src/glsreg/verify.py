@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .bounds import regulator_lp_bound, sigma_function
-from .criteria import criterion_functional, extract_regulator, regulator_ratio_matrix
+from .criteria import criterion_functional, extract_regulator
 from .errors import GLSError
 from .estimates import power_mean_estimate
 from .generating import (
@@ -389,8 +389,6 @@ def check_convergence_diagnostics(seed: int, trajectories: int, eta_values: EtaV
         estimates[100].value - estimates[10].value,
     )
     extraction = extract_regulator(batch, PowerLogSequence(rate=plan.alpha - plan.eps))
-    ratios = regulator_ratio_matrix(batch.values, extraction.delta_values)
-    factor_gap = float(np.max(np.subtract(ratios, extraction.factors[:, None], out=ratios)))
     eta, _ = eta_values(plan)  # simulate_eta, not the batch, so regulator-eta-bitwise compares two routes
     return [
         CheckRecord(
@@ -415,7 +413,7 @@ def check_convergence_diagnostics(seed: int, trajectories: int, eta_values: EtaV
             claim="every |x_n| / delta_n is dominated by the extracted factor, exactly",
             kind="upper",
             theoretical=0.0,
-            estimate=factor_gap,
+            estimate=extraction.gap,
             params={"trajectories": m},
         ),
         CheckRecord(

@@ -1,8 +1,11 @@
 """Convergence diagnostics and regulator extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from glsreg import criteria as criteria_module
 from glsreg.criteria import (
     TrajectoryBatch,
     criterion_functional,
@@ -125,3 +128,23 @@ class TestExtractRegulator:
             2.0 * extract_regulator(batch, seq).factors,
             rtol=1e-15,
         )
+
+    def test_row_chunks_match_one_ratio_matrix_bitwise(self, monkeypatch):
+        # 10 rows in chunks of 3: three full chunks and a one-row tail
+        batch = random_batch(9, rows=10, width=40)
+        monkeypatch.setattr(criteria_module, "_ROW_CHUNK_CELLS", 3 * 40)
+        ext = extract_regulator(batch, PowerLogSequence(rate=0.5))
+        ratios = np.abs(batch.values) / ext.delta_values
+        factors = ratios.max(axis=1)
+        np.testing.assert_array_equal(ext.factors, factors)
+        assert ext.gap == float(np.max(ratios - factors[:, None])) == 0.0
+
+    def test_peak_memory_is_batch_plus_one_chunk(self):
+        tracemalloc.start()
+        try:
+            batch = TrajectoryBatch(values=np.random.default_rng(10).normal(size=(2000, 1000)))
+            extract_regulator(batch, PowerLogSequence(rate=0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * batch.values.nbytes + (1 << 20)

@@ -165,6 +165,11 @@ class TestEmpirical:
         for p in (1.0, 2.0):
             assert power_mean_estimate(x, p).half_width > 0
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -1.0, 0.0, 0.5])
+    def test_moments_reject_exponents_outside_one_to_infinity(self, p):
+        with pytest.raises(DomainError):
+            power_mean_estimate(np.asarray([0.5, 1.0, 2.0]), p)
+
     def test_tail_uses_closed_inequality(self):
         assert empirical_tail(np.asarray([1.0]), 0.0).value == 1.0
         assert empirical_tail(np.asarray([1.0]), 1.0).value == 1.0
@@ -177,6 +182,10 @@ class TestEmpirical:
     def test_negative_threshold_rejected(self):
         with pytest.raises(DomainError):
             empirical_tail(np.asarray([1.0]), -0.5)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(DomainError):
+            empirical_tail(np.asarray([0.5, 1.0, 2.0]), math.nan)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(EmptySample):

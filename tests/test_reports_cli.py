@@ -479,6 +479,7 @@ class TestBoundCommand:
         result = runner.invoke(main, ["bound", "--config", str(tmp_path / "b.json"), "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
         assert "Error: remainder bound after 100000000 terms stays above 1e-09 x the sum" in result.output
+        assert not (tmp_path / "o").exists()
 
 
 class TestSimulateCommand:
@@ -507,6 +508,7 @@ class TestSimulateCommand:
         assert result.exit_code == 1
         assert "Error: meeting rho = 5e-07 needs n_last = " in result.output
         assert "> 10000000" in result.output
+        assert not (tmp_path / "o").exists()
 
     def test_reruns_are_byte_identical(self, runner, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -553,6 +555,45 @@ class TestVerifyCommand:
         )
         payload = json.loads((out / "report.json").read_text())
         assert payload["provenance"]["seed"] == 123
+
+
+# One small config per command for the artifact table; SIMULATE has no u_grid
+ARTIFACT_CONFIGS = {
+    "norm": NORM,
+    "conjugate": {"schema_version": 1, "command": "conjugate", "psi": {"form": "power_root", "m": 1.0}},
+    "bound": BOUND_REGULATOR,
+    "simulate": SIMULATE,
+    "verify": {"schema_version": 1, "command": "verify", "checks": ["conjugate-closed-form"], "seed": 1},
+}
+REPORTS = {
+    "norm": {"norm.json"},
+    "conjugate": {"conjugate.json"},
+    "bound": {"bound.json"},
+    "simulate": {"summary.json", "eta.csv", "eta.csv.meta.json"},
+    "verify": {"report.json", "report.txt"},
+}
+EXTRAS = {
+    ("norm", "csv"): {"ratio_curve.csv"},
+    ("norm", "svg"): {"ratio_curve.svg"},
+    ("conjugate", "csv"): {"conjugate.csv", "tail_bound.csv"},
+    ("conjugate", "svg"): {"conjugate.svg"},
+    ("bound", "csv"): {"bounds.csv"},
+    ("bound", "svg"): {"bounds.svg"},
+    ("simulate", "svg"): {"tails.svg"},
+    ("verify", "csv"): {"report.csv"},
+}
+
+
+class TestArtifactMap:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+    @pytest.mark.parametrize("command", list(ARTIFACT_CONFIGS))
+    def test_each_run_writes_exactly_its_files(self, runner, tmp_path, command, fmt):
+        (tmp_path / "c.json").write_text(json.dumps(ARTIFACT_CONFIGS[command]))
+        out = tmp_path / "o"
+        result = invoke(runner, command, "--config", str(tmp_path / "c.json"), "--out", str(out), "--format", fmt)
+        assert result.exit_code == 0, result.output
+        written = {path.name for path in out.iterdir()}
+        assert written == REPORTS[command] | EXTRAS.get((command, fmt), set())
 
 
 class TestCliErrors:

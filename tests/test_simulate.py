@@ -488,6 +488,11 @@ class TestBonferroni:
         with pytest.raises(ToleranceUnreachable, match="terms"):
             bonferroni_sums(0.25, u)
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, 2.0])
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(InvalidEpsilon):
+            bonferroni_sums(eps, 1.0)
+
     def test_brute_force_at_u_two(self):
         idx = np.arange(1.0, 5_000.0)
         terms = np.exp(-2.0 * np.sqrt(idx))
