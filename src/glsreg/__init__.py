@@ -52,6 +52,7 @@ _EXPORTS = {
         "MomentFunction",
         "classical_grand_norm",
         "constant_moments",
+        "discrete_moment_lanes",
         "discrete_moments",
         "empirical_tail",
         "exponential_tail_bound",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -295,6 +295,37 @@ def scan_grid(domain: Domain, n_points: int = GRID_POINTS) -> np.ndarray:
     adjacent = [lo * (1.0 + 1e-12) if domain.lower_open else lo, hi * (1.0 - 1e-12)]
     grid = np.unique(np.concatenate([pts, adjacent]))
     return grid[domain.contains_array(grid)]
+
+
+def scan_grid_table(domains: Sequence[Domain], n_points: int = GRID_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    """scan_grid of each domain, a row each, and each row's length.
+
+    Row i holds the points of scan_grid(domains[i], n_points), bit for bit,
+    then repeats its last point out to the table's width.  All the geometric
+    grids come from one geomspace call, which for many domains costs a small
+    part of one scan_grid call per domain (and for one domain costs more).
+    """
+    point = np.array([isinstance(d, PointDomain) for d in domains], dtype=bool)
+    lo = np.array([d.p if isinstance(d, PointDomain) else d.lower for d in domains], dtype=float)
+    upper = np.array([d.p if isinstance(d, PointDomain) else d.upper for d in domains], dtype=float)
+    lower_open = np.array([not isinstance(d, PointDomain) and d.lower_open for d in domains], dtype=bool)
+    hi = np.minimum(upper, UPPER_CAP)
+    lo_eff = np.where(lower_open, lo * (1.0 + EDGE_INSET), lo)
+    adjacent = (np.where(lower_open, lo * (1.0 + 1e-12), lo), hi * (1.0 - 1e-12))
+    points = np.geomspace(lo_eff, hi * (1.0 - EDGE_INSET), n_points, axis=1)
+    grid = np.concatenate([points, *(a[:, None] for a in adjacent)], axis=1)
+    grid.sort(axis=1)
+    keep = np.ones(grid.shape, dtype=bool)
+    keep[:, 1:] = grid[:, 1:] != grid[:, :-1]  # as np.unique
+    above = np.where(lower_open[:, None], grid > lo[:, None], grid >= lo[:, None])
+    keep &= above & (grid < upper[:, None]) & np.isfinite(grid)
+    single = point | (hi <= lo)
+    grid[single, 0] = lo_eff[single]
+    keep[single] = np.arange(grid.shape[1]) == 0
+    size = keep.sum(axis=1)
+    kept = np.take_along_axis(grid, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    pad = np.minimum(np.arange(size.max(initial=0)), size[:, None] - 1)
+    return np.take_along_axis(kept, pad, axis=1), size
 
 
 def natural_function(moments: GeneratingFunction) -> NaturalFunction:

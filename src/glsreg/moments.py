@@ -30,10 +30,12 @@ __all__ = [
     "std_exponential_moments",
     "half_normal_moments",
     "discrete_moments",
+    "discrete_moment_lanes",
     "table_moments",
     "scaled_moments",
     "sup_moment_function",
     "empirical_tail",
+    "norm_ratio",
     "gls_norm",
     "gls_norm_scan",
     "classical_grand_norm",
@@ -109,23 +111,74 @@ def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
     return np.log1p(rest / count) + np.log(count) + top
 
 
+def _discrete_logs(
+    atoms: Sequence[Sequence[float]], weights: Sequence[Sequence[float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """log |atom| and log normalised weight of discrete variables, a row each.
+
+    Rows shorter than the longest are padded by atom 1 and weight 0, whose
+    logs are 0 and -inf.
+    """
+    if len(atoms) != len(weights):
+        raise LengthMismatch(f"{len(atoms)} atom lanes vs {len(weights)} weight lanes")
+    if not atoms:
+        raise EmptySample("a family of discrete moment curves needs at least one curve")
+    a = [np.asarray(x, dtype=float) for x in atoms]
+    w = [np.asarray(x, dtype=float) for x in weights]
+    for a_i, w_i in zip(a, w):
+        if a_i.size == 0:
+            raise EmptySample("a discrete moment curve needs at least one atom")
+        if a_i.size != w_i.size:
+            raise LengthMismatch(f"{a_i.size} atoms vs {w_i.size} weights")
+    flat_a, flat_w = np.abs(np.concatenate(a)), np.concatenate(w)
+    if np.any(flat_w <= 0) or not np.all(np.isfinite(flat_w)) or not np.all(np.isfinite(flat_a)):
+        raise DomainError("weights must be positive and atoms finite")
+    size = np.array([a_i.size for a_i in a])
+    real = np.arange(size.max()) < size[:, None]
+    a_table, w_table = np.ones(real.shape), np.zeros(real.shape)
+    a_table[real], w_table[real] = flat_a, flat_w
+    with np.errstate(divide="ignore"):
+        log_a, log_w = np.log(a_table), np.log(w_table)
+    log_total = np.array([math.log(total) for total in w_table.sum(axis=1).tolist()])
+    return log_a, log_w - log_total[:, None]
+
+
 def discrete_moments(atoms: Sequence[float], weights: Sequence[float]) -> MomentFunction:
     """Moment curve of a discrete variable |f| with the given atoms and weights."""
-    a = np.abs(np.asarray(atoms, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    if a.size == 0:
-        raise EmptySample("a discrete moment curve needs at least one atom")
-    if a.size != w.size:
-        raise LengthMismatch(f"{a.size} atoms vs {w.size} weights")
-    if np.any(w <= 0) or not np.all(np.isfinite(w)) or not np.all(np.isfinite(a)):
-        raise DomainError("weights must be positive and atoms finite")
-    log_w = np.log(w) - math.log(float(w.sum()))
-    with np.errstate(divide="ignore"):
-        log_a = np.log(a)
+    log_a, log_w = (row[0] for row in _discrete_logs([atoms], [weights]))
 
     def ev(p: np.ndarray) -> np.ndarray:
         # log E|f|^p = logsumexp(p log a + log w), columns over atoms
         return np.exp(_logsumexp_rows(p[:, None] * log_a[None, :] + log_w[None, :]) / p)
+
+    return MomentFunction(ExponentInterval(1.0, math.inf), ev)
+
+
+def discrete_moment_lanes(
+    atoms: Sequence[Sequence[float]], weights: Sequence[Sequence[float]]
+) -> MomentFunction:
+    """Moment curves of several discrete variables, one lane each, evaluated as one table.
+
+    Lane i is ``discrete_moments(atoms[i], weights[i])``.  The evaluator
+    broadcasts its exponents against a column of lanes: an (n,) row or a
+    (lanes x n) table, a row per lane, gives a (lanes x n) table whose row i
+    is lane i's curve at that row's exponents.  Call ``evaluator`` directly:
+    ``values`` takes exponents as a flat set and cannot keep them per lane.
+
+    The atoms are padded to the longest lane by zero weights (log-weight
+    -inf), which add exact zeros to a lane's sums.  The table holds one
+    contiguous slab per atom and is summed over atoms slab by slab, in
+    order; numpy sums a row of up to seven atoms in order too, so with at
+    most seven atoms a lane equals its own curve bit for bit.
+    """
+    log_a, log_w = (np.ascontiguousarray(t.T)[:, :, None] for t in _discrete_logs(atoms, weights))
+
+    def ev(p: np.ndarray) -> np.ndarray:
+        x = p * log_a  # (atoms, lanes, n)
+        x += log_w
+        # the transpose views the slabs as rows of atoms without copying them
+        lse = _logsumexp_rows(x.reshape(x.shape[0], -1).T).reshape(x.shape[1:])
+        return np.exp(lse / p)
 
     return MomentFunction(ExponentInterval(1.0, math.inf), ev)
 
@@ -153,9 +206,13 @@ def table_moments(ps: Sequence[float], vals: Sequence[float]) -> MomentFunction:
     return MomentFunction(interval, ev)
 
 
-def scaled_moments(mf: MomentFunction, c: float) -> MomentFunction:
-    """Moment curve of c*f: every p-norm scales by |c|."""
-    s = abs(float(c))
+def scaled_moments(mf: MomentFunction, c: float | np.ndarray) -> MomentFunction:
+    """Moment curve of c*f: every p-norm scales by |c|.
+
+    ``c`` is a number, or for a lane family (see ``discrete_moment_lanes``)
+    a (lanes x 1) column of one factor per lane.
+    """
+    s = np.abs(np.asarray(c, dtype=float))
     return MomentFunction(mf.interval, lambda p: s * mf.evaluator(p))
 
 
@@ -194,6 +251,13 @@ def empirical_tail(samples: np.ndarray, t: float) -> ConfidenceValue:
 # norms
 
 
+def norm_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The ratio ||f||_p / psi(p) of moment values to weights, with C / inf := 0."""
+    out = np.zeros(np.broadcast(num, den).shape)
+    np.divide(num, den, out=out, where=np.isfinite(den))
+    return out
+
+
 def gls_norm_scan(
     moments: MomentFunction,
     psi: GeneratingFunction,
@@ -204,25 +268,47 @@ def gls_norm_scan(
     dom = intersect_domains(moments.domain, psi.domain)
 
     def ratio(p: np.ndarray, _: np.ndarray) -> np.ndarray:
-        num = moments.values(p)
-        den = psi.values(p)
-        out = np.zeros(p.shape)
-        den_finite = np.isfinite(den)
-        np.divide(num, den, out=out, where=den_finite)
-        out[~den_finite] = 0.0  # C / inf := 0
-        return out
+        return norm_ratio(moments.values(p), psi.values(p))
 
     # one lane; the ratio takes no lane parameter
     return supremum_scan(ratio, dom, (0.0,), n_points=n_points, refine=refine)[0]
 
 
-def gls_norm(moments: MomentFunction, psi: GeneratingFunction, n_points: int = 512, refine: bool = True) -> float:
+def _lane_ratio(moments: MomentFunction, weights: list[GeneratingFunction]):
+    """The ratio objective of a lane family against one weight per lane; the lane parameter is the lane's index."""
+
+    def ratio(p: np.ndarray, lane: np.ndarray) -> np.ndarray:
+        if p.ndim == 2:  # the grid table, a row per lane
+            return norm_ratio(moments.evaluator(p), np.array([w.values(row) for w, row in zip(weights, p)]))
+        # golden-section points, each with its own lane
+        i = lane.astype(int)
+        num = moments.evaluator(p)[i, np.arange(p.size)]
+        return norm_ratio(num, np.array([weights[j].value(x) for j, x in zip(i, p)]))
+
+    return ratio
+
+
+def gls_norm(
+    moments: MomentFunction,
+    psi: GeneratingFunction | Sequence[GeneratingFunction],
+    n_points: int = 512,
+    refine: bool = True,
+) -> float | list[float]:
     """sup_p ||f||_p / psi(p) over the common exponent domain.
 
-    Returns +inf when the ratio is still climbing at the scan cap of an
-    unbounded domain; a capped finite value would understate the norm.
+    ``psi`` is one weight, giving a float, or a sequence of weights, one per
+    lane of the lane family ``moments`` (see ``discrete_moment_lanes``),
+    giving a list of floats from one lockstep scan in which every lane
+    scans its own domain.  A norm is +inf when the ratio is still climbing
+    at the scan cap of an unbounded domain; a capped finite value would
+    understate it.
     """
-    return gls_norm_scan(moments, psi, n_points=n_points, refine=refine).value
+    if isinstance(psi, GeneratingFunction):
+        return gls_norm_scan(moments, psi, n_points=n_points, refine=refine).value
+    weights = list(psi)
+    domains = [intersect_domains(moments.domain, w.domain) for w in weights]
+    scans = supremum_scan(_lane_ratio(moments, weights), domains, np.arange(len(weights)), n_points, refine)
+    return [scan.value for scan in scans]
 
 
 def classical_grand_norm(moments: MomentFunction, q: float) -> float:

@@ -11,18 +11,23 @@ A scan maximises a batch of objectives ``p -> f(p, c)``, one lane per lane
 parameter ``c``, in lockstep: one call evaluates the whole (lanes x grid)
 table, and each golden-section step evaluates every still-open lane in one
 call.  Each lane does exactly the arithmetic of a scan of its own, so a
-lane's result does not depend on the other lanes.
+lane's result does not depend on the other lanes.  The lanes share one
+domain, or each lane brings its own: the ragged grids are then padded into
+one (lanes x n) table by repeating each lane's last point, and each lane
+reads only its own grid's points.  A padded point evaluates as the point it
+repeats, so it never beats it in the argmax, which takes the first maximum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .generating import GRID_POINTS, UPPER_CAP, Domain, PointDomain, scan_grid
+from .errors import LengthMismatch
+from .generating import GRID_POINTS, UPPER_CAP, Domain, ExponentInterval, PointDomain, scan_grid, scan_grid_table
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -90,59 +95,72 @@ def _golden_section_max(
     return best_x, best_f
 
 
-def _climbing_at_cap(obj: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """Per lane: the grid maximum is the last point and the objective still rises into it."""
-    at_cap = best == obj.shape[1] - 1
-    if obj.shape[1] < 2 or not at_cap.any():
-        return np.zeros(best.size, dtype=bool)
-    last, prev = obj[:, -1], obj[:, -2]
-    finite = np.isfinite(last) & np.isfinite(prev)
+def _climbing_at_cap(obj: np.ndarray, best: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Per lane: the grid maximum is the lane's last point and the objective still rises into it."""
+    at_cap = (best == last) & (last >= 1)
+    if not at_cap.any():
+        return at_cap
+    rows = np.arange(best.size)
+    top, prev = obj[rows, last], obj[rows, np.maximum(last - 1, 0)]
+    finite = np.isfinite(top) & np.isfinite(prev)
     with np.errstate(invalid="ignore"):
-        rising = last > prev + 1e-12 * np.maximum(1.0, np.abs(last))
+        rising = top > prev + 1e-12 * np.maximum(1.0, np.abs(top))
     return at_cap & finite & rising
 
 
 def supremum_scan(
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    domain: Domain,
+    domain: Union[Domain, Sequence[Domain]],
     lanes,
     n_points: int = GRID_POINTS,
     refine: bool = True,
 ) -> list[ScanResult]:
     """Maximise p -> objective(p, c) over an exponent domain, for every c in ``lanes``.
 
-    ``objective`` must act elementwise under broadcasting: the grid is
-    evaluated as objective(grid, c[:, None]), an (n,) row against a lane
-    column, and refinement steps pass matching (k,) arrays of points and
-    lane parameters.  NaNs in the objective are treated as -inf.  Each result
-    keeps the grid and its lane's grid objective so callers can re-check
-    identities on the exact scan points.
+    ``domain`` is one domain for every lane, or a sequence of one domain per
+    lane.  ``objective`` must act elementwise under broadcasting: the grid
+    is evaluated as objective(grid, c[:, None]) against a lane column, the
+    grid being an (n,) row for one domain and a (lanes x n) table, a row per
+    lane, for per-lane domains; refinement steps pass matching (k,) arrays of
+    points and lane parameters.  NaNs in the objective are treated as -inf.
+    Each result keeps its lane's grid and grid objective so callers can
+    re-check identities on the exact scan points.
     """
     c = np.asarray(lanes, dtype=float)
-    grid = scan_grid(domain, n_points)
-    obj = np.empty((c.size, grid.size))
+    if isinstance(domain, (ExponentInterval, PointDomain)):
+        grid = scan_grid(domain, n_points)
+        grids, last = [grid] * c.size, np.full(c.size, grid.size - 1)
+        capped = np.full(c.size, not isinstance(domain, PointDomain) and domain.upper > UPPER_CAP)
+    else:
+        domain = list(domain)
+        if len(domain) != c.size:
+            raise LengthMismatch(f"{len(domain)} domains vs {c.size} lanes")
+        if not domain:
+            return []
+        grid, size = scan_grid_table(domain, n_points)
+        grids, last = [row[:n] for row, n in zip(grid, size)], size - 1
+        capped = np.array([not isinstance(d, PointDomain) and d.upper > UPPER_CAP for d in domain])
+    obj = np.empty((c.size, grid.shape[-1]))
     obj[...] = objective(grid, c[:, None])  # a lane-free objective's row fills every lane
     obj[np.isnan(obj)] = -math.inf
 
+    rows = np.arange(c.size)
+    table = np.broadcast_to(grid, obj.shape)
     best = obj.argmax(axis=1)
-    best_x, best_v = grid[best], obj[np.arange(c.size), best]
-    unbounded = np.zeros(c.size, dtype=bool)
+    best_x, best_v = table[rows, best], obj[rows, best]
+    unbounded = capped & _climbing_at_cap(obj, best, last)
 
-    if not isinstance(domain, PointDomain):
-        if domain.upper > UPPER_CAP:
-            unbounded = _climbing_at_cap(obj, best)
-        todo = ~unbounded & np.isfinite(best_v)
-        if refine and grid.size >= 2 and todo.any():
-            lo = grid[np.maximum(best[todo] - 1, 0)]
-            hi = grid[np.minimum(best[todo] + 1, grid.size - 1)]
-            x, v = _golden_section_max(objective, lo, hi, c[todo])
-            better = v > best_v[todo]
-            lane = np.flatnonzero(todo)[better]
-            best_x[lane], best_v[lane] = x[better], v[better]
+    todo = ~unbounded & np.isfinite(best_v) & (last >= 1)  # a point domain's grid is one point
+    if refine and todo.any():
+        lane = np.flatnonzero(todo)
+        lo = table[lane, np.maximum(best[lane] - 1, 0)]
+        hi = table[lane, np.minimum(best[lane] + 1, last[lane])]
+        x, v = _golden_section_max(objective, lo, hi, c[lane])
+        better = v > best_v[lane]
+        best_x[lane[better]], best_v[lane[better]] = x[better], v[better]
 
+    per_lane = zip(grids, obj, (last + 1).tolist(), unbounded.tolist(), best_v.tolist(), best_x.tolist())
     return [
-        ScanResult(math.inf, math.inf, True, grid, obj[i])
-        if unbounded[i]
-        else ScanResult(float(best_v[i]), float(best_x[i]), False, grid, obj[i])
-        for i in range(c.size)
+        ScanResult(math.inf, math.inf, True, g, row[:n]) if flagged else ScanResult(v, x, False, g, row[:n])
+        for g, row, n, flagged, v, x in per_lane
     ]

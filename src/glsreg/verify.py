@@ -27,19 +27,20 @@ from .generating import (
     Product,
     Tabulated,
     TwoSidedSingular,
-    natural_function,
 )
 from .moments import (
     MomentFunction,
-    discrete_moments,
+    discrete_moment_lanes,
     empirical_tail,
     gls_norm,
+    norm_ratio,
     scaled_moments,
     std_exponential_moments,
     sup_moment_function,
     young_fenchel,
 )
 from .reports import CheckRecord, VerificationReport
+from .scan import supremum_scan
 from .sequences import DecaySequencePair, GeometricSequence, PowerLogSequence
 from .simulate import (
     ExponentialPower,
@@ -293,11 +294,9 @@ def check_conjugate_closed_form(seed: int, trajectories: int, eta_values: EtaVal
 # randomized norm axioms
 
 
-def _random_moment_curve(rng: np.random.Generator):
+def _random_atoms(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     k = int(rng.integers(1, 7))
-    atoms = rng.lognormal(mean=0.0, sigma=1.0, size=k)
-    weights = rng.uniform(0.2, 1.0, size=k)
-    return discrete_moments(atoms, weights)
+    return rng.lognormal(mean=0.0, sigma=1.0, size=k), rng.uniform(0.2, 1.0, size=k)
 
 
 def _random_generating(rng: np.random.Generator):
@@ -312,6 +311,37 @@ def _random_generating(rng: np.random.Generator):
     return Tabulated(points=tuple((float(a), float(b)) for a, b in zip(knots_p, knots_v)))
 
 
+def _random_case(rng: np.random.Generator):
+    """One case: curve, weight, scale c, growth k, exponent r and a second curve, in this draw order."""
+    curve, psi = _random_atoms(rng), _random_generating(rng)
+    c = float(rng.lognormal(mean=0.0, sigma=1.0))
+    k = 1.0 + float(rng.uniform(0.0, 2.0))
+    r = float(rng.uniform(1.0, 8.0))
+    return curve, psi, c, k, r, _random_atoms(rng)
+
+
+def _natural_norms(curves: MomentFunction, members: list[MomentFunction], n_points: int) -> list[list[float]]:
+    """Per member, each lane's norm against the natural weight of that lane of ``curves``.
+
+    On [1, inf) the natural weight is nu(1) up to p = 1 and nu(p) above it,
+    as ``natural_function`` builds it for one curve.
+    """
+    nu_1 = curves.evaluator(np.ones(1))
+
+    def against_natural(member: MomentFunction):
+        def ratio(p: np.ndarray, _: np.ndarray) -> np.ndarray:
+            nu = curves.evaluator(p)
+            return norm_ratio(nu if member is curves else member.evaluator(p), np.where(p > 1.0, nu, nu_1))
+
+        return ratio
+
+    lanes = np.arange(nu_1.shape[0])
+    return [
+        [scan.value for scan in supremum_scan(against_natural(member), curves.domain, lanes, n_points, refine=False)]
+        for member in members
+    ]
+
+
 def norm_axiom_violations(seed: int, cases: int) -> dict[str, float]:
     """Largest observed violation of each norm axiom over randomized inputs.
 
@@ -319,38 +349,36 @@ def norm_axiom_violations(seed: int, cases: int) -> dict[str, float]:
     anti-monotonicity (positive means broken), absolute gaps for the
     extremal reduction to the plain p-norm, and |norm - 1| for natural
     generating functions of single curves and of pointwise-sup families.
+    All cases are drawn first; each kind of norm then runs as the lanes of
+    one scan over a lane family of the random curves.
     """
     rng = np.random.default_rng(seed)
     worst = {"homogeneity": 0.0, "anti_monotonicity": -math.inf, "extremal": 0.0, "natural": 0.0}
+    draws = [_random_case(rng) for _ in range(cases)]
+    if not draws:
+        return worst
+    curves, psis, cs, ks, rs, others = zip(*draws)
+    m = discrete_moment_lanes(*zip(*curves))
     n_points = 96
-    for _ in range(cases):
-        m = _random_moment_curve(rng)
-        psi = _random_generating(rng)
 
-        c = float(rng.lognormal(mean=0.0, sigma=1.0))
-        base = gls_norm(m, psi, n_points=n_points, refine=False)
-        scaled = gls_norm(scaled_moments(m, c), psi, n_points=n_points, refine=False)
-        if math.isfinite(base) and base > 0 and math.isfinite(scaled):
-            worst["homogeneity"] = max(worst["homogeneity"], abs(scaled - c * base) / (c * base))
+    base = gls_norm(m, psis, n_points=n_points, refine=False)
+    scaled = gls_norm(scaled_moments(m, np.array(cs)[:, None]), psis, n_points=n_points, refine=False)
+    # constant factor >= 1 on the full domain keeps both scans on one grid
+    grown = [MomentFunction(psi.domain, lambda p, k=k: np.full_like(p, k)) for psi, k in zip(psis, ks)]
+    big = gls_norm(m, [Product(pair) for pair in zip(psis, grown)], n_points=n_points, refine=False)
+    at_r = gls_norm(m, [Extremal(r) for r in rs])
+    m_r = m.evaluator(np.array(rs)[:, None])[:, 0].tolist()
+    (natural,) = _natural_norms(m, [m], n_points)
+    family = sup_moment_function([m, discrete_moment_lanes(*zip(*others))])
+    fam_m, fam_f = _natural_norms(family, [m, family], n_points)
 
-        # constant factor >= 1 on the full domain keeps both scans on one grid
-        k = 1.0 + float(rng.uniform(0.0, 2.0))
-        grown = MomentFunction(psi.domain, lambda p, k=k: np.full_like(p, k))
-        big = gls_norm(m, Product((psi, grown)), n_points=n_points, refine=False)
-        if math.isfinite(base) and math.isfinite(big):
-            worst["anti_monotonicity"] = max(worst["anti_monotonicity"], big - base)
-
-        r = float(rng.uniform(1.0, 8.0))
-        worst["extremal"] = max(worst["extremal"], abs(gls_norm(m, Extremal(r)) - m.value(r)))
-
-        natural = natural_function(m)
-        worst["natural"] = max(worst["natural"], abs(gls_norm(m, natural, n_points=n_points, refine=False) - 1.0))
-        family = sup_moment_function([m, _random_moment_curve(rng)])
-        fam_norm = max(
-            gls_norm(member, natural_function(family), n_points=n_points, refine=False)
-            for member in (m, family)
-        )
-        worst["natural"] = max(worst["natural"], abs(fam_norm - 1.0))
+    for c, b, s, g, e, e_ref, n, fm, ff in zip(cs, base, scaled, big, at_r, m_r, natural, fam_m, fam_f):
+        if math.isfinite(b) and b > 0 and math.isfinite(s):
+            worst["homogeneity"] = max(worst["homogeneity"], abs(s - c * b) / (c * b))
+        if math.isfinite(b) and math.isfinite(g):
+            worst["anti_monotonicity"] = max(worst["anti_monotonicity"], g - b)
+        worst["extremal"] = max(worst["extremal"], abs(e - e_ref))
+        worst["natural"] = max(worst["natural"], abs(n - 1.0), abs(max(fm, ff) - 1.0))
     return worst
 
 

@@ -21,6 +21,7 @@ from glsreg.generating import (
     intersect_domains,
     natural_function,
     scan_grid,
+    scan_grid_table,
 )
 from glsreg.moments import MomentFunction, constant_moments, std_exponential_moments, table_moments
 
@@ -177,6 +178,22 @@ class TestScanGrid:
     def test_strictly_increasing(self):
         grid = scan_grid(ExponentInterval(1.0, 50.0, lower_open=True), 128)
         assert np.all(np.diff(grid) > 0)
+
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 96, 512])
+    def test_table_rows_are_the_grids_padded_by_their_last_point(self, n_points):
+        rng = np.random.default_rng(5)
+        domains = [PointDomain(2.5), ExponentInterval(1.0, math.inf)]
+        domains.append(ExponentInterval(UPPER_CAP, math.inf, lower_open=True))
+        for _ in range(400):
+            lower = float(rng.choice([1.0, rng.uniform(1.0, 50.0), rng.uniform(0.9 * UPPER_CAP, 2.0 * UPPER_CAP)]))
+            upper = float(rng.choice([math.inf, lower + rng.uniform(1e-6, 100.0), 2.0 * lower]))
+            domains.append(ExponentInterval(lower, upper, lower_open=bool(rng.integers(0, 2))))
+        table, size = scan_grid_table(domains, n_points)
+        assert table.shape == (len(domains), size.max())
+        for domain, row, n in zip(domains, table, size):
+            grid = scan_grid(domain, n_points)
+            assert row[:n].tobytes() == grid.tobytes()
+            assert np.all(row[n:] == grid[-1])
 
 
 class TestNaturalFunction:

@@ -15,6 +15,7 @@ from glsreg.moments import (
     _logsumexp_rows,
     classical_grand_norm,
     constant_moments,
+    discrete_moment_lanes,
     discrete_moments,
     empirical_tail,
     exponential_tail_bound,
@@ -110,6 +111,95 @@ class TestDiscreteMoments:
         # (2000^p / 3)^(1/p) with 2000^1000 far beyond the float range: no overflow
         assert np.all(np.isfinite(large))
         assert large[-1] == pytest.approx(2e3 * 3.0 ** (-1e-3) * (1.0 + 2.0**-1e3) ** 1e-3, rel=1e-14)
+
+
+LANE_ATOMS = [
+    [2.5],
+    [1.0, 3.0],
+    [0.0, 1.5, 2.0],  # a zero atom
+    [2.0, 2.0, 0.5, 2.0],  # three atoms tie for the maximum
+    [0.3, 1.0, 2.5, 4.0, 4.0],
+    [0.7, 1.1, 0.2, 5.0, 3.3, 0.9],
+]
+LANE_WEIGHTS = [
+    [1.0],
+    [0.25, 0.75],
+    [0.5, 0.3, 0.2],
+    [0.1, 0.4, 0.3, 0.2],
+    [0.4, 0.3, 0.2, 0.05, 0.05],
+    [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+]
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestDiscreteMomentLanes:
+    def test_rows_equal_each_curve_bitwise(self):
+        lanes = discrete_moment_lanes(LANE_ATOMS, LANE_WEIGHTS)
+        curves = [discrete_moments(a, w) for a, w in zip(LANE_ATOMS, LANE_WEIGHTS)]
+        shared = np.concatenate([[1.0], np.geomspace(1.0 + 1e-12, 1e4, 97)])
+        table = np.array([np.geomspace(1.0 + 0.3 * i, 50.0 * (i + 1), 64) for i in range(len(curves))])
+        column = np.linspace(1.0, 8.0, len(curves))[:, None]
+        for p in (shared, table, column):
+            got = lanes.evaluator(p)
+            assert got.shape == (len(curves), p.shape[-1])
+            for i, curve in enumerate(curves):
+                row = p if p.ndim == 1 else p[i]
+                assert _bits(got[i]) == _bits(curve.values(row)), (i, p.shape)
+
+    def test_two_thousand_random_lanes_bitwise(self):
+        rng = np.random.default_rng(11)
+        atoms, weights = [], []
+        for _ in range(2000):
+            k = int(rng.integers(1, 7))
+            atoms.append(rng.lognormal(0.0, 1.0, size=k))
+            weights.append(rng.uniform(0.2, 1.0, size=k))
+        p = np.geomspace(1.0, 1e4, 98)
+        got = discrete_moment_lanes(atoms, weights).evaluator(p)
+        for i, (a, w) in enumerate(zip(atoms, weights)):
+            assert _bits(got[i]) == _bits(discrete_moments(a, w).values(p)), i
+
+    def test_scaled_and_sup_of_lane_families(self):
+        rng = np.random.default_rng(2)
+        others = [rng.lognormal(0.0, 1.0, size=len(a)) for a in LANE_ATOMS]
+        c = rng.lognormal(0.0, 1.0, size=len(LANE_ATOMS))
+        lanes = discrete_moment_lanes(LANE_ATOMS, LANE_WEIGHTS)
+        scaled = scaled_moments(lanes, -c[:, None]).evaluator
+        family = sup_moment_function([lanes, discrete_moment_lanes(others, LANE_WEIGHTS)])
+        p = np.geomspace(1.0, 300.0, 50)
+        for i, (a, w) in enumerate(zip(LANE_ATOMS, LANE_WEIGHTS)):
+            curve = discrete_moments(a, w)
+            alone = scaled_moments(curve, -float(c[i])).values(p)
+            assert _bits(alone) == _bits(abs(float(c[i])) * curve.values(p))  # the scalar factor keeps its bits
+            assert _bits(scaled(p)[i]) == _bits(alone)
+            pair = sup_moment_function([curve, discrete_moments(others[i], w)])
+            assert _bits(family.evaluator(p)[i]) == _bits(pair.values(p))
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_gls_norm_of_lanes_equals_one_norm_per_lane(self, refine):
+        weights = [
+            PowerRoot(m=0.7),
+            TwoSidedSingular(b=6.0, alpha=0.5, beta=1.0),
+            Tabulated(((1.0, 1.0), (2.0, 1.5), (4.0, 3.0), (9.0, 4.0))),
+            Extremal(2.5),
+            TwoSidedSingular(b=3.0, alpha=0.0, beta=0.2),
+            PowerRoot(m=3.0),
+        ]
+        lanes = discrete_moment_lanes(LANE_ATOMS, LANE_WEIGHTS)
+        norms = gls_norm(lanes, weights, n_points=96, refine=refine)
+        assert all(type(v) is float for v in norms)
+        for a, w, psi, value in zip(LANE_ATOMS, LANE_WEIGHTS, weights, norms):
+            assert _bits(value) == _bits(gls_norm(discrete_moments(a, w), psi, n_points=96, refine=refine))
+
+    def test_validation(self):
+        with pytest.raises(LengthMismatch):
+            discrete_moment_lanes([[1.0], [2.0]], [[1.0]])
+        with pytest.raises(EmptySample):
+            discrete_moment_lanes([[1.0], []], [[1.0], []])
+        with pytest.raises(DomainError):
+            discrete_moment_lanes([[1.0, 2.0]], [[0.5, 0.0]])
 
 
 class TestTableMoments:

@@ -354,6 +354,68 @@ def invoke(runner, *args):
     return result
 
 
+def reference_norm_axiom_violations(seed: int, cases: int) -> dict[str, float]:
+    """The randomized norm-axiom sweep one case at a time, one gls_norm call per norm."""
+    from glsreg.generating import Extremal, Product, natural_function
+    from glsreg.moments import MomentFunction, discrete_moments, gls_norm, scaled_moments, sup_moment_function
+    from glsreg.verify import _random_generating
+
+    def random_moment_curve(rng):
+        k = int(rng.integers(1, 7))
+        atoms = rng.lognormal(mean=0.0, sigma=1.0, size=k)
+        weights = rng.uniform(0.2, 1.0, size=k)
+        return discrete_moments(atoms, weights)
+
+    rng = np.random.default_rng(seed)
+    worst = {"homogeneity": 0.0, "anti_monotonicity": -math.inf, "extremal": 0.0, "natural": 0.0}
+    n_points = 96
+    for _ in range(cases):
+        m = random_moment_curve(rng)
+        psi = _random_generating(rng)
+
+        c = float(rng.lognormal(mean=0.0, sigma=1.0))
+        base = gls_norm(m, psi, n_points=n_points, refine=False)
+        scaled = gls_norm(scaled_moments(m, c), psi, n_points=n_points, refine=False)
+        if math.isfinite(base) and base > 0 and math.isfinite(scaled):
+            worst["homogeneity"] = max(worst["homogeneity"], abs(scaled - c * base) / (c * base))
+
+        k = 1.0 + float(rng.uniform(0.0, 2.0))
+        grown = MomentFunction(psi.domain, lambda p, k=k: np.full_like(p, k))
+        big = gls_norm(m, Product((psi, grown)), n_points=n_points, refine=False)
+        if math.isfinite(base) and math.isfinite(big):
+            worst["anti_monotonicity"] = max(worst["anti_monotonicity"], big - base)
+
+        r = float(rng.uniform(1.0, 8.0))
+        worst["extremal"] = max(worst["extremal"], abs(gls_norm(m, Extremal(r)) - m.value(r)))
+
+        natural = natural_function(m)
+        worst["natural"] = max(worst["natural"], abs(gls_norm(m, natural, n_points=n_points, refine=False) - 1.0))
+        family = sup_moment_function([m, random_moment_curve(rng)])
+        fam_norm = max(
+            gls_norm(member, natural_function(family), n_points=n_points, refine=False)
+            for member in (m, family)
+        )
+        worst["natural"] = max(worst["natural"], abs(fam_norm - 1.0))
+    return worst
+
+
+class TestNormAxiomSweep:
+    @pytest.mark.parametrize("seed, cases", [(42, 250), (7, 250), (42, 1000)])
+    def test_lane_sweep_equals_one_case_at_a_time(self, seed, cases):
+        from glsreg.verify import norm_axiom_violations
+
+        got = norm_axiom_violations(seed, cases)
+        want = reference_norm_axiom_violations(seed, cases)
+        assert all(type(v) is float for v in got.values())
+        assert got == want
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+    def test_no_cases_violate_nothing(self):
+        from glsreg.verify import norm_axiom_violations
+
+        assert norm_axiom_violations(1, 0) == reference_norm_axiom_violations(1, 0)
+
+
 class TestNormCommand:
     def test_natural_curve_has_unit_norm(self, runner, tmp_path):
         out = tmp_path / "o"

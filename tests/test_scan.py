@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from glsreg.errors import DomainError
+from glsreg.errors import DomainError, LengthMismatch
 from glsreg.generating import (
     GRID_POINTS,
     UPPER_CAP,
+    ExponentInterval,
     Extremal,
     PointDomain,
     PowerRoot,
@@ -220,3 +221,51 @@ class TestConjugateLanes:
             young_fenchel(PowerRoot(m=1.0), np.ones((2, 2)))
         with pytest.raises(DomainError):
             exponential_tail_bound(PowerRoot(m=1.0), np.full((2, 2), 5.0))
+
+
+# ---------------------------------------------------------------------------
+# one domain per lane
+
+
+LANE_DOMAINS = [
+    ExponentInterval(1.0, math.inf),  # climbs past the cap for large v
+    ExponentInterval(1.0, 6.0, lower_open=True),
+    ExponentInterval(2.5, 40.0),
+    ExponentInterval(1.0, 1.5, lower_open=True),
+    PointDomain(2.5),
+    ExponentInterval(1.0, math.inf),
+    ExponentInterval(3.0, 3.0 + 1e-9),
+]
+LANE_VS = np.array([40.0, 1.2, 3.0, 0.5, 2.0, -1.0, 1.0])  # -1 makes its lane all NaN
+
+
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("n_points", [5, 96, GRID_POINTS])
+def test_lane_domains_equal_one_scan_per_lane(refine, n_points):
+    objective = conjugate_objective(PowerRoot(m=3.0))
+    results = supremum_scan(objective, LANE_DOMAINS, LANE_VS, n_points=n_points, refine=refine)
+    assert len({r.grid.size for r in results}) > 2  # ragged
+    for domain, v, result in zip(LANE_DOMAINS, LANE_VS, results):
+        (alone,) = supremum_scan(objective, domain, [v], n_points=n_points, refine=refine)
+        assert_same(result, (alone.value, alone.argmax, alone.unbounded, alone.objective))
+        assert result.grid.tobytes() == scan_grid(domain, n_points).tobytes()
+        if refine:
+            assert_same(result, reference_scan(lambda p: objective(p, float(v)), domain, n_points))
+
+
+def test_lane_domains_keep_each_lane_apart():
+    objective = conjugate_objective(PowerRoot(m=3.0))
+    results = supremum_scan(objective, LANE_DOMAINS, LANE_VS)
+    climbing, nan_lane = results[0], results[5]
+    assert climbing.unbounded and climbing.value == math.inf
+    assert nan_lane.value == -math.inf and not np.isfinite(nan_lane.objective).any()
+    assert results[1].grid[0] > 1.0  # the open lower end is not sampled
+    assert results[4].grid.tolist() == [2.5] and results[4].argmax == 2.5
+    assert not any(r.unbounded for i, r in enumerate(results) if i != 0)
+
+
+def test_lane_domains_need_one_domain_per_lane():
+    objective = conjugate_objective(PowerRoot(m=3.0))
+    with pytest.raises(LengthMismatch):
+        supremum_scan(objective, LANE_DOMAINS[:2], LANE_VS)
+    assert supremum_scan(objective, [], np.empty(0)) == []
