@@ -41,7 +41,6 @@ _EXPORTS = {
         "Extremal",
         "GeneratingFunction",
         "NaturalFunction",
-        "PointDomain",
         "PowerRoot",
         "Product",
         "Tabulated",

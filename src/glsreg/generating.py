@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -40,10 +40,11 @@ EDGE_INSET = 1.0e-9
 class ExponentInterval:
     """Interval of integrability exponents with an always-open upper end.
 
-    ``lower >= 1`` and ``upper`` may be ``math.inf``.  ``lower_open``
-    distinguishes ``[lower, upper)`` from ``(lower, upper)``; the two-sided
-    singular family needs the open variant because its weight blows up at
-    the left endpoint.
+    This is the one exponent domain.  ``lower >= 1`` and ``upper`` may be
+    ``math.inf``.  ``lower_open`` distinguishes ``[lower, upper)`` from
+    ``(lower, upper)``; the two-sided singular family needs the open variant
+    because its weight blows up at the left endpoint.  A single exponent r
+    is ``[r, nextafter(r))``.  An interval must hold at least one float.
     """
 
     lower: float
@@ -53,29 +54,13 @@ class ExponentInterval:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lower) and self.lower >= 1.0):
             raise DomainError(f"interval must start at an exponent >= 1, got {self.lower}")
-        if not self.upper > self.lower:
+        smallest = math.nextafter(self.lower, math.inf) if self.lower_open else self.lower
+        if not self.upper > smallest:
             raise EmptyDomain(f"empty exponent interval [{self.lower}, {self.upper})")
 
     def contains_array(self, p: np.ndarray) -> np.ndarray:
         above = p > self.lower if self.lower_open else p >= self.lower
         return above & (p < self.upper) & np.isfinite(p)
-
-
-@dataclass(frozen=True)
-class PointDomain:
-    """Degenerate exponent domain holding a single point."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and self.p >= 1.0):
-            raise DomainError(f"point domain needs a finite exponent >= 1, got {self.p}")
-
-    def contains_array(self, p: np.ndarray) -> np.ndarray:
-        return p == self.p
-
-
-Domain = Union[ExponentInterval, PointDomain]
 
 
 def check_eps(eps: float, alpha: float = 1.0) -> None:
@@ -85,24 +70,14 @@ def check_eps(eps: float, alpha: float = 1.0) -> None:
         raise InvalidEpsilon(f"eps must lie in (0, {limit}), got {eps}")
 
 
-def intersect_domains(a: Domain, b: Domain) -> Domain:
+def intersect_domains(a: ExponentInterval, b: ExponentInterval) -> ExponentInterval:
     """Intersection of two exponent domains; raises EmptyDomain if disjoint."""
-    if isinstance(a, PointDomain) and isinstance(b, PointDomain):
-        if a.p == b.p:
-            return a
-        raise EmptyDomain(f"point domains {a.p} and {b.p} are disjoint")
-    if isinstance(a, PointDomain):
-        if b.contains_array(np.asarray(a.p)):
-            return a
-        raise EmptyDomain(f"exponent {a.p} lies outside [{b.lower}, {b.upper})")
-    if isinstance(b, PointDomain):
-        return intersect_domains(b, a)
     lower = max(a.lower, b.lower)
     lower_open = (a.lower_open and lower == a.lower) or (b.lower_open and lower == b.lower)
-    upper = min(a.upper, b.upper)
-    if not upper > lower or (lower_open and upper == lower):
-        raise EmptyDomain(f"intervals [{a.lower},{a.upper}) and [{b.lower},{b.upper}) are disjoint")
-    return ExponentInterval(lower, upper, lower_open)
+    try:
+        return ExponentInterval(lower, min(a.upper, b.upper), lower_open)
+    except EmptyDomain:
+        raise EmptyDomain(f"intervals [{a.lower},{a.upper}) and [{b.lower},{b.upper}) are disjoint") from None
 
 
 class GeneratingFunction(abc.ABC):
@@ -114,7 +89,7 @@ class GeneratingFunction(abc.ABC):
 
     @property
     @abc.abstractmethod
-    def domain(self) -> Domain:
+    def domain(self) -> ExponentInterval:
         ...
 
     @abc.abstractmethod
@@ -165,6 +140,7 @@ class TwoSidedSingular(GeneratingFunction):
             raise DomainError(f"upper endpoint must exceed 1, got {self.b}")
         if self.alpha < 0 or self.beta < 0:
             raise DomainError("singularity exponents must be nonnegative")
+        self.domain  # (1, b) must hold a float
 
     @property
     def domain(self) -> ExponentInterval:
@@ -176,7 +152,10 @@ class TwoSidedSingular(GeneratingFunction):
 
 @dataclass(frozen=True)
 class Extremal(GeneratingFunction):
-    """psi(p) = 1 at p = r and +inf elsewhere; the norm collapses to L_r."""
+    """psi(p) = 1 at p = r and +inf elsewhere; the norm collapses to L_r.
+
+    Its domain is [r, nextafter(r)), which holds r alone.
+    """
 
     r: float
 
@@ -185,8 +164,8 @@ class Extremal(GeneratingFunction):
             raise DomainError(f"extremal exponent must be finite and >= 1, got {self.r}")
 
     @property
-    def domain(self) -> PointDomain:
-        return PointDomain(self.r)
+    def domain(self) -> ExponentInterval:
+        return ExponentInterval(self.r, math.nextafter(self.r, math.inf))
 
     def on_domain(self, q: np.ndarray) -> np.ndarray:
         return np.ones(q.shape)
@@ -265,8 +244,8 @@ class Product(GeneratingFunction):
         self.domain  # force the intersection check at construction
 
     @property
-    def domain(self) -> Domain:
-        dom: Domain = self.factors[0].domain
+    def domain(self) -> ExponentInterval:
+        dom = self.factors[0].domain
         for f in self.factors[1:]:
             dom = intersect_domains(dom, f.domain)
         return dom
@@ -278,37 +257,21 @@ class Product(GeneratingFunction):
         return out
 
 
-def scan_grid(domain: Domain, n_points: int = GRID_POINTS) -> np.ndarray:
-    """Geometric evaluation grid over a domain, endpoint-adjacent samples included.
+def scan_grid_table(domains: Sequence[ExponentInterval], n_points: int = GRID_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric evaluation grids over exponent domains, a row each, and each row's length.
 
-    The upper endpoint is capped at UPPER_CAP; callers that care whether the
-    domain extends beyond the cap must check that themselves.
+    Row i holds n_points geometric points over domains[i], inset from its
+    ends by EDGE_INSET, plus the two endpoint-adjacent samples, strictly
+    increasing and inside the domain; it then repeats its last point out to
+    the table's width.  The upper end is capped at UPPER_CAP: callers that
+    care whether a domain extends beyond the cap must check that themselves.
+    A domain that starts at or past the cap is sampled at its (inset) lower
+    end alone, and a row that the insets leave empty keeps the domain's
+    smallest exponent.  All the geometric grids come from one geomspace call.
     """
-    if isinstance(domain, PointDomain):
-        return np.asarray([domain.p], dtype=float)
-    lo, hi = domain.lower, min(domain.upper, UPPER_CAP)
-    if hi <= lo:
-        return np.asarray([lo if not domain.lower_open else lo * (1 + EDGE_INSET)])
-    lo_eff = lo * (1.0 + EDGE_INSET) if domain.lower_open else lo
-    hi_eff = hi * (1.0 - EDGE_INSET)
-    pts = np.geomspace(lo_eff, hi_eff, n_points)
-    adjacent = [lo * (1.0 + 1e-12) if domain.lower_open else lo, hi * (1.0 - 1e-12)]
-    grid = np.unique(np.concatenate([pts, adjacent]))
-    return grid[domain.contains_array(grid)]
-
-
-def scan_grid_table(domains: Sequence[Domain], n_points: int = GRID_POINTS) -> tuple[np.ndarray, np.ndarray]:
-    """scan_grid of each domain, a row each, and each row's length.
-
-    Row i holds the points of scan_grid(domains[i], n_points), bit for bit,
-    then repeats its last point out to the table's width.  All the geometric
-    grids come from one geomspace call, which for many domains costs a small
-    part of one scan_grid call per domain (and for one domain costs more).
-    """
-    point = np.array([isinstance(d, PointDomain) for d in domains], dtype=bool)
-    lo = np.array([d.p if isinstance(d, PointDomain) else d.lower for d in domains], dtype=float)
-    upper = np.array([d.p if isinstance(d, PointDomain) else d.upper for d in domains], dtype=float)
-    lower_open = np.array([not isinstance(d, PointDomain) and d.lower_open for d in domains], dtype=bool)
+    lo = np.array([d.lower for d in domains], dtype=float)
+    upper = np.array([d.upper for d in domains], dtype=float)
+    lower_open = np.array([d.lower_open for d in domains], dtype=bool)
     hi = np.minimum(upper, UPPER_CAP)
     lo_eff = np.where(lower_open, lo * (1.0 + EDGE_INSET), lo)
     adjacent = (np.where(lower_open, lo * (1.0 + 1e-12), lo), hi * (1.0 - 1e-12))
@@ -317,11 +280,15 @@ def scan_grid_table(domains: Sequence[Domain], n_points: int = GRID_POINTS) -> t
     grid.sort(axis=1)
     keep = np.ones(grid.shape, dtype=bool)
     keep[:, 1:] = grid[:, 1:] != grid[:, :-1]  # as np.unique
+    first = np.arange(grid.shape[1]) == 0
+    single = hi <= lo
+    grid[single, 0] = lo_eff[single]
+    keep[single] = first
     above = np.where(lower_open[:, None], grid > lo[:, None], grid >= lo[:, None])
     keep &= above & (grid < upper[:, None]) & np.isfinite(grid)
-    single = point | (hi <= lo)
-    grid[single, 0] = lo_eff[single]
-    keep[single] = np.arange(grid.shape[1]) == 0
+    empty = ~keep.any(axis=1)
+    grid[empty, 0] = np.where(lower_open, np.nextafter(lo, math.inf), lo)[empty]
+    keep[empty] = first
     size = keep.sum(axis=1)
     kept = np.take_along_axis(grid, np.argsort(~keep, axis=1, kind="stable"), axis=1)
     pad = np.minimum(np.arange(size.max(initial=0)), size[:, None] - 1)
@@ -337,8 +304,6 @@ def natural_function(moments: GeneratingFunction) -> NaturalFunction:
     from .errors import NoFiniteMoment
 
     dom = moments.domain
-    if isinstance(dom, PointDomain):
-        raise DomainError("a natural function needs moments on an interval, not a point")
     a = dom.lower
     probe = a * (1.0 + EDGE_INSET) if dom.lower_open else a
     nu_a = float(moments.value(probe))

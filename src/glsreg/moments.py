@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyDomain, EmptySample, LengthMismatch
 from .estimates import ConfidenceValue, proportion_estimate
-from .generating import Domain, ExponentInterval, GeneratingFunction, PointDomain, intersect_domains
+from .generating import ExponentInterval, GeneratingFunction, intersect_domains
 from .scan import ScanResult, supremum_scan
 
 __all__ = [
@@ -220,11 +220,9 @@ def sup_moment_function(members: Sequence[MomentFunction]) -> MomentFunction:
     """Pointwise sup of a finite family of moment curves on the common domain."""
     if not members:
         raise EmptySample("sup of an empty moment family")
-    dom: Domain = members[0].interval
+    dom = members[0].interval
     for m in members[1:]:
         dom = intersect_domains(dom, m.interval)
-    if isinstance(dom, PointDomain):
-        raise EmptyDomain("moment family domains intersect in a single point")
 
     def ev(p: np.ndarray) -> np.ndarray:
         return np.max(np.stack([m.evaluator(p) for m in members]), axis=0)

@@ -11,11 +11,13 @@ A scan maximises a batch of objectives ``p -> f(p, c)``, one lane per lane
 parameter ``c``, in lockstep: one call evaluates the whole (lanes x grid)
 table, and each golden-section step evaluates every still-open lane in one
 call.  Each lane does exactly the arithmetic of a scan of its own, so a
-lane's result does not depend on the other lanes.  The lanes share one
-domain, or each lane brings its own: the ragged grids are then padded into
-one (lanes x n) table by repeating each lane's last point, and each lane
-reads only its own grid's points.  A padded point evaluates as the point it
-repeats, so it never beats it in the argmax, which takes the first maximum.
+lane's result does not depend on the other lanes.  The grid is always a
+table from ``scan_grid_table``: the lanes share one domain, whose one row
+broadcasts over them, or each lane brings its own, and the ragged grids are
+padded into one (lanes x n) table by repeating each lane's last point.  Each
+lane reads only its own grid's points.  A padded point evaluates as the
+point it repeats, so it never beats it in the argmax, which takes the first
+maximum.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import LengthMismatch
-from .generating import GRID_POINTS, UPPER_CAP, Domain, ExponentInterval, PointDomain, scan_grid, scan_grid_table
+from .generating import GRID_POINTS, UPPER_CAP, ExponentInterval, scan_grid_table
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -110,7 +112,7 @@ def _climbing_at_cap(obj: np.ndarray, best: np.ndarray, last: np.ndarray) -> np.
 
 def supremum_scan(
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    domain: Union[Domain, Sequence[Domain]],
+    domain: Union[ExponentInterval, Sequence[ExponentInterval]],
     lanes,
     n_points: int = GRID_POINTS,
     refine: bool = True,
@@ -118,39 +120,39 @@ def supremum_scan(
     """Maximise p -> objective(p, c) over an exponent domain, for every c in ``lanes``.
 
     ``domain`` is one domain for every lane, or a sequence of one domain per
-    lane.  ``objective`` must act elementwise under broadcasting: the grid
-    is evaluated as objective(grid, c[:, None]) against a lane column, the
-    grid being an (n,) row for one domain and a (lanes x n) table, a row per
+    lane.  The grid is a ``scan_grid_table``.  ``objective`` must act
+    elementwise under broadcasting: the grid is evaluated as
+    objective(grid, c[:, None]) against a lane column, the grid being the
+    table's one (n,) row for one domain and the (lanes x n) table, a row per
     lane, for per-lane domains; refinement steps pass matching (k,) arrays of
     points and lane parameters.  NaNs in the objective are treated as -inf.
     Each result keeps its lane's grid and grid objective so callers can
     re-check identities on the exact scan points.
     """
     c = np.asarray(lanes, dtype=float)
-    if isinstance(domain, (ExponentInterval, PointDomain)):
-        grid = scan_grid(domain, n_points)
-        grids, last = [grid] * c.size, np.full(c.size, grid.size - 1)
-        capped = np.full(c.size, not isinstance(domain, PointDomain) and domain.upper > UPPER_CAP)
-    else:
-        domain = list(domain)
-        if len(domain) != c.size:
-            raise LengthMismatch(f"{len(domain)} domains vs {c.size} lanes")
-        if not domain:
-            return []
-        grid, size = scan_grid_table(domain, n_points)
-        grids, last = [row[:n] for row, n in zip(grid, size)], size - 1
-        capped = np.array([not isinstance(d, PointDomain) and d.upper > UPPER_CAP for d in domain])
-    obj = np.empty((c.size, grid.shape[-1]))
-    obj[...] = objective(grid, c[:, None])  # a lane-free objective's row fills every lane
+    shared = isinstance(domain, ExponentInterval)
+    domains = [domain] if shared else list(domain)
+    if not shared and len(domains) != c.size:
+        raise LengthMismatch(f"{len(domains)} domains vs {c.size} lanes")
+    if not domains:
+        return []
+    table, size = scan_grid_table(domains, n_points)
+    grids = [row[:n] for row, n in zip(table, size)]
+    if shared:  # the one row broadcasts over the lanes
+        table, grids = table[0], grids * c.size
+    last = np.broadcast_to(size - 1, c.shape)
+    capped = np.broadcast_to([d.upper > UPPER_CAP for d in domains], c.shape)
+    obj = np.empty((c.size, table.shape[-1]))
+    obj[...] = objective(table, c[:, None])  # a lane-free objective's row fills every lane
     obj[np.isnan(obj)] = -math.inf
 
     rows = np.arange(c.size)
-    table = np.broadcast_to(grid, obj.shape)
+    table = np.broadcast_to(table, obj.shape)
     best = obj.argmax(axis=1)
     best_x, best_v = table[rows, best], obj[rows, best]
     unbounded = capped & _climbing_at_cap(obj, best, last)
 
-    todo = ~unbounded & np.isfinite(best_v) & (last >= 1)  # a point domain's grid is one point
+    todo = ~unbounded & np.isfinite(best_v) & (last >= 1)  # a one-point grid has no bracket
     if refine and todo.any():
         lane = np.flatnonzero(todo)
         lo = table[lane, np.maximum(best[lane] - 1, 0)]

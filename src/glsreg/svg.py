@@ -22,15 +22,13 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def line_plot_svg(x, y, title: str, x_label: str, y_label: str, log_y: bool = False) -> str:
+def line_plot_svg(x, y, title: str, x_label: str, y_label: str) -> str:
     """Render one series as a polyline; returns the SVG document text.
 
     With no finite point the document keeps its frame, labels and data block
     and draws no ticks and no polyline.
     """
     pairs = [(float(a), float(b)) for a, b in zip(x, y) if math.isfinite(a) and math.isfinite(b)]
-    if log_y:
-        pairs = [(a, math.log10(b)) for a, b in pairs if b > 0]
     xs = [a for a, _ in pairs]
     ys = [b for _, b in pairs]
     x_lo, x_hi = min(xs, default=0.0), max(xs, default=0.0)
@@ -48,7 +46,6 @@ def line_plot_svg(x, y, title: str, x_label: str, y_label: str, log_y: bool = Fa
 
     points = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in pairs)
     data_lines = "\n".join(f"{a!r},{b!r}" for a, b in zip(x, y))
-    y_title = y_label + (" (log10)" if log_y else "")
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -77,7 +74,7 @@ def line_plot_svg(x, y, title: str, x_label: str, y_label: str, log_y: bool = Fa
     )
     parts.append(
         f'<text x="18" y="{_HEIGHT / 2:.0f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 18 {_HEIGHT / 2:.0f})">{escape(y_title)}</text>'
+        f'transform="rotate(-90 18 {_HEIGHT / 2:.0f})">{escape(y_label)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

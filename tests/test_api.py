@@ -1,5 +1,6 @@
-"""The public surface: every exported name is reached from the CLI or the verify suite,
-and every weight leaves the off-domain +inf to GeneratingFunction.values."""
+"""The public surface: every exported name and every top-level definition is reached
+from the CLI or the verify suite, and every weight leaves the off-domain +inf to
+GeneratingFunction.values."""
 
 import ast
 import importlib
@@ -30,29 +31,64 @@ def _exports(path: Path, tree: ast.Module) -> set[str]:
     return set()
 
 
-def test_every_export_is_reached_from_cli_or_verify():
-    # by name, across modules: a top-level def or class reaches every identifier in its body
+def _is_definition(node: ast.stmt) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def _registers_a_command(node: ast.stmt) -> bool:
+    # click registers the decorated def; nothing calls it by name
+    return any(_identifiers(d) & {"_command", "command", "group"} for d in getattr(node, "decorator_list", ()))
+
+
+def _package():
+    """(top-level definition names, names reached from cli.py or verify.py, exported names).
+
+    By name, across modules: a top-level def or class reaches every
+    identifier in its body, and so does a module-level table (an assignment)
+    through its name.  The roots are what the CLI and the verify suite run
+    on import: their module-level statements other than definitions, and the
+    definitions that register CLI commands.
+    """
     uses: dict[str, set[str]] = {}
-    reached_from: set[str] = set()
+    roots: set[str] = set()
+    defined: set[str] = set()
     exports: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         exports |= _exports(path, tree)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if _is_definition(node):
+                defined.add(node.name)
                 uses.setdefault(node.name, set()).update(_identifiers(node))
-        if path.name in ROOTS:
-            reached_from |= _identifiers(tree)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in _identifiers(target):
+                        uses.setdefault(name, set()).update(_identifiers(node.value))
+            if path.name in ROOTS and (not _is_definition(node) or _registers_a_command(node)):
+                roots |= _identifiers(node) | ({node.name} if _is_definition(node) else set())
 
     reached: set[str] = set()
-    todo = list(reached_from)
+    todo = list(roots)
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
             todo.extend(uses.get(name, ()))
+    return defined, reached, exports
 
+
+def test_every_export_is_reached_from_cli_or_verify():
+    _, reached, exports = _package()
     unreached = sorted(exports - reached - {"__version__"})
+    assert unreached == []
+
+
+def test_every_top_level_definition_is_reached_from_cli_or_verify():
+    # dead code: a def or class that nothing the CLI or the verify suite runs can reach;
+    # dunder hooks (the package's __getattr__, __dir__) are called by the interpreter
+    defined, reached, _ = _package()
+    unreached = sorted(name for name in defined - reached if not (name.startswith("__") and name.endswith("__")))
     assert unreached == []
 
 

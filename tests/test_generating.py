@@ -9,10 +9,10 @@ from hypothesis import given, strategies as st
 from glsreg.errors import DomainError, EmptyDomain, NoFiniteMoment
 from glsreg.generating import (
     EDGE_INSET,
+    GRID_POINTS,
     UPPER_CAP,
     ExponentInterval,
     Extremal,
-    PointDomain,
     PowerRoot,
     Product,
     Tabulated,
@@ -20,10 +20,10 @@ from glsreg.generating import (
     from_config,
     intersect_domains,
     natural_function,
-    scan_grid,
     scan_grid_table,
 )
 from glsreg.moments import MomentFunction, constant_moments, std_exponential_moments, table_moments
+from test_scan import scan_grid
 
 
 class TestExponentInterval:
@@ -54,12 +54,17 @@ class TestIntersect:
             intersect_domains(ExponentInterval(1.0, 2.0), ExponentInterval(3.0, 4.0))
 
     def test_point_inside_interval(self):
-        out = intersect_domains(PointDomain(2.0), ExponentInterval(1.0, 5.0))
-        assert isinstance(out, PointDomain) and out.p == 2.0
+        point = Extremal(2.0).domain
+        assert intersect_domains(point, ExponentInterval(1.0, 5.0)) == point
+        assert intersect_domains(ExponentInterval(1.0, 5.0), point) == point
 
     def test_point_outside_interval_raises(self):
-        with pytest.raises(EmptyDomain):
-            intersect_domains(PointDomain(9.0), ExponentInterval(1.0, 5.0))
+        with pytest.raises(EmptyDomain, match="disjoint"):
+            intersect_domains(Extremal(9.0).domain, ExponentInterval(1.0, 5.0))
+
+    def test_point_at_an_open_lower_end_raises(self):
+        with pytest.raises(EmptyDomain, match="disjoint"):
+            intersect_domains(Extremal(2.0).domain, ExponentInterval(2.0, 5.0, lower_open=True))
 
 
 class TestPowerRoot:
@@ -105,7 +110,7 @@ class TestTwoSidedSingular:
 class TestExtremal:
     def test_point_domain(self):
         psi = Extremal(r=3.0)
-        assert isinstance(psi.domain, PointDomain)
+        assert psi.domain == ExponentInterval(3.0, math.nextafter(3.0, math.inf))
         assert psi.value(3.0) == 1.0
         assert psi.value(2.0) == math.inf
 
@@ -157,32 +162,79 @@ class TestProduct:
             Product((Tabulated(points=((1.0, 1.0), (2.0, 1.0))), Extremal(r=4.0)))
 
 
+def grid_row(domain, n_points):
+    table, size = scan_grid_table([domain], n_points)
+    return table[0, : size[0]]
+
+
+# interval ends: small exponents, widths of a few ulps, and lower ends around the scan cap
+LOWER_ENDS = st.one_of(
+    st.floats(1.0, 50.0),
+    st.floats(0.5 * UPPER_CAP, 2.0 * UPPER_CAP),
+    st.sampled_from([1.0, UPPER_CAP, math.nextafter(UPPER_CAP, 0.0), math.nextafter(UPPER_CAP, math.inf)]),
+)
+
+
+@st.composite
+def interval_ends(draw):
+    lower = draw(LOWER_ENDS)
+    upper = draw(
+        st.one_of(
+            st.integers(0, 4).map(lambda ulps: lower + ulps * math.ulp(lower)),
+            st.floats(1e-12, 1e-6).map(lambda width: lower * (1.0 + width)),
+            st.floats(1.0, 1e3).map(lambda width: lower + width),
+            st.just(math.inf),
+        )
+    )
+    return lower, upper, draw(st.booleans())
+
+
 class TestScanGrid:
     def test_includes_closed_endpoints_exactly(self):
-        grid = scan_grid(ExponentInterval(1.0, 8.0), 64)
+        grid = grid_row(ExponentInterval(1.0, 8.0), 64)
         assert grid[0] == 1.0
         assert grid.max() < 8.0
 
     def test_insets_open_lower(self):
-        grid = scan_grid(ExponentInterval(2.0, 8.0, lower_open=True), 64)
+        grid = grid_row(ExponentInterval(2.0, 8.0, lower_open=True), 64)
         # first point is the endpoint-adjacent sample, strictly inside
         assert 2.0 < grid[0] <= 2.0 * (1.0 + EDGE_INSET)
 
     def test_caps_infinite_upper(self):
-        grid = scan_grid(ExponentInterval(1.0, math.inf), 64)
+        grid = grid_row(ExponentInterval(1.0, math.inf), 64)
         assert grid.max() <= UPPER_CAP
 
     def test_point_domain(self):
-        np.testing.assert_array_equal(scan_grid(PointDomain(3.0)), [3.0])
+        np.testing.assert_array_equal(grid_row(Extremal(3.0).domain, GRID_POINTS), [3.0])
 
     def test_strictly_increasing(self):
-        grid = scan_grid(ExponentInterval(1.0, 50.0, lower_open=True), 128)
+        grid = grid_row(ExponentInterval(1.0, 50.0, lower_open=True), 128)
         assert np.all(np.diff(grid) > 0)
+
+    @given(interval_ends(), st.sampled_from([1, 2, 5, 96]))
+    def test_empty_exactly_when_no_float_inside(self, ends, n_points):
+        lower, upper, lower_open = ends
+        smallest = math.nextafter(lower, math.inf) if lower_open else lower
+        if not upper > smallest:
+            with pytest.raises(EmptyDomain):
+                ExponentInterval(lower, upper, lower_open)
+            return
+        domain = ExponentInterval(lower, upper, lower_open)
+        grid = grid_row(domain, n_points)
+        assert grid.size >= 1
+        assert np.all(np.diff(grid) > 0)
+        assert domain.contains_array(grid).all()
+
+    def test_rows_left_empty_keep_the_smallest_exponent(self):
+        # the insets step past an upper end a few ulps above the lower one
+        for lower in (1.0, 3.0, 2.0 * UPPER_CAP):
+            domain = ExponentInterval(lower, lower + 3 * math.ulp(lower), lower_open=True)
+            np.testing.assert_array_equal(grid_row(domain, GRID_POINTS), [math.nextafter(lower, math.inf)])
 
     @pytest.mark.parametrize("n_points", [1, 2, 3, 96, 512])
     def test_table_rows_are_the_grids_padded_by_their_last_point(self, n_points):
         rng = np.random.default_rng(5)
-        domains = [PointDomain(2.5), ExponentInterval(1.0, math.inf)]
+        domains = [Extremal(2.5).domain, ExponentInterval(1.0, math.inf)]
         domains.append(ExponentInterval(UPPER_CAP, math.inf, lower_open=True))
         for _ in range(400):
             lower = float(rng.choice([1.0, rng.uniform(1.0, 50.0), rng.uniform(0.9 * UPPER_CAP, 2.0 * UPPER_CAP)]))

@@ -106,6 +106,8 @@ REJECTED_CONFIGS = {
     "simulate-p-grid-infinity": {**SIMULATE, "p_grid": [math.inf]},
     "simulate-u-grid-nan": {**SIMULATE, "u_grid": [math.nan]},
     "bound-p-grid-nan": {**BOUND_REGULATOR, "p_grid": [math.nan, 3.0]},
+    # (1, b) with b the float after 1 holds no float
+    "two-sided-holds-no-float": {**NORM, "psi": {"form": "two_sided", "b": 1.0000000000000002, "alpha": 1.0, "beta": 0.0}},
 }
 
 
@@ -439,6 +441,17 @@ class TestNormCommand:
         assert result.exit_code == 0
         svg = (out / "ratio_curve.svg").read_text()
         assert svg.startswith("<svg") and "</svg>" in svg
+
+
+    def test_two_float_interval(self, runner, tmp_path):
+        # (1, b) holds the float after 1 alone, so the scan samples that one exponent
+        cfg = {**NORM, "psi": {"form": "two_sided", "b": 1.0000000000000004, "alpha": 1.0, "beta": 0.0}}
+        (tmp_path / "n.json").write_text(json.dumps(cfg))
+        result = invoke(runner, "norm", "--config", str(tmp_path / "n.json"), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "o" / "norm.json").read_text())
+        assert payload["argmax_p"] == math.nextafter(1.0, math.inf)
+        assert payload["gls_norm"] == 2.0**-52  # ||f||_1 (p - 1) for the standard exponential
 
 
 class TestConjugateCommand:

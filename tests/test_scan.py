@@ -7,16 +7,15 @@ import pytest
 
 from glsreg.errors import DomainError, LengthMismatch
 from glsreg.generating import (
+    EDGE_INSET,
     GRID_POINTS,
     UPPER_CAP,
     ExponentInterval,
     Extremal,
-    PointDomain,
     PowerRoot,
     Tabulated,
     TwoSidedSingular,
     natural_function,
-    scan_grid,
 )
 from glsreg.moments import discrete_moments, exponential_tail_bound, std_exponential_moments, young_fenchel
 from glsreg.scan import _golden_section_max, supremum_scan
@@ -26,6 +25,22 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # ---------------------------------------------------------------------------
 # the one-objective scan, one scalar golden-section step at a time: the reference
+
+
+def scan_grid(domain, n_points=GRID_POINTS):
+    """The grid of one domain on its own: the reference for each row of scan_grid_table."""
+    lo, hi = domain.lower, min(domain.upper, UPPER_CAP)
+    if hi <= lo:  # the domain starts at or past the cap: its (inset) lower end alone
+        grid = np.asarray([lo * (1 + EDGE_INSET) if domain.lower_open else lo])
+    else:
+        lo_eff = lo * (1.0 + EDGE_INSET) if domain.lower_open else lo
+        pts = np.geomspace(lo_eff, hi * (1.0 - EDGE_INSET), n_points)
+        adjacent = [lo * (1.0 + 1e-12) if domain.lower_open else lo, hi * (1.0 - 1e-12)]
+        grid = np.unique(np.concatenate([pts, adjacent]))
+    grid = grid[domain.contains_array(grid)]
+    if not grid.size:  # the insets left nothing: the domain's smallest exponent
+        grid = np.asarray([math.nextafter(lo, math.inf) if domain.lower_open else lo])
+    return grid
 
 
 def reference_golden_section_max(f, a, b, iters=90):
@@ -53,8 +68,6 @@ def reference_scan(objective, domain, n_points=GRID_POINTS):
     obj = np.where(np.isnan(obj), -math.inf, obj)
     best = int(np.argmax(obj))
     best_x, best_v = float(grid[best]), float(obj[best])
-    if isinstance(domain, PointDomain):
-        return best_v, best_x, False, obj
     if domain.upper > UPPER_CAP and best == obj.size - 1 and obj.size >= 2:
         last, prev = obj[-1], obj[-2]
         if math.isfinite(last) and math.isfinite(prev) and last > prev + 1e-12 * max(1.0, abs(last)):
@@ -135,6 +148,14 @@ def test_lanes_cover_unbounded_nan_and_point_domains():
     assert cube[-1].value == -math.inf and not np.isfinite(cube[-1].objective).any()
     point = supremum_scan(conjugate_objective(Extremal(2.5)), Extremal(2.5).domain, LANES)
     assert all(r.grid.size == 1 and r.argmax == 2.5 for r in point)
+
+
+def test_extremal_past_the_cap_scans_one_point():
+    # [2e4, nextafter(2e4)) reaches past UPPER_CAP, but one point cannot climb into the cap
+    psi = Extremal(2e4)
+    for result in supremum_scan(conjugate_objective(psi), psi.domain, LANES[:-1]):
+        assert result.grid.tolist() == [2e4] and result.argmax == 2e4
+        assert not result.unbounded and result.value == result.objective[0]
 
 
 def test_nan_inside_a_bracket_reads_as_minus_inf():
@@ -232,7 +253,7 @@ LANE_DOMAINS = [
     ExponentInterval(1.0, 6.0, lower_open=True),
     ExponentInterval(2.5, 40.0),
     ExponentInterval(1.0, 1.5, lower_open=True),
-    PointDomain(2.5),
+    Extremal(2.5).domain,
     ExponentInterval(1.0, math.inf),
     ExponentInterval(3.0, 3.0 + 1e-9),
 ]
