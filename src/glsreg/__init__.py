@@ -66,7 +66,7 @@ _EXPORTS = {
         "young_fenchel_scan",
     ),
     "reports": ("CheckRecord", "VerificationReport"),
-    "sequences": ("DecaySequencePair", "GeometricSequence", "PowerLogSequence", "SlowlyVaryingSequence"),
+    "sequences": ("DecaySequencePair", "GeometricSequence", "PowerLogSequence"),
     "simulate": (
         "ExponentialPower",
         "FixedTruncation",

@@ -9,8 +9,8 @@ which ``regulator_lp_bound`` evaluates; the proof step behind it,
 ``sum_{n >= n0} n**(-p*eps) <= 1/(p*eps - 1)``, needs n0 >= 2.  For a
 decay pair (eps_n, beta_n), ``sigma_function`` evaluates the series
 ``sigma(p) = (sum_n (eps_n/beta_n)**p)**(1/p)``, in closed form for
-geometric pairs and otherwise by summation cut once the integral-test bound
-on the remainder is at most rel_tol x the partial sum.  A tolerance that no
+geometric pairs and for power-law pairs by summation cut once the
+integral-test bound on the remainder is at most rel_tol x the partial sum.  A tolerance that no
 cut within ``SERIES_TERM_CAP`` terms can certify raises before the sum, and
 the largest ratio is factored out of the power sum, so a tiny or huge ratio
 neither underflows to 0 nor overflows to inf.  The CLI's weighted-sum bound
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import Divergent, DomainError, InvalidExponent, ToleranceUnreachable
 from .generating import GeneratingFunction, check_eps
-from .sequences import DecaySequencePair, _chunked_sum
+from .sequences import DecaySequencePair, GeometricSequence, _chunked_sum
 
 __all__ = [
     "SERIES_TERM_CAP",
@@ -91,12 +91,9 @@ def _geometric_sigma_series(delta: float, p: float, rel_tol: float) -> float:
 
 
 def _power_ratio_params(pair: DecaySequencePair, p: float) -> tuple[float, float, int]:
-    gamma = p * pair.ratio_rate
-    mu = p * pair.ratio_log_power
-    head = pair.first_index
-    for seq in (pair.eps_seq, pair.beta_seq):
-        head = max(head, len(getattr(seq, "table", ())))
-    return gamma, mu, head
+    """(gamma, mu, head): past the head the p-th power of the ratio is C n**(-gamma) ln(n+1)**mu."""
+    e, b = pair.eps_seq, pair.beta_seq
+    return p * (e.rate - b.rate), p * (e.log_power - b.log_power), max(1, len(e.table), len(b.table))
 
 
 def _power_remainder_bound(
@@ -122,7 +119,6 @@ def _power_sigma_series(pair: DecaySequencePair, p: float, rel_tol: float) -> fl
     gamma, mu, head = _power_ratio_params(pair, p)
     if gamma < 1.0 or (gamma == 1.0 and mu >= -1.0):
         raise Divergent(f"series of (eps_n/beta_n)^p diverges at p = {p} (gamma = {gamma}, mu = {mu})")
-    start = pair.first_index
     # the remainder bound needs n >= 2 at gamma == 1 and, for mu > 0, ln n >= 2 mu / (gamma - 1);
     # clamped just past the cap, so exp stays finite and the cap check still fires
     log_valid = min(2.0 * mu / (gamma - 1.0) if mu > 0 else 0.0, math.log(2.0 * SERIES_TERM_CAP))
@@ -135,7 +131,7 @@ def _power_sigma_series(pair: DecaySequencePair, p: float, rel_tol: float) -> fl
     # sigma = r_max * (sum (r_n / r_max)**p)**(1/p), so no scaled term under- or overflows.  r_max lies
     # on the table or within 64 indices below peak: peak < 56 when mu/gamma < 4, and otherwise the
     # rise ends fewer than mu/gamma + 4 < 23 indices below peak (mu/gamma <= ln cap)
-    idx = np.union1d(np.arange(start, head + 1), np.arange(max(start, peak - 64), peak + 1))
+    idx = np.union1d(np.arange(1, head + 1), np.arange(max(1, peak - 64), peak + 1))
     r_max = float(np.max(pair.ratio_values(idx.astype(float))))
 
     def term(n: np.ndarray) -> np.ndarray:
@@ -148,9 +144,9 @@ def _power_sigma_series(pair: DecaySequencePair, p: float, rel_tol: float) -> fl
     # tested against an upper bound on the whole sum before summing, and against the sum after
     cap_remainder = remainder(SERIES_TERM_CAP)
     total = 0.0
-    if cap_remainder <= rel_tol * (_chunked_sum(term, start, n_mono) + remainder(n_mono)):
+    if cap_remainder <= rel_tol * (_chunked_sum(term, 1, n_mono) + remainder(n_mono)):
         total = _chunked_sum(
-            term, start, SERIES_TERM_CAP, lambda partial, top: top >= n_mono and remainder(top) <= rel_tol * partial
+            term, 1, SERIES_TERM_CAP, lambda partial, top: top >= n_mono and remainder(top) <= rel_tol * partial
         )
     if cap_remainder > rel_tol * total:
         raise ToleranceUnreachable(f"remainder bound after {SERIES_TERM_CAP} terms stays above {rel_tol} x the sum")
@@ -160,10 +156,11 @@ def _power_sigma_series(pair: DecaySequencePair, p: float, rel_tol: float) -> fl
 def sigma_function(pair: DecaySequencePair, p: float, rel_tol: float = 1e-6, force_series: bool = False) -> float:
     """L_p norm sigma(p) of the ratio sequence eps_n / beta_n.
 
-    Geometric pairs use the closed form (1 - delta**p)**(-1/p) unless
-    ``force_series`` asks for the truncated summation (the two must agree to
-    rel_tol, which the verification suite checks).  Power-type pairs always
-    sum, truncating when the integral-test remainder drops below
+    Geometric pairs, with delta = q/Q, use the closed form
+    (scale ratio) * (1 - delta**p)**(-1/p) unless ``force_series`` asks for
+    the truncated summation (the two must agree to rel_tol, which the
+    verification suite checks).  Power-law pairs always sum from n = 1,
+    truncating when the integral-test remainder drops below
     rel_tol x partial sum; a tolerance that SERIES_TERM_CAP terms cannot
     reach raises ``ToleranceUnreachable`` before the sum starts.
     """
@@ -171,9 +168,10 @@ def sigma_function(pair: DecaySequencePair, p: float, rel_tol: float = 1e-6, for
         raise DomainError(f"sigma needs an exponent p >= 1, got {p}")
     if not (0.0 < rel_tol < 1.0):
         raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    if pair.kind == "geometric":
-        scale = pair.eps_seq.scale / pair.beta_seq.scale
+    e, b = pair.eps_seq, pair.beta_seq
+    if isinstance(e, GeometricSequence):
+        delta = e.q / b.q
         if force_series:
-            return scale * _geometric_sigma_series(pair.delta, p, rel_tol) ** (1.0 / p)
-        return scale * (1.0 - pair.delta**p) ** (-1.0 / p)
+            return e.scale / b.scale * _geometric_sigma_series(delta, p, rel_tol) ** (1.0 / p)
+        return e.scale / b.scale * (1.0 - delta**p) ** (-1.0 / p)
     return _power_sigma_series(pair, p, rel_tol)

@@ -20,7 +20,6 @@ from .estimates import ConfidenceValue, mean_estimate
 
 __all__ = [
     "TrajectoryBatch",
-    "RegulatorExtraction",
     "regulator_ratio_matrix",
     "criterion_functional",
     "extract_regulator",
@@ -60,19 +59,6 @@ class TrajectoryBatch:
         return n - self.index_start
 
 
-@dataclass(frozen=True)
-class RegulatorExtraction:
-    """Per-trajectory regulator factors for a fixed null sequence.
-
-    ``gap`` is the largest |x_n| / delta_n - factor over the batch: 0.0 when
-    every factor dominates its trajectory exactly.
-    """
-
-    factors: np.ndarray
-    delta_values: np.ndarray
-    gap: float
-
-
 def regulator_ratio_matrix(values: np.ndarray, delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise |values| / delta with delta broadcast across trajectories.
 
@@ -104,23 +90,19 @@ def criterion_functional(batch: TrajectoryBatch, n: int) -> ConfidenceValue:
     return mean_estimate(transformed)
 
 
-def extract_regulator(batch: TrajectoryBatch, delta_seq) -> RegulatorExtraction:
-    """Smallest per-trajectory v with |x_n| <= v * delta_n on the window.
+def extract_regulator(batch: TrajectoryBatch, delta_seq) -> np.ndarray:
+    """Per-trajectory regulator factor v = max_n |x_n| / delta_n over the window.
 
-    v = max_n |x_n| / delta_n, so the factorization holds exactly (not up to
-    tolerance) for every entry of every trajectory.  The ratios are taken a
-    row chunk at a time in one reused buffer of about ``_ROW_CHUNK_CELLS``
-    cells, so no batch-sized ratio matrix is held.
+    v is the smallest factor with |x_n| <= v * delta_n.  The ratios are taken a row chunk at a time in
+    one reused buffer of about ``_ROW_CHUNK_CELLS`` cells, so no batch-sized
+    ratio matrix is held.
     """
     delta = delta_seq.values(batch.indices())
     values = batch.values
     rows_per_chunk = max(1, _ROW_CHUNK_CELLS // values.shape[1])
     buffer = np.empty((min(rows_per_chunk, values.shape[0]), values.shape[1]))
     factors = np.empty(values.shape[0])
-    gap = -np.inf
     for lo in range(0, values.shape[0], rows_per_chunk):
         block = values[lo : lo + rows_per_chunk]
-        ratios = regulator_ratio_matrix(block, delta, out=buffer[: len(block)])
-        chunk_factors = ratios.max(axis=1, out=factors[lo : lo + len(block)])
-        gap = max(gap, float(np.max(np.subtract(ratios, chunk_factors[:, None], out=ratios))))
-    return RegulatorExtraction(factors=factors, delta_values=delta, gap=gap)
+        regulator_ratio_matrix(block, delta, out=buffer[: len(block)]).max(axis=1, out=factors[lo : lo + len(block)])
+    return factors

@@ -56,7 +56,10 @@ class ExponentInterval:
             raise DomainError(f"interval must start at an exponent >= 1, got {self.lower}")
         smallest = math.nextafter(self.lower, math.inf) if self.lower_open else self.lower
         if not self.upper > smallest:
-            raise EmptyDomain(f"empty exponent interval [{self.lower}, {self.upper})")
+            raise EmptyDomain(f"empty exponent interval {self}")
+
+    def __str__(self) -> str:
+        return f"{'(' if self.lower_open else '['}{self.lower}, {self.upper})"
 
     def contains_array(self, p: np.ndarray) -> np.ndarray:
         above = p > self.lower if self.lower_open else p >= self.lower
@@ -77,7 +80,7 @@ def intersect_domains(a: ExponentInterval, b: ExponentInterval) -> ExponentInter
     try:
         return ExponentInterval(lower, min(a.upper, b.upper), lower_open)
     except EmptyDomain:
-        raise EmptyDomain(f"intervals [{a.lower},{a.upper}) and [{b.lower},{b.upper}) are disjoint") from None
+        raise EmptyDomain(f"intervals {a} and {b} are disjoint") from None
 
 
 class GeneratingFunction(abc.ABC):

@@ -407,7 +407,7 @@ def check_norm_axioms(seed: int, trajectories: int, eta_values: EtaValues) -> li
 
 
 def check_convergence_diagnostics(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
-    """Monotone criterion functional, smallness at n = 100, exact extraction."""
+    """Monotone criterion functional, smallness at n = 100, and the batch's regulator factors against simulate_eta."""
     m = min(trajectories, 10_000)
     plan = _exponential_plan(seed, m, alpha=2.0)
     batch = simulate_trajectories(plan)
@@ -416,7 +416,7 @@ def check_convergence_diagnostics(seed: int, trajectories: int, eta_values: EtaV
         estimates[10].value - estimates[1].value,
         estimates[100].value - estimates[10].value,
     )
-    extraction = extract_regulator(batch, PowerLogSequence(rate=plan.alpha - plan.eps))
+    factors = extract_regulator(batch, PowerLogSequence(rate=plan.alpha - plan.eps))
     eta, _ = eta_values(plan)  # simulate_eta, not the batch, so regulator-eta-bitwise compares two routes
     return [
         CheckRecord(
@@ -438,10 +438,10 @@ def check_convergence_diagnostics(seed: int, trajectories: int, eta_values: EtaV
         ),
         CheckRecord(
             check_id="regulator-factorization",
-            claim="every |x_n| / delta_n is dominated by the extracted factor, exactly",
+            claim="the directly simulated regulator dominates every |x_n| / delta_n of the batch",
             kind="upper",
             theoretical=0.0,
-            estimate=extraction.gap,
+            estimate=float(np.max(factors - eta)),
             params={"trajectories": m},
         ),
         CheckRecord(
@@ -449,7 +449,7 @@ def check_convergence_diagnostics(seed: int, trajectories: int, eta_values: EtaV
             claim="extraction and direct simulation agree bitwise on shared seeds",
             kind="equality",
             theoretical=0.0,
-            estimate=float(np.max(np.abs(extraction.factors - eta))),
+            estimate=float(np.max(np.abs(factors - eta))),
             params={"trajectories": m},
         ),
     ]

@@ -248,13 +248,12 @@ def test_10_convergence_criteria_and_bitwise_regulator():
     def check():
         batch = simulate_trajectories(plan)
         functional = [criterion_functional(batch, n).value for n in (1, 10, 100)]
-        ext = extract_regulator(batch, PowerLogSequence(rate=plan.alpha - plan.eps))
-        ratios = regulator_ratio_matrix(batch.values, ext.delta_values)
-        factorization = bool(np.all(ratios <= ext.factors[:, None])) and bool(
-            np.all(ratios.max(axis=1) == ext.factors)
-        )
+        delta_seq = PowerLogSequence(rate=plan.alpha - plan.eps)
+        factors = extract_regulator(batch, delta_seq)
+        ratios = regulator_ratio_matrix(batch.values, delta_seq.values(batch.indices()))
+        factorization = bool(np.all(ratios <= factors[:, None])) and bool(np.all(ratios.max(axis=1) == factors))
         eta = simulate_eta(plan).value
-        bitwise = bool(np.array_equal(ext.factors, eta))
+        bitwise = bool(np.array_equal(factors, eta))
         return functional, factorization, bitwise
 
     (functional, factorization, bitwise), elapsed = timed(check)

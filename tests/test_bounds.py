@@ -21,9 +21,18 @@ from glsreg.sequences import (
     DecaySequencePair,
     GeometricSequence,
     PowerLogSequence,
-    SlowlyVaryingSequence,
     sequence_from_config,
 )
+
+
+def slowly_varying_reference(rate: float, table: tuple[float, ...], n: np.ndarray) -> np.ndarray:
+    """n**(-rate) * L(n), L tabulated on 1..len(table) and extended by its last value.
+
+    This is the formula of the former SlowlyVaryingSequence.values, kept as the
+    reference that a PowerLogSequence table must reproduce bit for bit.
+    """
+    idx = np.minimum(n.astype(int), len(table)) - 1
+    return n ** (-rate) * np.asarray(table)[idx]
 
 
 def constant_envelope(level: float, alpha: float = 1.0, index_start: int = 1) -> MomentEnvelope:
@@ -80,7 +89,6 @@ class TestRegulatorLpBound:
 class TestGeometricSigma:
     def test_spec_example(self):
         pair = DecaySequencePair(GeometricSequence(q=0.25), GeometricSequence(q=0.5))
-        assert pair.delta == 0.5
         assert sigma_function(pair, 1.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_closed_form_general(self):
@@ -196,8 +204,8 @@ class TestPowerLogSigma:
     def test_tiny_or_huge_ratio_is_scaled_out(self, level):
         # (1e-10 n^-1.5)^40 underflows to 0 for every n and (1e10)^40 overflows
         # to inf; sigma is linear in the table level, so it must scale exactly
-        unit = DecaySequencePair(SlowlyVaryingSequence(rate=2.0, table=(1.0,)), PowerLogSequence(rate=0.5))
-        pair = DecaySequencePair(SlowlyVaryingSequence(rate=2.0, table=(level,)), PowerLogSequence(rate=0.5))
+        unit = DecaySequencePair(PowerLogSequence(rate=2.0, table=(1.0,)), PowerLogSequence(rate=0.5))
+        pair = DecaySequencePair(PowerLogSequence(rate=2.0, table=(level,)), PowerLogSequence(rate=0.5))
         assert sigma_function(unit, 40.0) == pytest.approx(1.0, rel=1e-15)
         assert sigma_function(pair, 40.0) == pytest.approx(level, rel=1e-12)
 
@@ -210,9 +218,7 @@ class TestPowerLogSigma:
 
     def test_slowly_varying_constant_table_scales_sigma(self):
         plain = DecaySequencePair(PowerLogSequence(rate=2.0), PowerLogSequence(rate=0.5))
-        tabled = DecaySequencePair(
-            SlowlyVaryingSequence(rate=2.0, table=(2.0, 2.0)), PowerLogSequence(rate=0.5)
-        )
+        tabled = DecaySequencePair(PowerLogSequence(rate=2.0, table=(2.0, 2.0)), PowerLogSequence(rate=0.5))
         # constant table means every ratio term doubles, so sigma doubles
         assert sigma_function(tabled, 4.0, rel_tol=1e-8) == pytest.approx(
             2.0 * sigma_function(plain, 4.0, rel_tol=1e-8), rel=1e-9
@@ -252,8 +258,29 @@ class TestSequences:
                 GeometricSequence(q=bad)
 
     def test_slowly_varying_extends_by_last_value(self):
-        seq = SlowlyVaryingSequence(rate=1.0, table=(2.0, 3.0))
+        seq = PowerLogSequence(rate=1.0, table=(2.0, 3.0))
         np.testing.assert_allclose(seq.values(np.asarray([1.0, 2.0, 5.0])), [2.0, 1.5, 0.6])
+
+    @given(
+        st.floats(min_value=0.01, max_value=20.0),
+        st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=40),
+        st.lists(st.integers(min_value=1, max_value=10**9), min_size=1, max_size=50),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_table_matches_slowly_varying_reference_bitwise(self, rate, table, indices):
+        n = np.asarray(indices, dtype=float)
+        got = PowerLogSequence(rate=rate, table=tuple(table)).values(n)
+        np.testing.assert_array_equal(got, slowly_varying_reference(rate, tuple(table), n))
+
+    def test_log_factor_and_table_multiply(self):
+        seq = PowerLogSequence(rate=1.0, log_power=1.0, table=(2.0, 3.0))
+        n = np.asarray([1.0, 2.0, 5.0])
+        np.testing.assert_allclose(seq.values(n), n**-1.0 * np.log(n + 1.0) * [2.0, 3.0, 3.0], rtol=1e-15)
+
+    def test_table_values_must_be_positive_and_finite(self):
+        for bad in ((1.0, 0.0), (-1.0,), (math.inf,), (math.nan,)):
+            with pytest.raises(DomainError):
+                PowerLogSequence(rate=1.0, table=bad)
 
     def test_pair_requires_decaying_ratio(self):
         with pytest.raises(DomainError):
@@ -262,8 +289,10 @@ class TestSequences:
             DecaySequencePair(PowerLogSequence(rate=0.5), PowerLogSequence(rate=1.0))
 
     def test_pair_rejects_mixed_kinds(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="cannot pair a GeometricSequence with a PowerLogSequence"):
             DecaySequencePair(GeometricSequence(q=0.25), PowerLogSequence(rate=1.0))
+        with pytest.raises(DomainError, match="cannot pair a PowerLogSequence with a GeometricSequence"):
+            DecaySequencePair(PowerLogSequence(rate=1.0, table=(1.0,)), GeometricSequence(q=0.5))
 
     def test_ratio_values(self):
         pair = DecaySequencePair(PowerLogSequence(rate=1.5), PowerLogSequence(rate=0.5))
@@ -278,7 +307,7 @@ class TestSequences:
         seq = sequence_from_config({"form": "geometric", "Q": 0.5, "scale": 2.0})
         assert seq.q == 0.5 and seq.scale == 2.0
         seq = sequence_from_config({"form": "slowly_varying", "alpha": 1.0, "table": [1.0, 2.0]})
-        assert seq.table == (1.0, 2.0)
+        assert seq == PowerLogSequence(rate=1.0, table=(1.0, 2.0))
 
     @given(st.floats(min_value=0.05, max_value=0.9), st.floats(min_value=1.0, max_value=8.0))
     @settings(max_examples=50, deadline=None)

@@ -43,6 +43,12 @@ class TestExponentInterval:
         with pytest.raises(DomainError):
             ExponentInterval(3.0, 3.0)
 
+    def test_open_interval_is_named_with_a_round_bracket(self):
+        with pytest.raises(EmptyDomain) as caught:
+            ExponentInterval(1.0, math.nextafter(1.0, math.inf), lower_open=True)
+        assert str(caught.value) == "empty exponent interval (1.0, 1.0000000000000002)"
+        assert str(ExponentInterval(1.0, 4.0)) == "[1.0, 4.0)"
+
 
 class TestIntersect:
     def test_interval_overlap(self):
@@ -63,8 +69,9 @@ class TestIntersect:
             intersect_domains(Extremal(9.0).domain, ExponentInterval(1.0, 5.0))
 
     def test_point_at_an_open_lower_end_raises(self):
-        with pytest.raises(EmptyDomain, match="disjoint"):
+        with pytest.raises(EmptyDomain) as caught:
             intersect_domains(Extremal(2.0).domain, ExponentInterval(2.0, 5.0, lower_open=True))
+        assert str(caught.value) == "intervals [2.0, 2.0000000000000004) and (2.0, 5.0) are disjoint"
 
 
 class TestPowerRoot:

@@ -72,8 +72,8 @@ def bound_pair(eps_seq: dict, beta_seq: dict) -> dict:
 
 # Every config here must exit 2: the loader rejects a NaN or Infinity
 # literal, the schema rejects its shape, or a constructor's domain check
-# (q < Q, knot order, matching lengths, eps < alpha) rejects its values
-# while the command builds its objects.
+# (q < Q, matching sequence types, knot order, matching lengths,
+# eps < alpha) rejects its values while the command builds its objects.
 REJECTED_CONFIGS = {
     "psi-unknown-form": {**NORM, "psi": {"form": "mystery"}},
     "psi-missing-field": {**NORM, "psi": {"form": "power_root"}},
@@ -81,6 +81,10 @@ REJECTED_CONFIGS = {
     "sequence-unknown-form": bound_pair({"form": "nope"}, {"form": "geometric", "Q": 0.5}),
     "power-log-without-rate": bound_pair({"form": "power_log"}, {"form": "power_log", "theta": 0.5}),
     "pair-q-not-below-Q": bound_pair({"form": "geometric", "q": 0.5}, {"form": "geometric", "Q": 0.25}),
+    "pair-geometric-with-power-log": bound_pair({"form": "geometric", "q": 0.25}, {"form": "power_log", "theta": 0.5}),
+    "slowly-varying-empty-table": bound_pair(
+        {"form": "slowly_varying", "alpha": 1.0, "table": []}, {"form": "power_log", "theta": 0.5}
+    ),
     "model-unknown-kind": {**SIMULATE, "model": {"kind": "bogus"}},
     "model-missing-alpha": {**SIMULATE, "model": {"kind": "exponential_power"}},
     "model-missing-kind": {**SIMULATE, "model": {"alpha": 1.0}},
@@ -333,6 +337,20 @@ class TestRunSuite:
         verify.run_suite(checks, seed=1, trajectories=500)
         assert len(plans) == 6
 
+    def test_regulator_factorization_fails_when_eta_is_low(self):
+        from glsreg.verify import _eta_values, check_convergence_diagnostics
+
+        def lowered(plan):
+            values, trunc = _eta_values(plan)
+            return values * (1.0 - 1e-12), trunc
+
+        def verdict(eta_values):
+            records = check_convergence_diagnostics(1, 500, eta_values)
+            return next(r.verdict for r in records if r.check_id == "regulator-factorization")
+
+        assert verdict(_eta_values) == "PASS"
+        assert verdict(lowered) == "FAIL"
+
     def test_catalogue_matches_schema_enum(self):
         from glsreg.verify import CHECKS
 
@@ -546,6 +564,23 @@ class TestBoundCommand:
         svg = (out / "bounds.svg").read_text()
         assert svg.startswith("<svg") and svg.endswith("</svg>\n")
         assert "<desc>p,bound\n1.0,inf\n1.5,inf</desc>" in svg and "<polyline" not in svg
+
+    def test_slowly_varying_pair_frozen_rows(self, runner, tmp_path):
+        # ratio n^-2 ln(n+1) L(n) with L = 3, 1, 0.5, 0.5, ...; rows frozen from SlowlyVaryingSequence,
+        # the class this form built before it became a PowerLogSequence table
+        cfg = bound_pair(
+            {"form": "slowly_varying", "alpha": 2.5, "table": [3.0, 1.0, 0.5]},
+            {"form": "power_log", "theta": 0.5, "nu": 1.0},
+        )
+        (tmp_path / "b.json").write_text(json.dumps({**cfg, "p_grid": [1.0, 2.0, 4.0]}))
+        result = invoke(runner, "bound", "--config", str(tmp_path / "b.json"), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 0
+        rows = json.loads((tmp_path / "o" / "bound.json").read_text())["rows"]
+        assert rows == [
+            {"p": 1.0, "sigma": 2.7705710055252135, "bound": 2.7705710055252135},
+            {"p": 2.0, "sigma": 2.1003878784964907, "bound": 4.200775756992981},
+            {"p": 4.0, "sigma": 2.0796009620600726, "bound": 8.31840384824029},
+        ]
 
     def test_unreachable_tolerance_exits_1(self, runner, tmp_path):
         # p gamma - 1 = 1e-3 cannot certify 1e-9 within the term cap: a typed error, found before summing
