@@ -10,8 +10,11 @@ module also evaluates the exact tail
 
 its Bonferroni sandwich, and the exact moments by one fixed composite
 Gauss-Legendre rule against that tail: only the moments' cut of the integral
-at U is certified, and their rel_tol sets only that cut.  These exact
-routines are the oracles every simulated quantity is verified against.
+at U is certified, and their rel_tol sets only that cut.  The tail and the
+sandwich sums run only to the first index whose term is at most abs_tol and
+add the midpoint of an integral bracket on the rest, so each is an estimate
+certified within abs_tol (up to rounding), not a lower partial sum.  These
+exact routines are the oracles every simulated quantity is verified against.
 
 Randomness is counter-based: trajectory j of seed s reads from a Philox
 stream keyed (s, j), and the n-th draw is a pure function of (s, j, n).
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy import special
@@ -70,6 +73,7 @@ __all__ = [
 TRUNCATION_CAP = 10**7
 
 _BATCH_CELL_CAP = 1 << 26
+_INDEX_MAX = 1e300  # exp_power_threshold reports no index past this
 _ROW_CHUNK_CELLS = 1 << 17  # cells of simulate_eta's row buffer: 1 MiB of float64, cache-sized
 
 # nodes and weights on [-1, 1] of the rule exact_eta_moment applies on every panel
@@ -219,17 +223,23 @@ def exp_power_sum_tail_bound(c: float, gamma: float, n_last: int) -> float:
 
 
 def exp_power_threshold(c: float, gamma: float, rho: float) -> int:
-    """Smallest n_last whose exp_power_sum_tail_bound is <= rho (past 2**53: certified, maybe not smallest)."""
+    """Smallest n_last whose exp_power_sum_tail_bound is <= rho (past 2**53: certified, maybe not smallest).
+
+    The first estimate is taken in log space, so a tiny c cannot overflow it;
+    an index past ``_INDEX_MAX`` raises ``TruncationInfeasible``.
+    """
     _check_exp_power_args(c, gamma)
     if not (0.0 < rho < 1.0):
         raise DomainError(f"target remainder must lie in (0, 1), got {rho}")
     a = 1.0 / gamma
-    log_front = special.gammaln(1.0 + a) - a * math.log(c)
-    q = rho * math.exp(-log_front)
-    if q >= 1.0:
+    log_q = math.log(rho) - special.gammaln(1.0 + a) + a * math.log(c)
+    if log_q >= 0.0:
         return 1
-    x = float(special.gammainccinv(a, q))
-    n = max(1, math.ceil((x / c) ** a))
+    x = float(special.gammainccinv(a, math.exp(log_q)))  # inf once q underflows
+    log_n = a * (math.log(x) - math.log(c))
+    if log_n > math.log(_INDEX_MAX):
+        raise TruncationInfeasible(f"meeting rho = {rho} needs n_last > {_INDEX_MAX:g}")
+    n = max(1, math.ceil(math.exp(log_n)))
     # guard against ceil rounding; past 2**53, n and n - 1 are the same float,
     # so the upward step grows past one ulp of n and the minimality walk stops
     while exp_power_sum_tail_bound(c, gamma, n) > rho:
@@ -239,21 +249,66 @@ def exp_power_threshold(c: float, gamma: float, rho: float) -> int:
     return n
 
 
-def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
-    """Certified evaluation of sum_{n >= index_start} exp(-c n**gamma).
+def _sum_to_term_cut(
+    term: Callable[[np.ndarray], np.ndarray],
+    c: float,
+    gamma: float,
+    abs_tol: float,
+    index_start: int,
+    remainder: Callable[[int], tuple[float, float]],
+    stop: Callable[[float, int], bool] | None = None,
+) -> float:
+    """Sum term(n) over n >= index_start to the cut where exp(-c n**gamma) meets abs_tol, plus a remainder midpoint.
 
-    The returned partial sum is within abs_tol of the full series.  A
-    tolerance that needs more than ``SERIES_TERM_CAP`` terms raises
-    ``ToleranceUnreachable`` before the sum starts.
+    The cut is the first N >= index_start with c N**gamma >= ln(1/abs_tol),
+    taken in closed form in log space and clamped just past
+    ``SERIES_TERM_CAP``, so a tiny c cannot overflow it.  ``remainder(N)``
+    brackets the sum of the terms past N as (lo, hi); the result adds the
+    midpoint, so it is within (hi - lo) / 2 of the series, and a bracket
+    wider than 2 abs_tol raises ``ToleranceUnreachable``.  Without ``stop``, a
+    cut past the cap raises before the sum.  ``stop`` is passed to
+    ``_chunked_sum``; once it holds, the partial total is returned as it
+    stands, and the caller's predicate carries the certificate.
+    """
+    log_cut = (math.log(-math.log(abs_tol)) - math.log(c)) / gamma
+    n_cut = max(index_start, math.ceil(math.exp(min(log_cut, math.log(SERIES_TERM_CAP + 1.0)))))
+    if stop is None and n_cut > SERIES_TERM_CAP:
+        raise ToleranceUnreachable(f"a sum within {abs_tol} needs more than {SERIES_TERM_CAP} terms")
+    total = _chunked_sum(term, index_start, n_cut, stop)
+    if stop is not None and stop(total, n_cut):
+        return total
+    lo, hi = remainder(n_cut)
+    if not hi - lo <= 2.0 * abs_tol:
+        raise ToleranceUnreachable(f"the remainder past index {n_cut} is bracketed only to {hi - lo:.3g}")
+    return total + 0.5 * (lo + hi)
+
+
+def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
+    """Certified estimate of sum_{n >= index_start} exp(-c n**gamma), within abs_tol.
+
+    Sums the terms up to the first index N >= index_start whose term
+    f(N) = exp(-c N**gamma) is <= abs_tol, then adds the midpoint of the
+    integral bracket on the rest: for a nonincreasing term,
+    sum_{n > N} f(n) lies in [I(N + 1), I(N)] with I(m) = int_m^inf f
+    (``exp_power_sum_tail_bound``), and that bracket is
+    int_N^{N+1} f <= f(N) <= abs_tol wide.  So the result is an estimate,
+    not a lower partial sum, within abs_tol / 2 of the series (up to
+    rounding).  A tolerance that needs more than ``SERIES_TERM_CAP`` terms
+    raises ``ToleranceUnreachable`` before the sum starts.
     """
     if index_start < 1:
         raise DomainError(f"index_start must be >= 1, got {index_start}")
     if not (0.0 < abs_tol < 1.0):
         raise DomainError(f"abs_tol must lie in (0, 1), got {abs_tol}")
-    n_last = max(index_start, exp_power_threshold(c, gamma, abs_tol))
-    if n_last > SERIES_TERM_CAP:
-        raise ToleranceUnreachable(f"a sum within {abs_tol} needs {n_last} > {SERIES_TERM_CAP} terms")
-    return _chunked_sum(lambda n: np.exp(-c * n**gamma), index_start, n_last)
+    _check_exp_power_args(c, gamma)
+    return _sum_to_term_cut(
+        lambda n: np.exp(-c * n**gamma),
+        c,
+        gamma,
+        abs_tol,
+        index_start,
+        lambda n: (exp_power_sum_tail_bound(c, gamma, n + 1), exp_power_sum_tail_bound(c, gamma, n)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +422,20 @@ def simulate_trajectories(plan: SimulationPlan) -> TrajectoryBatch:
 def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
     """Exact tail P(eta > u) of the exponential-power model, within abs_tol.
 
-    Evaluates 1 - prod_{n >= index_start} (1 - exp(-u n**eps)) by summing
-    log1p terms; the product is cut once the certified remainder (either the
-    discarded-factor sum or the size of the surviving product) drops below
-    abs_tol.  alpha cancels from the tail and only gates eps.
+    Evaluates 1 - prod_{n >= index_start} (1 - x_n), x_n = exp(-u n**eps),
+    through the sum of its log1p(-x_n) terms.  The sum stops as soon as the
+    product is below abs_tol (later factors only shrink it, so the tail lies
+    in [1 - abs_tol, 1]).  Otherwise it runs to the first index N whose x_N
+    is <= abs_tol and adds the midpoint of a bracket on the rest of the log
+    product: from x <= -log1p(-x) <= x / (1 - x) and the integral test on
+    sum_{n > N} x_n, that rest lies in [-I(N) / (1 - x_{N+1}), -I(N + 1)]
+    with I(m) = int_m^inf exp(-u t**eps) dt.  The bracket is
+    I(N) - I(N + 1) + I(N) x_{N+1} / (1 - x_{N+1}) wide: at most x_N plus a
+    term of order abs_tol * I(N), and a bracket wider than 2 abs_tol raises
+    ``ToleranceUnreachable``.  The tail is 1 - exp of the log product, so
+    its error is at most the log product's: the result is an estimate
+    within abs_tol of the tail (up to rounding), not a lower or upper bound.
+    alpha cancels from the tail and only gates eps.
     """
     _check_model_fields(alpha, index_start)
     check_eps(eps, alpha)
@@ -378,11 +443,24 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
         raise DomainError(f"tail threshold must be positive, got {u}")
     if not (0.0 < abs_tol < 1.0):
         raise DomainError(f"abs_tol must lie in (0, 1), got {abs_tol}")
-    n_last = max(index_start, exp_power_threshold(u, eps, abs_tol))
-    # once the product is below abs_tol the sum may stop: later factors only shrink it
-    log_product = _chunked_sum(
-        lambda n: np.log1p(-np.exp(-u * n**eps)), index_start, n_last, lambda total, _: total <= math.log(abs_tol)
-    )
+
+    def remainder(n: int) -> tuple[float, float]:
+        return (
+            exp_power_sum_tail_bound(u, eps, n) / math.expm1(-u * (n + 1) ** eps),
+            -exp_power_sum_tail_bound(u, eps, n + 1),
+        )
+
+    with np.errstate(divide="ignore"):  # a factor that rounds to 0 logs to -inf, which ends the product
+        log_product = _sum_to_term_cut(
+            lambda n: np.log1p(-np.exp(-u * n**eps)),
+            u,
+            eps,
+            abs_tol,
+            index_start,
+            remainder,
+            # once the product is below abs_tol the sum may stop: later factors only shrink it
+            lambda total, _: total <= math.log(abs_tol),
+        )
     return min(1.0, -math.expm1(log_product))
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 
 from glsreg import simulate as simulate_module
@@ -16,7 +17,7 @@ from glsreg.errors import (
     ToleranceUnreachable,
     TruncationInfeasible,
 )
-from glsreg.sequences import _chunked_sum
+from glsreg.sequences import _FIRST_CHUNK_CELLS, _chunked_sum
 from glsreg.simulate import (
     ExponentialPower,
     FixedTruncation,
@@ -41,6 +42,55 @@ from glsreg.simulate import (
 )
 
 MODELS = [ExponentialPower, GaussianPower]
+
+EPSILONS = st.sampled_from([0.25, 0.5, 0.75])
+TOLERANCES = st.sampled_from([1e-10, 1e-12, 1e-13])
+# a reference that would sum more terms than this is skipped for time: it
+# costs about 60 ms per 1e6 terms
+REFERENCE_TERMS = 1 << 22
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def truncated_fsum(term, n_last, stop=None):
+    """sum_{n=1}^{n_last} term(n) by math.fsum, ending after the first chunk where ``stop(total)`` holds.
+
+    The oracles' algorithm without the integral bracket: drop everything
+    past a remainder-bound threshold.  Each chunk's sum is rounded once and the
+    chunk sums are added by fsum again, so the total is within a few ulps of
+    the exact partial sum.
+    """
+    parts = []
+    lo = 1
+    while lo <= n_last:
+        assume(lo <= REFERENCE_TERMS)
+        top = min(n_last, lo + (1 << 16) - 1)
+        parts.append(math.fsum(term(np.arange(lo, top + 1, dtype=float)).tolist()))
+        if stop is not None and stop(math.fsum(parts)):
+            break
+        lo = top + 1
+    return math.fsum(parts)
+
+
+@pytest.fixture()
+def summed_cells(monkeypatch):
+    """Cells that each ``_chunked_sum`` call made by ``glsreg.simulate`` hands to its term, one count per call."""
+    counts = []
+    chunked = simulate_module._chunked_sum
+
+    def counting(term, lo, hi, stop=None):
+        counts.append(0)
+
+        def counted(n):
+            counts[-1] += n.size
+            return term(n)
+
+        return chunked(counted, lo, hi, stop)
+
+    monkeypatch.setattr(simulate_module, "_chunked_sum", counting)
+    return counts
 
 
 def fresh_stream_row(plan, trajectory):
@@ -154,6 +204,11 @@ class TestExpPowerCertified:
         assert n > 2**53
         assert exp_power_sum_tail_bound(1e-4, 0.25, n) <= 1e-12
 
+    @pytest.mark.parametrize("c, gamma, rho", [(1e-200, 0.5, 5e-7), (1e-300, 0.25, 1e-12), (1e-300, 1.0, 1e-4)])
+    def test_threshold_past_float_range_raises(self, c, gamma, rho, deadline):
+        with deadline(1.0), pytest.raises(TruncationInfeasible, match=r"needs n_last > 1e\+300"):
+            exp_power_threshold(c, gamma, rho)
+
     def test_tail_bound_dominates_series(self):
         for n_last in (1, 5, 50):
             idx = np.arange(n_last + 1, 50_000, dtype=float)
@@ -166,11 +221,22 @@ class TestExpPowerCertified:
         assert exp_power_sum(1.3, 0.5, abs_tol=1e-10) == pytest.approx(brute, abs=1e-9)
 
     def test_sum_across_chunk_boundaries_matches_fsum(self):
-        # n_last is about 4.4e5, so the geometric chunk schedule crosses about 9 boundaries
-        n_last = exp_power_threshold(0.05, 0.5, 1e-10)
-        idx = np.arange(1.0, n_last + 1.0)
-        brute = math.fsum(np.exp(-0.05 * idx**0.5))
+        # the cut, where the term meets 1e-10, is about 2.1e5, so the geometric
+        # chunk schedule crosses about 8 boundaries; past it the sum adds the
+        # midpoint of the integral bracket [I(N + 1), I(N)]
+        n_cut = math.ceil((math.log(1e10) / 0.05) ** 2)
+        idx = np.arange(1.0, n_cut + 1.0)
+        rest = exp_power_sum_tail_bound(0.05, 0.5, n_cut + 1) + exp_power_sum_tail_bound(0.05, 0.5, n_cut)
+        brute = math.fsum(np.exp(-0.05 * idx**0.5)) + 0.5 * rest
         assert exp_power_sum(0.05, 0.5, abs_tol=1e-10) == pytest.approx(brute, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(eps=EPSILONS, u=log_uniform(0.5, 50.0), abs_tol=TOLERANCES)
+    def test_sum_within_abs_tol_of_truncated_fsum(self, eps, u, abs_tol):
+        n_last = exp_power_threshold(u, eps, abs_tol / 1000.0)
+        assume(n_last <= REFERENCE_TERMS)
+        reference = truncated_fsum(lambda n: np.exp(-u * n**eps), n_last)
+        assert abs(exp_power_sum(u, eps, abs_tol) - reference) <= abs_tol
 
     def test_sum_start_index_drops_head(self):
         full = exp_power_sum(1.0, 0.5, abs_tol=1e-12)
@@ -237,6 +303,11 @@ class TestResolveNLast:
     def test_infeasible_target(self):
         plan = exp_plan(eps=0.25, truncation=TailTargetTruncation(rho=1e-6, u_min=0.05))
         with pytest.raises(TruncationInfeasible):
+            resolve_n_last(plan)
+
+    def test_target_past_float_range_is_infeasible(self):
+        plan = exp_plan(truncation=TailTargetTruncation(u_min=1e-200))
+        with pytest.raises(TruncationInfeasible, match=r"needs n_last > 1e\+300"):
             resolve_n_last(plan)
 
     def test_truncation_field_guards(self):
@@ -455,6 +526,23 @@ class TestExactTail:
     def test_small_u_saturates(self):
         assert exact_eta_tail(1.0, 0.5, 1e-8) == 1.0
 
+    def test_cut_past_float_range_saturates_through_product_stop(self, summed_cells):
+        # the term cut at u 1e-200 is about 8e402: the first chunk's product ends the sum
+        assert exact_eta_tail(1.0, 0.5, 1e-200) == 1.0
+        assert summed_cells == [_FIRST_CHUNK_CELLS]
+
+    @settings(max_examples=30, deadline=None)
+    @given(eps=EPSILONS, u=log_uniform(1e-3, 100.0), abs_tol=TOLERANCES)
+    def test_within_abs_tol_of_truncated_fsum(self, eps, u, abs_tol):
+        ref_tol = abs_tol / 1000.0
+        log_product = truncated_fsum(
+            lambda n: np.log1p(-np.exp(-u * n**eps)),
+            exp_power_threshold(u, eps, ref_tol),
+            lambda total: total <= math.log(ref_tol),
+        )
+        reference = min(1.0, -math.expm1(log_product))
+        assert abs(exact_eta_tail(1.0, eps, u, abs_tol) - reference) <= abs_tol
+
     @pytest.mark.parametrize("u", [0.01, 0.05])
     def test_small_u_stops_within_abs_tol(self, u):
         value = exact_eta_tail(1.0, 0.5, u)
@@ -476,17 +564,29 @@ class TestExactTail:
             exact_eta_tail(1.0, 0.5, 1.0, index_start=0)
 
 
+class TestTermCut:
+    def test_sums_stop_where_the_term_meets_the_tolerance(self, summed_cells):
+        # a sum that drops its remainder runs to the remainder-bound threshold, 3.3e6 here
+        cut = math.ceil(math.log(1e13) ** 4)
+        exact_eta_tail(1.0, 0.25, 1.0, abs_tol=1e-13)
+        exp_power_sum(1.0, 0.25, abs_tol=1e-13)
+        assert len(summed_cells) == 2
+        assert max(summed_cells) <= cut
+
+
 class TestBonferroni:
     def test_frozen_values(self):
         s1, s2 = bonferroni_sums(0.5, 1.0)
         assert s1 == pytest.approx(1.6704068179653595, abs=1e-11)
         assert s2 == pytest.approx(1.2544063681904971, abs=1e-11)
 
-    @pytest.mark.parametrize("u", [1e-4, 0.05])
-    def test_unreachable_tolerance_raises_before_summing(self, u):
-        # exp_power_threshold asks for 3.9e23 terms at u 1e-4 and 1.3e12 at u 0.05
-        with pytest.raises(ToleranceUnreachable, match="terms"):
+    @pytest.mark.parametrize("u", [1e-4, 0.05, 1e-300])
+    def test_unreachable_tolerance_raises_before_summing(self, u, summed_cells, deadline):
+        # the term cut asks for 5.8e21 terms at u 1e-4, 9.3e10 at u 0.05 and
+        # about 6e1205 at u 1e-300, which overflows a float
+        with deadline(1.0), pytest.raises(ToleranceUnreachable, match="terms"):
             bonferroni_sums(0.25, u)
+        assert summed_cells == []
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, 2.0])
     def test_eps_outside_unit_interval_rejected(self, eps):
