@@ -1,62 +1,38 @@
-"""Diagnostics for almost-everywhere convergence on simulated trajectories.
+"""Diagnostics for almost-everywhere convergence on blocks of simulated trajectories.
 
-A trajectory batch is an M x W matrix of realized sequence values.  The
-diagnostics are the bounded-sup functional E sup_{m >= n} |x_m|/(1 + |x_m|)
+A row block is a plain 2-D array, one trajectory per row, whose column k
+holds index index_start + k; ``simulate.simulate_trajectories`` hands its
+reducer one block per row chunk, never a whole batch.  The diagnostics are
+the per-row terms of the bounded-sup functional E sup_{m >= n} |x_m|/(1 + |x_m|)
 (which tends to 0 iff the sequence tends to 0 a.e.) and regulator
-extraction: the smallest per-trajectory factor v with |x_n| <= v * delta_n
-for a chosen null sequence delta_n.
-
-Every infinite-horizon quantity here is truncated at the batch window.
+extraction: the smallest per-row factor v with |x_n| <= v * delta_n for a
+chosen null sequence delta_n.  Both are truncated at the block's last column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRange, NonpositiveDelta
-from .estimates import ConfidenceValue, mean_estimate
+from .errors import DomainError, NonpositiveDelta
 
 __all__ = [
-    "TrajectoryBatch",
     "regulator_ratio_matrix",
     "criterion_functional",
     "extract_regulator",
 ]
 
-_ROW_CHUNK_CELLS = 1 << 17  # cells of extract_regulator's ratio buffer: 1 MiB of float64
+
+def _row_block(block) -> np.ndarray:
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 2 or block.size == 0:
+        raise DomainError(f"a row block must be a nonempty 2-D array, got shape {block.shape}")
+    return block
 
 
-@dataclass(frozen=True)
-class TrajectoryBatch:
-    """M x W matrix of sequence values; column j holds index index_start + j."""
-
-    values: np.ndarray
-    index_start: int = 1
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise DomainError(f"a batch needs a 2-D value matrix, got shape {v.shape}")
-        # NaN propagates through min and max, and +-inf shows in one of them
-        if not (np.isfinite(v.min()) and np.isfinite(v.max())):
-            raise DomainError("batch values must all be finite")
-        if self.index_start < 1:
-            raise DomainError(f"index_start must be >= 1, got {self.index_start}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def last_index(self) -> int:
-        return self.index_start + self.values.shape[1] - 1
-
-    def indices(self) -> np.ndarray:
-        return np.arange(self.index_start, self.last_index + 1, dtype=float)
-
-    def column_of(self, n: int) -> int:
-        if not self.index_start <= n <= self.last_index:
-            raise IndexOutOfRange(f"index {n} outside the window [{self.index_start}, {self.last_index}]")
-        return n - self.index_start
+def _finite_rows(per_row: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(per_row)):  # NaN and +-inf propagate into a row's max
+        raise DomainError("row block values must all be finite")
+    return per_row
 
 
 def regulator_ratio_matrix(values: np.ndarray, delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -74,35 +50,30 @@ def regulator_ratio_matrix(values: np.ndarray, delta: np.ndarray, out: np.ndarra
     return np.divide(ratios, delta, out=ratios)
 
 
-def criterion_functional(batch: TrajectoryBatch, n: int) -> ConfidenceValue:
-    """Estimate E sup_{m >= n} |x_m| / (1 + |x_m|) over the batch window.
+def criterion_functional(block, n: int, index_start: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-row terms sup_{m >= n} |x_m| / (1 + |x_m|) of a row block starting at index_start, into ``out`` if given.
 
-    The sup runs over m <= batch.last_index only, so the value is a lower
-    bound of the infinite-horizon quantity.
-
-    t -> t/(1+t) is increasing on t >= 0, so the sup of the transformed
-    entries is the transform of the sup; only one max per trajectory needed.
+    Their mean over all rows (``estimates.mean_estimate``) estimates the
+    functional; the sup stops at the block's last column, so it is a lower
+    bound of the infinite-horizon quantity.  t -> t/(1+t) is increasing on
+    t >= 0, so one max per row is needed.  A window start outside the block,
+    or a non-finite value in the window, raises ``DomainError``.
     """
-    col = batch.column_of(n)
-    window = batch.values[:, col:]
-    sups = np.maximum(window.max(axis=1), -window.min(axis=1))  # max |x| without an |x| copy
-    transformed = sups / (1.0 + sups)
-    return mean_estimate(transformed)
+    block = _row_block(block)
+    last = index_start + block.shape[1] - 1
+    if not 1 <= index_start <= n <= last:
+        raise DomainError(f"window start {n} outside the block's indices [{index_start}, {last}] (index_start >= 1)")
+    window = block[:, n - index_start :]
+    sups = _finite_rows(np.maximum(window.max(axis=1), -window.min(axis=1), out=out))  # max |x| without an |x| copy
+    return np.divide(sups, 1.0 + sups, out=sups)
 
 
-def extract_regulator(batch: TrajectoryBatch, delta_seq) -> np.ndarray:
-    """Per-trajectory regulator factor v = max_n |x_n| / delta_n over the window.
+def extract_regulator(block, delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-row regulator factor v = max_n |x_n| / delta_n of a row block, into ``out`` if given.
 
-    v is the smallest factor with |x_n| <= v * delta_n.  The ratios are taken a row chunk at a time in
-    one reused buffer of about ``_ROW_CHUNK_CELLS`` cells, so no batch-sized
-    ratio matrix is held.
+    ``delta`` holds delta_n at the block's columns; v is the smallest factor
+    with |x_n| <= v * delta_n.  The ratios are formed in place, so a float64
+    ``block`` is overwritten.  A non-finite value raises ``DomainError``.
     """
-    delta = delta_seq.values(batch.indices())
-    values = batch.values
-    rows_per_chunk = max(1, _ROW_CHUNK_CELLS // values.shape[1])
-    buffer = np.empty((min(rows_per_chunk, values.shape[0]), values.shape[1]))
-    factors = np.empty(values.shape[0])
-    for lo in range(0, values.shape[0], rows_per_chunk):
-        block = values[lo : lo + rows_per_chunk]
-        regulator_ratio_matrix(block, delta, out=buffer[: len(block)]).max(axis=1, out=factors[lo : lo + len(block)])
-    return factors
+    block = _row_block(block)
+    return _finite_rows(regulator_ratio_matrix(block, delta, out=block).max(axis=1, out=out))

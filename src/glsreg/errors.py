@@ -37,10 +37,6 @@ class NonpositiveDelta(GLSError, ValueError):
     """A regulator decay sequence takes a nonpositive value."""
 
 
-class IndexOutOfRange(GLSError, ValueError):
-    """A sequence index falls outside the simulated window."""
-
-
 class Divergent(GLSError, ArithmeticError):
     """A series diverges for the requested exponent."""
 

@@ -21,13 +21,13 @@ stream keyed (s, j), and the n-th draw is a pure function of (s, j, n).
 One Philox is re-keyed for every row: its state is set to counter 0, key
 (s, j) and an empty buffer, which is the state of a fresh
 ``Philox(key=(s, j))``, so each row's stream is unchanged.
-``simulate_eta`` generates rows chunk by chunk into one reused buffer of
-about 1 MiB (``_ROW_CHUNK_CELLS`` float64 cells, at least one row),
-transforms each chunk in place and keeps only each row's max, so it holds
-one row chunk plus 8 bytes per trajectory; the chunk size affects memory
-only, never a single bit of output.  ``glsreg simulate`` then streams
-eta.csv in blocks (``persist.write_eta_samples``).
-``simulate_trajectories`` writes every row straight into the batch matrix.
+``simulate_trajectories`` is the one row pass: it generates rows chunk by
+chunk into one reused buffer of about 1 MiB (``_ROW_CHUNK_CELLS`` float64
+cells, at least one row) and hands each chunk to a reducer.  ``simulate_eta``
+is that pass keeping each row's regulator factor, so it holds one row chunk
+plus 8 bytes per trajectory; the chunk size affects memory only, never a
+single bit of output.  ``glsreg simulate`` then streams eta.csv in blocks
+(``persist.write_eta_samples``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy import special
 
-from .criteria import TrajectoryBatch, regulator_ratio_matrix
+from .criteria import extract_regulator
 from .errors import DomainError, MomentInfinite, ToleranceUnreachable, TruncationInfeasible
 from .generating import check_eps, natural_function
 from .moments import half_normal_moments, std_exponential_moments
@@ -58,6 +58,7 @@ __all__ = [
     "simulate_eta",
     "truncation_bound",
     "simulate_trajectories",
+    "regulator_delta",
     "exp_power_sum_tail_bound",
     "exp_power_threshold",
     "exp_power_sum",
@@ -72,9 +73,8 @@ __all__ = [
 #: Hard cap on the truncation index of a simulated trajectory.
 TRUNCATION_CAP = 10**7
 
-_BATCH_CELL_CAP = 1 << 26
 _INDEX_MAX = 1e300  # exp_power_threshold reports no index past this
-_ROW_CHUNK_CELLS = 1 << 17  # cells of simulate_eta's row buffer: 1 MiB of float64, cache-sized
+_ROW_CHUNK_CELLS = 1 << 17  # cells of the row pass's buffer: 1 MiB of float64, cache-sized
 
 # nodes and weights on [-1, 1] of the rule exact_eta_moment applies on every panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -327,7 +327,10 @@ def resolve_n_last(plan: SimulationPlan) -> int:
     if isinstance(plan.truncation, FixedTruncation):
         return plan.truncation.n_last
     rho = plan.truncation.rho if plan.truncation.rho is not None else 1e-3 / plan.trajectories
-    n = max(exp_power_threshold(*plan.model.tail_exponent(plan.truncation.u_min, plan.eps), rho), plan.index_start)
+    c, gamma = plan.model.tail_exponent(plan.truncation.u_min, plan.eps)
+    if c == 0.0:  # the rate underflowed (half-normal u_min**2 / 2): every discarded term up to the cap is 1
+        raise TruncationInfeasible(f"meeting rho = {rho} needs n_last > {TRUNCATION_CAP}")
+    n = max(exp_power_threshold(c, gamma, rho), plan.index_start)
     if n > TRUNCATION_CAP:
         raise TruncationInfeasible(f"meeting rho = {rho} needs n_last = {n} > {TRUNCATION_CAP}")
     return n
@@ -381,38 +384,39 @@ def _row_chunks(trajectories: int, width: int) -> list[range]:
     return [range(lo, min(trajectories, lo + rows_per_chunk)) for lo in range(0, trajectories, rows_per_chunk)]
 
 
+def simulate_trajectories(plan: SimulationPlan, reduce: Callable[[range, np.ndarray], object]) -> None:
+    """The one row pass: call ``reduce(rows, block)`` on each row chunk of the plan's raw Z_n.
+
+    ``rows`` is the chunk's range of trajectory numbers and ``block`` its
+    rows, column k holding index index_start + k.  The next chunk reuses the
+    block's buffer, so ``reduce`` keeps what it needs and may overwrite it.
+    """
+    n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
+    chunks = _row_chunks(plan.trajectories, n_idx.size)
+    buffer = np.empty((len(chunks[0]), n_idx.size))
+    for rows in chunks:
+        reduce(rows, _generate_rows(plan, n_idx, rows, buffer[: len(rows)]))
+
+
+def regulator_delta(plan: SimulationPlan) -> np.ndarray:
+    """delta_n = n**(-(alpha - eps)) at the plan's simulated indices index_start..n_last."""
+    n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
+    return PowerLogSequence(rate=plan.alpha - plan.eps).values(n_idx)
+
+
 def simulate_eta(plan: SimulationPlan) -> np.recarray:
     """Realize eta = max_{index_start <= n <= n_last} n**(alpha-eps) |Z_n| per trajectory.
 
-    Returns one record per trajectory with the single field ``value``.
-    Values are computed through the same elementwise ratio |Z_n| / delta_n
-    (delta_n = n**(-(alpha-eps))) as regulator extraction from a trajectory
-    batch, so the two agree bitwise on shared seeds.  ``truncation_bound``
-    gives the batch's truncation risk.
+    Returns one record per trajectory with the single field ``value``: the
+    row pass keeping ``criteria.extract_regulator`` of each block against
+    ``regulator_delta``.  ``truncation_bound`` gives the batch's truncation risk.
     """
-    n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
-    delta = PowerLogSequence(rate=plan.alpha - plan.eps).values(n_idx)
-    chunks = _row_chunks(plan.trajectories, n_idx.size)
-    buffer = np.empty((len(chunks[0]), n_idx.size))
+    delta = regulator_delta(plan)
     eta = np.recarray(plan.trajectories, dtype=[("value", float)])  # filled in place: no copy at the end
-    for rows in chunks:
-        block = _generate_rows(plan, n_idx, rows, buffer[: len(rows)])
-        regulator_ratio_matrix(block, delta, out=block).max(axis=1, out=eta.value[rows.start : rows.stop])
+    simulate_trajectories(
+        plan, lambda rows, block: extract_regulator(block, delta, out=eta.value[rows.start : rows.stop])
+    )
     return eta
-
-
-def simulate_trajectories(plan: SimulationPlan) -> TrajectoryBatch:
-    """Generate the raw Z_n matrix as a TrajectoryBatch (trajectory x index)."""
-    n_last = resolve_n_last(plan)
-    width = n_last - plan.index_start + 1
-    if plan.trajectories * width > _BATCH_CELL_CAP:
-        raise DomainError(
-            f"batch of {plan.trajectories} x {width} exceeds {_BATCH_CELL_CAP} cells; "
-            "reduce trajectories or tighten truncation"
-        )
-    n_idx = np.arange(plan.index_start, n_last + 1, dtype=float)
-    values = _generate_rows(plan, n_idx, range(plan.trajectories), np.empty((plan.trajectories, width)))
-    return TrajectoryBatch(values=values, index_start=plan.index_start)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from scipy import special
 from .bounds import regulator_lp_bound, sigma_function
 from .criteria import criterion_functional, extract_regulator
 from .errors import GLSError
-from .estimates import power_mean_estimate
+from .estimates import mean_estimate, power_mean_estimate
 from .generating import (
     Extremal,
     PowerRoot,
@@ -41,7 +41,7 @@ from .moments import (
 )
 from .reports import CheckRecord, VerificationReport
 from .scan import supremum_scan
-from .sequences import DecaySequencePair, GeometricSequence, PowerLogSequence
+from .sequences import DecaySequencePair, GeometricSequence
 from .simulate import (
     ExponentialPower,
     SimulationPlan,
@@ -49,6 +49,7 @@ from .simulate import (
     bonferroni_sums,
     exact_eta_moment,
     exact_eta_tail,
+    regulator_delta,
     simulate_eta,
     simulate_trajectories,
     truncation_bound,
@@ -407,17 +408,26 @@ def check_norm_axioms(seed: int, trajectories: int, eta_values: EtaValues) -> li
 
 
 def check_convergence_diagnostics(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
-    """Monotone criterion functional, smallness at n = 100, and the batch's regulator factors against simulate_eta."""
+    """Monotone criterion functional, smallness at n = 100, and a row pass's regulator factors against simulate_eta."""
     m = min(trajectories, 10_000)
     plan = _exponential_plan(seed, m, alpha=2.0)
-    batch = simulate_trajectories(plan)
-    estimates = {n: criterion_functional(batch, n) for n in (1, 10, 100)}
+    starts = (1, 10, 100)
+    terms = np.empty((len(starts), m))  # the row pass keeps four floats a row: three criterion terms and the factor
+    factors = np.empty(m)
+    delta = regulator_delta(plan)
+
+    def reduce(rows: range, block: np.ndarray) -> None:
+        for n, row_terms in zip(starts, terms):
+            criterion_functional(block, n, plan.index_start, out=row_terms[rows.start : rows.stop])
+        extract_regulator(block, delta, out=factors[rows.start : rows.stop])  # last: it overwrites the block
+
+    simulate_trajectories(plan, reduce)
+    estimates = {n: mean_estimate(row_terms) for n, row_terms in zip(starts, terms)}
     worst_increase = max(
         estimates[10].value - estimates[1].value,
         estimates[100].value - estimates[10].value,
     )
-    factors = extract_regulator(batch, PowerLogSequence(rate=plan.alpha - plan.eps))
-    eta, _ = eta_values(plan)  # simulate_eta, not the batch, so regulator-eta-bitwise compares two routes
+    eta, _ = eta_values(plan)  # a second pass, through simulate_eta's reducer
     return [
         CheckRecord(
             check_id="criterion-monotone",

@@ -16,10 +16,10 @@ from scipy import special
 
 from glsreg.bounds import regulator_lp_bound, sigma_function
 from glsreg.criteria import criterion_functional, extract_regulator, regulator_ratio_matrix
-from glsreg.estimates import power_mean_estimate, proportion_estimate
+from glsreg.estimates import mean_estimate, power_mean_estimate, proportion_estimate
 from glsreg.generating import PowerRoot
 from glsreg.moments import young_fenchel, young_fenchel_scan
-from glsreg.sequences import DecaySequencePair, GeometricSequence, PowerLogSequence
+from glsreg.sequences import DecaySequencePair, GeometricSequence
 from glsreg.simulate import (
     ExponentialPower,
     SimulationPlan,
@@ -28,6 +28,7 @@ from glsreg.simulate import (
     exact_eta_moment,
     exact_eta_tail,
     exp_power_sum_tail_bound,
+    regulator_delta,
     resolve_n_last,
     simulate_eta,
     simulate_trajectories,
@@ -246,12 +247,23 @@ def test_10_convergence_criteria_and_bitwise_regulator():
     )
 
     def check():
-        batch = simulate_trajectories(plan)
-        functional = [criterion_functional(batch, n).value for n in (1, 10, 100)]
-        delta_seq = PowerLogSequence(rate=plan.alpha - plan.eps)
-        factors = extract_regulator(batch, delta_seq)
-        ratios = regulator_ratio_matrix(batch.values, delta_seq.values(batch.indices()))
-        factorization = bool(np.all(ratios <= factors[:, None])) and bool(np.all(ratios.max(axis=1) == factors))
+        starts = (1, 10, 100)
+        terms = np.empty((len(starts), plan.trajectories))
+        factors = np.empty(plan.trajectories)
+        delta = regulator_delta(plan)
+        exact = []
+
+        def reduce(rows, block):
+            for n, row_terms in zip(starts, terms):
+                criterion_functional(block, n, plan.index_start, out=row_terms[rows.start : rows.stop])
+            ratios = regulator_ratio_matrix(block, delta)
+            block_factors = extract_regulator(block, delta, out=factors[rows.start : rows.stop])
+            exact.append(bool(np.all(ratios <= block_factors[:, None])))
+            exact.append(bool(np.all(ratios.max(axis=1) == block_factors)))
+
+        simulate_trajectories(plan, reduce)
+        functional = [mean_estimate(row_terms).value for row_terms in terms]
+        factorization = all(exact)
         eta = simulate_eta(plan).value
         bitwise = bool(np.array_equal(factors, eta))
         return functional, factorization, bitwise

@@ -1,40 +1,48 @@
-"""Convergence diagnostics and regulator extraction."""
-
-import tracemalloc
+"""Convergence diagnostics and regulator extraction on plain 2-D row blocks."""
 
 import numpy as np
 import pytest
 
-from glsreg import criteria as criteria_module
 from glsreg.criteria import (
-    TrajectoryBatch,
     criterion_functional,
     extract_regulator,
     regulator_ratio_matrix,
 )
-from glsreg.errors import DomainError, IndexOutOfRange, NonpositiveDelta
+from glsreg.errors import DomainError, NonpositiveDelta
+from glsreg.estimates import mean_estimate
 from glsreg.sequences import PowerLogSequence
 
-SMALL = TrajectoryBatch(values=np.asarray([[3.0, 1.0, 0.5], [0.2, 2.0, 0.1]]))
+SMALL = np.asarray([[3.0, 1.0, 0.5], [0.2, 2.0, 0.1]])
 
 
-def random_batch(seed=0, rows=50, width=20):
-    rng = np.random.default_rng(seed)
-    return TrajectoryBatch(values=rng.exponential(size=(rows, width)))
+def random_block(seed=0, rows=50, width=20):
+    return np.random.default_rng(seed).exponential(size=(rows, width))
+
+
+def functional(block, n, index_start=1):
+    return mean_estimate(criterion_functional(block, n, index_start))
 
 
 class TestTrajectoryBatch:
+    """A trajectory batch is a plain 2-D row block plus the index of its first column."""
+
     def test_shape_guards(self):
         with pytest.raises(DomainError):
-            TrajectoryBatch(values=np.ones(3))
+            criterion_functional(np.ones(3), 1)
         with pytest.raises(DomainError):
-            TrajectoryBatch(values=np.ones((0, 3)))
+            criterion_functional(np.ones((0, 3)), 1)
         with pytest.raises(DomainError):
-            TrajectoryBatch(values=np.asarray([[1.0, np.nan]]))
+            criterion_functional(np.ones((2, 0)), 1)
         with pytest.raises(DomainError):
-            TrajectoryBatch(values=np.asarray([[np.inf]]))
+            extract_regulator(np.ones(3), np.ones(3))
         with pytest.raises(DomainError):
-            TrajectoryBatch(values=np.ones((2, 2)), index_start=0)
+            extract_regulator(np.ones((0, 3)), np.ones(3))
+        with pytest.raises(DomainError):
+            criterion_functional(np.asarray([[1.0, np.nan]]), 1)
+        with pytest.raises(DomainError):
+            extract_regulator(np.asarray([[np.inf]]), np.ones(1))
+        with pytest.raises(DomainError):
+            criterion_functional(np.ones((2, 2)), 1, index_start=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (2, 3), (4, 5)])
@@ -42,44 +50,57 @@ class TestTrajectoryBatch:
         values = np.random.default_rng(0).normal(size=(5, 6))
         values[where] = bad
         with pytest.raises(DomainError):
-            TrajectoryBatch(values=values)
+            criterion_functional(values, 1)
+        with pytest.raises(DomainError):
+            criterion_functional(values, 1 + where[1])
+        with pytest.raises(DomainError):
+            extract_regulator(values, np.ones(6))
 
     def test_coerces_to_float(self):
-        batch = TrajectoryBatch(values=np.asarray([[1, 2], [3, 4]]))
-        assert batch.values.dtype == np.float64
+        terms = criterion_functional(np.asarray([[1, 2], [3, 4]]), 1)
+        assert terms.dtype == np.float64
+        np.testing.assert_array_equal(terms, [2.0 / 3.0, 4.0 / 5.0])
+        np.testing.assert_array_equal(extract_regulator(np.asarray([[1, 2], [3, 4]]), np.ones(2)), [2.0, 4.0])
 
     def test_window_bookkeeping(self):
-        batch = TrajectoryBatch(values=np.ones((4, 6)), index_start=3)
-        assert batch.last_index == 8
-        np.testing.assert_array_equal(batch.indices(), [3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
-        assert batch.column_of(3) == 0 and batch.column_of(8) == 5
+        # indices 3..8: the window starting at 3 is the whole block, at 8 the last column
+        block = np.tile(np.arange(6.0, 0.0, -1.0), (4, 1))
+        np.testing.assert_array_equal(criterion_functional(block, 3, index_start=3), np.full(4, 6.0 / 7.0))
+        np.testing.assert_array_equal(criterion_functional(block, 8, index_start=3), np.full(4, 0.5))
+        np.testing.assert_array_equal(criterion_functional(block, 6, index_start=3), np.full(4, 0.75))
 
     def test_column_out_of_range(self):
-        batch = TrajectoryBatch(values=np.ones((2, 3)), index_start=2)
-        with pytest.raises(IndexOutOfRange):
-            batch.column_of(1)
-        with pytest.raises(IndexOutOfRange):
-            batch.column_of(5)
+        block = np.ones((2, 3))
+        with pytest.raises(DomainError):
+            criterion_functional(block, 1, index_start=2)
+        with pytest.raises(DomainError):
+            criterion_functional(block, 5, index_start=2)
 
 
 class TestCriterionFunctional:
     def test_hand_computed_values(self):
         # row sups over [2, 3]: 1.0 and 2.0, transformed 1/2 and 2/3
-        est = criterion_functional(SMALL, 2)
+        est = functional(SMALL, 2)
         assert est.value == pytest.approx((0.5 + 2.0 / 3.0) / 2.0, rel=1e-12)
-        full = criterion_functional(SMALL, 1)
+        full = functional(SMALL, 1)
         assert full.value == pytest.approx((0.75 + 2.0 / 3.0) / 2.0, rel=1e-12)
 
     def test_nonincreasing_in_window_start(self):
-        batch = random_batch(3)
-        values = [criterion_functional(batch, n).value for n in (1, 5, 10, 20)]
+        block = random_block(3)
+        values = [functional(block, n).value for n in (1, 5, 10, 20)]
         assert values == sorted(values, reverse=True)
 
     def test_bounded_below_one(self):
-        batch = random_batch(4)
-        est = criterion_functional(batch, 1)
+        est = functional(random_block(4), 1)
         assert 0.0 <= est.value < 1.0
         assert est.half_width > 0.0
+
+    def test_out_receives_the_terms(self):
+        block = random_block(5, rows=6, width=4)
+        out = np.full(8, -1.0)
+        assert criterion_functional(block, 2, out=out[1:7]).base is out
+        np.testing.assert_array_equal(out[1:7], criterion_functional(block, 2))
+        assert out[0] == out[7] == -1.0
 
 
 class TestRatioMatrix:
@@ -111,37 +132,35 @@ class TestRatioMatrix:
 
 class TestExtractRegulator:
     def test_factorization_is_exact_in_ratio_domain(self):
-        batch = random_batch(7, rows=30, width=40)
-        seq = PowerLogSequence(rate=0.5)
-        factors = extract_regulator(batch, seq)
-        ratios = regulator_ratio_matrix(batch.values, seq.values(batch.indices()))
+        block = random_block(7, rows=30, width=40)
+        delta = PowerLogSequence(rate=0.5).values(np.arange(1, 41, dtype=float))
+        ratios = regulator_ratio_matrix(block, delta)
+        factors = extract_regulator(block, delta)
         assert np.all(ratios <= factors[:, None])
         np.testing.assert_array_equal(ratios.max(axis=1), factors)
 
     def test_factors_scale_with_values(self):
-        batch = random_batch(8, rows=5, width=6)
-        doubled = TrajectoryBatch(values=2.0 * batch.values)
-        seq = PowerLogSequence(rate=1.0)
+        block = random_block(8, rows=5, width=6)
+        delta = PowerLogSequence(rate=1.0).values(np.arange(1, 7, dtype=float))
         np.testing.assert_allclose(
-            extract_regulator(doubled, seq),
-            2.0 * extract_regulator(batch, seq),
+            extract_regulator(2.0 * block, delta),
+            2.0 * extract_regulator(block.copy(), delta),
             rtol=1e-15,
         )
 
-    def test_row_chunks_match_one_ratio_matrix_bitwise(self, monkeypatch):
-        # 10 rows in chunks of 3: three full chunks and a one-row tail
-        batch = random_batch(9, rows=10, width=40)
-        monkeypatch.setattr(criteria_module, "_ROW_CHUNK_CELLS", 3 * 40)
-        seq = PowerLogSequence(rate=0.5)
-        ratios = np.abs(batch.values) / seq.values(batch.indices())
-        np.testing.assert_array_equal(extract_regulator(batch, seq), ratios.max(axis=1))
+    def test_row_chunks_match_one_ratio_matrix_bitwise(self):
+        # 10 rows in chunks of 3, as the row pass hands them over: three full chunks and a one-row tail
+        block = random_block(9, rows=10, width=40)
+        delta = PowerLogSequence(rate=0.5).values(np.arange(1, 41, dtype=float))
+        ratios = np.abs(block) / delta
+        factors = np.empty(10)
+        for lo in range(0, 10, 3):
+            extract_regulator(block[lo : lo + 3].copy(), delta, out=factors[lo : lo + 3])
+        np.testing.assert_array_equal(factors, ratios.max(axis=1))
 
-    def test_peak_memory_is_batch_plus_one_chunk(self):
-        tracemalloc.start()
-        try:
-            batch = TrajectoryBatch(values=np.random.default_rng(10).normal(size=(2000, 1000)))
-            extract_regulator(batch, PowerLogSequence(rate=0.5))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.2 * batch.values.nbytes + (1 << 20)
+    def test_ratios_overwrite_a_float_block(self):
+        block = random_block(11, rows=4, width=5)
+        delta = np.arange(1, 6, dtype=float) ** -0.5
+        expected = np.abs(block) / delta
+        extract_regulator(block, delta)
+        np.testing.assert_array_equal(block, expected)

@@ -620,14 +620,20 @@ class TestSimulateCommand:
         assert "> 10000000" in result.output
         assert not (tmp_path / "o").exists()
 
-    def test_truncation_target_past_float_range_exits_1(self, runner, tmp_path, deadline):
-        # u_min 1e-200 is valid under the schema, but no float index meets the target
-        cfg = {**SIMULATE, "truncation": {"u_min": 1e-200}}
+    @pytest.mark.parametrize(
+        "kind, needs",
+        [("exponential_power", "n_last > 1e+300"), ("gaussian_power", "n_last > 10000000")],
+        ids=["exponential_power", "gaussian_power"],
+    )
+    def test_truncation_target_past_float_range_exits_1(self, runner, tmp_path, deadline, kind, needs):
+        # u_min 1e-200 is valid under the schema, but no float index meets the target;
+        # the half-normal rate u_min**2 / 2 underflows to 0 on the way
+        cfg = {**SIMULATE, "model": {"kind": kind, "alpha": 1.0}, "truncation": {"u_min": 1e-200}}
         (tmp_path / "s.json").write_text(json.dumps(cfg))
         with deadline(2.0):
             result = invoke(runner, "simulate", "--config", str(tmp_path / "s.json"), "--out", str(tmp_path / "o"))
         assert result.exit_code == 1
-        assert result.output.splitlines() == ["Error: meeting rho = 0.0001 needs n_last > 1e+300"]
+        assert result.output.splitlines() == [f"Error: meeting rho = 0.0001 needs {needs}"]
         assert not (tmp_path / "o").exists()
 
     def test_reruns_are_byte_identical(self, runner, tmp_path):

@@ -1,5 +1,6 @@
 """Trajectory simulation, certified truncation, and exact-model oracles."""
 
+import functools
 import math
 import tracemalloc
 
@@ -9,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 
 from glsreg import simulate as simulate_module
-from glsreg.criteria import regulator_ratio_matrix
+from glsreg import verify
+from glsreg.criteria import criterion_functional, extract_regulator, regulator_ratio_matrix
 from glsreg.errors import (
     DomainError,
     InvalidEpsilon,
@@ -35,6 +37,7 @@ from glsreg.simulate import (
     exp_power_threshold,
     model_from_config,
     plan_from_config,
+    regulator_delta,
     resolve_n_last,
     simulate_eta,
     simulate_trajectories,
@@ -103,6 +106,18 @@ def fresh_stream_row(plan, trajectory):
     else:
         magnitudes = math.sqrt(2.0) * special.erfinv(u)
     return magnitudes * n_idx ** (-plan.alpha), n_idx ** (-(plan.alpha - plan.eps))
+
+
+def pass_blocks(plan):
+    """(rows, a copy of the block) for every chunk of the one row pass over a plan."""
+    blocks = []
+    simulate_trajectories(plan, lambda rows, block: blocks.append((rows, block.copy())))
+    return blocks
+
+
+def pass_rows(plan):
+    """Every row of a plan, read through the one row pass."""
+    return np.vstack([block for _, block in pass_blocks(plan)])
 
 
 def exp_plan(eps=0.5, trajectories=100, seed=7, start=1, **kw):
@@ -363,7 +378,9 @@ class TestSimulateEta:
             model=model(alpha=1.0), eps=0.5, trajectories=10, seed=seed, truncation=FixedTruncation(n_last=width)
         )
         eta = simulate_eta(plan).value
-        batch = simulate_trajectories(plan).values
+        blocks = pass_blocks(plan)
+        assert [rows for rows, _ in blocks] == [range(0, 4), range(4, 8), range(8, 10)]
+        batch = np.vstack([block for _, block in blocks])
         for t in range(plan.trajectories):
             row, delta = fresh_stream_row(plan, t)
             np.testing.assert_array_equal(batch[t], row)
@@ -449,24 +466,29 @@ class TestSimulateEta:
             seed=5,
             truncation=FixedTruncation(n_last=3),
         )
-        batch = simulate_trajectories(plan)
-        mean = float(batch.values[:, batch.column_of(1)].mean())
+        mean = float(pass_rows(plan)[:, 0].mean())  # column 0 holds index 1
         assert mean == pytest.approx(math.sqrt(2.0 / math.pi), abs=0.025)
 
 
 class TestTrajectoryBatches:
     def test_shape_and_metadata(self):
         plan = exp_plan(trajectories=8, seed=2, start=3, truncation=FixedTruncation(n_last=12))
-        batch = simulate_trajectories(plan)
-        assert batch.values.shape == (8, 10)
-        assert batch.index_start == 3 and batch.last_index == 12
-        assert batch.column_of(3) == 0 and batch.column_of(12) == 9
+        blocks = pass_blocks(plan)
+        assert [rows for rows, _ in blocks] == [range(8)]
+        block = blocks[0][1]
+        assert block.shape == (8, 10)
+        for t in range(8):  # column k holds index 3 + k
+            np.testing.assert_array_equal(block[t], fresh_stream_row(plan, t)[0])
+        np.testing.assert_array_equal(regulator_delta(plan), np.arange(3, 13, dtype=float) ** -0.5)
+        criterion_functional(block, 3, index_start=3)
+        criterion_functional(block, 12, index_start=3)
+        with pytest.raises(DomainError):
+            criterion_functional(block, 13, index_start=3)
 
     def test_eta_agrees_bitwise_with_batch_reduction(self):
         plan = exp_plan(trajectories=40, seed=6, truncation=FixedTruncation(n_last=25))
-        batch = simulate_trajectories(plan)
         delta = np.arange(1, 26, dtype=float) ** -0.5
-        reduced = regulator_ratio_matrix(batch.values, delta).max(axis=1)
+        reduced = regulator_ratio_matrix(pass_rows(plan), delta).max(axis=1)
         eta = np.asarray([s.value for s in simulate_eta(plan)])
         np.testing.assert_array_equal(reduced, eta)
 
@@ -474,32 +496,52 @@ class TestTrajectoryBatches:
         # 300 rows of width 25 in chunks of 40 rows: the last chunk is short
         monkeypatch.setattr(simulate_module, "_ROW_CHUNK_CELLS", 1000)
         plan = exp_plan(trajectories=300, seed=8, truncation=FixedTruncation(n_last=25))
-        reduced = regulator_ratio_matrix(simulate_trajectories(plan).values, np.arange(1, 26, dtype=float) ** -0.5)
+        reduced = regulator_ratio_matrix(pass_rows(plan), np.arange(1, 26, dtype=float) ** -0.5)
         np.testing.assert_array_equal(reduced.max(axis=1), simulate_eta(plan).value)
 
-    def test_batch_peak_memory_near_batch_size(self):
-        plan = exp_plan(trajectories=2000, seed=4, truncation=FixedTruncation(n_last=1000))
-        tracemalloc.start()
-        try:
-            batch = simulate_trajectories(plan)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.2 * batch.values.nbytes
-        for t in (0, 1999):
-            gen = np.random.Generator(np.random.Philox(key=np.asarray([4, t], dtype=np.uint64)))
-            row = -np.log1p(-gen.random(1000)) * np.arange(1, 1001, dtype=float) ** -1.0
-            np.testing.assert_array_equal(batch.values[t], row)
+    def test_one_pass_is_chunk_invariant(self, monkeypatch):
+        # the convergence-diagnostics plan at 1000 trajectories, against rows from fresh Philox streams
+        plan = verify._exponential_plan(301, 1000, alpha=2.0)
+        width = resolve_n_last(plan)
+        starts = (1, 10, 100)
+        reference = np.vstack([fresh_stream_row(plan, t)[0] for t in range(plan.trajectories)])
+        delta = fresh_stream_row(plan, 0)[1]
+        pass_delta = regulator_delta(plan)
+        expected_sups = [np.abs(reference[:, n - 1 :]).max(axis=1) for n in starts]
+        expected_factors = (np.abs(reference) / delta).max(axis=1)
+        records = []
+        # one row per chunk; 7 rows per chunk with a short last chunk; the default (431 + 431 + 138 rows)
+        for cells, chunks in ((width, 1000), (7 * width, 143), (simulate_module._ROW_CHUNK_CELLS, 3)):
+            monkeypatch.setattr(simulate_module, "_ROW_CHUNK_CELLS", cells)
+            blocks = pass_blocks(plan)
+            assert len(blocks) == chunks
+            np.testing.assert_array_equal(np.vstack([block for _, block in blocks]), reference)
+            for n, sups in zip(starts, expected_sups):
+                terms = np.empty(plan.trajectories)
+                simulate_trajectories(
+                    plan, lambda rows, block: criterion_functional(block, n, out=terms[rows.start : rows.stop])
+                )
+                np.testing.assert_array_equal(terms, sups / (1.0 + sups))
+            factors = np.empty(plan.trajectories)
+            simulate_trajectories(
+                plan, lambda rows, block: extract_regulator(block, pass_delta, out=factors[rows.start : rows.stop])
+            )
+            np.testing.assert_array_equal(factors, expected_factors)
+            np.testing.assert_array_equal(simulate_eta(plan).value, expected_factors)
+            records.append(verify.check_convergence_diagnostics(301, 1000, functools.cache(verify._eta_values)))
+        assert records[0] == records[1] == records[2]
+        assert [r.estimate for r in records[0][2:]] == [0.0, 0.0]
 
-    def test_batch_peak_memory_within_five_percent_of_batch(self):
-        plan = exp_plan(trajectories=2000, seed=4, truncation=FixedTruncation(n_last=1000))
+    def test_diagnostics_check_peak_memory_under_4_mib(self):
+        # the check once held a 10k x 394 batch (31.5 MB); its row pass keeps four floats a row
+        verify.run_suite(["convergence-diagnostics"], seed=301, trajectories=20_000)  # warm-up: imports and caches
         tracemalloc.start()
         try:
-            batch = simulate_trajectories(plan)
+            verify.run_suite(["convergence-diagnostics"], seed=301, trajectories=20_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.05 * batch.values.nbytes
+        assert peak < 4 << 20, peak
 
 
 class TestExactTail:
