@@ -4,10 +4,11 @@ Every subcommand is one body under the ``_command`` skeleton.  The skeleton
 declares --config/--out/--format (and --seed for the seeded commands), reads
 the JSON experiment config and checks it against the package's
 experiment_config.schema.json with the package's own checker, glsreg.schema.
-The body builds its objects from the config and returns an artifact map (file
-name -> JSON tree, text, or writer taking the path), a summary and an exit
-status.  The skeleton writes the map into --out only after the body returns,
-so a failed command writes nothing, then prints the summary.  Config problems
+The body builds its objects with this module's config readers (and
+simulate.plan_from_config) and returns an artifact map (file name -> JSON
+tree, text, or writer taking the path), a summary and an exit status.  The
+skeleton writes the map into --out only after the body returns, so a failed
+command writes nothing, then prints the summary.  Config problems
 (schema violations, and domain checks the schema cannot express) exit with
 status 2; runtime math failures exit with status 1; verify exits with the
 report's own status.
@@ -176,11 +177,38 @@ def _psi_from_config(cfg: dict, moments_obj=None):
     """
     from . import generating
 
-    if cfg["psi"]["form"] == "natural":
+    psi = cfg["psi"]
+    if psi["form"] == "natural":
         if moments_obj is None:
             raise ConfigError("psi form 'natural' needs a moments block in the config")
         return generating.natural_function(moments_obj)
-    return generating.from_config(cfg["psi"])
+    if psi["form"] == "power_root":
+        return generating.PowerRoot(m=float(psi["m"]))
+    if psi["form"] == "two_sided":
+        return generating.TwoSidedSingular(b=float(psi["b"]), alpha=float(psi["alpha"]), beta=float(psi["beta"]))
+    if psi["form"] == "extremal":
+        return generating.Extremal(r=float(psi["r"]))
+    return generating.Tabulated(points=tuple((float(p), float(v)) for p, v in psi["points"]))
+
+
+def _pair_from_config(obj: dict):
+    """Sequence pair from the config's pair block.
+
+    theta/nu (beta_n = n**(-theta) ln(n+1)**(-nu)) wins over alpha/m, and Q over q.
+    """
+    from .sequences import DecaySequencePair, GeometricSequence, PowerLogSequence
+
+    def sequence(seq: dict):
+        if seq["form"] == "geometric":
+            ratio = seq["Q"] if "Q" in seq else seq["q"]
+            return GeometricSequence(q=float(ratio), scale=float(seq.get("scale", 1.0)))
+        if seq["form"] == "slowly_varying":  # a power law with a tabulated head L(n)
+            return PowerLogSequence(rate=float(seq["alpha"]), table=tuple(float(v) for v in seq["table"]))
+        if "theta" in seq:
+            return PowerLogSequence(rate=float(seq["theta"]), log_power=-float(seq.get("nu", 0.0)))
+        return PowerLogSequence(rate=float(seq["alpha"]), log_power=float(seq.get("m", 0.0)))
+
+    return DecaySequencePair(eps_seq=sequence(obj["eps"]), beta_seq=sequence(obj["beta"]))
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -251,12 +279,11 @@ def bound(cfg, fmt):
     from . import bounds as bmod
     from .errors import Divergent, InvalidExponent
     from .generating import check_eps
-    from .sequences import pair_from_config
 
     with _building():
         psi = _psi_from_config(cfg)
         if "pair" in cfg:
-            pair = pair_from_config(cfg["pair"])
+            pair = _pair_from_config(cfg["pair"])
         else:
             env = bmod.MomentEnvelope(psi, float(cfg["alpha"]), int(cfg.get("index_start", 1)))
             eps = float(cfg["eps"])
@@ -306,6 +333,8 @@ def simulate(cfg, fmt, seed):
         plan = plan_from_config(cfg)
     if seed is not None:
         plan = dataclasses.replace(plan, seed=seed)
+    p_grid = [float(p) for p in cfg.get("p_grid", ())]
+    u_grid = [float(u) for u in cfg.get("u_grid", ())]
     n_last = resolve_n_last(plan)
     samples = simulate_eta(plan)
     values = samples.value
@@ -322,11 +351,11 @@ def simulate(cfg, fmt, seed):
         "eps": plan.eps,
     }
     p_norms = []
-    for p in plan.p_grid:
+    for p in p_grid:
         est = power_mean_estimate(values, p)
         p_norms.append({"p": p, "value": est.value, "half_width": est.half_width})
     tails = []
-    for u in plan.u_grid:
+    for u in u_grid:
         est = empirical_tail(values, u)
         tails.append({"u": u, "value": est.value, "half_width": est.half_width})
     summary = {
@@ -340,10 +369,10 @@ def simulate(cfg, fmt, seed):
         "provenance": _provenance(cfg, seed=plan.seed),
     }
     artifacts = {"eta.csv": functools.partial(write_eta_samples, samples, metadata), "summary.json": summary}
-    if fmt == "csv" and plan.u_grid:
+    if fmt == "csv" and u_grid:
         artifacts["tails.csv"] = _csv("u,value,half_width", [(t["u"], t["value"], t["half_width"]) for t in tails])
     elif fmt == "svg":
-        u_grid = np.asarray(plan.u_grid) if plan.u_grid else np.geomspace(1.0, max(2.0, float(values.max())), 33)
+        u_grid = np.asarray(u_grid) if u_grid else np.geomspace(1.0, max(2.0, float(values.max())), 33)
         tail_vals = [empirical_tail(values, float(u)).value for u in u_grid]
         artifacts["tails.svg"] = _svg(u_grid, tail_vals, "empirical regulator tail", "u", "P(eta >= u)")
     return artifacts, f"simulated {plan.trajectories} trajectories to n={n_last}; mean eta {values.mean():.6g}", 0
@@ -352,17 +381,17 @@ def simulate(cfg, fmt, seed):
 @_command(seeded=True)
 def verify(cfg, fmt, seed):
     """Run the verification suite and exit with its verdict."""
-    from .persist import config_sha256
     from .verify import run_suite
 
     report = run_suite(
         check_ids=cfg.get("checks"),
         seed=int(seed if seed is not None else cfg.get("seed", 42)),
         trajectories=int(cfg.get("trajectories", 20_000)),
-        config_sha=config_sha256(cfg),
     )
     text = report.to_text()
-    artifacts = {"report.json": report.to_dict(), "report.txt": text}
+    tree = report.to_dict()
+    tree["provenance"].update(_provenance(cfg, report.seed))
+    artifacts = {"report.json": tree, "report.txt": text}
     if fmt == "csv":
         artifacts["report.csv"] = _csv(
             "check_id,verdict,violation,allowance",

@@ -38,8 +38,9 @@ def _finite_rows(per_row: np.ndarray) -> np.ndarray:
 def regulator_ratio_matrix(values: np.ndarray, delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise |values| / delta with delta broadcast across trajectories.
 
-    This single expression is shared by regulator extraction and by the
-    direct simulation of sup-regulators, so the two agree bitwise.  As in
+    This is the expression ``extract_regulator`` maximises per row, and the
+    reference that acceptance criterion 10 and ``tests/test_simulate.py``
+    compare the extracted regulator against.  As in
     numpy, ``out`` (which may be ``values``) receives the result; without it
     a new array is returned and ``values`` is left as it is.
     """

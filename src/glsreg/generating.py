@@ -313,22 +313,3 @@ def natural_function(moments: GeneratingFunction) -> NaturalFunction:
     if not (math.isfinite(nu_a) and nu_a > 0):
         raise NoFiniteMoment(f"moment curve is not finite and positive at exponent {a}")
     return NaturalFunction(moments=moments, a=probe, nu_a=nu_a, upper=dom.upper)
-
-
-def from_config(obj: dict) -> GeneratingFunction:
-    """Build a generating function from its schema-validated JSON form.
-
-    Shapes (the 'natural' form is built from a moment curve by the CLI):
-      {"form": "power_root", "m": 1.0}
-      {"form": "two_sided", "b": 2.0, "alpha": 1.0, "beta": 0.5}
-      {"form": "extremal", "r": 3.0}
-      {"form": "table", "points": [[p, value], ...]}
-    """
-    form = obj["form"]
-    if form == "power_root":
-        return PowerRoot(m=float(obj["m"]))
-    if form == "two_sided":
-        return TwoSidedSingular(b=float(obj["b"]), alpha=float(obj["alpha"]), beta=float(obj["beta"]))
-    if form == "extremal":
-        return Extremal(r=float(obj["r"]))
-    return Tabulated(points=tuple((float(p), float(v)) for p, v in obj["points"]))

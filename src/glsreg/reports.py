@@ -96,7 +96,6 @@ class VerificationReport:
 
     records: tuple[CheckRecord, ...]
     seed: int
-    config_sha256: str = ""
 
     def counts(self) -> dict:
         out = {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0}
@@ -115,7 +114,6 @@ class VerificationReport:
             "summary": self.counts(),
             "provenance": {
                 "seed": self.seed,
-                "config_sha256": self.config_sha256,
                 "half_width_factor": HALF_WIDTH_FACTOR,
                 "half_width_quantile": Z99,
                 "tool_version": __version__,

@@ -26,8 +26,6 @@ __all__ = [
     "PowerLogSequence",
     "GeometricSequence",
     "DecaySequencePair",
-    "sequence_from_config",
-    "pair_from_config",
 ]
 
 _FIRST_CHUNK_CELLS = 1 << 10  # cells in the first chunk of a chunked sum
@@ -144,31 +142,3 @@ class DecaySequencePair:
 
     def ratio_values(self, n: np.ndarray) -> np.ndarray:
         return self.eps_seq.values(n) / self.beta_seq.values(n)
-
-
-def sequence_from_config(obj: dict) -> PowerLogSequence | GeometricSequence:
-    """Build one sequence from its schema-validated config.
-
-    Shapes (the numerator uses keys alpha/m, the normaliser theta/nu with
-    the sign convention beta_n = n**(-theta) * ln(n+1)**(-nu); theta wins
-    when both rates are given):
-      {"form": "power_log", "alpha": 1.0, "m": 0.0}
-      {"form": "power_log", "theta": 0.5, "nu": 0.0}
-      {"form": "geometric", "q": 0.25}   (or "Q" for the normaliser)
-      {"form": "slowly_varying", "alpha": 1.0, "table": [1.0, ...]}
-    The slowly varying form is the power law with a tabulated head L(n).
-    """
-    form = obj["form"]
-    if form == "power_log":
-        if "theta" in obj:
-            return PowerLogSequence(rate=float(obj["theta"]), log_power=-float(obj.get("nu", 0.0)))
-        return PowerLogSequence(rate=float(obj["alpha"]), log_power=float(obj.get("m", 0.0)))
-    if form == "geometric":
-        ratio = obj["Q"] if "Q" in obj else obj["q"]
-        return GeometricSequence(q=float(ratio), scale=float(obj.get("scale", 1.0)))
-    return PowerLogSequence(rate=float(obj["alpha"]), table=tuple(float(v) for v in obj["table"]))
-
-
-def pair_from_config(obj: dict) -> DecaySequencePair:
-    """Build the pair {"eps": <sequence config>, "beta": <sequence config>}."""
-    return DecaySequencePair(eps_seq=sequence_from_config(obj["eps"]), beta_seq=sequence_from_config(obj["beta"]))

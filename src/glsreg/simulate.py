@@ -66,7 +66,6 @@ __all__ = [
     "bonferroni_sums",
     "asymptotic_tail_constant",
     "exact_eta_moment",
-    "model_from_config",
     "plan_from_config",
 ]
 
@@ -174,8 +173,6 @@ class SimulationPlan:
     trajectories: int
     truncation: Truncation = field(default_factory=TailTargetTruncation)
     seed: int = 0
-    p_grid: tuple[float, ...] = ()
-    u_grid: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         check_eps(self.eps, self.model.alpha)
@@ -183,10 +180,6 @@ class SimulationPlan:
             raise DomainError(f"need at least one trajectory, got {self.trajectories}")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit an unsigned 64-bit integer")
-        if any(p < 1.0 for p in self.p_grid):
-            raise DomainError("every moment exponent in p_grid must be >= 1")
-        if any(u < 0.0 for u in self.u_grid):
-            raise DomainError("every tail threshold in u_grid must be >= 0")
         if isinstance(self.truncation, FixedTruncation) and self.truncation.n_last < self.index_start:
             raise DomainError(
                 f"fixed truncation {self.truncation.n_last} sits before index_start {self.index_start}"
@@ -249,6 +242,20 @@ def exp_power_threshold(c: float, gamma: float, rho: float) -> int:
     return n
 
 
+def _term_cut(c: float, gamma: float, abs_tol: float, index_start: int) -> int:
+    """First N >= index_start with c N**gamma >= ln(1/abs_tol), in log space and clamped just past SERIES_TERM_CAP."""
+    log_cut = (math.log(-math.log(abs_tol)) - math.log(c)) / gamma
+    return max(index_start, math.ceil(math.exp(min(log_cut, math.log(SERIES_TERM_CAP + 1.0)))))
+
+
+def _bracket_midpoint(remainder: Callable[[int], tuple[float, float]], n_cut: int, abs_tol: float) -> float:
+    """Midpoint of the bracket ``remainder(n_cut)``; a bracket wider than 2 abs_tol raises ``ToleranceUnreachable``."""
+    lo, hi = remainder(n_cut)
+    if not hi - lo <= 2.0 * abs_tol:
+        raise ToleranceUnreachable(f"the remainder past index {n_cut} is bracketed only to {hi - lo:.3g}")
+    return 0.5 * (lo + hi)
+
+
 def _sum_to_term_cut(
     term: Callable[[np.ndarray], np.ndarray],
     c: float,
@@ -260,9 +267,7 @@ def _sum_to_term_cut(
 ) -> float:
     """Sum term(n) over n >= index_start to the cut where exp(-c n**gamma) meets abs_tol, plus a remainder midpoint.
 
-    The cut is the first N >= index_start with c N**gamma >= ln(1/abs_tol),
-    taken in closed form in log space and clamped just past
-    ``SERIES_TERM_CAP``, so a tiny c cannot overflow it.  ``remainder(N)``
+    The cut N is ``_term_cut``, so a tiny c cannot overflow it.  ``remainder(N)``
     brackets the sum of the terms past N as (lo, hi); the result adds the
     midpoint, so it is within (hi - lo) / 2 of the series, and a bracket
     wider than 2 abs_tol raises ``ToleranceUnreachable``.  Without ``stop``, a
@@ -270,21 +275,17 @@ def _sum_to_term_cut(
     ``_chunked_sum``; once it holds, the partial total is returned as it
     stands, and the caller's predicate carries the certificate.
     """
-    log_cut = (math.log(-math.log(abs_tol)) - math.log(c)) / gamma
-    n_cut = max(index_start, math.ceil(math.exp(min(log_cut, math.log(SERIES_TERM_CAP + 1.0)))))
+    n_cut = _term_cut(c, gamma, abs_tol, index_start)
     if stop is None and n_cut > SERIES_TERM_CAP:
         raise ToleranceUnreachable(f"a sum within {abs_tol} needs more than {SERIES_TERM_CAP} terms")
     total = _chunked_sum(term, index_start, n_cut, stop)
     if stop is not None and stop(total, n_cut):
         return total
-    lo, hi = remainder(n_cut)
-    if not hi - lo <= 2.0 * abs_tol:
-        raise ToleranceUnreachable(f"the remainder past index {n_cut} is bracketed only to {hi - lo:.3g}")
-    return total + 0.5 * (lo + hi)
+    return total + _bracket_midpoint(remainder, n_cut, abs_tol)
 
 
 def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
-    """Certified estimate of sum_{n >= index_start} exp(-c n**gamma), within abs_tol.
+    """Certified estimate of sum_{n >= index_start} exp(-c n**gamma), within abs_tol up to rounding.
 
     Sums the terms up to the first index N >= index_start whose term
     f(N) = exp(-c N**gamma) is <= abs_tol, then adds the midpoint of the
@@ -423,6 +424,23 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
 # exact oracles for the exponential model
 
 
+def _log_product_floor(u: float, eps: float, index_start: int) -> float:
+    """Lower bound -(x_{n0} + I(n0)) / (1 - x_{n0}) on sum_{n >= n0} log1p(-x_n), n0 = index_start.
+
+    x_n and I are as in ``exact_eta_tail``; the bound holds as -log1p(-x) <= x / (1 - x)
+    and sum_{n >= n0} x_n <= x_{n0} + I(n0).  I(n0) is taken in log space; -inf where
+    its gamma factor underflows.
+    """
+    a = 1.0 / eps
+    t0 = u * index_start**eps
+    q = float(special.gammaincc(a, t0))
+    if q == 0.0:
+        return -math.inf
+    log_integral = special.gammaln(1.0 + a) - a * math.log(u) + math.log(q)
+    log_sum = float(np.logaddexp(-t0, log_integral))
+    return -math.exp(min(700.0, log_sum - math.log(-math.expm1(-t0))))
+
+
 def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
     """Exact tail P(eta > u) of the exponential-power model, within abs_tol.
 
@@ -436,10 +454,11 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
     with I(m) = int_m^inf exp(-u t**eps) dt.  The bracket is
     I(N) - I(N + 1) + I(N) x_{N+1} / (1 - x_{N+1}) wide: at most x_N plus a
     term of order abs_tol * I(N), and a bracket wider than 2 abs_tol raises
-    ``ToleranceUnreachable``.  The tail is 1 - exp of the log product, so
-    its error is at most the log product's: the result is an estimate
-    within abs_tol of the tail (up to rounding), not a lower or upper bound.
-    alpha cancels from the tail and only gates eps.
+    ``ToleranceUnreachable``, before the sum when N passes the cap and
+    ``_log_product_floor`` keeps the product above abs_tol.  The tail is
+    1 - exp of the log product, so its error is at most the log product's:
+    the result is an estimate within abs_tol of the tail (up to rounding),
+    not a lower or upper bound.  alpha cancels from the tail and only gates eps.
     """
     _check_model_fields(alpha, index_start)
     check_eps(eps, alpha)
@@ -454,6 +473,9 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
             -exp_power_sum_tail_bound(u, eps, n + 1),
         )
 
+    n_cut = _term_cut(u, eps, abs_tol, index_start)
+    if n_cut > SERIES_TERM_CAP and _log_product_floor(u, eps, index_start) > math.log(abs_tol):
+        _bracket_midpoint(remainder, n_cut, abs_tol)  # the stop cannot fire: raise what the full sum would
     with np.errstate(divide="ignore"):  # a factor that rounds to 0 logs to -inf, which ends the product
         log_product = _sum_to_term_cut(
             lambda n: np.log1p(-np.exp(-u * n**eps)),
@@ -560,12 +582,10 @@ def exact_eta_moment(
 # construction from schema-validated configs
 
 
-def model_from_config(obj: dict) -> SequenceModel:
-    model = ExponentialPower if obj["kind"] == ExponentialPower.kind else GaussianPower
-    return model(alpha=float(obj["alpha"]), index_start=int(obj.get("index_start", 1)))
-
-
 def plan_from_config(obj: dict) -> SimulationPlan:
+    """The plan of a schema-validated simulate config; its report grids stay in the config."""
+    model_obj = obj["model"]
+    model = ExponentialPower if model_obj["kind"] == ExponentialPower.kind else GaussianPower
     trunc_obj = obj.get("truncation", {})
     if "n_last" in trunc_obj:
         truncation: Truncation = FixedTruncation(n_last=int(trunc_obj["n_last"]))
@@ -575,11 +595,9 @@ def plan_from_config(obj: dict) -> SimulationPlan:
             u_min=float(trunc_obj.get("u_min", 1.0)),
         )
     return SimulationPlan(
-        model=model_from_config(obj["model"]),
+        model=model(alpha=float(model_obj["alpha"]), index_start=int(model_obj.get("index_start", 1))),
         eps=float(obj["eps"]),
         trajectories=int(obj["trajectories"]),
         truncation=truncation,
         seed=int(obj.get("seed", 0)),
-        p_grid=tuple(float(x) for x in obj.get("p_grid", ())),
-        u_grid=tuple(float(x) for x in obj.get("u_grid", ())),
     )

@@ -485,7 +485,6 @@ def run_suite(
     check_ids=None,
     seed: int = 42,
     trajectories: int = 20_000,
-    config_sha: str = "",
 ) -> VerificationReport:
     """Run the selected checks (default: all) and collect a report."""
     ids = tuple(check_ids) if check_ids else DEFAULT_SUITE
@@ -496,4 +495,4 @@ def run_suite(
     records: list[CheckRecord] = []
     for check_id in ids:
         records.extend(CHECKS[check_id](seed, trajectories, eta_values))
-    return VerificationReport(records=tuple(records), seed=seed, config_sha256=config_sha)
+    return VerificationReport(records=tuple(records), seed=seed)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from glsreg import bounds as bounds_module
 from glsreg.bounds import MomentEnvelope, regulator_lp_bound, sigma_function
+from glsreg.cli import _pair_from_config
 from glsreg.errors import (
     Divergent,
     DomainError,
@@ -21,7 +22,6 @@ from glsreg.sequences import (
     DecaySequencePair,
     GeometricSequence,
     PowerLogSequence,
-    sequence_from_config,
 )
 
 
@@ -300,14 +300,27 @@ class TestSequences:
         np.testing.assert_allclose(pair.ratio_values(n), n**-1.0)
 
     def test_from_config_shapes(self):
-        seq = sequence_from_config({"form": "power_log", "alpha": 1.0, "m": 2.0})
-        assert seq.rate == 1.0 and seq.log_power == 2.0
-        seq = sequence_from_config({"form": "power_log", "theta": 0.5, "nu": 1.0})
-        assert seq.rate == 0.5 and seq.log_power == -1.0
-        seq = sequence_from_config({"form": "geometric", "Q": 0.5, "scale": 2.0})
-        assert seq.q == 0.5 and seq.scale == 2.0
-        seq = sequence_from_config({"form": "slowly_varying", "alpha": 1.0, "table": [1.0, 2.0]})
-        assert seq == PowerLogSequence(rate=1.0, table=(1.0, 2.0))
+        # the CLI's pair reader: theta wins over alpha, Q over q, and nu is negated
+        pair = _pair_from_config(
+            {
+                "eps": {"form": "power_log", "alpha": 1.0, "m": 2.0},
+                "beta": {"form": "power_log", "alpha": 0.9, "theta": 0.5, "nu": 1.0},
+            }
+        )
+        assert pair.eps_seq.rate == 1.0 and pair.eps_seq.log_power == 2.0
+        assert pair.beta_seq.rate == 0.5 and pair.beta_seq.log_power == -1.0
+        pair = _pair_from_config(
+            {"eps": {"form": "geometric", "q": 0.25}, "beta": {"form": "geometric", "q": 0.1, "Q": 0.5, "scale": 2.0}}
+        )
+        assert pair.eps_seq == GeometricSequence(q=0.25)
+        assert pair.beta_seq.q == 0.5 and pair.beta_seq.scale == 2.0
+        pair = _pair_from_config(
+            {
+                "eps": {"form": "slowly_varying", "alpha": 1.5, "table": [1.0]},
+                "beta": {"form": "slowly_varying", "alpha": 1.0, "table": [1.0, 2.0]},
+            }
+        )
+        assert pair.beta_seq == PowerLogSequence(rate=1.0, table=(1.0, 2.0))
 
     @given(st.floats(min_value=0.05, max_value=0.9), st.floats(min_value=1.0, max_value=8.0))
     @settings(max_examples=50, deadline=None)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from glsreg.cli import _psi_from_config
 from glsreg.errors import DomainError, EmptyDomain, NoFiniteMoment
 from glsreg.generating import (
     EDGE_INSET,
@@ -17,7 +18,6 @@ from glsreg.generating import (
     Product,
     Tabulated,
     TwoSidedSingular,
-    from_config,
     intersect_domains,
     natural_function,
     scan_grid_table,
@@ -273,19 +273,21 @@ class TestNaturalFunction:
 
 
 class TestFromConfig:
+    """The CLI's reader of a config's psi block."""
+
     def test_power_root(self):
-        psi = from_config({"form": "power_root", "m": 2.0})
+        psi = _psi_from_config({"psi": {"form": "power_root", "m": 2.0}})
         assert psi.value(16.0) == 4.0
 
     def test_two_sided(self):
-        psi = from_config({"form": "two_sided", "b": 4.0, "alpha": 0.5, "beta": 1.0})
+        psi = _psi_from_config({"psi": {"form": "two_sided", "b": 4.0, "alpha": 0.5, "beta": 1.0}})
         assert psi.value(2.0) == pytest.approx(0.5)
 
     def test_extremal(self):
-        assert from_config({"form": "extremal", "r": 2.0}).value(2.0) == 1.0
+        assert _psi_from_config({"psi": {"form": "extremal", "r": 2.0}}).value(2.0) == 1.0
 
     def test_table(self):
-        psi = from_config({"form": "table", "points": [[1.0, 1.0], [4.0, 4.0]]})
+        psi = _psi_from_config({"psi": {"form": "table", "points": [[1.0, 1.0], [4.0, 4.0]]}})
         assert psi.value(4.0) == 4.0
 
 

@@ -18,7 +18,11 @@ from click.testing import CliRunner
 
 import glsreg
 from glsreg import persist as persist_module
+from glsreg.bounds import sigma_function
 from glsreg.cli import main
+from glsreg.estimates import power_mean_estimate
+from glsreg.generating import Extremal, PowerRoot, Tabulated, TwoSidedSingular, natural_function
+from glsreg.moments import empirical_tail, gls_norm_scan, std_exponential_moments
 from glsreg.persist import (
     atomic_write_text,
     canonical_json,
@@ -33,6 +37,8 @@ from glsreg.reports import (
     CheckRecord,
     VerificationReport,
 )
+from glsreg.sequences import DecaySequencePair, GeometricSequence, PowerLogSequence
+from glsreg.simulate import plan_from_config, simulate_eta
 
 CONFIG_DIR = "configs"
 
@@ -109,6 +115,8 @@ REJECTED_CONFIGS = {
     "simulate-p-grid-nan": {**SIMULATE, "p_grid": [math.nan]},
     "simulate-p-grid-infinity": {**SIMULATE, "p_grid": [math.inf]},
     "simulate-u-grid-nan": {**SIMULATE, "u_grid": [math.nan]},
+    "simulate-p-grid-below-one": {**SIMULATE, "p_grid": [0.5]},
+    "simulate-u-grid-negative": {**SIMULATE, "u_grid": [-1.0]},
     "bound-p-grid-nan": {**BOUND_REGULATOR, "p_grid": [math.nan, 3.0]},
     # (1, b) with b the float after 1 holds no float
     "two-sided-holds-no-float": {**NORM, "psi": {"form": "two_sided", "b": 1.0000000000000002, "alpha": 1.0, "beta": 0.0}},
@@ -224,10 +232,10 @@ class TestVerificationReport:
         assert "(seed 9" in text
 
     def test_dict_provenance(self):
-        rep = VerificationReport(records=(record(),), seed=4, config_sha256="abc")
+        rep = VerificationReport(records=(record(),), seed=4)
         d = rep.to_dict()
         assert d["provenance"]["seed"] == 4
-        assert d["provenance"]["config_sha256"] == "abc"
+        assert "config_sha256" not in d["provenance"]  # the CLI adds it with the rest of its provenance
         assert d["summary"]["PASS"] == 1
 
 
@@ -314,10 +322,10 @@ class TestRunSuite:
     def test_subset_report_round_trips(self):
         from glsreg.verify import run_suite
 
-        report = run_suite(["conjugate-closed-form", "sigma-closed-form"], seed=1, config_sha="deadbeef")
+        report = run_suite(["conjugate-closed-form", "sigma-closed-form"], seed=1)
         assert report.exit_code == 0
         assert report.counts()["FAIL"] == 0
-        assert report.to_dict()["provenance"]["config_sha256"] == "deadbeef"
+        assert report.to_dict()["provenance"]["seed"] == 1
         ids = {r.check_id for r in report.records}
         assert any(i.startswith("conjugate") for i in ids)
 
@@ -681,6 +689,95 @@ class TestVerifyCommand:
         )
         payload = json.loads((out / "report.json").read_text())
         assert payload["provenance"]["seed"] == 123
+
+
+def _psi_form(psi_cfg: dict, psi):
+    """A norm config with this psi block; its report against gls_norm_scan on ``psi``."""
+
+    def expected() -> dict:
+        scan = gls_norm_scan(std_exponential_moments(), psi)
+        return {"gls_norm": scan.value, "argmax_p": scan.argmax, "unbounded": scan.unbounded}
+
+    return {**NORM, "psi": psi_cfg}, "norm.json", expected
+
+
+def _pair_form(eps_cfg: dict, beta_cfg: dict, eps_seq, beta_seq):
+    """A sequence-mode bound config with this pair block; its rows against sigma_function on the pair."""
+    p_grid = [2.0, 3.0]
+
+    def expected() -> dict:
+        pair = DecaySequencePair(eps_seq, beta_seq)
+        sigmas = [sigma_function(pair, p) for p in p_grid]
+        return {"rows": [{"p": p, "sigma": s, "bound": p * s} for p, s in zip(p_grid, sigmas)]}  # psi(p) = p
+
+    return {**bound_pair(eps_cfg, beta_cfg), "p_grid": p_grid}, "bound.json", expected
+
+
+def _simulate_grids():
+    """A simulate config with both report grids; its summary against the estimators on simulate_eta."""
+    cfg = {**SIMULATE, "trajectories": 200, "truncation": {"n_last": 40}, "p_grid": [1.5, 2.5], "u_grid": [0.5, 1, 3]}
+
+    def expected() -> dict:
+        values = simulate_eta(plan_from_config(cfg)).value
+        p_norms = [(p, power_mean_estimate(values, p)) for p in (1.5, 2.5)]
+        tails = [(u, empirical_tail(values, u)) for u in (0.5, 1.0, 3.0)]  # the report writes u 1 as 1.0
+        return {
+            "p_norms": [{"p": p, "value": e.value, "half_width": e.half_width} for p, e in p_norms],
+            "tails": [{"u": u, "value": e.value, "half_width": e.half_width} for u, e in tails],
+        }
+
+    return cfg, "summary.json", expected
+
+
+# Every config form the CLI's readers build: (config, report file, the report's entries from direct library calls)
+CONFIG_FORMS = {
+    "psi-power-root": _psi_form({"form": "power_root", "m": 1}, PowerRoot(m=1.0)),
+    "psi-two-sided": _psi_form(
+        {"form": "two_sided", "b": 4.0, "alpha": 0.5, "beta": 1.0}, TwoSidedSingular(b=4.0, alpha=0.5, beta=1.0)
+    ),
+    "psi-extremal": _psi_form({"form": "extremal", "r": 2.0}, Extremal(r=2.0)),
+    "psi-table": _psi_form(
+        {"form": "table", "points": [[1, 1.0], [4.0, 4]]}, Tabulated(points=((1.0, 1.0), (4.0, 4.0)))
+    ),
+    "psi-natural": _psi_form({"form": "natural"}, natural_function(std_exponential_moments())),
+    "power-log-alpha-m": _pair_form(
+        {"form": "power_log", "alpha": 2.0, "m": 1.0},
+        {"form": "power_log", "alpha": 0.5, "m": -1.0},
+        PowerLogSequence(rate=2.0, log_power=1.0),
+        PowerLogSequence(rate=0.5, log_power=-1.0),
+    ),
+    "power-log-theta-nu": _pair_form(
+        {"form": "power_log", "theta": 2.0, "nu": 1.0},
+        {"form": "power_log", "alpha": 9.0, "m": 3.0, "theta": 0.5, "nu": -0.5},
+        PowerLogSequence(rate=2.0, log_power=-1.0),
+        PowerLogSequence(rate=0.5, log_power=0.5),
+    ),
+    "geometric-q-Q-scale": _pair_form(
+        {"form": "geometric", "q": 0.25, "scale": 3.0},
+        {"form": "geometric", "q": 0.1, "Q": 0.5, "scale": 2.0},
+        GeometricSequence(q=0.25, scale=3.0),
+        GeometricSequence(q=0.5, scale=2.0),
+    ),
+    "slowly-varying": _pair_form(
+        {"form": "slowly_varying", "alpha": 2.5, "table": [3.0, 1.0, 0.5]},
+        {"form": "slowly_varying", "alpha": 0.5, "table": [1, 2.0]},
+        PowerLogSequence(rate=2.5, table=(3.0, 1.0, 0.5)),
+        PowerLogSequence(rate=0.5, table=(1.0, 2.0)),
+    ),
+    "simulate-report-grids": _simulate_grids(),
+}
+
+
+class TestConfigForms:
+    @pytest.mark.parametrize("cfg, report, expected", CONFIG_FORMS.values(), ids=CONFIG_FORMS.keys())
+    def test_command_matches_library(self, runner, tmp_path, cfg, report, expected):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        result = invoke(runner, cfg["command"], "--config", str(path), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "o" / report).read_text())
+        want = json_safe(expected())  # as the report writes it
+        assert {key: payload[key] for key in want} == want
 
 
 # One small config per command for the artifact table; SIMULATE has no u_grid

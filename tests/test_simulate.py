@@ -35,7 +35,6 @@ from glsreg.simulate import (
     exp_power_sum,
     exp_power_sum_tail_bound,
     exp_power_threshold,
-    model_from_config,
     plan_from_config,
     regulator_delta,
     resolve_n_last,
@@ -285,10 +284,6 @@ class TestPlanValidation:
     def test_grid_and_count_guards(self):
         with pytest.raises(DomainError):
             exp_plan(trajectories=0)
-        with pytest.raises(DomainError):
-            exp_plan(p_grid=(0.5,))
-        with pytest.raises(DomainError):
-            exp_plan(u_grid=(-1.0,))
         with pytest.raises(DomainError):
             exp_plan(seed=-1)
 
@@ -573,6 +568,21 @@ class TestExactTail:
         assert exact_eta_tail(1.0, 0.5, 1e-200) == 1.0
         assert summed_cells == [_FIRST_CHUNK_CELLS]
 
+    def test_unreachable_tolerance_past_the_cap_raises_before_summing(self, summed_cells, deadline):
+        # the term cut passes the cap, the product stays near 1 and the bracket at the
+        # capped cut is 1.2e-11 wide; the moment meets the same tail at one of its nodes
+        with deadline(0.5), pytest.raises(ToleranceUnreachable, match="past index 100000001"):
+            exact_eta_tail(1.0, 0.05, 10.0)
+        assert summed_cells == []
+        with deadline(0.5), pytest.raises(ToleranceUnreachable, match="past index 100000001"):
+            exact_eta_moment(1.0, 0.1, 1.5)
+
+    @pytest.mark.parametrize("eps, u, index_start", [(0.5, 0.3, 1), (0.25, 2.0, 1), (0.5, 1.0, 40), (0.9, 5.0, 3)])
+    def test_log_product_floor_bounds_the_log_product(self, eps, u, index_start):
+        idx = np.arange(float(index_start), 2_000_000.0)
+        log_product = math.fsum(np.log1p(-np.exp(-u * idx**eps)))
+        assert simulate_module._log_product_floor(u, eps, index_start) <= log_product
+
     @settings(max_examples=30, deadline=None)
     @given(eps=EPSILONS, u=log_uniform(1e-3, 100.0), abs_tol=TOLERANCES)
     def test_within_abs_tol_of_truncated_fsum(self, eps, u, abs_tol):
@@ -718,10 +728,12 @@ class TestExactMoment:
 
 class TestConfig:
     def test_model_round_trips(self):
-        model = model_from_config({"kind": "exponential_power", "alpha": 2.0, "index_start": 3})
+        model = plan_from_config(
+            {"model": {"kind": "exponential_power", "alpha": 2.0, "index_start": 3}, "eps": 0.5, "trajectories": 1}
+        ).model
         assert isinstance(model, ExponentialPower)
         assert model.alpha == 2.0 and model.index_start == 3
-        model = model_from_config({"kind": "gaussian_power", "alpha": 1.0})
+        model = plan_from_config({"model": {"kind": "gaussian_power", "alpha": 1.0}, "eps": 0.5, "trajectories": 1}).model
         assert isinstance(model, GaussianPower) and model.index_start == 1
 
     def test_plan_round_trip_fixed(self):
@@ -736,10 +748,7 @@ class TestConfig:
                 "u_grid": [1, 2],
             }
         )
-        assert plan == exp_plan(
-            trajectories=100, seed=9, truncation=FixedTruncation(n_last=25),
-            p_grid=(2.5, 3.0), u_grid=(1.0, 2.0),
-        )
+        assert plan == exp_plan(trajectories=100, seed=9, truncation=FixedTruncation(n_last=25))
 
     def test_plan_round_trip_tail_target(self):
         plan = plan_from_config(
@@ -751,7 +760,7 @@ class TestConfig:
             }
         )
         assert plan.truncation == TailTargetTruncation(rho=1e-6, u_min=2.0)
-        assert plan.seed == 0 and plan.p_grid == ()
+        assert plan.seed == 0
 
 
 class TestEtaRecords:
