@@ -225,6 +225,8 @@ def norm(cfg, fmt):
     with _building():
         m = _moments_from_config(cfg["moments"])
         psi = _psi_from_config(cfg, m)
+        if "grand_q" in cfg:
+            moments._grand_domain(m, float(cfg["grand_q"]))  # (1, grand_q) must hold a float of the curve's domain
     scan = moments.gls_norm_scan(m, psi)
     report = {
         "command": "norm",

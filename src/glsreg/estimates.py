@@ -50,8 +50,9 @@ def power_mean_estimate(samples: np.ndarray, p: float) -> ConfidenceValue:
     """Empirical p-norm (mean |x|^p)^(1/p) with a delta-method half-width.
 
     Powers are accumulated in shifted log space, so exponents with
-    p * ln max|x| beyond the float range stay finite.  p must be finite and
-    at least 1.
+    p * ln max|x| beyond the float range stay finite; where p * ln max|x|
+    itself overflows, only the samples at the max count.  p must be finite
+    and at least 1.
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"moment exponent must be finite and >= 1, got {p}")
@@ -59,14 +60,20 @@ def power_mean_estimate(samples: np.ndarray, p: float) -> ConfidenceValue:
     if x.size == 0:
         raise EmptySample("p-norm of an empty sample")
     m = x.size
-    with np.errstate(divide="ignore"):
+    top = float(np.max(x))
+    if top == 0.0:
+        return ConfidenceValue(0.0, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
         log_pow = p * np.log(x)
     c = float(np.max(log_pow))
-    if not math.isfinite(c):  # all samples are exactly zero
-        return ConfidenceValue(0.0, 0.0)
-    w = np.exp(log_pow - c)
-    m1 = float(np.mean(w))
-    value = math.exp((c + math.log(m1)) / p)
+    if math.isinf(c):  # p ln max|x| overflows, so (|x| / max|x|)**p is 0 below the max
+        w = (x == top).astype(float)
+        m1 = float(np.mean(w))
+        value = top * m1 ** (1.0 / p)
+    else:
+        w = np.exp(log_pow - c)
+        m1 = float(np.mean(w))
+        value = math.exp((c + math.log(m1)) / p)
     if m == 1:
         return ConfidenceValue(value, math.inf)
     m2 = float(np.mean(w * w))

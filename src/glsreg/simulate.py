@@ -33,6 +33,7 @@ single bit of output.  ``glsreg simulate`` then streams eta.csv in blocks
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -73,6 +74,7 @@ __all__ = [
 TRUNCATION_CAP = 10**7
 
 _INDEX_MAX = 1e300  # exp_power_threshold reports no index past this
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _ROW_CHUNK_CELLS = 1 << 17  # cells of the row pass's buffer: 1 MiB of float64, cache-sized
 
 # nodes and weights on [-1, 1] of the rule exact_eta_moment applies on every panel
@@ -205,14 +207,26 @@ def _check_exp_power_args(c: float, gamma: float) -> None:
         raise DomainError(f"index power must lie in (0, 2], got {gamma}")
 
 
+def _tail_integrals(c: float, gamma: float, *starts: int) -> list[float]:
+    """I(m) = int_m^inf exp(-c t**gamma) dt = Gamma(1 + a) c**(-a) Q(a, c m**gamma), a = 1/gamma, at each start m.
+
+    One gammaln and one gammaincc call serve every start.  Where the front
+    Gamma(1 + a) c**(-a) passes the float range, each I(m) reads +inf.
+    """
+    a = 1.0 / gamma
+    log_front = special.gammaln(1.0 + a) - a * math.log(c)
+    if log_front > _LOG_FLOAT_MAX:
+        return [math.inf] * len(starts)
+    front = math.exp(log_front)
+    return [front * q for q in special.gammaincc(a, [c * m**gamma for m in starts]).tolist()]
+
+
 def exp_power_sum_tail_bound(c: float, gamma: float, n_last: int) -> float:
-    """Integral-test bound on sum_{n > n_last} exp(-c n**gamma)."""
+    """Integral-test bound on sum_{n > n_last} exp(-c n**gamma); +inf past the float range."""
     _check_exp_power_args(c, gamma)
     if n_last < 1:
         raise DomainError(f"tail start must be >= 1, got {n_last}")
-    a = 1.0 / gamma
-    log_front = special.gammaln(1.0 + a) - a * math.log(c)
-    return math.exp(log_front) * float(special.gammaincc(a, c * n_last**gamma))
+    return _tail_integrals(c, gamma, n_last)[0]
 
 
 def exp_power_threshold(c: float, gamma: float, rho: float) -> int:
@@ -248,53 +262,24 @@ def _term_cut(c: float, gamma: float, abs_tol: float, index_start: int) -> int:
     return max(index_start, math.ceil(math.exp(min(log_cut, math.log(SERIES_TERM_CAP + 1.0)))))
 
 
-def _bracket_midpoint(remainder: Callable[[int], tuple[float, float]], n_cut: int, abs_tol: float) -> float:
-    """Midpoint of the bracket ``remainder(n_cut)``; a bracket wider than 2 abs_tol raises ``ToleranceUnreachable``."""
-    lo, hi = remainder(n_cut)
+def _bracket_midpoint(lo: float, hi: float, n_cut: int, abs_tol: float) -> float:
+    """Midpoint of the bracket [lo, hi] on the rest past n_cut; wider than 2 abs_tol raises ``ToleranceUnreachable``."""
     if not hi - lo <= 2.0 * abs_tol:
         raise ToleranceUnreachable(f"the remainder past index {n_cut} is bracketed only to {hi - lo:.3g}")
     return 0.5 * (lo + hi)
-
-
-def _sum_to_term_cut(
-    term: Callable[[np.ndarray], np.ndarray],
-    c: float,
-    gamma: float,
-    abs_tol: float,
-    index_start: int,
-    remainder: Callable[[int], tuple[float, float]],
-    stop: Callable[[float, int], bool] | None = None,
-) -> float:
-    """Sum term(n) over n >= index_start to the cut where exp(-c n**gamma) meets abs_tol, plus a remainder midpoint.
-
-    The cut N is ``_term_cut``, so a tiny c cannot overflow it.  ``remainder(N)``
-    brackets the sum of the terms past N as (lo, hi); the result adds the
-    midpoint, so it is within (hi - lo) / 2 of the series, and a bracket
-    wider than 2 abs_tol raises ``ToleranceUnreachable``.  Without ``stop``, a
-    cut past the cap raises before the sum.  ``stop`` is passed to
-    ``_chunked_sum``; once it holds, the partial total is returned as it
-    stands, and the caller's predicate carries the certificate.
-    """
-    n_cut = _term_cut(c, gamma, abs_tol, index_start)
-    if stop is None and n_cut > SERIES_TERM_CAP:
-        raise ToleranceUnreachable(f"a sum within {abs_tol} needs more than {SERIES_TERM_CAP} terms")
-    total = _chunked_sum(term, index_start, n_cut, stop)
-    if stop is not None and stop(total, n_cut):
-        return total
-    return total + _bracket_midpoint(remainder, n_cut, abs_tol)
 
 
 def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
     """Certified estimate of sum_{n >= index_start} exp(-c n**gamma), within abs_tol up to rounding.
 
     Sums the terms up to the first index N >= index_start whose term
-    f(N) = exp(-c N**gamma) is <= abs_tol, then adds the midpoint of the
-    integral bracket on the rest: for a nonincreasing term,
-    sum_{n > N} f(n) lies in [I(N + 1), I(N)] with I(m) = int_m^inf f
-    (``exp_power_sum_tail_bound``), and that bracket is
-    int_N^{N+1} f <= f(N) <= abs_tol wide.  So the result is an estimate,
-    not a lower partial sum, within abs_tol / 2 of the series (up to
-    rounding).  A tolerance that needs more than ``SERIES_TERM_CAP`` terms
+    f(N) = exp(-c N**gamma) is <= abs_tol (``_term_cut``, so a tiny c cannot
+    overflow it), then adds the midpoint of the integral bracket on the
+    rest: for a nonincreasing term, sum_{n > N} f(n) lies in
+    [I(N + 1), I(N)] with I(m) = int_m^inf f (``_tail_integrals``), and that
+    bracket is int_N^{N+1} f <= f(N) <= abs_tol wide.  So the result is an
+    estimate, not a lower partial sum, within abs_tol / 2 of the series (up
+    to rounding).  A tolerance that needs more than ``SERIES_TERM_CAP`` terms
     raises ``ToleranceUnreachable`` before the sum starts.
     """
     if index_start < 1:
@@ -302,14 +287,12 @@ def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: i
     if not (0.0 < abs_tol < 1.0):
         raise DomainError(f"abs_tol must lie in (0, 1), got {abs_tol}")
     _check_exp_power_args(c, gamma)
-    return _sum_to_term_cut(
-        lambda n: np.exp(-c * n**gamma),
-        c,
-        gamma,
-        abs_tol,
-        index_start,
-        lambda n: (exp_power_sum_tail_bound(c, gamma, n + 1), exp_power_sum_tail_bound(c, gamma, n)),
-    )
+    n_cut = _term_cut(c, gamma, abs_tol, index_start)
+    if n_cut > SERIES_TERM_CAP:
+        raise ToleranceUnreachable(f"a sum within {abs_tol} needs more than {SERIES_TERM_CAP} terms")
+    total = _chunked_sum(lambda n: np.exp(-c * n**gamma), index_start, n_cut)
+    i_cut, i_next = _tail_integrals(c, gamma, n_cut, n_cut + 1)
+    return total + _bracket_midpoint(i_next, i_cut, n_cut, abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +411,10 @@ def _log_product_floor(u: float, eps: float, index_start: int) -> float:
     """Lower bound -(x_{n0} + I(n0)) / (1 - x_{n0}) on sum_{n >= n0} log1p(-x_n), n0 = index_start.
 
     x_n and I are as in ``exact_eta_tail``; the bound holds as -log1p(-x) <= x / (1 - x)
-    and sum_{n >= n0} x_n <= x_{n0} + I(n0).  I(n0) is taken in log space; -inf where
-    its gamma factor underflows.
+    and sum_{n >= n0} x_n <= x_{n0} + I(n0).  It is -inf where I(n0) passes the float range.
     """
-    a = 1.0 / eps
     t0 = u * index_start**eps
-    q = float(special.gammaincc(a, t0))
-    if q == 0.0:
-        return -math.inf
-    log_integral = special.gammaln(1.0 + a) - a * math.log(u) + math.log(q)
-    log_sum = float(np.logaddexp(-t0, log_integral))
-    return -math.exp(min(700.0, log_sum - math.log(-math.expm1(-t0))))
+    return -(math.exp(-t0) + _tail_integrals(u, eps, index_start)[0]) / -math.expm1(-t0)
 
 
 def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
@@ -467,26 +443,22 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
     if not (0.0 < abs_tol < 1.0):
         raise DomainError(f"abs_tol must lie in (0, 1), got {abs_tol}")
 
-    def remainder(n: int) -> tuple[float, float]:
-        return (
-            exp_power_sum_tail_bound(u, eps, n) / math.expm1(-u * (n + 1) ** eps),
-            -exp_power_sum_tail_bound(u, eps, n + 1),
-        )
-
     n_cut = _term_cut(u, eps, abs_tol, index_start)
-    if n_cut > SERIES_TERM_CAP and _log_product_floor(u, eps, index_start) > math.log(abs_tol):
-        _bracket_midpoint(remainder, n_cut, abs_tol)  # the stop cannot fire: raise what the full sum would
+    log_tol = math.log(abs_tol)
+
+    def rest() -> float:  # the bracket midpoint on the log sum past n_cut
+        i_cut, i_next = _tail_integrals(u, eps, n_cut, n_cut + 1)
+        return _bracket_midpoint(i_cut / math.expm1(-u * (n_cut + 1) ** eps), -i_next, n_cut, abs_tol)
+
+    if n_cut > SERIES_TERM_CAP and _log_product_floor(u, eps, index_start) > log_tol:
+        rest()  # the stop cannot fire: raise what the full sum would
     with np.errstate(divide="ignore"):  # a factor that rounds to 0 logs to -inf, which ends the product
-        log_product = _sum_to_term_cut(
-            lambda n: np.log1p(-np.exp(-u * n**eps)),
-            u,
-            eps,
-            abs_tol,
-            index_start,
-            remainder,
-            # once the product is below abs_tol the sum may stop: later factors only shrink it
-            lambda total, _: total <= math.log(abs_tol),
+        # once the product is below abs_tol the sum may stop: later factors only shrink it
+        log_product = _chunked_sum(
+            lambda n: np.log1p(-np.exp(-u * n**eps)), index_start, n_cut, lambda total, _: total <= log_tol
         )
+        if log_product > log_tol:
+            log_product += rest()
     return min(1.0, -math.expm1(log_product))
 
 

@@ -255,6 +255,15 @@ class TestEmpirical:
         for p in (1.0, 2.0):
             assert power_mean_estimate(x, p).half_width > 0
 
+    @pytest.mark.parametrize("x", [[7.45, 2.0, 7.45, 0.0], [0.1, 0.05]])
+    def test_moments_past_the_float_range_read_the_max(self, x):
+        # p ln max|x| overflows to +-inf here, and (|x| / max|x|)**p is 0 below the max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = power_mean_estimate(np.asarray(x), 1.7e308)
+        assert est.value == max(x)
+        assert est.half_width == pytest.approx(0.0, abs=1e-300)
+
     @pytest.mark.parametrize("p", [math.nan, math.inf, -1.0, 0.0, 0.5])
     def test_moments_reject_exponents_outside_one_to_infinity(self, p):
         with pytest.raises(DomainError):

@@ -120,6 +120,7 @@ REJECTED_CONFIGS = {
     "bound-p-grid-nan": {**BOUND_REGULATOR, "p_grid": [math.nan, 3.0]},
     # (1, b) with b the float after 1 holds no float
     "two-sided-holds-no-float": {**NORM, "psi": {"form": "two_sided", "b": 1.0000000000000002, "alpha": 1.0, "beta": 0.0}},
+    "grand-q-holds-no-float": {**NORM, "grand_q": 1.0000000000000002},
 }
 
 

@@ -95,6 +95,24 @@ def summed_cells(monkeypatch):
     return counts
 
 
+@pytest.fixture()
+def gammaincc_calls(monkeypatch):
+    """Argument tuples of the ``special.gammaincc`` calls that ``glsreg.simulate`` makes."""
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(special, name)
+
+        @staticmethod
+        def gammaincc(*args):
+            calls.append(args)
+            return special.gammaincc(*args)
+
+    monkeypatch.setattr(simulate_module, "special", Counting())
+    return calls
+
+
 def fresh_stream_row(plan, trajectory):
     """Row ``trajectory`` of a plan, drawn from its own fresh Philox(key=(seed, trajectory))."""
     n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
@@ -257,6 +275,12 @@ class TestExpPowerCertified:
         late = exp_power_sum(1.0, 0.5, abs_tol=1e-12, index_start=3)
         head = math.exp(-1.0) + math.exp(-math.sqrt(2.0))
         assert late == pytest.approx(full - head, abs=1e-11)
+
+    def test_tail_bound_past_float_range_is_inf(self):
+        # Gamma(51) c**(-50) passes the float range at c = 1e-8; a stated bound of +inf still holds
+        assert exp_power_sum_tail_bound(1e-8, 0.02, 1) == math.inf
+        plan = exp_plan(eps=0.02, truncation=FixedTruncation(n_last=1))
+        assert truncation_bound(plan, np.asarray([1e-5, 3.0])) == 1.0
 
     def test_argument_guards(self):
         with pytest.raises(DomainError):
@@ -624,6 +648,21 @@ class TestTermCut:
         exp_power_sum(1.0, 0.25, abs_tol=1e-13)
         assert len(summed_cells) == 2
         assert max(summed_cells) <= cut
+
+    @pytest.mark.parametrize(
+        "oracle, calls",
+        [
+            (lambda: exp_power_sum(1.0, 0.5), 1),
+            (lambda: exact_eta_tail(1.0, 0.5, 10.0), 1),
+            # at u 0.01 the product stop fires before the bracket, which then costs nothing
+            (lambda: (exact_eta_tail(1.0, 0.5, 10.0), exact_eta_tail(1.0, 0.5, 0.01)), 1),
+            (lambda: bonferroni_sums(0.5, 1.0), 2),
+        ],
+        ids=["exp_power_sum", "exact_eta_tail", "exact_eta_tail-product-stop", "bonferroni_sums"],
+    )
+    def test_one_gammaincc_call_per_bracket(self, gammaincc_calls, oracle, calls):
+        oracle()
+        assert len(gammaincc_calls) == calls
 
 
 class TestBonferroni:
