@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # loads neither numpy nor scipy.
 _EXPORTS = {
     "bounds": ("MomentEnvelope", "regulator_lp_bound", "sigma_function"),
-    "criteria": ("criterion_functional", "extract_regulator", "regulator_ratio_matrix"),
+    "criteria": ("criterion_functional", "criterion_terms", "extract_regulator", "regulator_ratio_matrix"),
     "errors": (
         "ConfigError",
         "Divergent",

@@ -1,12 +1,15 @@
-"""Diagnostics for almost-everywhere convergence on blocks of simulated trajectories.
+"""Diagnostics for almost-everywhere convergence, folded over index blocks of simulated trajectories.
 
-A row block is a plain 2-D array, one trajectory per row, whose column k
-holds index index_start + k; ``simulate.simulate_trajectories`` hands its
-reducer one block per row chunk, never a whole batch.  The diagnostics are
-the per-row terms of the bounded-sup functional E sup_{m >= n} |x_m|/(1 + |x_m|)
-(which tends to 0 iff the sequence tends to 0 a.e.) and regulator
-extraction: the smallest per-row factor v with |x_n| <= v * delta_n for a
-chosen null sequence delta_n.  Both are truncated at the block's last column.
+An index block is a plain 2-D array with one row per index and one column
+per trajectory: row k holds index index_start + k.
+``simulate.simulate_trajectories`` hands its reducer one block at a time,
+never a whole batch, and each diagnostic is a running fold of per-trajectory
+maxima over the blocks.  Max is exact, so the fold gives the same bits in
+any block order and size.  The diagnostics are the per-trajectory terms of
+the bounded-sup functional E sup_{m >= n} |x_m|/(1 + |x_m|) (which tends to
+0 iff the sequence tends to 0 a.e.) and regulator extraction: the smallest
+per-trajectory factor v with |x_n| <= v * delta_n for a chosen null sequence
+delta_n.  Both are truncated at the last index folded in.
 """
 
 from __future__ import annotations
@@ -18,31 +21,34 @@ from .errors import DomainError, NonpositiveDelta
 __all__ = [
     "regulator_ratio_matrix",
     "criterion_functional",
+    "criterion_terms",
     "extract_regulator",
 ]
 
 
-def _row_block(block) -> np.ndarray:
+def _index_block(block) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.size == 0:
-        raise DomainError(f"a row block must be a nonempty 2-D array, got shape {block.shape}")
+        raise DomainError(f"an index block must be a nonempty 2-D array, got shape {block.shape}")
     return block
 
 
-def _finite_rows(per_row: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(per_row)):  # NaN and +-inf propagate into a row's max
-        raise DomainError("row block values must all be finite")
-    return per_row
+def _finite(per_trajectory: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(per_trajectory)):  # NaN and +-inf propagate into a trajectory's max
+        raise DomainError("index block values must all be finite")
+    return per_trajectory
 
 
 def regulator_ratio_matrix(values: np.ndarray, delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise |values| / delta with delta broadcast across trajectories.
+    """Elementwise |values| / delta, with delta broadcast as numpy broadcasts it.
 
-    This is the expression ``extract_regulator`` maximises per row, and the
-    reference that acceptance criterion 10 and ``tests/test_simulate.py``
-    compare the extracted regulator against.  As in
-    numpy, ``out`` (which may be ``values``) receives the result; without it
-    a new array is returned and ``values`` is left as it is.
+    A delta of shape (width,) spans the columns of a batch with one
+    trajectory per row; ``extract_regulator`` passes a (k, 1) column for an
+    index block.  This is the expression ``extract_regulator`` maximises per
+    trajectory, and the reference that acceptance criterion 10 and
+    ``tests/test_simulate.py`` compare the extracted regulator against.  As
+    in numpy, ``out`` (which may be ``values``) receives the result; without
+    it a new array is returned and ``values`` is left as it is.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.size == 0 or np.any(~np.isfinite(delta)) or np.any(delta <= 0.0):
@@ -52,29 +58,47 @@ def regulator_ratio_matrix(values: np.ndarray, delta: np.ndarray, out: np.ndarra
 
 
 def criterion_functional(block, n: int, index_start: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-row terms sup_{m >= n} |x_m| / (1 + |x_m|) of a row block starting at index_start, into ``out`` if given.
+    """Fold an index block into the per-trajectory sups of |x_m| over m >= n, into ``out`` if given.
 
-    Their mean over all rows (``estimates.mean_estimate``) estimates the
-    functional; the sup stops at the block's last column, so it is a lower
-    bound of the infinite-horizon quantity.  t -> t/(1+t) is increasing on
-    t >= 0, so one max per row is needed.  A window start outside the block,
-    or a non-finite value in the window, raises ``DomainError``.
+    Row k of ``block`` holds index index_start + k.  ``out`` holds the sups
+    of the blocks folded before (zeros before the first) and receives the
+    larger of them and this block's; without it this block's sups are
+    returned.  Rows before n add nothing, so a block wholly before n leaves
+    ``out`` as it is.  Once the last block is in, ``criterion_terms`` gives
+    the functional's terms.  A non-finite value in the window raises
+    ``DomainError``.
     """
-    block = _row_block(block)
-    last = index_start + block.shape[1] - 1
-    if not 1 <= index_start <= n <= last:
-        raise DomainError(f"window start {n} outside the block's indices [{index_start}, {last}] (index_start >= 1)")
-    window = block[:, n - index_start :]
-    sups = _finite_rows(np.maximum(window.max(axis=1), -window.min(axis=1), out=out))  # max |x| without an |x| copy
-    return np.divide(sups, 1.0 + sups, out=sups)
+    block = _index_block(block)
+    if not (index_start >= 1 and n >= 1):
+        raise DomainError(f"window start {n} and index_start {index_start} must be >= 1")
+    window = block[max(0, n - index_start) :]  # no rows when the block lies wholly before n: the sups stay 0
+    sups = window.max(axis=0, initial=0.0)
+    np.maximum(sups, -window.min(axis=0, initial=0.0), out=sups)  # max |x| without an |x| copy
+    return _finite(sups if out is None else np.maximum(out, sups, out=out))
+
+
+def criterion_terms(sups: np.ndarray) -> np.ndarray:
+    """Per-trajectory terms t / (1 + t) of the folded sups; their mean (``estimates.mean_estimate``) estimates the functional.
+
+    t -> t/(1+t) is increasing on t >= 0, so it is applied once, to the
+    running sup, never folded itself.  The sup stops at the last index
+    folded in, so the mean is a lower bound of the infinite-horizon quantity.
+    """
+    return sups / (1.0 + sups)
 
 
 def extract_regulator(block, delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-row regulator factor v = max_n |x_n| / delta_n of a row block, into ``out`` if given.
+    """Fold an index block into the per-trajectory regulator factors v = max_n |x_n| / delta_n, into ``out`` if given.
 
-    ``delta`` holds delta_n at the block's columns; v is the smallest factor
-    with |x_n| <= v * delta_n.  The ratios are formed in place, so a float64
-    ``block`` is overwritten.  A non-finite value raises ``DomainError``.
+    ``delta`` holds delta_n at the block's rows; v is the smallest factor
+    with |x_n| <= v * delta_n.  ``out`` holds the factors of the blocks
+    folded before (zeros before the first: every ratio is >= 0) and receives
+    the larger of them and this block's; without it this block's factors are
+    returned.  The ratios are formed in place, so a float64 ``block`` is
+    overwritten.  A non-finite value raises ``DomainError``.
     """
-    block = _row_block(block)
-    return _finite_rows(regulator_ratio_matrix(block, delta, out=block).max(axis=1, out=out))
+    block = _index_block(block)
+    ratios = regulator_ratio_matrix(block, np.asarray(delta, dtype=float)[:, None], out=block)
+    if out is not None:
+        np.maximum(ratios[0], out, out=ratios[0])  # the running factors join the block's first row
+    return _finite(ratios.max(axis=0, out=out))

@@ -16,17 +16,18 @@ add the midpoint of an integral bracket on the rest, so each is an estimate
 certified within abs_tol (up to rounding), not a lower partial sum.  These
 exact routines are the oracles every simulated quantity is verified against.
 
-Randomness is counter-based: trajectory j of seed s reads from a Philox
-stream keyed (s, j), and the n-th draw is a pure function of (s, j, n).
-One Philox is re-keyed for every row: its state is set to counter 0, key
-(s, j) and an empty buffer, which is the state of a fresh
-``Philox(key=(s, j))``, so each row's stream is unchanged.
-``simulate_trajectories`` is the one row pass: it generates rows chunk by
-chunk into one reused buffer of about 1 MiB (``_ROW_CHUNK_CELLS`` float64
-cells, at least one row) and hands each chunk to a reducer.  ``simulate_eta``
-is that pass keeping each row's regulator factor, so it holds one row chunk
-plus 8 bytes per trajectory; the chunk size affects memory only, never a
-single bit of output.  ``glsreg simulate`` then streams eta.csv in blocks
+Randomness is counter-based: index n of seed s is a Philox stream keyed
+(s, n), and trajectory j reads its word j, so the draw for (s, j, n) is a
+pure function of the three and does not change with the block size,
+n_last, index_start or a larger trajectory count.  ``simulate_trajectories``
+is the one column pass: one re-key and one ``Generator.random`` call fill an
+index's row of all T trajectories, and the rows go block by block into one
+reused buffer of about 1 MiB (``_BLOCK_CELLS`` float64 cells, at least one
+row) that is handed to a reducer.  Reducers fold each block into a few
+floats per trajectory; ``simulate_eta`` keeps the running regulator factor,
+so it holds one block plus 8 bytes per trajectory.  Max is exact, so the
+block size affects memory only, never a single bit of output.
+``glsreg simulate`` then streams eta.csv in blocks
 (``persist.write_eta_samples``).
 """
 
@@ -75,7 +76,7 @@ TRUNCATION_CAP = 10**7
 
 _INDEX_MAX = 1e300  # exp_power_threshold reports no index past this
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-_ROW_CHUNK_CELLS = 1 << 17  # cells of the row pass's buffer: 1 MiB of float64, cache-sized
+_BLOCK_CELLS = 1 << 17  # cells of the column pass's buffer: 1 MiB of float64, cache-sized
 
 # nodes and weights on [-1, 1] of the rule exact_eta_moment applies on every panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -333,17 +334,30 @@ def truncation_bound(plan: SimulationPlan, values: np.ndarray) -> float:
 # trajectory generation
 
 
-def _generate_rows(plan: SimulationPlan, n_idx: np.ndarray, rows: range, out: np.ndarray) -> np.ndarray:
-    """Write trajectory rows ``rows`` into ``out`` (one row each) and return it.
+def _index_blocks(plan: SimulationPlan) -> list[range]:
+    """The column pass's index blocks: runs of max(1, _BLOCK_CELLS // trajectories) consecutive indices."""
+    per_block = max(1, _BLOCK_CELLS // plan.trajectories)
+    stop = resolve_n_last(plan) + 1
+    return [range(lo, min(stop, lo + per_block)) for lo in range(plan.index_start, stop, per_block)]
 
-    One Philox serves every row.  Before each row its state is set to
-    counter 0, key (seed, trajectory) and buffer_pos 4, which drops any
-    partly used 4-word buffer: the row reads exactly the stream of a fresh
-    ``Philox(key=(seed, trajectory))``.  The state holds plain Python ints,
-    which the ``Philox.state`` setter converts faster than numpy scalars.
-    The magnitude draw and the decay then run over the whole of ``out`` in
-    place.
+
+def simulate_trajectories(plan: SimulationPlan, reduce: Callable[[slice, np.ndarray], object]) -> None:
+    """The one column pass: call ``reduce(rows, block)`` on each index block of the plan's raw Z_n.
+
+    ``block`` holds one row per index and one column per trajectory: its row
+    k is Z_n at n = index_start + rows.start + k, so ``rows`` is the block's
+    slice of the plan's indices index_start..n_last (and of
+    ``regulator_delta``).  Row n is the stream of a fresh
+    ``Philox(key=(seed, n))``, trajectory j reading its word j.  One Philox
+    serves every row: before each row its state is set to counter 0, key
+    (seed, n) and buffer_pos 4, which drops any partly used 4-word buffer.
+    The state holds plain Python ints, which the ``Philox.state`` setter
+    converts faster than numpy scalars.  The next block reuses the block's
+    buffer, so ``reduce`` keeps what it needs and may overwrite it.
     """
+    blocks = _index_blocks(plan)
+    n_idx = np.arange(plan.index_start, blocks[-1].stop, dtype=float)
+    scale = (n_idx ** (-plan.alpha))[:, None]
     key = [plan.seed, 0]
     state = {
         "bit_generator": "Philox",
@@ -355,31 +369,16 @@ def _generate_rows(plan: SimulationPlan, n_idx: np.ndarray, rows: range, out: np
     }
     bits = np.random.Philox(key=0)  # re-keyed before every row
     gen = np.random.Generator(bits)
-    for trajectory, row in zip(rows, out):
-        key[1] = trajectory
-        bits.state = state
-        gen.random(out=row)
-    plan.model.draw_magnitudes(out, out=out)
-    return np.multiply(out, n_idx ** (-plan.alpha), out=out)
-
-
-def _row_chunks(trajectories: int, width: int) -> list[range]:
-    rows_per_chunk = max(1, _ROW_CHUNK_CELLS // max(1, width))
-    return [range(lo, min(trajectories, lo + rows_per_chunk)) for lo in range(0, trajectories, rows_per_chunk)]
-
-
-def simulate_trajectories(plan: SimulationPlan, reduce: Callable[[range, np.ndarray], object]) -> None:
-    """The one row pass: call ``reduce(rows, block)`` on each row chunk of the plan's raw Z_n.
-
-    ``rows`` is the chunk's range of trajectory numbers and ``block`` its
-    rows, column k holding index index_start + k.  The next chunk reuses the
-    block's buffer, so ``reduce`` keeps what it needs and may overwrite it.
-    """
-    n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
-    chunks = _row_chunks(plan.trajectories, n_idx.size)
-    buffer = np.empty((len(chunks[0]), n_idx.size))
-    for rows in chunks:
-        reduce(rows, _generate_rows(plan, n_idx, rows, buffer[: len(rows)]))
+    buffer = np.empty((len(blocks[0]), plan.trajectories))
+    for indices in blocks:
+        block = buffer[: len(indices)]
+        for n, row in zip(indices, block):
+            key[1] = n
+            bits.state = state
+            gen.random(out=row)
+        rows = slice(indices.start - plan.index_start, indices.stop - plan.index_start)
+        plan.model.draw_magnitudes(block, out=block)
+        reduce(rows, np.multiply(block, scale[rows], out=block))
 
 
 def regulator_delta(plan: SimulationPlan) -> np.ndarray:
@@ -392,14 +391,16 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
     """Realize eta = max_{index_start <= n <= n_last} n**(alpha-eps) |Z_n| per trajectory.
 
     Returns one record per trajectory with the single field ``value``: the
-    row pass keeping ``criteria.extract_regulator`` of each block against
-    ``regulator_delta``.  ``truncation_bound`` gives the batch's truncation risk.
+    column pass folding each block into the running factors of
+    ``criteria.extract_regulator`` against ``regulator_delta``, so it holds
+    one block plus 8 bytes per trajectory.  ``truncation_bound`` gives the
+    batch's truncation risk.
     """
     delta = regulator_delta(plan)
     eta = np.recarray(plan.trajectories, dtype=[("value", float)])  # filled in place: no copy at the end
-    simulate_trajectories(
-        plan, lambda rows, block: extract_regulator(block, delta, out=eta.value[rows.start : rows.stop])
-    )
+    factors = eta.value
+    factors.fill(0.0)  # the fold's start: every ratio is >= 0
+    simulate_trajectories(plan, lambda rows, block: extract_regulator(block, delta[rows], out=factors))
     return eta
 
 
@@ -417,6 +418,15 @@ def _log_product_floor(u: float, eps: float, index_start: int) -> float:
     return -(math.exp(-t0) + _tail_integrals(u, eps, index_start)[0]) / -math.expm1(-t0)
 
 
+def _log_product_ceiling(u: float, eps: float, index_start: int) -> float:
+    """Upper bound -I(n0) on sum_{n >= n0} log1p(-x_n), the mirror of ``_log_product_floor``.
+
+    It holds as log1p(-x) <= -x and, x_n being decreasing, sum_{n >= n0} x_n >= I(n0)
+    by the integral test.  It is -inf where I(n0) passes the float range.
+    """
+    return -_tail_integrals(u, eps, index_start)[0]
+
+
 def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
     """Exact tail P(eta > u) of the exponential-power model, within abs_tol.
 
@@ -431,7 +441,9 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
     I(N) - I(N + 1) + I(N) x_{N+1} / (1 - x_{N+1}) wide: at most x_N plus a
     term of order abs_tol * I(N), and a bracket wider than 2 abs_tol raises
     ``ToleranceUnreachable``, before the sum when N passes the cap and
-    ``_log_product_floor`` keeps the product above abs_tol.  The tail is
+    ``_log_product_floor`` keeps the product above abs_tol.  When N passes
+    the cap and ``_log_product_ceiling`` already puts the product below
+    abs_tol, the result is 1.0 without a sum.  The tail is
     1 - exp of the log product, so its error is at most the log product's:
     the result is an estimate within abs_tol of the tail (up to rounding),
     not a lower or upper bound.  alpha cancels from the tail and only gates eps.
@@ -450,8 +462,11 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
         i_cut, i_next = _tail_integrals(u, eps, n_cut, n_cut + 1)
         return _bracket_midpoint(i_cut / math.expm1(-u * (n_cut + 1) ** eps), -i_next, n_cut, abs_tol)
 
-    if n_cut > SERIES_TERM_CAP and _log_product_floor(u, eps, index_start) > log_tol:
-        rest()  # the stop cannot fire: raise what the full sum would
+    if n_cut > SERIES_TERM_CAP:
+        if _log_product_ceiling(u, eps, index_start) <= log_tol:
+            return 1.0  # the product is already below abs_tol
+        if _log_product_floor(u, eps, index_start) > log_tol:
+            rest()  # the stop cannot fire: raise what the full sum would
     with np.errstate(divide="ignore"):  # a factor that rounds to 0 logs to -inf, which ends the product
         # once the product is below abs_tol the sum may stop: later factors only shrink it
         log_product = _chunked_sum(

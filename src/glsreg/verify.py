@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .bounds import regulator_lp_bound, sigma_function
-from .criteria import criterion_functional, extract_regulator
+from .criteria import criterion_functional, criterion_terms, extract_regulator
 from .errors import GLSError
 from .estimates import mean_estimate, power_mean_estimate
 from .generating import (
@@ -408,21 +408,21 @@ def check_norm_axioms(seed: int, trajectories: int, eta_values: EtaValues) -> li
 
 
 def check_convergence_diagnostics(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
-    """Monotone criterion functional, smallness at n = 100, and a row pass's regulator factors against simulate_eta."""
+    """Monotone criterion functional, smallness at n = 100, and a column pass's regulator factors against simulate_eta."""
     m = min(trajectories, 10_000)
     plan = _exponential_plan(seed, m, alpha=2.0)
     starts = (1, 10, 100)
-    terms = np.empty((len(starts), m))  # the row pass keeps four floats a row: three criterion terms and the factor
-    factors = np.empty(m)
+    sups = np.zeros((len(starts), m))  # the column pass keeps four floats a trajectory: three sups and the factor
+    factors = np.zeros(m)
     delta = regulator_delta(plan)
 
-    def reduce(rows: range, block: np.ndarray) -> None:
-        for n, row_terms in zip(starts, terms):
-            criterion_functional(block, n, plan.index_start, out=row_terms[rows.start : rows.stop])
-        extract_regulator(block, delta, out=factors[rows.start : rows.stop])  # last: it overwrites the block
+    def reduce(rows: slice, block: np.ndarray) -> None:
+        for n, running in zip(starts, sups):
+            criterion_functional(block, n, plan.index_start + rows.start, out=running)
+        extract_regulator(block, delta[rows], out=factors)  # last: it overwrites the block
 
     simulate_trajectories(plan, reduce)
-    estimates = {n: mean_estimate(row_terms) for n, row_terms in zip(starts, terms)}
+    estimates = {n: mean_estimate(criterion_terms(running)) for n, running in zip(starts, sups)}
     worst_increase = max(
         estimates[10].value - estimates[1].value,
         estimates[100].value - estimates[10].value,

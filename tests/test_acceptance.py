@@ -15,7 +15,7 @@ import pytest
 from scipy import special
 
 from glsreg.bounds import regulator_lp_bound, sigma_function
-from glsreg.criteria import criterion_functional, extract_regulator, regulator_ratio_matrix
+from glsreg.criteria import criterion_functional, criterion_terms, extract_regulator, regulator_ratio_matrix
 from glsreg.estimates import mean_estimate, power_mean_estimate, proportion_estimate
 from glsreg.generating import PowerRoot
 from glsreg.moments import young_fenchel, young_fenchel_scan
@@ -248,21 +248,22 @@ def test_10_convergence_criteria_and_bitwise_regulator():
 
     def check():
         starts = (1, 10, 100)
-        terms = np.empty((len(starts), plan.trajectories))
-        factors = np.empty(plan.trajectories)
+        sups = np.zeros((len(starts), plan.trajectories))
+        factors = np.zeros(plan.trajectories)
         delta = regulator_delta(plan)
         exact = []
 
         def reduce(rows, block):
-            for n, row_terms in zip(starts, terms):
-                criterion_functional(block, n, plan.index_start, out=row_terms[rows.start : rows.stop])
-            ratios = regulator_ratio_matrix(block, delta)
-            block_factors = extract_regulator(block, delta, out=factors[rows.start : rows.stop])
-            exact.append(bool(np.all(ratios <= block_factors[:, None])))
-            exact.append(bool(np.all(ratios.max(axis=1) == block_factors)))
+            for n, running in zip(starts, sups):
+                criterion_functional(block, n, plan.index_start + rows.start, out=running)
+            ratios = regulator_ratio_matrix(block, delta[rows, None])
+            before = factors.copy()
+            extract_regulator(block, delta[rows], out=factors)
+            exact.append(bool(np.all(ratios <= factors)))
+            exact.append(bool(np.array_equal(np.maximum(before, ratios.max(axis=0)), factors)))
 
         simulate_trajectories(plan, reduce)
-        functional = [mean_estimate(row_terms).value for row_terms in terms]
+        functional = [mean_estimate(criterion_terms(running)).value for running in sups]
         factorization = all(exact)
         eta = simulate_eta(plan).value
         bitwise = bool(np.array_equal(factors, eta))

@@ -1,10 +1,11 @@
-"""Convergence diagnostics and regulator extraction on plain 2-D row blocks."""
+"""Convergence diagnostics and regulator extraction, folded over plain 2-D index blocks."""
 
 import numpy as np
 import pytest
 
 from glsreg.criteria import (
     criterion_functional,
+    criterion_terms,
     extract_regulator,
     regulator_ratio_matrix,
 )
@@ -12,19 +13,20 @@ from glsreg.errors import DomainError, NonpositiveDelta
 from glsreg.estimates import mean_estimate
 from glsreg.sequences import PowerLogSequence
 
-SMALL = np.asarray([[3.0, 1.0, 0.5], [0.2, 2.0, 0.1]])
+# indices 1..3 of two trajectories: (3.0, 1.0, 0.5) and (0.2, 2.0, 0.1)
+SMALL = np.asarray([[3.0, 0.2], [1.0, 2.0], [0.5, 0.1]])
 
 
-def random_block(seed=0, rows=50, width=20):
-    return np.random.default_rng(seed).exponential(size=(rows, width))
+def random_block(seed=0, trajectories=50, indices=20):
+    return np.random.default_rng(seed).exponential(size=(indices, trajectories))
 
 
 def functional(block, n, index_start=1):
-    return mean_estimate(criterion_functional(block, n, index_start))
+    return mean_estimate(criterion_terms(criterion_functional(block, n, index_start)))
 
 
 class TestTrajectoryBatch:
-    """A trajectory batch is a plain 2-D row block plus the index of its first column."""
+    """An index block is a plain 2-D array, one row per index, plus the index of its first row."""
 
     def test_shape_guards(self):
         with pytest.raises(DomainError):
@@ -47,34 +49,44 @@ class TestTrajectoryBatch:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (2, 3), (4, 5)])
     def test_rejects_every_non_finite_value(self, bad, where):
-        values = np.random.default_rng(0).normal(size=(5, 6))
+        values = np.random.default_rng(0).normal(size=(5, 6))  # indices 1..5 of 6 trajectories
         values[where] = bad
         with pytest.raises(DomainError):
             criterion_functional(values, 1)
         with pytest.raises(DomainError):
-            criterion_functional(values, 1 + where[1])
+            criterion_functional(values, 1 + where[0])
         with pytest.raises(DomainError):
-            extract_regulator(values, np.ones(6))
+            criterion_functional(values, 1, out=np.zeros(6))
+        with pytest.raises(DomainError):
+            extract_regulator(values, np.ones(5))
 
     def test_coerces_to_float(self):
-        terms = criterion_functional(np.asarray([[1, 2], [3, 4]]), 1)
-        assert terms.dtype == np.float64
-        np.testing.assert_array_equal(terms, [2.0 / 3.0, 4.0 / 5.0])
-        np.testing.assert_array_equal(extract_regulator(np.asarray([[1, 2], [3, 4]]), np.ones(2)), [2.0, 4.0])
+        # trajectories (1, 2) and (3, 4) over indices 1..2
+        sups = criterion_functional(np.asarray([[1, 3], [2, 4]]), 1)
+        assert sups.dtype == np.float64
+        np.testing.assert_array_equal(criterion_terms(sups), [2.0 / 3.0, 4.0 / 5.0])
+        np.testing.assert_array_equal(extract_regulator(np.asarray([[1, 3], [2, 4]]), np.ones(2)), [2.0, 4.0])
 
     def test_window_bookkeeping(self):
-        # indices 3..8: the window starting at 3 is the whole block, at 8 the last column
-        block = np.tile(np.arange(6.0, 0.0, -1.0), (4, 1))
-        np.testing.assert_array_equal(criterion_functional(block, 3, index_start=3), np.full(4, 6.0 / 7.0))
-        np.testing.assert_array_equal(criterion_functional(block, 8, index_start=3), np.full(4, 0.5))
-        np.testing.assert_array_equal(criterion_functional(block, 6, index_start=3), np.full(4, 0.75))
+        # indices 3..8: the window starting at 3 is the whole block, at 8 the last row
+        block = np.tile(np.arange(6.0, 0.0, -1.0)[:, None], (1, 4))
+
+        def terms(n):
+            return criterion_terms(criterion_functional(block, n, index_start=3))
+
+        np.testing.assert_array_equal(terms(3), np.full(4, 6.0 / 7.0))
+        np.testing.assert_array_equal(terms(8), np.full(4, 0.5))
+        np.testing.assert_array_equal(terms(6), np.full(4, 0.75))
 
     def test_column_out_of_range(self):
-        block = np.ones((2, 3))
+        # indices 2..4: a window start before the block takes all of it, one past it folds nothing
+        block = np.ones((3, 2))
+        np.testing.assert_array_equal(criterion_functional(block, 1, index_start=2), [1.0, 1.0])
+        out = np.full(2, 0.5)
+        assert criterion_functional(block, 5, index_start=2, out=out) is out
+        np.testing.assert_array_equal(out, [0.5, 0.5])
         with pytest.raises(DomainError):
-            criterion_functional(block, 1, index_start=2)
-        with pytest.raises(DomainError):
-            criterion_functional(block, 5, index_start=2)
+            criterion_functional(block, 0, index_start=2)
 
 
 class TestCriterionFunctional:
@@ -96,11 +108,17 @@ class TestCriterionFunctional:
         assert est.half_width > 0.0
 
     def test_out_receives_the_terms(self):
-        block = random_block(5, rows=6, width=4)
+        # ``out`` receives the running sups (from zeros), which criterion_terms turns into the terms
+        block = random_block(5, trajectories=6, indices=4)
         out = np.full(8, -1.0)
+        out[1:7] = 0.0
         assert criterion_functional(block, 2, out=out[1:7]).base is out
         np.testing.assert_array_equal(out[1:7], criterion_functional(block, 2))
         assert out[0] == out[7] == -1.0
+        running = np.zeros(6)  # two blocks, indices 1..2 and 3..4, fold to the whole block's sups
+        criterion_functional(block[:2], 2, 1, out=running)
+        criterion_functional(block[2:], 2, 3, out=running)
+        np.testing.assert_array_equal(running, out[1:7])
 
 
 class TestRatioMatrix:
@@ -132,15 +150,15 @@ class TestRatioMatrix:
 
 class TestExtractRegulator:
     def test_factorization_is_exact_in_ratio_domain(self):
-        block = random_block(7, rows=30, width=40)
+        block = random_block(7, trajectories=30, indices=40)
         delta = PowerLogSequence(rate=0.5).values(np.arange(1, 41, dtype=float))
-        ratios = regulator_ratio_matrix(block, delta)
+        ratios = regulator_ratio_matrix(block, delta[:, None])
         factors = extract_regulator(block, delta)
-        assert np.all(ratios <= factors[:, None])
-        np.testing.assert_array_equal(ratios.max(axis=1), factors)
+        assert np.all(ratios <= factors)
+        np.testing.assert_array_equal(ratios.max(axis=0), factors)
 
     def test_factors_scale_with_values(self):
-        block = random_block(8, rows=5, width=6)
+        block = random_block(8, trajectories=5, indices=6)
         delta = PowerLogSequence(rate=1.0).values(np.arange(1, 7, dtype=float))
         np.testing.assert_allclose(
             extract_regulator(2.0 * block, delta),
@@ -149,18 +167,18 @@ class TestExtractRegulator:
         )
 
     def test_row_chunks_match_one_ratio_matrix_bitwise(self):
-        # 10 rows in chunks of 3, as the row pass hands them over: three full chunks and a one-row tail
-        block = random_block(9, rows=10, width=40)
+        # 40 index rows folded in blocks of 3, as the column pass hands them over: 13 full blocks and a one-row tail
+        block = random_block(9, trajectories=10, indices=40)
         delta = PowerLogSequence(rate=0.5).values(np.arange(1, 41, dtype=float))
-        ratios = np.abs(block) / delta
-        factors = np.empty(10)
-        for lo in range(0, 10, 3):
-            extract_regulator(block[lo : lo + 3].copy(), delta, out=factors[lo : lo + 3])
-        np.testing.assert_array_equal(factors, ratios.max(axis=1))
+        ratios = np.abs(block) / delta[:, None]
+        factors = np.zeros(10)
+        for lo in range(0, 40, 3):
+            assert extract_regulator(block[lo : lo + 3].copy(), delta[lo : lo + 3], out=factors) is factors
+        np.testing.assert_array_equal(factors, ratios.max(axis=0))
 
     def test_ratios_overwrite_a_float_block(self):
-        block = random_block(11, rows=4, width=5)
+        block = random_block(11, trajectories=4, indices=5)
         delta = np.arange(1, 6, dtype=float) ** -0.5
-        expected = np.abs(block) / delta
+        expected = np.abs(block) / delta[:, None]
         extract_regulator(block, delta)
         np.testing.assert_array_equal(block, expected)

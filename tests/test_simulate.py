@@ -11,7 +11,7 @@ from scipy import special
 
 from glsreg import simulate as simulate_module
 from glsreg import verify
-from glsreg.criteria import criterion_functional, extract_regulator, regulator_ratio_matrix
+from glsreg.criteria import criterion_functional, criterion_terms, extract_regulator, regulator_ratio_matrix
 from glsreg.errors import (
     DomainError,
     InvalidEpsilon,
@@ -19,7 +19,7 @@ from glsreg.errors import (
     ToleranceUnreachable,
     TruncationInfeasible,
 )
-from glsreg.sequences import _FIRST_CHUNK_CELLS, _chunked_sum
+from glsreg.sequences import _chunked_sum
 from glsreg.simulate import (
     ExponentialPower,
     FixedTruncation,
@@ -113,28 +113,40 @@ def gammaincc_calls(monkeypatch):
     return calls
 
 
-def fresh_stream_row(plan, trajectory):
-    """Row ``trajectory`` of a plan, drawn from its own fresh Philox(key=(seed, trajectory))."""
-    n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
-    gen = np.random.Generator(np.random.Philox(key=np.asarray([plan.seed, trajectory], dtype=np.uint64)))
-    u = gen.random(n_idx.size)
+def fresh_stream_column(plan, n):
+    """Z_n of every trajectory of a plan: trajectory j reads word j of a fresh Philox(key=(seed, n))."""
+    gen = np.random.Generator(np.random.Philox(key=np.asarray([plan.seed, n], dtype=np.uint64)))
+    u = gen.random(plan.trajectories)
     if isinstance(plan.model, ExponentialPower):
         magnitudes = -np.log1p(-u)
     else:
         magnitudes = math.sqrt(2.0) * special.erfinv(u)
-    return magnitudes * n_idx ** (-plan.alpha), n_idx ** (-(plan.alpha - plan.eps))
+    return magnitudes * np.asarray([float(n)]) ** (-plan.alpha)
+
+
+def fresh_stream_batch(plan):
+    """A plan's Z_n from fresh streams, one trajectory per row, and delta_n at its columns."""
+    n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
+    batch = np.column_stack([fresh_stream_column(plan, int(n)) for n in n_idx])
+    return batch, n_idx ** (-(plan.alpha - plan.eps))
+
+
+def fresh_stream_eta(plan):
+    """The regulator of every trajectory of a plan, from ``fresh_stream_batch``."""
+    batch, delta = fresh_stream_batch(plan)
+    return (np.abs(batch) / delta).max(axis=1)
 
 
 def pass_blocks(plan):
-    """(rows, a copy of the block) for every chunk of the one row pass over a plan."""
+    """(rows, a copy of the block) for every index block of the one column pass over a plan."""
     blocks = []
     simulate_trajectories(plan, lambda rows, block: blocks.append((rows, block.copy())))
     return blocks
 
 
-def pass_rows(plan):
-    """Every row of a plan, read through the one row pass."""
-    return np.vstack([block for _, block in pass_blocks(plan)])
+def pass_batch(plan):
+    """Every Z_n of a plan read through the one column pass, one trajectory per row."""
+    return np.vstack([block for _, block in pass_blocks(plan)]).T
 
 
 def exp_plan(eps=0.5, trajectories=100, seed=7, start=1, **kw):
@@ -358,12 +370,13 @@ class TestSimulateEta:
         plan = exp_plan(trajectories=3, seed=11, truncation=FixedTruncation(n_last=10))
         samples = simulate_eta(plan)
         n_idx = np.arange(1, 11, dtype=float)
+        theta = np.empty((3, 10))
+        for k, n in enumerate(range(1, 11)):  # index n: one stream, word t for trajectory t
+            gen = np.random.Generator(np.random.Philox(key=np.asarray([11, n], dtype=np.uint64)))
+            theta[:, k] = -np.log1p(-gen.random(3))
+        z = theta * n_idx**-1.0
         for t, sample in enumerate(samples):
-            gen = np.random.Generator(np.random.Philox(key=np.asarray([11, t], dtype=np.uint64)))
-            theta = -np.log1p(-gen.random(10))
-            z = theta * n_idx**-1.0
-            eta = float(np.max(np.abs(z) / n_idx**-0.5))
-            assert sample.value == eta
+            assert sample.value == float(np.max(np.abs(z[t]) / n_idx**-0.5))
 
     def test_deterministic_and_seed_sensitive(self):
         plan = exp_plan(trajectories=64, seed=3, truncation=FixedTruncation(n_last=32))
@@ -373,37 +386,37 @@ class TestSimulateEta:
         other = exp_plan(trajectories=64, seed=4, truncation=FixedTruncation(n_last=32))
         assert a != [s.value for s in simulate_eta(other)]
 
-    def test_chunked_rows_match_manual_philox_streams(self, monkeypatch):
-        # chunks of 1500 rows of width 5000 split 4000 rows into three chunks
-        monkeypatch.setattr(simulate_module, "_ROW_CHUNK_CELLS", 1500 * 5000)
-        plan = exp_plan(trajectories=4000, seed=9, truncation=FixedTruncation(n_last=5000))
-        rows_per_chunk = simulate_module._ROW_CHUNK_CELLS // 5000
-        assert rows_per_chunk < 2000 < 2 * rows_per_chunk < 4000
+    def test_chunked_rows_match_manual_philox_streams(self):
+        # 131072 // 3000 = 43 indices a block split indices 1..200 into five blocks, the last one short
+        plan = exp_plan(trajectories=3000, seed=9, truncation=FixedTruncation(n_last=200))
+        blocks = simulate_module._index_blocks(plan)
+        assert [len(b) for b in blocks] == [43, 43, 43, 43, 28]
         values = simulate_eta(plan).value
-        n_idx = np.arange(1, 5001, dtype=float)
-        for t in (0, rows_per_chunk - 1, rows_per_chunk, 1999, 2000, 2 * rows_per_chunk - 1, 2 * rows_per_chunk, 3999):
-            gen = np.random.Generator(np.random.Philox(key=np.asarray([9, t], dtype=np.uint64)))
-            theta = -np.log1p(-gen.random(5000))
-            assert values[t] == float(np.max(np.abs(theta * n_idx**-1.0) / n_idx**-0.5)), t
+        n_idx = np.arange(1, 201, dtype=float)
+        theta = np.column_stack(
+            [
+                -np.log1p(-np.random.Generator(np.random.Philox(key=np.asarray([9, n], dtype=np.uint64))).random(3000))
+                for n in range(1, 201)
+            ]
+        )
+        np.testing.assert_array_equal(values, (np.abs(theta * n_idx**-1.0) / n_idx**-0.5).max(axis=1))
 
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("width", [1, 3, 5, 39])
     @pytest.mark.parametrize("seed", [12, 2**64 - 1])
     def test_rekeyed_rows_match_fresh_streams_across_chunks(self, monkeypatch, model, width, seed):
-        # widths that are not multiples of 4 leave a partly used Philox buffer after each row;
-        # chunks of 4 rows put a boundary between rows 3|4 and 7|8
-        monkeypatch.setattr(simulate_module, "_ROW_CHUNK_CELLS", 4 * width)
+        # a row holds one index for all ``width`` trajectories; widths that are not multiples of 4
+        # leave a partly used Philox buffer after each row; blocks of 4 rows split indices 4|5 and 8|9
+        monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 4 * width)
         plan = SimulationPlan(
-            model=model(alpha=1.0), eps=0.5, trajectories=10, seed=seed, truncation=FixedTruncation(n_last=width)
+            model=model(alpha=1.0), eps=0.5, trajectories=width, seed=seed, truncation=FixedTruncation(n_last=10)
         )
         eta = simulate_eta(plan).value
         blocks = pass_blocks(plan)
-        assert [rows for rows, _ in blocks] == [range(0, 4), range(4, 8), range(8, 10)]
-        batch = np.vstack([block for _, block in blocks])
-        for t in range(plan.trajectories):
-            row, delta = fresh_stream_row(plan, t)
-            np.testing.assert_array_equal(batch[t], row)
-            assert eta[t] == float(np.max(np.abs(row) / delta)), t
+        assert [rows for rows, _ in blocks] == [slice(0, 4), slice(4, 8), slice(8, 10)]
+        batch, delta = fresh_stream_batch(plan)
+        np.testing.assert_array_equal(np.vstack([block for _, block in blocks]).T, batch)
+        np.testing.assert_array_equal(eta, (np.abs(batch) / delta).max(axis=1))
 
     def test_one_philox_per_chunk(self, monkeypatch):
         built = []
@@ -413,36 +426,65 @@ class TestSimulateEta:
             built.append(1)
             return philox(*args, **kwargs)
 
-        monkeypatch.setattr(simulate_module, "_ROW_CHUNK_CELLS", 50 * 300)
+        monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 13 * 300)
         monkeypatch.setattr(np.random, "Philox", counting_philox)
-        plan = exp_plan(trajectories=1000, seed=21, truncation=FixedTruncation(n_last=50))
-        chunks = len(simulate_module._row_chunks(plan.trajectories, 50))
-        assert chunks == 4
+        plan = exp_plan(trajectories=300, seed=21, truncation=FixedTruncation(n_last=50))
+        blocks = len(simulate_module._index_blocks(plan))
+        assert blocks == 4
         values = simulate_eta(plan).value
-        assert 1 <= len(built) <= chunks
-        for t in (0, 299, 300, 999):
-            row, delta = fresh_stream_row(plan, t)
-            assert values[t] == float(np.max(np.abs(row) / delta)), t
+        assert 1 <= len(built) <= blocks
+        np.testing.assert_array_equal(values, fresh_stream_eta(plan))
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("seed", [31, 2**64 - 1])
+    def test_draw_depends_only_on_seed_trajectory_and_index(self, monkeypatch, model, seed):
+        # Z_n of trajectory j is the same whatever the block size, n_last, index_start or
+        # trajectory count (a prefix property: more trajectories only append columns)
+        def cells(**kw):
+            args = {"trajectories": 10, "index_start": 1, "n_last": 30, **kw}
+            plan = SimulationPlan(
+                model=model(alpha=1.5, index_start=args["index_start"]),
+                eps=0.5,
+                trajectories=args["trajectories"],
+                seed=seed,
+                truncation=FixedTruncation(n_last=args["n_last"]),
+            )
+            return {
+                plan.index_start + rows.start + k: row[:10].copy()
+                for rows, block in pass_blocks(plan)
+                for k, row in enumerate(block)
+            }
+
+        reference = cells()
+        assert sorted(reference) == list(range(1, 31))
+        variants = [cells(n_last=20), cells(n_last=45), cells(index_start=7), cells(trajectories=25)]
+        monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 1)  # one index a block
+        variants.append(cells())
+        monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 7 * 10)  # seven indices a block, the last one short
+        variants.append(cells())
+        for variant in variants:
+            shared = sorted(set(variant) & set(reference))
+            assert len(shared) >= 20
+            for n in shared:
+                np.testing.assert_array_equal(variant[n], reference[n])
 
     def test_eta_peak_memory_near_one_chunk(self, monkeypatch):
-        monkeypatch.setattr(simulate_module, "_ROW_CHUNK_CELLS", 1 << 20)
+        monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 1 << 20)
         plan = exp_plan(trajectories=3000, seed=5, truncation=FixedTruncation(n_last=1000))
-        chunks = simulate_module._row_chunks(plan.trajectories, 1000)
-        assert len(chunks) >= 2
-        chunk_bytes = len(chunks[0]) * 1000 * np.dtype(float).itemsize
+        blocks = simulate_module._index_blocks(plan)
+        assert len(blocks) >= 2
+        block_bytes = len(blocks[0]) * plan.trajectories * np.dtype(float).itemsize
         tracemalloc.start()
         try:
             values = simulate_eta(plan).value
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * chunk_bytes
-        for t in (0, len(chunks[0]) - 1, len(chunks[0]), 2999):
-            row, delta = fresh_stream_row(plan, t)
-            assert values[t] == float(np.max(np.abs(row) / delta)), t
+        assert peak < 1.2 * block_bytes
+        np.testing.assert_array_equal(values, fresh_stream_eta(plan))
 
     def test_eta_peak_memory_at_default_chunk(self):
-        # 20k rows of width 500 would fill 80 MB; the default chunk holds about 1 MiB of them
+        # 20k rows of width 500 would fill 80 MB; the default block holds about 1 MiB of them
         plan = exp_plan(trajectories=20_000, seed=5, truncation=FixedTruncation(n_last=500))
         eta_bytes = plan.trajectories * np.dtype(float).itemsize
         tracemalloc.start()
@@ -485,7 +527,7 @@ class TestSimulateEta:
             seed=5,
             truncation=FixedTruncation(n_last=3),
         )
-        mean = float(pass_rows(plan)[:, 0].mean())  # column 0 holds index 1
+        mean = float(pass_batch(plan)[:, 0].mean())  # column 0 holds index 1
         assert mean == pytest.approx(math.sqrt(2.0 / math.pi), abs=0.025)
 
 
@@ -493,57 +535,58 @@ class TestTrajectoryBatches:
     def test_shape_and_metadata(self):
         plan = exp_plan(trajectories=8, seed=2, start=3, truncation=FixedTruncation(n_last=12))
         blocks = pass_blocks(plan)
-        assert [rows for rows, _ in blocks] == [range(8)]
+        assert [rows for rows, _ in blocks] == [slice(0, 10)]
         block = blocks[0][1]
-        assert block.shape == (8, 10)
-        for t in range(8):  # column k holds index 3 + k
-            np.testing.assert_array_equal(block[t], fresh_stream_row(plan, t)[0])
+        assert block.shape == (10, 8) and block.flags.c_contiguous
+        for k in range(10):  # row k holds index 3 + k for every trajectory
+            np.testing.assert_array_equal(block[k], fresh_stream_column(plan, 3 + k))
         np.testing.assert_array_equal(regulator_delta(plan), np.arange(3, 13, dtype=float) ** -0.5)
-        criterion_functional(block, 3, index_start=3)
-        criterion_functional(block, 12, index_start=3)
+        np.testing.assert_array_equal(criterion_functional(block, 3, index_start=3), np.abs(block).max(axis=0))
+        np.testing.assert_array_equal(criterion_functional(block, 12, index_start=3), np.abs(block[9]))
+        np.testing.assert_array_equal(criterion_functional(block, 13, index_start=3), np.zeros(8))  # past the block
         with pytest.raises(DomainError):
-            criterion_functional(block, 13, index_start=3)
+            criterion_functional(block, 3, index_start=0)
 
     def test_eta_agrees_bitwise_with_batch_reduction(self):
         plan = exp_plan(trajectories=40, seed=6, truncation=FixedTruncation(n_last=25))
         delta = np.arange(1, 26, dtype=float) ** -0.5
-        reduced = regulator_ratio_matrix(pass_rows(plan), delta).max(axis=1)
+        reduced = regulator_ratio_matrix(pass_batch(plan), delta).max(axis=1)
         eta = np.asarray([s.value for s in simulate_eta(plan)])
         np.testing.assert_array_equal(reduced, eta)
 
     def test_eta_chunks_agree_bitwise_with_batch_reduction(self, monkeypatch):
-        # 300 rows of width 25 in chunks of 40 rows: the last chunk is short
-        monkeypatch.setattr(simulate_module, "_ROW_CHUNK_CELLS", 1000)
+        # 300 trajectories over indices 1..25 in blocks of 3 indices: the last block is short
+        monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 1000)
         plan = exp_plan(trajectories=300, seed=8, truncation=FixedTruncation(n_last=25))
-        reduced = regulator_ratio_matrix(pass_rows(plan), np.arange(1, 26, dtype=float) ** -0.5)
+        assert len(simulate_module._index_blocks(plan)) == 9
+        reduced = regulator_ratio_matrix(pass_batch(plan), np.arange(1, 26, dtype=float) ** -0.5)
         np.testing.assert_array_equal(reduced.max(axis=1), simulate_eta(plan).value)
 
     def test_one_pass_is_chunk_invariant(self, monkeypatch):
-        # the convergence-diagnostics plan at 1000 trajectories, against rows from fresh Philox streams
+        # the convergence-diagnostics plan at 1000 trajectories, against columns from fresh Philox streams
         plan = verify._exponential_plan(301, 1000, alpha=2.0)
         width = resolve_n_last(plan)
+        assert width == 304
         starts = (1, 10, 100)
-        reference = np.vstack([fresh_stream_row(plan, t)[0] for t in range(plan.trajectories)])
-        delta = fresh_stream_row(plan, 0)[1]
+        reference, delta = fresh_stream_batch(plan)
         pass_delta = regulator_delta(plan)
         expected_sups = [np.abs(reference[:, n - 1 :]).max(axis=1) for n in starts]
         expected_factors = (np.abs(reference) / delta).max(axis=1)
         records = []
-        # one row per chunk; 7 rows per chunk with a short last chunk; the default (431 + 431 + 138 rows)
-        for cells, chunks in ((width, 1000), (7 * width, 143), (simulate_module._ROW_CHUNK_CELLS, 3)):
-            monkeypatch.setattr(simulate_module, "_ROW_CHUNK_CELLS", cells)
-            blocks = pass_blocks(plan)
-            assert len(blocks) == chunks
-            np.testing.assert_array_equal(np.vstack([block for _, block in blocks]), reference)
+        # one index a block; 7 indices a block with a short last block; the default (131 + 131 + 42)
+        for cells, blocks in ((1000, 304), (7 * 1000, 44), (simulate_module._BLOCK_CELLS, 3)):
+            monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", cells)
+            assert len(simulate_module._index_blocks(plan)) == blocks
+            np.testing.assert_array_equal(pass_batch(plan), reference)
             for n, sups in zip(starts, expected_sups):
-                terms = np.empty(plan.trajectories)
+                running = np.zeros(plan.trajectories)
                 simulate_trajectories(
-                    plan, lambda rows, block: criterion_functional(block, n, out=terms[rows.start : rows.stop])
+                    plan, lambda rows, block: criterion_functional(block, n, plan.index_start + rows.start, out=running)
                 )
-                np.testing.assert_array_equal(terms, sups / (1.0 + sups))
-            factors = np.empty(plan.trajectories)
+                np.testing.assert_array_equal(criterion_terms(running), sups / (1.0 + sups))
+            factors = np.zeros(plan.trajectories)
             simulate_trajectories(
-                plan, lambda rows, block: extract_regulator(block, pass_delta, out=factors[rows.start : rows.stop])
+                plan, lambda rows, block: extract_regulator(block, pass_delta[rows], out=factors)
             )
             np.testing.assert_array_equal(factors, expected_factors)
             np.testing.assert_array_equal(simulate_eta(plan).value, expected_factors)
@@ -552,7 +595,7 @@ class TestTrajectoryBatches:
         assert [r.estimate for r in records[0][2:]] == [0.0, 0.0]
 
     def test_diagnostics_check_peak_memory_under_4_mib(self):
-        # the check once held a 10k x 394 batch (31.5 MB); its row pass keeps four floats a row
+        # the check once held a 10k x 394 batch (31.5 MB); its column pass keeps four floats a trajectory
         verify.run_suite(["convergence-diagnostics"], seed=301, trajectories=20_000)  # warm-up: imports and caches
         tracemalloc.start()
         try:
@@ -587,11 +630,6 @@ class TestExactTail:
     def test_small_u_saturates(self):
         assert exact_eta_tail(1.0, 0.5, 1e-8) == 1.0
 
-    def test_cut_past_float_range_saturates_through_product_stop(self, summed_cells):
-        # the term cut at u 1e-200 is about 8e402: the first chunk's product ends the sum
-        assert exact_eta_tail(1.0, 0.5, 1e-200) == 1.0
-        assert summed_cells == [_FIRST_CHUNK_CELLS]
-
     def test_unreachable_tolerance_past_the_cap_raises_before_summing(self, summed_cells, deadline):
         # the term cut passes the cap, the product stays near 1 and the bracket at the
         # capped cut is 1.2e-11 wide; the moment meets the same tail at one of its nodes
@@ -600,6 +638,22 @@ class TestExactTail:
         assert summed_cells == []
         with deadline(0.5), pytest.raises(ToleranceUnreachable, match="past index 100000001"):
             exact_eta_moment(1.0, 0.1, 1.5)
+
+    @pytest.mark.parametrize("eps, u", [(0.02, 10.0), (0.5, 1e-200)])
+    def test_saturated_tail_past_the_cap_returns_before_summing(self, summed_cells, deadline, eps, u):
+        # the term cut passes the cap (at u 1e-200 it is about 8e402, past the float range), but
+        # the log product is at most -I(1) (about -3e14 at eps 0.02, -inf at u 1e-200), so the
+        # tail is 1 within abs_tol; at eps 0.02 the termwise sum once took 33.5M terms to see it
+        with deadline(0.5):
+            assert exact_eta_tail(1.0, eps, u) == 1.0
+        assert summed_cells == []
+        assert simulate_module._log_product_ceiling(u, eps, 1) < math.log(1e-12)
+
+    @pytest.mark.parametrize("eps, u, index_start", [(0.5, 0.3, 1), (0.25, 2.0, 1), (0.5, 1.0, 40), (0.9, 5.0, 3)])
+    def test_log_product_ceiling_bounds_the_log_product(self, eps, u, index_start):
+        idx = np.arange(float(index_start), 2_000_000.0)
+        log_product = math.fsum(np.log1p(-np.exp(-u * idx**eps)))
+        assert log_product <= simulate_module._log_product_ceiling(u, eps, index_start)
 
     @pytest.mark.parametrize("eps, u, index_start", [(0.5, 0.3, 1), (0.25, 2.0, 1), (0.5, 1.0, 40), (0.9, 5.0, 3)])
     def test_log_product_floor_bounds_the_log_product(self, eps, u, index_start):
