@@ -352,8 +352,11 @@ def simulate_trajectories(plan: SimulationPlan, reduce: Callable[[slice, np.ndar
     serves every row: before each row its state is set to counter 0, key
     (seed, n) and buffer_pos 4, which drops any partly used 4-word buffer.
     The state holds plain Python ints, which the ``Philox.state`` setter
-    converts faster than numpy scalars.  The next block reuses the block's
-    buffer, so ``reduce`` keeps what it needs and may overwrite it.
+    converts faster than numpy scalars.  Those two calls cost the same
+    whatever T, so the pass is cheapest per cell when T is large against
+    n_last; with few trajectories and a long n_last they, not the cells, set
+    its time.  The next block reuses the block's buffer, so ``reduce`` keeps
+    what it needs and may overwrite it.
     """
     blocks = _index_blocks(plan)
     n_idx = np.arange(plan.index_start, blocks[-1].stop, dtype=float)

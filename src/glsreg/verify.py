@@ -19,7 +19,7 @@ from scipy import special
 
 from .bounds import regulator_lp_bound, sigma_function
 from .criteria import criterion_functional, criterion_terms, extract_regulator
-from .errors import GLSError
+from .errors import DomainError, GLSError
 from .estimates import mean_estimate, power_mean_estimate
 from .generating import (
     Extremal,
@@ -50,6 +50,7 @@ from .simulate import (
     exact_eta_moment,
     exact_eta_tail,
     regulator_delta,
+    resolve_n_last,
     simulate_eta,
     simulate_trajectories,
     truncation_bound,
@@ -412,6 +413,9 @@ def check_convergence_diagnostics(seed: int, trajectories: int, eta_values: EtaV
     m = min(trajectories, 10_000)
     plan = _exponential_plan(seed, m, alpha=2.0)
     starts = (1, 10, 100)
+    n_last = resolve_n_last(plan)
+    if n_last < starts[-1]:  # the fold cannot see this: a window past the data would keep sups of 0 and pass
+        raise DomainError(f"window start {starts[-1]} lies past the simulated indices (n_last = {n_last})")
     sups = np.zeros((len(starts), m))  # the column pass keeps four floats a trajectory: three sups and the factor
     factors = np.zeros(m)
     delta = regulator_delta(plan)

@@ -360,6 +360,28 @@ class TestRunSuite:
         assert verdict(_eta_values) == "PASS"
         assert verdict(lowered) == "FAIL"
 
+    @pytest.mark.parametrize("n_last", [99, 100])
+    def test_convergence_diagnostics_reject_n_last_below_the_last_window_start(self, monkeypatch, n_last):
+        # the fold cannot tell a window past the data from one whose sups are 0, so the check must
+        import glsreg.verify as verify
+        from glsreg.errors import DomainError
+        from glsreg.simulate import FixedTruncation, SimulationPlan
+
+        planned = verify._exponential_plan
+
+        def truncated(*args, **kwargs):
+            plan = planned(*args, **kwargs)
+            return SimulationPlan(plan.model, plan.eps, plan.trajectories, FixedTruncation(n_last=n_last), plan.seed)
+
+        monkeypatch.setattr(verify, "_exponential_plan", truncated)
+        if n_last < 100:
+            with pytest.raises(DomainError, match="window start 100 lies past the simulated indices"):
+                verify.run_suite(["convergence-diagnostics"], seed=1, trajectories=100)
+        else:
+            report = verify.run_suite(["convergence-diagnostics"], seed=1, trajectories=100)
+            small = next(r for r in report.records if r.check_id == "criterion-small-at-100")
+            assert small.estimate > 0.0  # one index in the window, and its draws are nonzero
+
     def test_catalogue_matches_schema_enum(self):
         from glsreg.verify import CHECKS
 
