@@ -194,7 +194,9 @@ def _psi_from_config(cfg: dict, moments_obj=None):
 def _pair_from_config(obj: dict):
     """Sequence pair from the config's pair block.
 
-    theta/nu (beta_n = n**(-theta) ln(n+1)**(-nu)) wins over alpha/m, and Q over q.
+    The schema lets each sequence use one spelling: a power_log is alpha/m
+    (n**(-alpha) ln(n+1)**m) or theta/nu (n**(-theta) ln(n+1)**(-nu)), and a
+    geometric is q or Q.
     """
     from .sequences import DecaySequencePair, GeometricSequence, PowerLogSequence
 

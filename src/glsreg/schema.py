@@ -14,8 +14,9 @@ as different.  ``$ref`` resolves a JSON pointer into the root schema.
 The deepest error (longest instance path) is reported, the first found among
 equals.  A oneOf or anyOf that no branch passes contributes the errors of
 every branch whose discriminator (a const or enum on a direct property)
-matches.  When no branch's discriminator matches, its one error names that
-property and the values the branches accept.
+matches and that has the fewest errors among those.  When no branch's
+discriminator matches, its one error names that property and the values the
+branches accept.
 """
 
 from __future__ import annotations
@@ -188,8 +189,10 @@ def _closest(value, branches, outcomes, path):
 
     near = [errors for errors in outcomes if not misses(errors)]
     if near:
+        fewest = min(map(len, near))  # the branch the document comes closest to, e.g. its spelling of a sequence
         for errors in near:
-            yield from errors
+            if len(errors) == fewest:
+                yield from errors
         return
     where = misses(outcomes[0])[0][0]
     key = where[-1]

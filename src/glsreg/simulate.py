@@ -77,6 +77,7 @@ TRUNCATION_CAP = 10**7
 _INDEX_MAX = 1e300  # exp_power_threshold reports no index past this
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _BLOCK_CELLS = 1 << 17  # cells of the column pass's buffer: 1 MiB of float64, cache-sized
+_MOMENT_HEAD_CAP = 1 << 20  # indices _moment_tail_remainder sums one by one; past it the bound is +inf
 
 # nodes and weights on [-1, 1] of the rule exact_eta_moment applies on every panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -508,12 +509,19 @@ def _moment_tail_remainder(eps: float, p: float, upper: float, index_start: int)
     Uses P(eta > u) <= sum_n exp(-u n**eps) termwise:
     int_upper^inf p u**(p-1) e**(-u n**eps) du = p n**(-p eps) Gamma(p, upper n**eps).
     Head terms go through gammaincc; the rest through Gamma(p, x) <= 2 x**(p-1) e**(-x)
-    (valid for x >= 2 (p - 1)) and an integral test on n.
+    (valid for x >= 2 (p - 1)) and an integral test on n.  The bound is +inf, still
+    true, when the head would pass ``_MOMENT_HEAD_CAP`` indices or either part a float.
     """
-    n_head = max(index_start, math.ceil(((2.0 * (p - 1.0) + 50.0) / upper) ** (1.0 / eps)))
+    reach = (2.0 * (p - 1.0) + 50.0) / upper
+    if math.log(reach) / eps > math.log(_MOMENT_HEAD_CAP):
+        return math.inf
+    n_head = max(index_start, math.ceil(reach ** (1.0 / eps)))
     idx = np.arange(index_start, n_head + 1, dtype=float)
     head_sum = float(np.sum(idx ** (-p * eps) * special.gammaincc(p, upper * idx**eps)))
-    head = p * math.exp(special.gammaln(p) + math.log(head_sum)) if head_sum > 0.0 else 0.0
+    log_head = special.gammaln(p) + math.log(head_sum) if head_sum > 0.0 else -math.inf
+    if log_head > _LOG_FLOAT_MAX - math.log(p):
+        return math.inf
+    head = p * math.exp(log_head)
     a = 1.0 / eps - 1.0
     q = float(special.gammaincc(a, upper * n_head**eps))
     if q > 0.0:
@@ -523,7 +531,9 @@ def _moment_tail_remainder(eps: float, p: float, upper: float, index_start: int)
             + special.gammaln(a)
             + math.log(q)
         )
-        tail = math.exp(min(700.0, log_tail))
+        if log_tail > _LOG_FLOAT_MAX:
+            return math.inf
+        tail = math.exp(log_tail)
     else:
         tail = 0.0
     return head + tail

@@ -22,9 +22,7 @@ def _identifiers(node: ast.AST) -> set[str]:
     return found
 
 
-def _exports(path: Path, tree: ast.Module) -> set[str]:
-    if path.name == "__init__.py":  # the package derives its __all__ from its module map
-        return set(glsreg.__all__)
+def _exports(tree: ast.Module) -> set[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             return set(ast.literal_eval(node.value))
@@ -55,7 +53,7 @@ def _package():
     exports: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        exports |= _exports(path, tree)
+        exports |= _exports(tree)
         for node in tree.body:
             if _is_definition(node):
                 defined.add(node.name)
@@ -80,15 +78,14 @@ def _package():
 
 def test_every_export_is_reached_from_cli_or_verify():
     _, reached, exports = _package()
-    unreached = sorted(exports - reached - {"__version__"})
+    unreached = sorted(exports - reached)
     assert unreached == []
 
 
 def test_every_top_level_definition_is_reached_from_cli_or_verify():
-    # dead code: a def or class that nothing the CLI or the verify suite runs can reach;
-    # dunder hooks (the package's __getattr__, __dir__) are called by the interpreter
+    # dead code: a def or class that nothing the CLI or the verify suite runs can reach
     defined, reached, _ = _package()
-    unreached = sorted(name for name in defined - reached if not (name.startswith("__") and name.endswith("__")))
+    unreached = sorted(defined - reached)
     assert unreached == []
 
 

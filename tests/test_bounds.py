@@ -300,17 +300,17 @@ class TestSequences:
         np.testing.assert_allclose(pair.ratio_values(n), n**-1.0)
 
     def test_from_config_shapes(self):
-        # the CLI's pair reader: theta wins over alpha, Q over q, and nu is negated
+        # the CLI's pair reader: alpha/m or theta/nu with nu negated, q or Q
         pair = _pair_from_config(
             {
                 "eps": {"form": "power_log", "alpha": 1.0, "m": 2.0},
-                "beta": {"form": "power_log", "alpha": 0.9, "theta": 0.5, "nu": 1.0},
+                "beta": {"form": "power_log", "theta": 0.5, "nu": 1.0},
             }
         )
         assert pair.eps_seq.rate == 1.0 and pair.eps_seq.log_power == 2.0
         assert pair.beta_seq.rate == 0.5 and pair.beta_seq.log_power == -1.0
         pair = _pair_from_config(
-            {"eps": {"form": "geometric", "q": 0.25}, "beta": {"form": "geometric", "q": 0.1, "Q": 0.5, "scale": 2.0}}
+            {"eps": {"form": "geometric", "q": 0.25}, "beta": {"form": "geometric", "Q": 0.5, "scale": 2.0}}
         )
         assert pair.eps_seq == GeometricSequence(q=0.25)
         assert pair.beta_seq.q == 0.5 and pair.beta_seq.scale == 2.0

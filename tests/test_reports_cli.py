@@ -98,6 +98,17 @@ REJECTED_CONFIGS = {
     "plan-trajectories-not-integer": {**SIMULATE, "trajectories": "many"},
     "unknown-top-level-key": {**NORM, "colour": "blue"},
     "geometric-without-ratio": bound_pair({"form": "geometric"}, {"form": "geometric", "Q": 0.5}),
+    # a sequence takes one spelling: alpha/m or theta/nu, q or Q
+    "power-log-alpha-with-nu": bound_pair(
+        {"form": "power_log", "alpha": 2.0, "nu": 5.0}, {"form": "power_log", "theta": 0.5}
+    ),
+    "power-log-theta-with-m": bound_pair(
+        {"form": "power_log", "alpha": 2.0}, {"form": "power_log", "theta": 0.5, "m": 7.0}
+    ),
+    "power-log-alpha-and-theta": bound_pair(
+        {"form": "power_log", "alpha": 2.0}, {"form": "power_log", "alpha": 0.2, "theta": 0.5}
+    ),
+    "geometric-q-and-Q": bound_pair({"form": "geometric", "q": 0.25}, {"form": "geometric", "q": 0.1, "Q": 0.5}),
     "table-knots-descending": {**NORM, "psi": {"form": "table", "points": [[4.0, 2.0], [1.0, 1.0]]}},
     "discrete-length-mismatch": {**NORM, "moments": {"kind": "discrete", "atoms": [1.0, 2.0], "weights": [1.0]}},
     "natural-psi-without-moments": {"schema_version": 1, "command": "conjugate", "psi": {"form": "natural"}},
@@ -771,13 +782,13 @@ CONFIG_FORMS = {
     ),
     "power-log-theta-nu": _pair_form(
         {"form": "power_log", "theta": 2.0, "nu": 1.0},
-        {"form": "power_log", "alpha": 9.0, "m": 3.0, "theta": 0.5, "nu": -0.5},
+        {"form": "power_log", "theta": 0.5, "nu": -0.5},
         PowerLogSequence(rate=2.0, log_power=-1.0),
         PowerLogSequence(rate=0.5, log_power=0.5),
     ),
     "geometric-q-Q-scale": _pair_form(
         {"form": "geometric", "q": 0.25, "scale": 3.0},
-        {"form": "geometric", "q": 0.1, "Q": 0.5, "scale": 2.0},
+        {"form": "geometric", "Q": 0.5, "scale": 2.0},
         GeometricSequence(q=0.25, scale=3.0),
         GeometricSequence(q=0.5, scale=2.0),
     ),
@@ -912,18 +923,19 @@ class TestCliErrors:
         assert result.exit_code == 2, result.output
         assert not (tmp_path / "o").exists()
 
-    def test_normaliser_rate_wins_over_numerator_rate(self, runner, tmp_path):
-        rows = {}
-        for name, beta in (
-            ("both", {"form": "power_log", "alpha": 0.2, "theta": 0.5}),
-            ("theta", {"form": "power_log", "theta": 0.5}),
+    def test_mixed_sequence_spelling_names_its_key(self, runner, tmp_path):
+        # no key of the other spelling is silently dropped, nor settled by precedence
+        for name, where in (
+            ("power-log-alpha-with-nu", "pair/eps/nu"),
+            ("power-log-theta-with-m", "pair/beta/m"),
+            ("power-log-alpha-and-theta", "pair/beta/theta"),
+            ("geometric-q-and-Q", "pair/beta/Q"),
         ):
             path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(bound_pair({"form": "power_log", "alpha": 2.0}, beta)))
-            result = invoke(runner, "bound", "--config", str(path), "--out", str(tmp_path / name))
-            assert result.exit_code == 0
-            rows[name] = json.loads((tmp_path / name / "bound.json").read_text())["rows"]
-        assert rows["both"] == rows["theta"]
+            path.write_text(json.dumps(REJECTED_CONFIGS[name]))
+            result = runner.invoke(main, ["bound", "--config", str(path), "--out", str(tmp_path / name)])
+            assert result.exit_code == 2, name
+            assert f"config rejected by schema at {where}: additional properties are not allowed" in result.output
 
     def test_version_option(self, runner):
         result = runner.invoke(main, ["--version"])

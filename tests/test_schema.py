@@ -166,6 +166,7 @@ def test_mutated_config_agrees_with_reference(cfg):
 # what the error names
 
 NORM = SAMPLES["norm_natural"]
+BOUND = SAMPLES["bound_geometric"]
 REPORTED = {
     "unknown-psi-form": ({**NORM, "psi": {"form": "mystery"}}, ("psi", "form"), "'mystery' is not one of"),
     "psi-field-out-of-range": ({**NORM, "psi": {"form": "power_root", "m": -1.0}}, ("psi", "m"), "-1.0"),
@@ -176,6 +177,17 @@ REPORTED = {
     "unknown-check": ({**SAMPLES["verify_fast"], "checks": ["nope"]}, ("checks", 0), "'nope' is not one of"),
     "seed-past-u64": ({**SAMPLES["verify_fast"], "seed": 2**64}, ("seed",), "maximum"),
     "missing-command-field": ({"schema_version": 1, "command": "simulate"}, (), "'model' is a required property"),
+    # of the two power_log spellings, the one the sequence comes closest to names the error
+    "sequence-spelling-mixed": (
+        {**BOUND, "pair": {**BOUND["pair"], "beta": {"form": "power_log", "theta": 0.5, "m": 7.0}}},
+        ("pair", "beta", "m"),
+        "additional properties are not allowed",
+    ),
+    "sequence-rate-missing": (
+        {**BOUND, "pair": {**BOUND["pair"], "eps": {"form": "power_log", "m": 1.0}}},
+        ("pair", "eps"),
+        "'alpha' is a required property",
+    ),
 }
 
 

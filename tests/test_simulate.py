@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from glsreg import verify
 from glsreg.criteria import criterion_functional, criterion_terms, extract_regulator, regulator_ratio_matrix
 from glsreg.errors import (
     DomainError,
+    GLSError,
     InvalidEpsilon,
     MomentInfinite,
     ToleranceUnreachable,
@@ -805,6 +807,22 @@ class TestExactMoment:
         monkeypatch.setattr(simulate_module, "_GL_WEIGHTS", weights)
         for (eps, p, start), value in zip(points, sixteen):
             assert exact_eta_moment(1.0, eps, p, index_start=start) == pytest.approx(value, rel=1e-9, abs=0.0)
+
+    def test_small_eps_raises_a_typed_error(self):
+        # the remainder's head at U = 32 would span 1.3e10 (eps 0.02) and 1e40 (eps 0.005)
+        # indices: its bound is +inf instead, the cut doubles, and the quadrature raises
+        for eps in (0.02, 0.005):
+            assert _moment_tail_remainder(eps, 1.5, 32.0, 1) == math.inf
+            start = time.perf_counter()
+            with pytest.raises(GLSError):
+                exact_eta_moment(1.0, eps, 1.5)
+            assert time.perf_counter() - start < 1.0
+
+    def test_remainder_past_a_float_is_infinite(self):
+        # the tail's log bound is 1980 here, so e**700 would bound nothing
+        assert _moment_tail_remainder(0.001, 1.5, 51.0, 1) == math.inf
+        # the head's passes a float at the first cut U = 4p of exact_eta_moment(1, 0.002, 400)
+        assert _moment_tail_remainder(0.002, 400.0, 1600.0, 1) == math.inf
 
     def test_infinite_moment_guard(self):
         with pytest.raises(MomentInfinite):
