@@ -20,6 +20,7 @@ is the product psi(p) * sigma(p).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,11 +53,20 @@ class MomentEnvelope:
         _check_model_fields(self.alpha, self.index_start)
 
 
+def _check_index_start(index_start: int) -> None:
+    """The first index of a sequence model: an integer >= 1 (``operator.index``, so 2.0 is refused)."""
+    try:
+        if operator.index(index_start) >= 1:
+            return
+    except TypeError:
+        pass
+    raise DomainError(f"index_start must be an integer >= 1, got {index_start!r}")
+
+
 def _check_model_fields(alpha: float, index_start: int) -> None:
     if not (math.isfinite(alpha) and alpha > 0):
         raise DomainError(f"decay exponent alpha must be positive, got {alpha}")
-    if index_start < 1:
-        raise DomainError(f"index_start must be >= 1, got {index_start}")
+    _check_index_start(index_start)
 
 
 def regulator_lp_bound(env: MomentEnvelope, eps: float, p: float) -> float:

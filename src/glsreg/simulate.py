@@ -45,7 +45,7 @@ from .criteria import extract_regulator
 from .errors import DomainError, MomentInfinite, ToleranceUnreachable, TruncationInfeasible
 from .generating import check_eps, natural_function
 from .moments import half_normal_moments, std_exponential_moments
-from .bounds import SERIES_TERM_CAP, MomentEnvelope, _check_model_fields
+from .bounds import SERIES_TERM_CAP, MomentEnvelope, _check_index_start, _check_model_fields
 from .sequences import PowerLogSequence, _chunked_sum
 
 __all__ = [
@@ -284,8 +284,7 @@ def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: i
     to rounding).  A tolerance that needs more than ``SERIES_TERM_CAP`` terms
     raises ``ToleranceUnreachable`` before the sum starts.
     """
-    if index_start < 1:
-        raise DomainError(f"index_start must be >= 1, got {index_start}")
+    _check_index_start(index_start)
     if not (0.0 < abs_tol < 1.0):
         raise DomainError(f"abs_tol must lie in (0, 1), got {abs_tol}")
     _check_exp_power_args(c, gamma)
@@ -447,7 +446,9 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
     ``ToleranceUnreachable``, before the sum when N passes the cap and
     ``_log_product_floor`` keeps the product above abs_tol.  When N passes
     the cap and ``_log_product_ceiling`` already puts the product below
-    abs_tol, the result is 1.0 without a sum.  The tail is
+    abs_tol, the result is 1.0 without a sum; it is 1.0 after the sum when
+    I(N) passes the float range and the ceiling is below abs_tol, and such a
+    rest raises otherwise.  The tail is
     1 - exp of the log product, so its error is at most the log product's:
     the result is an estimate within abs_tol of the tail (up to rounding),
     not a lower or upper bound.  alpha cancels from the tail and only gates eps.
@@ -464,6 +465,10 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
 
     def rest() -> float:  # the bracket midpoint on the log sum past n_cut
         i_cut, i_next = _tail_integrals(u, eps, n_cut, n_cut + 1)
+        if math.isinf(i_cut):  # the rest passes the float range: only the ceiling can decide
+            if _log_product_ceiling(u, eps, index_start) <= log_tol:
+                return -math.inf  # the product is below abs_tol, so the tail reads 1.0
+            raise ToleranceUnreachable(f"the integral bound on the rest past index {n_cut} passes the float range")
         return _bracket_midpoint(i_cut / math.expm1(-u * (n_cut + 1) ** eps), -i_next, n_cut, abs_tol)
 
     if n_cut > SERIES_TERM_CAP:

@@ -5,7 +5,9 @@ CheckRecords; ``run_suite`` aggregates them into a VerificationReport.  The
 suite is honest by construction: the tail-asymptote check compares the exact
 tail against the claimed power-law comparison at large thresholds and is
 expected to FAIL, because the exact tail of the exponential-power model
-decays exponentially there (see the asymptote records' claims).
+decays exponentially there (see the asymptote records' claims).  The
+tail-regimes check beside it states what does hold: the exponential rate at
+large thresholds, and the power law for the first Bonferroni sum at small ones.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .simulate import (
     bonferroni_sums,
     exact_eta_moment,
     exact_eta_tail,
+    exp_power_sum,
     regulator_delta,
     resolve_n_last,
     simulate_eta,
@@ -176,6 +179,52 @@ def check_tail_asymptote(seed: int, trajectories: int, eta_values: EtaValues) ->
             theoretical=0.0,
             estimate=abs(ratio[50.0] - 1.0) - abs(ratio[10.0] - 1.0),
             params={"eps": eps, "u_pair": [10.0, 50.0]},
+        ),
+    ]
+
+
+def check_tail_regimes(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
+    """The true statements of both tail regimes at eps 0.5 and n0 = 1.
+
+    Large u: the first factor of the product dominates, so
+    P(eta > u) e^(u n0^eps) -> 1, the next term being of order
+    e^(-u ((n0 + 1)^eps - n0^eps)).  Small u: sigma1(u) is a Riemann sum of
+    int exp(-u t^eps) dt = Gamma(1 + 1/eps) u^(-1/eps), so
+    sigma1(u) u^(1/eps) / Gamma(1 + 1/eps) -> 1; the exact tail itself tends
+    to 1 there, so the power law belongs to sigma1 only.  The large-u records
+    stop at u = 20, where the oracle's abs_tol of 1e-12 is at most 4.9e-4 of
+    the ratio.
+    """
+    del seed, trajectories, eta_values
+    eps, n0, u_small = 0.5, 1, 0.05
+    ratio = {u: exact_eta_tail(1.0, eps, u, index_start=n0) * math.exp(u * n0**eps) for u in (10.0, 20.0)}
+    sum_ratio = exp_power_sum(u_small, eps, index_start=n0) * u_small ** (1.0 / eps) / asymptotic_tail_constant(eps)
+    return [
+        CheckRecord(
+            check_id="tail-regimes-large-u",
+            claim="exact tail times e^(u n0^eps) is within 1e-3 of 1 at u = 20",
+            kind="equality",
+            theoretical=1.0,
+            estimate=ratio[20.0],
+            tolerance=1e-3,
+            params={"eps": eps, "index_start": n0, "u": 20.0},
+        ),
+        CheckRecord(
+            check_id="tail-regimes-approach",
+            claim="the ratio sits closer to 1 at u = 20 than at u = 10",
+            kind="upper",
+            theoretical=0.0,
+            estimate=abs(ratio[20.0] - 1.0) - abs(ratio[10.0] - 1.0),
+            params={"eps": eps, "index_start": n0, "u_pair": [10.0, 20.0]},
+        ),
+        CheckRecord(
+            check_id="tail-regimes-small-u",
+            claim="sigma1(u) u^(1/eps)/Gamma(1 + 1/eps) is within 1e-3 of 1 at u = 0.05",
+            kind="equality",
+            theoretical=1.0,
+            estimate=sum_ratio,
+            tolerance=1e-3,
+            params={"eps": eps, "index_start": n0, "u": u_small},
         ),
     ]
 
@@ -474,6 +523,7 @@ CHECKS = {
     "tail-oracle-agreement": check_tail_oracle_agreement,
     "bonferroni-sandwich": check_bonferroni_sandwich,
     "tail-asymptote": check_tail_asymptote,
+    "tail-regimes": check_tail_regimes,
     "moment-blowup-bracket": check_moment_blowup_bracket,
     "natural-envelope-bound": check_natural_envelope_bound,
     "sigma-closed-form": check_sigma_closed_form,

@@ -4,7 +4,8 @@ Every test prints "[criterion N] PASS/FAIL - detail" before asserting, so a
 full run documents all ten outcomes.  Criterion 4 asserts the claimed
 u**(-1/eps) tail comparison at large u; the exact tail of the exponential
 model decays like exp(-u) there, so the test reports its honest failure
-rather than weakening the threshold (see the tail_asymptote_study script).
+rather than weakening the threshold (the tail-regimes check of glsreg verify
+states the true large-u and small-u regimes).
 """
 
 import math

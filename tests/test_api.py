@@ -1,9 +1,10 @@
 """The public surface: every exported name and every top-level definition is reached
-from the CLI or the verify suite, and every weight leaves the off-domain +inf to
-GeneratingFunction.values."""
+from the CLI or the verify suite, every weight leaves the off-domain +inf to
+GeneratingFunction.values, and the CLI is the one entry point."""
 
 import ast
 import importlib
+import os
 from pathlib import Path
 
 import glsreg
@@ -11,6 +12,9 @@ from glsreg.generating import GeneratingFunction
 
 PACKAGE = Path(glsreg.__file__).parent
 ROOTS = ("cli.py", "verify.py")
+REPO = Path(__file__).resolve().parent.parent
+# the CLI, and the harness and tests that drive it, may run as scripts
+MAIN_ALLOWED = (PACKAGE / "cli.py", REPO / "benchmarks", REPO / "tests")
 
 def _identifiers(node: ast.AST) -> set[str]:
     found = set()
@@ -101,3 +105,31 @@ def test_only_generating_function_masks_the_domain():
     overrides = sorted(c.__qualname__ for c in weights[1:] if c.__module__.startswith("glsreg") and "values" in vars(c))
     assert len(weights) > 7
     assert overrides == []
+
+
+def _has_main_block(tree: ast.Module) -> bool:
+    return any(
+        isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and getattr(node.test.left, "id", None) == "__name__"
+        and any(getattr(c, "value", None) == "__main__" for c in node.test.comparators)
+        for node in tree.body
+    )
+
+
+def _repo_sources():
+    for root, dirs, files in os.walk(REPO):
+        # hidden folders, caches and build output hold no source of the project
+        dirs[:] = [d for d in dirs if not (d.startswith(".") or d.endswith(".egg-info") or d in ("__pycache__", "build"))]
+        yield from (Path(root) / f for f in files if f.endswith(".py"))
+
+
+def test_no_second_entry_point():
+    # a script with its own __main__ block duplicates the CLI; a new statement belongs in glsreg verify
+    scripts = sorted(
+        str(path.relative_to(REPO))
+        for path in _repo_sources()
+        if not any(path == a or a in path.parents for a in MAIN_ALLOWED)
+        and _has_main_block(ast.parse(path.read_text()))
+    )
+    assert scripts == []

@@ -403,6 +403,48 @@ class TestRunSuite:
         enum = set(branch["properties"]["checks"]["items"]["enum"])
         assert enum == set(CHECKS)
 
+    @pytest.mark.parametrize("seed", [42, 7, 301])
+    def test_tail_regimes_pass(self, seed):
+        from glsreg.verify import CHECKS, run_suite
+
+        ids = list(CHECKS)
+        assert ids.index("tail-regimes") == ids.index("tail-asymptote") + 1
+        report = run_suite(["tail-regimes"], seed=seed)
+        assert [(r.check_id, r.verdict) for r in report.records] == [
+            ("tail-regimes-large-u", "PASS"),
+            ("tail-regimes-approach", "PASS"),
+            ("tail-regimes-small-u", "PASS"),
+        ]
+
+    def test_tail_regimes_large_u_records_fail_at_a_wrong_rate(self, monkeypatch):
+        # claiming the rate e^(u 2^eps) at n0 = 1 multiplies the ratio by e^(u (2^eps - 1))
+        import glsreg.verify as verify
+        from glsreg.simulate import exact_eta_tail
+
+        def misrated(alpha, eps, u, **kwargs):
+            return exact_eta_tail(alpha, eps, u, **kwargs) * math.exp(u * (2.0**eps - 1.0))
+
+        monkeypatch.setattr(verify, "exact_eta_tail", misrated)
+        verdicts = {r.check_id: r.verdict for r in verify.check_tail_regimes(42, 100, None)}
+        assert verdicts == {
+            "tail-regimes-large-u": "FAIL",
+            "tail-regimes-approach": "FAIL",
+            "tail-regimes-small-u": "PASS",
+        }
+
+    def test_tail_regimes_small_u_record_fails_on_the_exact_tail(self, monkeypatch):
+        # the power law belongs to sigma1: the exact tail tends to 1, so its ratio reads u^(1/eps) / 2
+        import glsreg.verify as verify
+        from glsreg.simulate import exact_eta_tail
+
+        def tail_for_sum(c, gamma, index_start=1):
+            return exact_eta_tail(1.0, gamma, c, index_start=index_start)
+
+        monkeypatch.setattr(verify, "exp_power_sum", tail_for_sum)
+        small = next(r for r in verify.check_tail_regimes(42, 100, None) if r.check_id == "tail-regimes-small-u")
+        assert small.estimate == pytest.approx(0.00125, rel=1e-6)
+        assert small.verdict == "FAIL"
+
 
 @pytest.fixture()
 def runner():

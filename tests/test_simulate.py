@@ -204,6 +204,27 @@ class TestModels:
         with pytest.raises(DomainError):
             GaussianPower(alpha=1.0, index_start=0)
 
+    @pytest.mark.parametrize("index_start", [2.5, 2.0, "2", None])
+    def test_index_start_is_an_integer_everywhere(self, index_start):
+        # one gate: a float start once built a model that simulate_eta could not run, and the
+        # oracles answered between the tails of two integer starts
+        calls = [
+            lambda: ExponentialPower(alpha=1.0, index_start=index_start),
+            lambda: GaussianPower(alpha=1.0, index_start=index_start),
+            lambda: exact_eta_tail(1.0, 0.5, 1.0, index_start=index_start),
+            lambda: exact_eta_moment(1.0, 0.5, 1.5, index_start=index_start),
+            lambda: bonferroni_sums(0.5, 1.0, index_start=index_start),
+            lambda: exp_power_sum(1.0, 0.5, index_start=index_start),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="index_start must be an integer >= 1"):
+                call()
+
+    def test_index_start_takes_numpy_integers(self):
+        start = np.int64(2)
+        assert ExponentialPower(alpha=1.0, index_start=start).index_start == 2
+        assert exact_eta_tail(1.0, 0.5, 1.0, index_start=start) == exact_eta_tail(1.0, 0.5, 1.0, index_start=2)
+
 
 class TestChunkedSum:
     def test_stop_ends_within_two_chunks(self):
@@ -650,6 +671,16 @@ class TestExactTail:
             assert exact_eta_tail(1.0, eps, u) == 1.0
         assert summed_cells == []
         assert simulate_module._log_product_ceiling(u, eps, 1) < math.log(1e-12)
+
+    @pytest.mark.parametrize("eps, u, cut", [(0.002, 28.370986119011363, 1), (0.0005, 27.59, 20)])
+    def test_saturated_tail_with_an_overflowing_rest_returns_one(self, deadline, eps, u, cut):
+        # the terms fall below abs_tol within a few indices, so the term cut is small, but the
+        # integral on the rest past it (Gamma(1 + 1/eps) u**(-1/eps) up front) passes the float
+        # range; the ceiling -I(1) is then -inf, so the product is below abs_tol and the tail is 1
+        assert simulate_module._term_cut(u, eps, 1e-12, 1) == cut
+        assert math.isinf(simulate_module._tail_integrals(u, eps, cut)[0])
+        with deadline(0.5):
+            assert exact_eta_tail(1.0, eps, u) == 1.0
 
     @pytest.mark.parametrize("eps, u, index_start", [(0.5, 0.3, 1), (0.25, 2.0, 1), (0.5, 1.0, 40), (0.9, 5.0, 3)])
     def test_log_product_ceiling_bounds_the_log_product(self, eps, u, index_start):
