@@ -281,8 +281,9 @@ def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: i
     [I(N + 1), I(N)] with I(m) = int_m^inf f (``_tail_integrals``), and that
     bracket is int_N^{N+1} f <= f(N) <= abs_tol wide.  So the result is an
     estimate, not a lower partial sum, within abs_tol / 2 of the series (up
-    to rounding).  A tolerance that needs more than ``SERIES_TERM_CAP`` terms
-    raises ``ToleranceUnreachable`` before the sum starts.
+    to rounding).  A tolerance that needs more than ``SERIES_TERM_CAP`` terms,
+    or a sum past the float range (I(N + 1) reads +inf), raises
+    ``ToleranceUnreachable`` before the sum starts.
     """
     _check_index_start(index_start)
     if not (0.0 < abs_tol < 1.0):
@@ -291,8 +292,12 @@ def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: i
     n_cut = _term_cut(c, gamma, abs_tol, index_start)
     if n_cut > SERIES_TERM_CAP:
         raise ToleranceUnreachable(f"a sum within {abs_tol} needs more than {SERIES_TERM_CAP} terms")
-    total = _chunked_sum(lambda n: np.exp(-c * n**gamma), index_start, n_cut)
     i_cut, i_next = _tail_integrals(c, gamma, n_cut, n_cut + 1)
+    if math.isinf(i_next):
+        raise ToleranceUnreachable(
+            f"the sum passes the float range: its rest past index {n_cut} is at least I({n_cut + 1}) = inf"
+        )
+    total = _chunked_sum(lambda n: np.exp(-c * n**gamma), index_start, n_cut)
     return total + _bracket_midpoint(i_next, i_cut, n_cut, abs_tol)
 
 

@@ -357,6 +357,65 @@ class TestRunSuite:
         verify.run_suite(checks, seed=1, trajectories=500)
         assert len(plans) == 6
 
+    def test_each_stream_drawn_once_per_suite(self, monkeypatch):
+        # the n0 = 2 and n0 = 1 plans share every row past index 1, so the n0 = 1 plan draws
+        # only its head row; the convergence check keeps its own fold pass beside simulate_eta's
+        import glsreg.verify as verify
+        from glsreg.simulate import resolve_n_last
+
+        passes = []
+        column_pass = glsreg.simulate.simulate_trajectories
+
+        def counted(caller):
+            def simulate_trajectories(plan, reduce):
+                cells = []
+
+                def counting(rows, block):
+                    cells.append(block.size)
+                    reduce(rows, block)
+
+                column_pass(plan, counting)
+                passes.append((caller, plan, sum(cells)))
+
+            return simulate_trajectories
+
+        monkeypatch.setattr(glsreg.simulate, "simulate_trajectories", counted("simulate_eta"))
+        monkeypatch.setattr(verify, "simulate_trajectories", counted("convergence-diagnostics"))
+        verify.run_suite(verify.DEFAULT_SUITE, seed=1, trajectories=500)
+        n_last = resolve_n_last(verify._exponential_plan(1, 500))
+        convergence = verify._exponential_plan(1, 500, alpha=2.0)
+        one_pass_per_plan = 500 * (n_last - 1) + 500 * n_last + 2 * 500 * resolve_n_last(convergence)
+        assert sum(cells for *_, cells in passes) == one_pass_per_plan - 500 * (n_last - 1)
+        assert [caller for caller, plan, _ in passes if plan == convergence] == [
+            "convergence-diagnostics",
+            "simulate_eta",
+        ]
+
+    @pytest.mark.parametrize(
+        "checks, drawn",
+        [
+            (["moment-sup-bound", "tail-oracle-agreement", "natural-envelope-bound"], lambda n: [(2, n), (1, 1)]),
+            (["tail-oracle-agreement", "moment-sup-bound"], lambda n: [(1, n), (2, n)]),  # a later start: a fresh pass
+        ],
+        ids=["head-fold", "fresh-pass"],
+    )
+    def test_shared_stream_records_match_checks_run_alone(self, monkeypatch, checks, drawn):
+        import glsreg.verify as verify
+        from glsreg.simulate import resolve_n_last
+
+        together = verify.run_suite(checks, seed=1, trajectories=500)
+        alone = [r for check in checks for r in verify.run_suite([check], seed=1, trajectories=500).records]
+        assert [canonical_json(r.to_dict()) for r in together.records] == [canonical_json(r.to_dict()) for r in alone]
+        plans = []
+
+        def counting(plan):
+            plans.append((plan.index_start, resolve_n_last(plan)))
+            return glsreg.simulate.simulate_eta(plan)
+
+        monkeypatch.setattr(verify, "simulate_eta", counting)
+        verify.run_suite(checks, seed=1, trajectories=500)
+        assert plans == drawn(resolve_n_last(verify._exponential_plan(1, 500)))
+
     def test_regulator_factorization_fails_when_eta_is_low(self):
         from glsreg.verify import _eta_values, check_convergence_diagnostics
 

@@ -311,6 +311,16 @@ class TestExpPowerCertified:
         head = math.exp(-1.0) + math.exp(-math.sqrt(2.0))
         assert late == pytest.approx(full - head, abs=1e-11)
 
+    @pytest.mark.parametrize(
+        "call", [lambda: exp_power_sum(28.37, 0.002), lambda: bonferroni_sums(0.0005, 50.0)], ids=["sum", "bonferroni"]
+    )
+    def test_sum_past_the_float_range_raises_before_summing(self, summed_cells, deadline, call):
+        # the terms fall below abs_tol at once, but Gamma(1 + 1/gamma) c**(-1/gamma) passes the
+        # float range, so the sum is at least I(2) = inf; the error says so and sums nothing
+        with deadline(0.5), pytest.raises(ToleranceUnreachable, match="the sum passes the float range"):
+            call()
+        assert summed_cells == []
+
     def test_tail_bound_past_float_range_is_inf(self):
         # Gamma(51) c**(-50) passes the float range at c = 1e-8; a stated bound of +inf still holds
         assert exp_power_sum_tail_bound(1e-8, 0.02, 1) == math.inf
@@ -490,6 +500,32 @@ class TestSimulateEta:
             assert len(shared) >= 20
             for n in shared:
                 np.testing.assert_array_equal(variant[n], reference[n])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(MODELS),
+        alpha=st.sampled_from([0.75, 1.0, 2.0]),
+        seed=st.integers(0, 2**64 - 1),
+        trajectories=st.integers(1, 300),
+        indices=st.integers(2, 1000).flatmap(
+            lambda n_last: st.integers(2, n_last).flatmap(
+                lambda m: st.tuples(st.integers(1, m - 1), st.just(m), st.just(n_last))
+            )
+        ),
+    )
+    def test_head_pass_folds_into_a_later_start(self, model, alpha, seed, trajectories, indices):
+        # row n is keyed by (seed, n) alone and eta is a max, so eta from start k is the elementwise
+        # max of a pass over the head rows k..m-1 and eta from start m, bit for bit (T = 300 puts
+        # 436 indices in a block, so long heads and tails cross blocks)
+        k, m, n_last = indices
+
+        def eta(start, last):
+            model_at = model(alpha=alpha, index_start=start)
+            plan = SimulationPlan(model_at, 0.5, trajectories, FixedTruncation(n_last=last), seed)
+            return simulate_eta(plan).value
+
+        folded = np.maximum(eta(k, m - 1), eta(m, n_last))
+        assert folded.tobytes() == eta(k, n_last).tobytes()
 
     def test_eta_peak_memory_near_one_chunk(self, monkeypatch):
         monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 1 << 20)
