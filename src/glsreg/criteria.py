@@ -3,13 +3,14 @@
 An index block is a plain 2-D array with one row per index and one column
 per trajectory: row k holds index index_start + k.
 ``simulate.simulate_trajectories`` hands its reducer one block at a time,
-never a whole batch, and each diagnostic is a running fold of per-trajectory
-maxima over the blocks.  Max is exact, so the fold gives the same bits in
-any block order and size.  The diagnostics are the per-trajectory terms of
-the bounded-sup functional E sup_{m >= n} |x_m|/(1 + |x_m|) (which tends to
-0 iff the sequence tends to 0 a.e.) and regulator extraction: the smallest
-per-trajectory factor v with |x_n| <= v * delta_n for a chosen null sequence
-delta_n.  Both are truncated at the last index folded in.
+never a whole batch, and each diagnostic folds it into ``out``, the caller's
+running per-trajectory maxima (zeros before the first block).  Max is exact,
+so the fold gives the same bits in any block order and size.  The
+diagnostics are the per-trajectory terms of the bounded-sup functional
+E sup_{m >= n} |x_m|/(1 + |x_m|) (which tends to 0 iff the sequence tends to
+0 a.e.) and regulator extraction: the smallest per-trajectory factor v with
+|x_n| <= v * delta_n for a chosen null sequence delta_n.  Both are truncated
+at the last index folded in.
 """
 
 from __future__ import annotations
@@ -57,16 +58,15 @@ def regulator_ratio_matrix(values: np.ndarray, delta: np.ndarray, out: np.ndarra
     return np.divide(ratios, delta, out=ratios)
 
 
-def criterion_functional(block, n: int, index_start: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-    """Fold an index block into the per-trajectory sups of |x_m| over m >= n, into ``out`` if given.
+def criterion_functional(block, n: int, index_start: int, out: np.ndarray) -> np.ndarray:
+    """Fold an index block into ``out``, the per-trajectory sups of |x_m| over m >= n, and return it.
 
     Row k of ``block`` holds index index_start + k.  ``out`` holds the sups
     of the blocks folded before (zeros before the first) and receives the
-    larger of them and this block's; without it this block's sups are
-    returned.  Rows before n add nothing, so a block wholly before n leaves
-    ``out`` as it is.  Once the last block is in, ``criterion_terms`` gives
-    the functional's terms.  A non-finite value in the window raises
-    ``DomainError``.
+    larger of them and this block's.  Rows before n add nothing, so a block
+    wholly before n leaves ``out`` as it is.  Once the last block is in,
+    ``criterion_terms`` gives the functional's terms.  A non-finite value in
+    the window raises ``DomainError``.
     """
     block = _index_block(block)
     if not (index_start >= 1 and n >= 1):
@@ -74,7 +74,7 @@ def criterion_functional(block, n: int, index_start: int = 1, out: np.ndarray | 
     window = block[max(0, n - index_start) :]  # no rows when the block lies wholly before n: the sups stay 0
     sups = window.max(axis=0, initial=0.0)
     np.maximum(sups, -window.min(axis=0, initial=0.0), out=sups)  # max |x| without an |x| copy
-    return _finite(sups if out is None else np.maximum(out, sups, out=out))
+    return _finite(np.maximum(out, sups, out=out))
 
 
 def criterion_terms(sups: np.ndarray) -> np.ndarray:
@@ -87,18 +87,17 @@ def criterion_terms(sups: np.ndarray) -> np.ndarray:
     return sups / (1.0 + sups)
 
 
-def extract_regulator(block, delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Fold an index block into the per-trajectory regulator factors v = max_n |x_n| / delta_n, into ``out`` if given.
+def extract_regulator(block, delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fold an index block into ``out``, the per-trajectory regulator factors v = max_n |x_n| / delta_n, and return it.
 
     ``delta`` holds delta_n at the block's rows; v is the smallest factor
     with |x_n| <= v * delta_n.  ``out`` holds the factors of the blocks
     folded before (zeros before the first: every ratio is >= 0) and receives
-    the larger of them and this block's; without it this block's factors are
-    returned.  The ratios are formed in place, so a float64 ``block`` is
-    overwritten.  A non-finite value raises ``DomainError``.
+    the larger of them and this block's.  The ratios are formed in place, so
+    a float64 ``block`` is overwritten.  A non-finite value raises
+    ``DomainError``.
     """
     block = _index_block(block)
     ratios = regulator_ratio_matrix(block, np.asarray(delta, dtype=float)[:, None], out=block)
-    if out is not None:
-        np.maximum(ratios[0], out, out=ratios[0])  # the running factors join the block's first row
+    np.maximum(ratios[0], out, out=ratios[0])  # the running factors join the block's first row
     return _finite(ratios.max(axis=0, out=out))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyDomain, EmptySample, LengthMismatch
 from .estimates import ConfidenceValue, proportion_estimate
-from .generating import ExponentInterval, GeneratingFunction, intersect_domains
+from .generating import ExponentInterval, GeneratingFunction, Tabulated, intersect_domains
 from .scan import ScanResult, supremum_scan
 
 __all__ = [
@@ -184,26 +184,11 @@ def discrete_moment_lanes(
 
 
 def table_moments(ps: Sequence[float], vals: Sequence[float]) -> MomentFunction:
-    """Moment curve through tabulated knots, geometric interpolation inside the hull."""
-    ps = np.asarray(list(ps), dtype=float)
-    vals = np.asarray(list(vals), dtype=float)
-    if ps.size != vals.size:
+    """Moment curve through tabulated knots: the curve of ``generating.Tabulated`` on the same knots."""
+    if len(ps) != len(vals):
         raise LengthMismatch("knot exponents and values differ in length")
-    if ps.size < 2 or np.any(np.diff(ps) <= 0):
-        raise DomainError("a moment table needs at least two strictly increasing exponents")
-    if ps[0] < 1.0:
-        raise DomainError("moment exponents start at 1")
-    if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-        raise DomainError("moment table values must be finite and nonnegative")
-    interval = ExponentInterval(float(ps[0]), float(np.nextafter(ps[-1], math.inf)))
-    log_p = np.log(ps)
-    with np.errstate(divide="ignore"):
-        log_v = np.log(vals)
-
-    def ev(p: np.ndarray) -> np.ndarray:
-        return np.exp(np.interp(np.log(p), log_p, log_v))
-
-    return MomentFunction(interval, ev)
+    table = Tabulated(points=tuple(zip(map(float, ps), map(float, vals))))
+    return MomentFunction(table.domain, table.on_domain)
 
 
 def scaled_moments(mf: MomentFunction, c: float | np.ndarray) -> MomentFunction:

@@ -16,7 +16,7 @@ A run exits 1 exactly when some record FAILs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .estimates import Z99
@@ -74,20 +74,7 @@ class CheckRecord:
         return "INCONCLUSIVE"
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "claim": self.claim,
-            "kind": self.kind,
-            "theoretical": self.theoretical,
-            "estimate": self.estimate,
-            "half_width": self.half_width,
-            "truncation_bound": self.truncation_bound,
-            "tolerance": self.tolerance,
-            "params": self.params,
-            "violation": self.violation,
-            "allowance": self.allowance,
-            "verdict": self.verdict,
-        }
+        return {**asdict(self), "violation": self.violation, "allowance": self.allowance, "verdict": self.verdict}
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ integer; const, enum and uniqueItems count 1 and 1.0 as equal and True and 1
 as different.  ``$ref`` resolves a JSON pointer into the root schema.
 
 The deepest error (longest instance path) is reported, the first found among
-equals.  A oneOf or anyOf that no branch passes contributes the errors of
-every branch whose discriminator (a const or enum on a direct property)
-matches and that has the fewest errors among those.  When no branch's
-discriminator matches, its one error names that property and the values the
-branches accept.
+equals.  A oneOf that no branch passes contributes the errors of every
+branch whose discriminator (a const or enum on a direct property) matches
+and that has the fewest errors among those.  When no branch's discriminator
+matches, its one error names that property and the values the branches
+accept.
 """
 
 from __future__ import annotations
@@ -161,12 +161,6 @@ def _limit(keyword: str, breaks, words: str):
     return check
 
 
-def _any_of(value, arg, path, schema, root):
-    outcomes = [_errors(value, sub, path, root) for sub in arg]
-    if all(outcomes):
-        yield from _closest(value, arg, outcomes, path)
-
-
 def _one_of(value, arg, path, schema, root):
     outcomes = [_errors(value, sub, path, root) for sub in arg]
     passed = sum(not errors for errors in outcomes)
@@ -226,7 +220,6 @@ _CHECKS = {
     "maximum": _limit("maximum", lambda v, m: v > m, "greater than the maximum of"),
     "exclusiveMinimum": _limit("exclusiveMinimum", lambda v, m: v <= m, "less than or equal to the minimum of"),
     "exclusiveMaximum": _limit("exclusiveMaximum", lambda v, m: v >= m, "greater than or equal to the maximum of"),
-    "anyOf": _any_of,
     "oneOf": _one_of,
     "not": _not,
 }

@@ -452,8 +452,7 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
     ``_log_product_floor`` keeps the product above abs_tol.  When N passes
     the cap and ``_log_product_ceiling`` already puts the product below
     abs_tol, the result is 1.0 without a sum; it is 1.0 after the sum when
-    I(N) passes the float range and the ceiling is below abs_tol, and such a
-    rest raises otherwise.  The tail is
+    I(N) passes the float range, as the ceiling is then -inf.  The tail is
     1 - exp of the log product, so its error is at most the log product's:
     the result is an estimate within abs_tol of the tail (up to rounding),
     not a lower or upper bound.  alpha cancels from the tail and only gates eps.
@@ -470,10 +469,8 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
 
     def rest() -> float:  # the bracket midpoint on the log sum past n_cut
         i_cut, i_next = _tail_integrals(u, eps, n_cut, n_cut + 1)
-        if math.isinf(i_cut):  # the rest passes the float range: only the ceiling can decide
-            if _log_product_ceiling(u, eps, index_start) <= log_tol:
-                return -math.inf  # the product is below abs_tol, so the tail reads 1.0
-            raise ToleranceUnreachable(f"the integral bound on the rest past index {n_cut} passes the float range")
+        if math.isinf(i_cut):  # then I(index_start) >= I(n_cut) is +inf too: the product is below abs_tol
+            return -math.inf
         return _bracket_midpoint(i_cut / math.expm1(-u * (n_cut + 1) ** eps), -i_next, n_cut, abs_tol)
 
     if n_cut > SERIES_TERM_CAP:

@@ -192,14 +192,14 @@ def check_tail_asymptote(seed: int, trajectories: int, eta_values: EtaValues) ->
     """Claimed power-law tail comparison at large u; expected to FAIL.
 
     The claim under test: exact_tail(u) * u^(1/eps) / Gamma(1 + 1/eps) sits
-    near 1 at u = 50 and approaches 1 monotonically over u in {10, 20, 50}.
+    near 1 at u = 50 and closer to 1 there than at u = 10.
     The exact tail instead decays like exp(-u) once u is large, so the ratio
     collapses toward 0; the records report that honestly.
     """
     del seed, trajectories, eta_values
     eps = 0.5
     c = asymptotic_tail_constant(eps)
-    ratio = {u: exact_eta_tail(1.0, eps, u) * u ** (1.0 / eps) / c for u in (10.0, 20.0, 50.0)}
+    ratio = {u: exact_eta_tail(1.0, eps, u) * u ** (1.0 / eps) / c for u in (10.0, 50.0)}
     return [
         CheckRecord(
             check_id="tail-asymptote-constant",

@@ -21,8 +21,18 @@ def random_block(seed=0, trajectories=50, indices=20):
     return np.random.default_rng(seed).exponential(size=(indices, trajectories))
 
 
+def fold(block, n, index_start=1):
+    """The sups of one block folded into zeros, as the column pass starts its running sups."""
+    return criterion_functional(block, n, index_start, out=np.zeros(np.shape(block)[-1]))
+
+
+def factors(block, delta):
+    """The regulator factors of one block folded into zeros, as simulate_eta starts them."""
+    return extract_regulator(block, delta, out=np.zeros(np.shape(block)[-1]))
+
+
 def functional(block, n, index_start=1):
-    return mean_estimate(criterion_terms(criterion_functional(block, n, index_start)))
+    return mean_estimate(criterion_terms(fold(block, n, index_start)))
 
 
 class TestTrajectoryBatch:
@@ -30,21 +40,21 @@ class TestTrajectoryBatch:
 
     def test_shape_guards(self):
         with pytest.raises(DomainError):
-            criterion_functional(np.ones(3), 1)
+            fold(np.ones(3), 1)
         with pytest.raises(DomainError):
-            criterion_functional(np.ones((0, 3)), 1)
+            fold(np.ones((0, 3)), 1)
         with pytest.raises(DomainError):
-            criterion_functional(np.ones((2, 0)), 1)
+            fold(np.ones((2, 0)), 1)
         with pytest.raises(DomainError):
-            extract_regulator(np.ones(3), np.ones(3))
+            factors(np.ones(3), np.ones(3))
         with pytest.raises(DomainError):
-            extract_regulator(np.ones((0, 3)), np.ones(3))
+            factors(np.ones((0, 3)), np.ones(3))
         with pytest.raises(DomainError):
-            criterion_functional(np.asarray([[1.0, np.nan]]), 1)
+            fold(np.asarray([[1.0, np.nan]]), 1)
         with pytest.raises(DomainError):
-            extract_regulator(np.asarray([[np.inf]]), np.ones(1))
+            factors(np.asarray([[np.inf]]), np.ones(1))
         with pytest.raises(DomainError):
-            criterion_functional(np.ones((2, 2)), 1, index_start=0)
+            fold(np.ones((2, 2)), 1, index_start=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (2, 3), (4, 5)])
@@ -52,27 +62,27 @@ class TestTrajectoryBatch:
         values = np.random.default_rng(0).normal(size=(5, 6))  # indices 1..5 of 6 trajectories
         values[where] = bad
         with pytest.raises(DomainError):
-            criterion_functional(values, 1)
+            fold(values, 1)
         with pytest.raises(DomainError):
-            criterion_functional(values, 1 + where[0])
+            fold(values, 1 + where[0])
+        with pytest.raises(DomainError):  # sups folded before do not hide it
+            criterion_functional(values, 1, 1, out=np.full(6, 0.5))
         with pytest.raises(DomainError):
-            criterion_functional(values, 1, out=np.zeros(6))
-        with pytest.raises(DomainError):
-            extract_regulator(values, np.ones(5))
+            factors(values, np.ones(5))
 
     def test_coerces_to_float(self):
         # trajectories (1, 2) and (3, 4) over indices 1..2
-        sups = criterion_functional(np.asarray([[1, 3], [2, 4]]), 1)
+        sups = fold(np.asarray([[1, 3], [2, 4]]), 1)
         assert sups.dtype == np.float64
         np.testing.assert_array_equal(criterion_terms(sups), [2.0 / 3.0, 4.0 / 5.0])
-        np.testing.assert_array_equal(extract_regulator(np.asarray([[1, 3], [2, 4]]), np.ones(2)), [2.0, 4.0])
+        np.testing.assert_array_equal(factors(np.asarray([[1, 3], [2, 4]]), np.ones(2)), [2.0, 4.0])
 
     def test_window_bookkeeping(self):
         # indices 3..8: the window starting at 3 is the whole block, at 8 the last row
         block = np.tile(np.arange(6.0, 0.0, -1.0)[:, None], (1, 4))
 
         def terms(n):
-            return criterion_terms(criterion_functional(block, n, index_start=3))
+            return criterion_terms(fold(block, n, index_start=3))
 
         np.testing.assert_array_equal(terms(3), np.full(4, 6.0 / 7.0))
         np.testing.assert_array_equal(terms(8), np.full(4, 0.5))
@@ -81,12 +91,12 @@ class TestTrajectoryBatch:
     def test_column_out_of_range(self):
         # indices 2..4: a window start before the block takes all of it, one past it folds nothing
         block = np.ones((3, 2))
-        np.testing.assert_array_equal(criterion_functional(block, 1, index_start=2), [1.0, 1.0])
+        np.testing.assert_array_equal(fold(block, 1, index_start=2), [1.0, 1.0])
         out = np.full(2, 0.5)
-        assert criterion_functional(block, 5, index_start=2, out=out) is out
+        assert criterion_functional(block, 5, 2, out=out) is out
         np.testing.assert_array_equal(out, [0.5, 0.5])
         with pytest.raises(DomainError):
-            criterion_functional(block, 0, index_start=2)
+            fold(block, 0, index_start=2)
 
 
 class TestCriterionFunctional:
@@ -112,8 +122,8 @@ class TestCriterionFunctional:
         block = random_block(5, trajectories=6, indices=4)
         out = np.full(8, -1.0)
         out[1:7] = 0.0
-        assert criterion_functional(block, 2, out=out[1:7]).base is out
-        np.testing.assert_array_equal(out[1:7], criterion_functional(block, 2))
+        assert criterion_functional(block, 2, 1, out=out[1:7]).base is out
+        np.testing.assert_array_equal(out[1:7], np.abs(block[1:]).max(axis=0))
         assert out[0] == out[7] == -1.0
         running = np.zeros(6)  # two blocks, indices 1..2 and 3..4, fold to the whole block's sups
         criterion_functional(block[:2], 2, 1, out=running)
@@ -153,16 +163,16 @@ class TestExtractRegulator:
         block = random_block(7, trajectories=30, indices=40)
         delta = PowerLogSequence(rate=0.5).values(np.arange(1, 41, dtype=float))
         ratios = regulator_ratio_matrix(block, delta[:, None])
-        factors = extract_regulator(block, delta)
-        assert np.all(ratios <= factors)
-        np.testing.assert_array_equal(ratios.max(axis=0), factors)
+        folded = factors(block, delta)
+        assert np.all(ratios <= folded)
+        np.testing.assert_array_equal(ratios.max(axis=0), folded)
 
     def test_factors_scale_with_values(self):
         block = random_block(8, trajectories=5, indices=6)
         delta = PowerLogSequence(rate=1.0).values(np.arange(1, 7, dtype=float))
         np.testing.assert_allclose(
-            extract_regulator(2.0 * block, delta),
-            2.0 * extract_regulator(block.copy(), delta),
+            factors(2.0 * block, delta),
+            2.0 * factors(block.copy(), delta),
             rtol=1e-15,
         )
 
@@ -171,14 +181,14 @@ class TestExtractRegulator:
         block = random_block(9, trajectories=10, indices=40)
         delta = PowerLogSequence(rate=0.5).values(np.arange(1, 41, dtype=float))
         ratios = np.abs(block) / delta[:, None]
-        factors = np.zeros(10)
+        running = np.zeros(10)
         for lo in range(0, 40, 3):
-            assert extract_regulator(block[lo : lo + 3].copy(), delta[lo : lo + 3], out=factors) is factors
-        np.testing.assert_array_equal(factors, ratios.max(axis=0))
+            assert extract_regulator(block[lo : lo + 3].copy(), delta[lo : lo + 3], out=running) is running
+        np.testing.assert_array_equal(running, ratios.max(axis=0))
 
     def test_ratios_overwrite_a_float_block(self):
         block = random_block(11, trajectories=4, indices=5)
         delta = np.arange(1, 6, dtype=float) ** -0.5
         expected = np.abs(block) / delta[:, None]
-        extract_regulator(block, delta)
+        factors(block, delta)
         np.testing.assert_array_equal(block, expected)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from glsreg.errors import DomainError, EmptyDomain, EmptySample, LengthMismatch
-from glsreg.estimates import power_mean_estimate
+from glsreg.estimates import ConfidenceValue, mean_estimate, power_mean_estimate
 from glsreg.generating import ExponentInterval, Extremal, PowerRoot, Tabulated, TwoSidedSingular
 from glsreg.moments import (
     _logsumexp_rows,
@@ -263,6 +263,14 @@ class TestEmpirical:
             est = power_mean_estimate(np.asarray(x), 1.7e308)
         assert est.value == max(x)
         assert est.half_width == pytest.approx(0.0, abs=1e-300)
+
+    def test_one_sample_has_an_infinite_half_width(self):
+        assert mean_estimate(np.asarray([0.25])) == ConfidenceValue(0.25, math.inf)
+        assert power_mean_estimate(np.asarray([-2.0]), 3.0) == ConfidenceValue(2.0, math.inf)
+
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    def test_all_zero_sample_has_zero_norm_and_width(self, p):
+        assert power_mean_estimate(np.zeros(5), p) == ConfidenceValue(0.0, 0.0)
 
     @pytest.mark.parametrize("p", [math.nan, math.inf, -1.0, 0.0, 0.5])
     def test_moments_reject_exponents_outside_one_to_infinity(self, p):

@@ -22,7 +22,15 @@ from glsreg.bounds import sigma_function
 from glsreg.cli import main
 from glsreg.estimates import power_mean_estimate
 from glsreg.generating import Extremal, PowerRoot, Tabulated, TwoSidedSingular, natural_function
-from glsreg.moments import empirical_tail, gls_norm_scan, std_exponential_moments
+from glsreg.moments import (
+    classical_grand_norm,
+    constant_moments,
+    empirical_tail,
+    gls_norm_scan,
+    half_normal_moments,
+    std_exponential_moments,
+    table_moments,
+)
 from glsreg.persist import (
     atomic_write_text,
     canonical_json,
@@ -110,6 +118,7 @@ REJECTED_CONFIGS = {
     ),
     "geometric-q-and-Q": bound_pair({"form": "geometric", "q": 0.25}, {"form": "geometric", "q": 0.1, "Q": 0.5}),
     "table-knots-descending": {**NORM, "psi": {"form": "table", "points": [[4.0, 2.0], [1.0, 1.0]]}},
+    "moments-table-knots-descending": {**NORM, "moments": {"kind": "table", "points": [[2.0, 1.0], [1.0, 1.5]]}},
     "discrete-length-mismatch": {**NORM, "moments": {"kind": "discrete", "atoms": [1.0, 2.0], "weights": [1.0]}},
     "natural-psi-without-moments": {"schema_version": 1, "command": "conjugate", "psi": {"form": "natural"}},
     "simulate-eps-not-below-alpha": {**SIMULATE, "model": {"kind": "exponential_power", "alpha": 0.3}},
@@ -614,6 +623,22 @@ class TestNormCommand:
         assert payload["argmax_p"] == math.nextafter(1.0, math.inf)
         assert payload["gls_norm"] == 2.0**-52  # ||f||_1 (p - 1) for the standard exponential
 
+    def test_table_moments_frozen(self, runner, tmp_path):
+        # log-log interpolation through the knots against psi(p) = p: the ratio is largest at p = 1
+        cfg = {**NORM, "moments": {"kind": "table", "points": [[1, 1], [2, 1.5], [8, 3]]}, "grand_q": 3}
+        (tmp_path / "n.json").write_text(json.dumps(cfg))
+        result = invoke(runner, "norm", "--config", str(tmp_path / "n.json"), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "o" / "norm.json").read_text())
+        del payload["provenance"]
+        assert payload == {
+            "command": "norm",
+            "gls_norm": 1.0,
+            "argmax_p": 1.0,
+            "unbounded": False,
+            "classical_grand_norm": 1.9999999999987836,
+        }
+
 
 class TestConjugateCommand:
     def test_closed_form_curve(self, runner, tmp_path):
@@ -791,6 +816,15 @@ class TestSimulateCommand:
         meta = json.loads((out1 / "eta.csv.meta.json").read_text())
         assert meta["seed"] == 3 and meta["n_last"] == 40
 
+    def test_one_trajectory_has_infinite_half_widths(self, runner, tmp_path):
+        cfg = {**SIMULATE, "trajectories": 1, "p_grid": [1.5, 2.5]}
+        (tmp_path / "s.json").write_text(json.dumps(cfg))
+        result = invoke(runner, "simulate", "--config", str(tmp_path / "s.json"), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 0, result.output
+        p_norms = json.loads((tmp_path / "o" / "summary.json").read_text())["p_norms"]
+        assert [row["p"] for row in p_norms] == [1.5, 2.5]
+        assert [row["half_width"] for row in p_norms] == ["inf", "inf"]
+
     def test_seed_flag_overrides_config(self, runner, tmp_path):
         cfg = self.write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -836,6 +870,17 @@ def _psi_form(psi_cfg: dict, psi):
     return {**NORM, "psi": psi_cfg}, "norm.json", expected
 
 
+def _moments_form(moments_cfg: dict, curve):
+    """A norm config with this moments block and grand_q 3; its report against the library on ``curve()``."""
+
+    def expected() -> dict:
+        scan = gls_norm_scan(curve(), PowerRoot(m=1.0))
+        grand = classical_grand_norm(curve(), 3.0)
+        return {"gls_norm": scan.value, "argmax_p": scan.argmax, "classical_grand_norm": grand}
+
+    return {**NORM, "moments": moments_cfg, "grand_q": 3}, "norm.json", expected
+
+
 def _pair_form(eps_cfg: dict, beta_cfg: dict, eps_seq, beta_seq):
     """A sequence-mode bound config with this pair block; its rows against sigma_function on the pair."""
     p_grid = [2.0, 3.0]
@@ -875,6 +920,12 @@ CONFIG_FORMS = {
         {"form": "table", "points": [[1, 1.0], [4.0, 4]]}, Tabulated(points=((1.0, 1.0), (4.0, 4.0)))
     ),
     "psi-natural": _psi_form({"form": "natural"}, natural_function(std_exponential_moments())),
+    "moments-half-normal": _moments_form({"kind": "half_normal"}, half_normal_moments),
+    "moments-constant": _moments_form({"kind": "constant", "value": 2.5}, lambda: constant_moments(2.5)),
+    "moments-table": _moments_form(
+        {"kind": "table", "points": [[1, 1], [2, 1.5], [8, 3]]},
+        lambda: table_moments([1.0, 2.0, 8.0], [1.0, 1.5, 3.0]),
+    ),
     "power-log-alpha-m": _pair_form(
         {"form": "power_log", "alpha": 2.0, "m": 1.0},
         {"form": "power_log", "alpha": 0.5, "m": -1.0},

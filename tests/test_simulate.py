@@ -600,11 +600,11 @@ class TestTrajectoryBatches:
         for k in range(10):  # row k holds index 3 + k for every trajectory
             np.testing.assert_array_equal(block[k], fresh_stream_column(plan, 3 + k))
         np.testing.assert_array_equal(regulator_delta(plan), np.arange(3, 13, dtype=float) ** -0.5)
-        np.testing.assert_array_equal(criterion_functional(block, 3, index_start=3), np.abs(block).max(axis=0))
-        np.testing.assert_array_equal(criterion_functional(block, 12, index_start=3), np.abs(block[9]))
-        np.testing.assert_array_equal(criterion_functional(block, 13, index_start=3), np.zeros(8))  # past the block
+        # window starts 3 (the whole block), 12 (its last row) and 13 (past it)
+        for n, sups in ((3, np.abs(block).max(axis=0)), (12, np.abs(block[9])), (13, np.zeros(8))):
+            np.testing.assert_array_equal(criterion_functional(block, n, 3, out=np.zeros(8)), sups)
         with pytest.raises(DomainError):
-            criterion_functional(block, 3, index_start=0)
+            criterion_functional(block, 3, 0, out=np.zeros(8))
 
     def test_eta_agrees_bitwise_with_batch_reduction(self):
         plan = exp_plan(trajectories=40, seed=6, truncation=FixedTruncation(n_last=25))

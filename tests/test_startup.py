@@ -46,6 +46,26 @@ with open(report, "w") as fh:
 """
 
 
+# Runs CLI commands in this one process, as the benchmark harness does: each
+# through main(..., standalone_mode=False) with stdout and stderr captured,
+# then prints one JSON line of exit codes and captured sizes as its result.
+_IN_PROCESS = """
+import contextlib, io, json, sys
+import click
+from glsreg.cli import main
+runs = []
+for args in json.loads(sys.argv[1]):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(args, standalone_mode=False)
+        except click.ClickException as exc:
+            code = exc.exit_code
+    runs.append({"code": 0 if code is None else code, "captured": len(sink.getvalue())})
+print(json.dumps({"runs": runs}))
+"""
+
+
 def _probe(tmp_path, *args) -> dict:
     """Run the CLI with ``args`` in a child; its exit code, loaded modules and peak RSS."""
     report = tmp_path / "probe.json"
@@ -169,3 +189,29 @@ class TestPackageImport:
         numpy_loaded, version, *modules = result.stdout.split()
         assert [numpy_loaded, version] == ["False", glsreg.__version__]
         assert [m for m in modules if m.startswith("glsreg.")] == []
+
+
+def _reject_constant(literal: str):
+    raise ValueError(f"{literal} is not strict JSON")
+
+
+class TestInProcessRuns:
+    def test_last_stdout_line_is_the_result(self, tmp_path):
+        # nothing the commands print may follow the result line: not at exit, not left in a buffer
+        verify_cfg = tmp_path / "verify.json"
+        verify_cfg.write_text(
+            json.dumps({"schema_version": 1, "command": "verify", "checks": ["conjugate-closed-form"], "seed": 1})
+        )
+        runs = [
+            ["bound", "--config", "configs/bound_regulator.json", "--out", str(tmp_path / "bound")],
+            ["verify", "--config", str(verify_cfg), "--out", str(tmp_path / "verify")],
+        ]
+        result = subprocess.run(
+            [sys.executable, "-c", _IN_PROCESS, json.dumps(runs)], cwd=ROOT, env=CHILD_ENV, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        payload = json.loads(lines[-1], parse_constant=_reject_constant)
+        assert [run["code"] for run in payload["runs"]] == [0, 0]
+        assert all(run["captured"] > 0 for run in payload["runs"])  # each summary went to its sink
+        assert lines == [lines[-1]]
