@@ -109,12 +109,6 @@ class GeometricSequence:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise DomainError(f"geometric scale must be positive, got {self.scale}")
 
-    def values(self, n: np.ndarray) -> np.ndarray:
-        n = np.asarray(n, dtype=float)
-        if np.any(n < 0):
-            raise DomainError("sequence indices must be >= 0")
-        return self.scale * self.q**n
-
 
 @dataclass(frozen=True)
 class DecaySequencePair:
@@ -141,4 +135,5 @@ class DecaySequencePair:
             raise DomainError(f"normaliser must decay slower than the numerator, got rates {e.rate} vs {b.rate}")
 
     def ratio_values(self, n: np.ndarray) -> np.ndarray:
+        """eps_n / beta_n at indices n >= 1 of a power-law pair; a geometric pair has its closed form."""
         return self.eps_seq.values(n) / self.beta_seq.values(n)

@@ -10,11 +10,13 @@ module also evaluates the exact tail
 
 its Bonferroni sandwich, and the exact moments by one fixed composite
 Gauss-Legendre rule against that tail: only the moments' cut of the integral
-at U is certified, and their rel_tol sets only that cut.  The tail and the
-sandwich sums run only to the first index whose term is at most abs_tol and
-add the midpoint of an integral bracket on the rest, so each is an estimate
-certified within abs_tol (up to rounding), not a lower partial sum.  These
-exact routines are the oracles every simulated quantity is verified against.
+at U is certified, and their rel_tol sets only that cut.  The sandwich sums
+(``exp_power_sum``) and the tail's log product (``_log_product``) are kernels
+on (c, gamma, n0) that run only to the first index whose term is at most
+abs_tol and add the midpoint of an integral bracket on the rest, so each is
+an estimate certified within abs_tol (up to rounding), not a lower partial
+sum.  These exact routines are the oracles every simulated quantity is
+verified against.
 
 Randomness is counter-based: index n of seed s is a Philox stream keyed
 (s, n), and trajectory j reads its word j, so the draw for (s, j, n) is a
@@ -416,46 +418,67 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
 # exact oracles for the exponential model
 
 
-def _log_product_floor(u: float, eps: float, index_start: int) -> float:
-    """Lower bound -(x_{n0} + I(n0)) / (1 - x_{n0}) on sum_{n >= n0} log1p(-x_n), n0 = index_start.
+def _log_product_bounds(c: float, gamma: float, index_start: int) -> tuple[float, float]:
+    """(floor, ceiling) = (-(x_{n0} + I(n0)) / (1 - x_{n0}), -I(n0)) on sum_{n >= n0} log1p(-x_n).
 
-    x_n and I are as in ``exact_eta_tail``; the bound holds as -log1p(-x) <= x / (1 - x)
-    and sum_{n >= n0} x_n <= x_{n0} + I(n0).  It is -inf where I(n0) passes the float range.
+    x_n = exp(-c n**gamma), n0 = index_start and I is ``_tail_integrals``.
+    They hold as x <= -log1p(-x) <= x / (1 - x) and, x_n being decreasing,
+    I(n0) <= sum_{n >= n0} x_n <= x_{n0} + I(n0).  Both are -inf where I(n0)
+    passes the float range.
     """
-    t0 = u * index_start**eps
-    return -(math.exp(-t0) + _tail_integrals(u, eps, index_start)[0]) / -math.expm1(-t0)
+    t0 = c * index_start**gamma
+    i0 = _tail_integrals(c, gamma, index_start)[0]
+    return -(math.exp(-t0) + i0) / -math.expm1(-t0), -i0
 
 
-def _log_product_ceiling(u: float, eps: float, index_start: int) -> float:
-    """Upper bound -I(n0) on sum_{n >= n0} log1p(-x_n), the mirror of ``_log_product_floor``.
+def _log_product(c: float, gamma: float, abs_tol: float, index_start: int) -> float:
+    """sum_{n >= index_start} log1p(-x_n), x_n = exp(-c n**gamma), within abs_tol, or a value <= ln(abs_tol).
 
-    It holds as log1p(-x) <= -x and, x_n being decreasing, sum_{n >= n0} x_n >= I(n0)
-    by the integral test.  It is -inf where I(n0) passes the float range.
+    The sum stops once it is <= ln(abs_tol): later terms only lower it.
+    Otherwise it runs to the first index N whose x_N is <= abs_tol
+    (``_term_cut``) and adds the midpoint of a bracket on the rest: from
+    x <= -log1p(-x) <= x / (1 - x) and the integral test, the rest lies in
+    [-I(N) / (1 - x_{N+1}), -I(N + 1)], at most x_N plus a term of order
+    abs_tol * I(N) wide; a bracket wider than 2 abs_tol raises
+    ``ToleranceUnreachable``.  When N passes the cap, ``_log_product_bounds``
+    decides before any sum: a ceiling <= ln(abs_tol) returns -inf, and a
+    floor above it raises what the full sum would.  The rest is -inf where
+    I(N) passes the float range, as the ceiling -I(n0) <= -I(N) is then -inf.
     """
-    return -_tail_integrals(u, eps, index_start)[0]
+    n_cut = _term_cut(c, gamma, abs_tol, index_start)
+    log_tol = math.log(abs_tol)
+
+    def rest() -> float:  # the bracket midpoint on the sum past n_cut
+        i_cut, i_next = _tail_integrals(c, gamma, n_cut, n_cut + 1)
+        if math.isinf(i_cut):
+            return -math.inf
+        return _bracket_midpoint(i_cut / math.expm1(-c * (n_cut + 1) ** gamma), -i_next, n_cut, abs_tol)
+
+    if n_cut > SERIES_TERM_CAP:
+        floor, ceiling = _log_product_bounds(c, gamma, index_start)
+        if ceiling <= log_tol:
+            return -math.inf  # the product is already below abs_tol
+        if floor > log_tol:
+            rest()  # the stop cannot fire: raise what the full sum would
+    with np.errstate(divide="ignore"):  # a factor that rounds to 0 logs to -inf, which ends the product
+        log_product = _chunked_sum(
+            lambda n: np.log1p(-np.exp(-c * n**gamma)), index_start, n_cut, lambda total, _: total <= log_tol
+        )
+        if log_product > log_tol:
+            log_product += rest()
+    return log_product
 
 
 def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
     """Exact tail P(eta > u) of the exponential-power model, within abs_tol.
 
-    Evaluates 1 - prod_{n >= index_start} (1 - x_n), x_n = exp(-u n**eps),
-    through the sum of its log1p(-x_n) terms.  The sum stops as soon as the
-    product is below abs_tol (later factors only shrink it, so the tail lies
-    in [1 - abs_tol, 1]).  Otherwise it runs to the first index N whose x_N
-    is <= abs_tol and adds the midpoint of a bracket on the rest of the log
-    product: from x <= -log1p(-x) <= x / (1 - x) and the integral test on
-    sum_{n > N} x_n, that rest lies in [-I(N) / (1 - x_{N+1}), -I(N + 1)]
-    with I(m) = int_m^inf exp(-u t**eps) dt.  The bracket is
-    I(N) - I(N + 1) + I(N) x_{N+1} / (1 - x_{N+1}) wide: at most x_N plus a
-    term of order abs_tol * I(N), and a bracket wider than 2 abs_tol raises
-    ``ToleranceUnreachable``, before the sum when N passes the cap and
-    ``_log_product_floor`` keeps the product above abs_tol.  When N passes
-    the cap and ``_log_product_ceiling`` already puts the product below
-    abs_tol, the result is 1.0 without a sum; it is 1.0 after the sum when
-    I(N) passes the float range, as the ceiling is then -inf.  The tail is
-    1 - exp of the log product, so its error is at most the log product's:
-    the result is an estimate within abs_tol of the tail (up to rounding),
-    not a lower or upper bound.  alpha cancels from the tail and only gates eps.
+    Evaluates 1 - prod_{n >= index_start} (1 - exp(-u n**eps)) as -expm1 of
+    its log, ``_log_product`` at (c, gamma) = (u, eps).  Once the product is
+    below abs_tol the tail lies in [1 - abs_tol, 1]; otherwise its error is at
+    most the log's.  So the result is an estimate within abs_tol of the tail
+    (up to rounding), not a lower or upper bound.  A tolerance the sum cannot
+    reach raises ``ToleranceUnreachable``, before the sum where the term cut
+    passes the cap.  alpha cancels from the tail and only gates eps.
     """
     _check_model_fields(alpha, index_start)
     check_eps(eps, alpha)
@@ -463,29 +486,7 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
         raise DomainError(f"tail threshold must be positive, got {u}")
     if not (0.0 < abs_tol < 1.0):
         raise DomainError(f"abs_tol must lie in (0, 1), got {abs_tol}")
-
-    n_cut = _term_cut(u, eps, abs_tol, index_start)
-    log_tol = math.log(abs_tol)
-
-    def rest() -> float:  # the bracket midpoint on the log sum past n_cut
-        i_cut, i_next = _tail_integrals(u, eps, n_cut, n_cut + 1)
-        if math.isinf(i_cut):  # then I(index_start) >= I(n_cut) is +inf too: the product is below abs_tol
-            return -math.inf
-        return _bracket_midpoint(i_cut / math.expm1(-u * (n_cut + 1) ** eps), -i_next, n_cut, abs_tol)
-
-    if n_cut > SERIES_TERM_CAP:
-        if _log_product_ceiling(u, eps, index_start) <= log_tol:
-            return 1.0  # the product is already below abs_tol
-        if _log_product_floor(u, eps, index_start) > log_tol:
-            rest()  # the stop cannot fire: raise what the full sum would
-    with np.errstate(divide="ignore"):  # a factor that rounds to 0 logs to -inf, which ends the product
-        # once the product is below abs_tol the sum may stop: later factors only shrink it
-        log_product = _chunked_sum(
-            lambda n: np.log1p(-np.exp(-u * n**eps)), index_start, n_cut, lambda total, _: total <= log_tol
-        )
-        if log_product > log_tol:
-            log_product += rest()
-    return min(1.0, -math.expm1(log_product))
+    return min(1.0, -math.expm1(_log_product(u, eps, abs_tol, index_start)))
 
 
 def bonferroni_sums(eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> tuple[float, float]:

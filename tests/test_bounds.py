@@ -248,10 +248,6 @@ class TestSequences:
         with pytest.raises(DomainError):
             PowerLogSequence(rate=1.0).values(np.asarray([0.0]))
 
-    def test_geometric_values_and_start(self):
-        seq = GeometricSequence(q=0.5, scale=2.0)
-        np.testing.assert_allclose(seq.values(np.asarray([0.0, 1.0, 3.0])), [2.0, 1.0, 0.25])
-
     def test_geometric_q_range(self):
         for bad in (0.0, 1.0, 1.5):
             with pytest.raises(DomainError):

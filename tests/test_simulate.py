@@ -58,8 +58,8 @@ def log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-def truncated_fsum(term, n_last, stop=None):
-    """sum_{n=1}^{n_last} term(n) by math.fsum, ending after the first chunk where ``stop(total)`` holds.
+def truncated_fsum(term, n_last, stop=None, index_start=1):
+    """sum_{n=index_start}^{n_last} term(n) by math.fsum, ending after the first chunk where ``stop(total)`` holds.
 
     The oracles' algorithm without the integral bracket: drop everything
     past a remainder-bound threshold.  Each chunk's sum is rounded once and the
@@ -67,15 +67,43 @@ def truncated_fsum(term, n_last, stop=None):
     the exact partial sum.
     """
     parts = []
-    lo = 1
+    lo = index_start
     while lo <= n_last:
-        assume(lo <= REFERENCE_TERMS)
+        assume(lo - index_start < REFERENCE_TERMS)
         top = min(n_last, lo + (1 << 16) - 1)
         parts.append(math.fsum(term(np.arange(lo, top + 1, dtype=float)).tolist()))
         if stop is not None and stop(math.fsum(parts)):
             break
         lo = top + 1
     return math.fsum(parts)
+
+
+# gamma -> rates c of the kernel property: at gamma 0.25 and c in [0.75, 1.5] the
+# product neither stops nor reaches its remainder threshold within REFERENCE_TERMS terms
+KERNEL_RATES = {
+    0.25: st.one_of(log_uniform(1e-6, 0.75), log_uniform(1.5, 100.0)),
+    0.75: log_uniform(1e-6, 100.0),
+    1.0: log_uniform(1e-6, 100.0),
+    2.0: log_uniform(1e-6, 100.0),
+}
+
+# (gamma, c, index_start) at which the floor and ceiling of the log product are checked
+LOG_PRODUCT_BOUND_CASES = [
+    (0.5, 0.3, 1),
+    (0.25, 2.0, 1),
+    (0.5, 1.0, 40),
+    (0.9, 5.0, 3),
+    (2.0, 1e-3, 1),
+    (0.75, 0.3, 100),
+    (2.0, 1e-4, 100),
+]
+
+
+@functools.cache
+def fsum_log_product(c, gamma, index_start):
+    """sum_{n=index_start}^{2e6 - 1} log1p(-exp(-c n**gamma)) by math.fsum; at every bound case its rest is < 1e-27."""
+    idx = np.arange(float(index_start), 2_000_000.0)
+    return math.fsum(np.log1p(-np.exp(-c * idx**gamma)))
 
 
 @pytest.fixture()
@@ -706,7 +734,7 @@ class TestExactTail:
         with deadline(0.5):
             assert exact_eta_tail(1.0, eps, u) == 1.0
         assert summed_cells == []
-        assert simulate_module._log_product_ceiling(u, eps, 1) < math.log(1e-12)
+        assert simulate_module._log_product_bounds(u, eps, 1)[1] < math.log(1e-12)
 
     @pytest.mark.parametrize("eps, u, cut", [(0.002, 28.370986119011363, 1), (0.0005, 27.59, 20)])
     def test_saturated_tail_with_an_overflowing_rest_returns_one(self, deadline, eps, u, cut):
@@ -718,17 +746,13 @@ class TestExactTail:
         with deadline(0.5):
             assert exact_eta_tail(1.0, eps, u) == 1.0
 
-    @pytest.mark.parametrize("eps, u, index_start", [(0.5, 0.3, 1), (0.25, 2.0, 1), (0.5, 1.0, 40), (0.9, 5.0, 3)])
-    def test_log_product_ceiling_bounds_the_log_product(self, eps, u, index_start):
-        idx = np.arange(float(index_start), 2_000_000.0)
-        log_product = math.fsum(np.log1p(-np.exp(-u * idx**eps)))
-        assert log_product <= simulate_module._log_product_ceiling(u, eps, index_start)
+    @pytest.mark.parametrize("gamma, c, index_start", LOG_PRODUCT_BOUND_CASES)
+    def test_log_product_ceiling_bounds_the_log_product(self, gamma, c, index_start):
+        assert fsum_log_product(c, gamma, index_start) <= simulate_module._log_product_bounds(c, gamma, index_start)[1]
 
-    @pytest.mark.parametrize("eps, u, index_start", [(0.5, 0.3, 1), (0.25, 2.0, 1), (0.5, 1.0, 40), (0.9, 5.0, 3)])
-    def test_log_product_floor_bounds_the_log_product(self, eps, u, index_start):
-        idx = np.arange(float(index_start), 2_000_000.0)
-        log_product = math.fsum(np.log1p(-np.exp(-u * idx**eps)))
-        assert simulate_module._log_product_floor(u, eps, index_start) <= log_product
+    @pytest.mark.parametrize("gamma, c, index_start", LOG_PRODUCT_BOUND_CASES)
+    def test_log_product_floor_bounds_the_log_product(self, gamma, c, index_start):
+        assert simulate_module._log_product_bounds(c, gamma, index_start)[0] <= fsum_log_product(c, gamma, index_start)
 
     @settings(max_examples=30, deadline=None)
     @given(eps=EPSILONS, u=log_uniform(1e-3, 100.0), abs_tol=TOLERANCES)
@@ -741,6 +765,26 @@ class TestExactTail:
         )
         reference = min(1.0, -math.expm1(log_product))
         assert abs(exact_eta_tail(1.0, eps, u, abs_tol) - reference) <= abs_tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gamma_and_c=st.sampled_from(sorted(KERNEL_RATES)).flatmap(
+            lambda gamma: st.tuples(st.just(gamma), KERNEL_RATES[gamma])
+        ),
+        index_start=st.sampled_from([1, 2, 10, 100]),
+        abs_tol=TOLERANCES,
+    )
+    def test_kernel_within_abs_tol_of_truncated_fsum(self, gamma_and_c, index_start, abs_tol):
+        gamma, c = gamma_and_c
+        ref_tol = abs_tol / 1000.0
+        log_product = truncated_fsum(
+            lambda n: np.log1p(-np.exp(-c * n**gamma)),
+            exp_power_threshold(c, gamma, ref_tol),
+            lambda total: total <= math.log(ref_tol),
+            index_start,
+        )
+        kernel = simulate_module._log_product(c, gamma, abs_tol, index_start)
+        assert abs(math.expm1(kernel) - math.expm1(log_product)) <= abs_tol
 
     @pytest.mark.parametrize("u", [0.01, 0.05])
     def test_small_u_stops_within_abs_tol(self, u):
@@ -858,6 +902,19 @@ class TestExactMoment:
             moment_p = exact_eta_moment(1.0, 0.5, p) ** p
             assert lower <= moment_p <= top
             assert top - lower <= 1e-2 * moment_p
+
+    def test_tail_evaluations_per_moment(self, monkeypatch):
+        # the anchor tail at u = 1 and 16 nodes on each of 29 panels: benchmarks/tracing.py
+        # reports this count as simulate.exact_eta_moment.p1.5.tail_evals
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return exact_eta_tail(*args)
+
+        monkeypatch.setattr(simulate_module, "exact_eta_tail", counting)
+        exact_eta_moment(1.0, 0.5, 1.5)
+        assert len(calls) == 465
 
     def test_dominates_first_term_moment(self):
         # eta >= Z_1 pointwise, so ||eta||_p >= Gamma(p+1)^(1/p)
