@@ -12,11 +12,12 @@ its Bonferroni sandwich, and the exact moments by one fixed composite
 Gauss-Legendre rule against that tail: only the moments' cut of the integral
 at U is certified, and their rel_tol sets only that cut.  The sandwich sums
 (``exp_power_sum``) and the tail's log product (``_log_product``) are kernels
-on (c, gamma, n0) that run only to the first index whose term is at most
-abs_tol and add the midpoint of an integral bracket on the rest, so each is
-an estimate certified within abs_tol (up to rounding), not a lower partial
-sum.  These exact routines are the oracles every simulated quantity is
-verified against.
+on (c, gamma, n0) that run only to a cut and add the midpoint of a bracket on
+the rest: the integral test past the first index whose term is at most
+abs_tol, or, where the term is convex and the convexity bracket is narrower,
+that bracket from an earlier cut.  So each is an estimate certified within
+abs_tol (up to rounding), not a lower partial sum.  These exact routines are
+the oracles every simulated quantity is verified against.
 
 Randomness is counter-based: index n of seed s is a Philox stream keyed
 (s, n), and trajectory j reads its word j, so the draw for (s, j, n) is a
@@ -211,18 +212,20 @@ def _check_exp_power_args(c: float, gamma: float) -> None:
         raise DomainError(f"index power must lie in (0, 2], got {gamma}")
 
 
-def _tail_integrals(c: float, gamma: float, *starts: int) -> list[float]:
-    """I(m) = int_m^inf exp(-c t**gamma) dt = Gamma(1 + a) c**(-a) Q(a, c m**gamma), a = 1/gamma, at each start m.
+def _tail_integrals(c: float, gamma: float, *starts: int, powers: tuple[int, ...] = (1,)) -> list[float]:
+    """I_k(m) = int_m^inf exp(-k c t**gamma) dt = Gamma(1 + a) (k c)**(-a) Q(a, k c m**gamma), a = 1/gamma.
 
-    One gammaln and one gammaincc call serve every start.  Where the front
-    Gamma(1 + a) c**(-a) passes the float range, each I(m) reads +inf.
+    One value per power k and start m, powers outermost; I(m) is I_1(m).  One
+    gammaln and one gammaincc call serve every start and power.  Where the
+    front Gamma(1 + a) c**(-a) passes the float range, each value reads +inf.
     """
     a = 1.0 / gamma
     log_front = special.gammaln(1.0 + a) - a * math.log(c)
     if log_front > _LOG_FLOAT_MAX:
-        return [math.inf] * len(starts)
-    front = math.exp(log_front)
-    return [front * q for q in special.gammaincc(a, [c * m**gamma for m in starts]).tolist()]
+        return [math.inf] * (len(starts) * len(powers))
+    fronts = [math.exp(log_front - a * math.log(k)) for k in powers for _ in starts]
+    q = special.gammaincc(a, [k * c * m**gamma for k in powers for m in starts]).tolist()
+    return [front * q_k for front, q_k in zip(fronts, q)]
 
 
 def exp_power_sum_tail_bound(c: float, gamma: float, n_last: int) -> float:
@@ -261,9 +264,46 @@ def exp_power_threshold(c: float, gamma: float, rho: float) -> int:
 
 
 def _term_cut(c: float, gamma: float, abs_tol: float, index_start: int) -> int:
-    """First N >= index_start with c N**gamma >= ln(1/abs_tol), in log space and clamped just past SERIES_TERM_CAP."""
+    """First N >= index_start with c N**gamma >= ln(1/abs_tol), in log space and clamped just past SERIES_TERM_CAP.
+
+    There the term f(N) = exp(-c N**gamma) is at most abs_tol, so the
+    integral-test bracket [I(N + 1), I(N)] on the rest past N, which is
+    int_N^{N+1} f <= f(N) wide, fits within 2 abs_tol whatever gamma is.
+    ``_convex_cut`` gives a smaller cut wherever f is convex and falls slowly.
+    """
     log_cut = (math.log(-math.log(abs_tol)) - math.log(c)) / gamma
     return max(index_start, math.ceil(math.exp(min(log_cut, math.log(SERIES_TERM_CAP + 1.0)))))
+
+
+def _convex_cut(c: float, gamma: float, abs_tol: float, lowest: int, n_cut: int) -> int:
+    """An N >= lowest where the convexity bracket on sum_{n >= N} f(n) is at most abs_tol wide; n_cut unless smaller.
+
+    f(t) = exp(-c t**gamma) is convex on [N, inf) once c gamma N**gamma >=
+    gamma - 1: always for gamma <= 1, past t* = ((gamma - 1) / (c gamma))**(1/gamma)
+    for gamma > 1.  There the trapezoid on each [n, n + 1] exceeds the integral
+    by between 0 and (f'(n + 1) - f'(n)) / 8 (first-order Euler-Maclaurin), so
+    sum_{n >= N} f(n) lies in [I(N) + f(N)/2, I(N) + f(N)/2 + w] with
+    w = c gamma N**(gamma - 1) f(N) / 8.  In x = ln N, w <= abs_tol reads
+    G(x) = c e**(gamma x) + (1 - gamma) x >= r = ln(c gamma / (8 abs_tol)).
+    G is convex, and increasing where f is convex, so Newton steps from
+    x = ln(n_cut) never fall below the root; three fixed steps (no search, no
+    gammaincc call) come close to it, and the rounded-up N is checked.  The
+    target abs_tol is half the 2 abs_tol a midpoint allows: a margin for
+    rounding.
+    """
+    if n_cut <= lowest:
+        return n_cut
+    r = math.log(c) + math.log(gamma) - math.log(8.0 * abs_tol)
+    x = x_cut = math.log(n_cut)
+    for _ in range(3):
+        s = c * math.exp(gamma * x)
+        slope = gamma * s + 1.0 - gamma  # G'(x), whose sign is that of f'' at e**x
+        if slope <= 0.0:
+            break
+        x = min(x_cut, x - (s + (1.0 - gamma) * x - r) / slope)
+    n = max(lowest, math.ceil(math.exp(x)))
+    s = c * n**gamma
+    return n if n < n_cut and s + (1.0 - gamma) * math.log(n) >= r and gamma * s >= gamma - 1.0 else n_cut
 
 
 def _bracket_midpoint(lo: float, hi: float, n_cut: int, abs_tol: float) -> float:
@@ -276,15 +316,24 @@ def _bracket_midpoint(lo: float, hi: float, n_cut: int, abs_tol: float) -> float
 def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
     """Certified estimate of sum_{n >= index_start} exp(-c n**gamma), within abs_tol up to rounding.
 
-    Sums the terms up to the first index N >= index_start whose term
-    f(N) = exp(-c N**gamma) is <= abs_tol (``_term_cut``, so a tiny c cannot
-    overflow it), then adds the midpoint of the integral bracket on the
-    rest: for a nonincreasing term, sum_{n > N} f(n) lies in
-    [I(N + 1), I(N)] with I(m) = int_m^inf f (``_tail_integrals``), and that
-    bracket is int_N^{N+1} f <= f(N) <= abs_tol wide.  So the result is an
-    estimate, not a lower partial sum, within abs_tol / 2 of the series (up
-    to rounding).  A tolerance that needs more than ``SERIES_TERM_CAP`` terms,
-    or a sum past the float range (I(N + 1) reads +inf), raises
+    Sums the terms f(n) = exp(-c n**gamma) up to a cut and adds the midpoint
+    of a bracket on the rest, at most 2 abs_tol wide, so the result is an
+    estimate, not a lower partial sum, within abs_tol of the series (up to
+    rounding).  Two brackets serve, with I(m) = int_m^inf f
+    (``_tail_integrals``):
+
+    - the integral test, for any gamma: past the first N whose f(N) is
+      <= abs_tol (``_term_cut``), the rest sum_{n > N} f(n) lies in
+      [I(N + 1), I(N)], at most f(N) wide;
+    - convexity, where f is convex on [N, inf) (gamma <= 1, or N past t*
+      for gamma > 1): sum_{n >= N} f(n) lies in [I(N) + f(N)/2,
+      I(N) + f(N)/2 + c gamma N**(gamma - 1) f(N) / 8].  The sum stops before
+      the first N whose bracket is at most abs_tol wide (``_convex_cut``),
+      which is used only where it comes before the term cut: at small gamma
+      it needs orders of magnitude fewer terms.
+
+    A tolerance whose term cut needs more than ``SERIES_TERM_CAP`` terms, or
+    a sum past the float range (the rest's lower end reads +inf), raises
     ``ToleranceUnreachable`` before the sum starts.
     """
     _check_index_start(index_start)
@@ -294,13 +343,22 @@ def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: i
     n_cut = _term_cut(c, gamma, abs_tol, index_start)
     if n_cut > SERIES_TERM_CAP:
         raise ToleranceUnreachable(f"a sum within {abs_tol} needs more than {SERIES_TERM_CAP} terms")
-    i_cut, i_next = _tail_integrals(c, gamma, n_cut, n_cut + 1)
-    if math.isinf(i_next):
+    n_convex = _convex_cut(c, gamma, abs_tol, index_start, n_cut)
+    if n_convex < n_cut:
+        last = n_convex - 1
+        (i_rest,) = _tail_integrals(c, gamma, n_convex)
+        f = math.exp(-c * n_convex**gamma)
+        lo = i_rest + 0.5 * f
+        hi = lo + c * gamma * n_convex ** (gamma - 1.0) * f / 8.0
+    else:
+        last = n_cut
+        hi, lo = _tail_integrals(c, gamma, n_cut, n_cut + 1)
+    if math.isinf(lo):
         raise ToleranceUnreachable(
-            f"the sum passes the float range: its rest past index {n_cut} is at least I({n_cut + 1}) = inf"
+            f"the sum passes the float range: its rest past index {last} is at least I({last + 1}) = inf"
         )
-    total = _chunked_sum(lambda n: np.exp(-c * n**gamma), index_start, n_cut)
-    return total + _bracket_midpoint(i_next, i_cut, n_cut, abs_tol)
+    total = _chunked_sum(lambda n: np.exp(-c * n**gamma), index_start, last)
+    return total + _bracket_midpoint(lo, hi, last, abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -435,37 +493,71 @@ def _log_product(c: float, gamma: float, abs_tol: float, index_start: int) -> fl
     """sum_{n >= index_start} log1p(-x_n), x_n = exp(-c n**gamma), within abs_tol, or a value <= ln(abs_tol).
 
     The sum stops once it is <= ln(abs_tol): later terms only lower it.
-    Otherwise it runs to the first index N whose x_N is <= abs_tol
-    (``_term_cut``) and adds the midpoint of a bracket on the rest: from
-    x <= -log1p(-x) <= x / (1 - x) and the integral test, the rest lies in
-    [-I(N) / (1 - x_{N+1}), -I(N + 1)], at most x_N plus a term of order
-    abs_tol * I(N) wide; a bracket wider than 2 abs_tol raises
-    ``ToleranceUnreachable``.  When N passes the cap, ``_log_product_bounds``
-    decides before any sum: a ceiling <= ln(abs_tol) returns -inf, and a
-    floor above it raises what the full sum would.  The rest is -inf where
-    I(N) passes the float range, as the ceiling -I(n0) <= -I(N) is then -inf.
+    Otherwise it runs to a cut and adds the midpoint of a bracket on the rest,
+    as ``exp_power_sum`` does, for the term g_n = -log1p(-x_n):
+
+    - the integral test, for any gamma: past the first N whose x_N is
+      <= abs_tol (``_term_cut``), x <= -log1p(-x) <= x / (1 - x) puts the
+      rest in [-I(N) / (1 - x_{N+1}), -I(N + 1)], at most x_N plus a term of
+      order abs_tol * I(N) wide;
+    - convexity, where x is convex on [N, inf) (see ``_convex_cut``), and so
+      g, a convex increasing function of x: sum_{n >= N} g_n lies in
+      [J + g_N/2, J + g_N/2 + c gamma N**(gamma - 1) x_N / (8 (1 - x_N))],
+      and J = int_N^inf g lies in [I_1 + I_2/2, I_1 + I_2 / (2 (1 - x_N))] by
+      x + x**2/2 <= -log1p(-x) <= x + x**2 / (2 (1 - x)), with I_k(N) the
+      integral of x**k (``_tail_integrals``).  Its cut is the convex cut, but
+      no lower than where x_N <= min(1/8, sqrt(abs_tol / ln(1/abs_tol))): if
+      the rest's top end leaves the product above abs_tol, then
+      I_1 < ln(1/abs_tol), so the I_2 part is at most 4/7 abs_tol wide and the
+      bracket fits.  It is used only where it comes before the term cut.
+
+    A bracket wider than 2 abs_tol raises ``ToleranceUnreachable``.  When the
+    term cut passes the cap, ``_log_product_bounds`` decides before any sum:
+    a ceiling <= ln(abs_tol) returns -inf, and, unless the convex cut comes
+    first, a floor above it raises what the full sum would.  The rest is -inf
+    where I(N) passes the float range, as the ceiling -I(n0) <= -I(N) is then
+    -inf.
     """
     n_cut = _term_cut(c, gamma, abs_tol, index_start)
     log_tol = math.log(abs_tol)
+    floor = -math.inf
+    if n_cut > SERIES_TERM_CAP:
+        floor, ceiling = _log_product_bounds(c, gamma, index_start)
+        if ceiling <= log_tol:
+            return -math.inf  # the product is already below abs_tol
+    x_top = min(0.125, math.sqrt(abs_tol / -log_tol))
+    n_convex = _convex_cut(c, gamma, abs_tol, _term_cut(c, gamma, x_top, index_start), n_cut)
 
-    def rest() -> float:  # the bracket midpoint on the sum past n_cut
+    def rest() -> float:  # the integral-test bracket's midpoint on the sum past n_cut
         i_cut, i_next = _tail_integrals(c, gamma, n_cut, n_cut + 1)
         if math.isinf(i_cut):
             return -math.inf
         return _bracket_midpoint(i_cut / math.expm1(-c * (n_cut + 1) ** gamma), -i_next, n_cut, abs_tol)
 
-    if n_cut > SERIES_TERM_CAP:
-        floor, ceiling = _log_product_bounds(c, gamma, index_start)
-        if ceiling <= log_tol:
-            return -math.inf  # the product is already below abs_tol
-        if floor > log_tol:
-            rest()  # the stop cannot fire: raise what the full sum would
+    def convex_rest(head: float) -> float:  # the convexity bracket's midpoint on the sum from n_convex
+        t = c * n_convex**gamma
+        x, one_minus_x = math.exp(-t), -math.expm1(-t)
+        i_1, i_2 = _tail_integrals(c, gamma, n_convex, powers=(1, 2))
+        if math.isinf(i_1):
+            return -math.inf
+        hi = -(i_1 + 0.5 * i_2) + 0.5 * math.log1p(-x)
+        if head + hi <= log_tol:
+            return hi  # the product is below abs_tol whatever the rest
+        width = 0.5 * i_2 * x / one_minus_x + c * gamma * n_convex ** (gamma - 1.0) * x / (8.0 * one_minus_x)
+        return _bracket_midpoint(hi - width, hi, n_convex - 1, abs_tol)
+
+    convex = n_convex < n_cut
+    if not convex and floor > log_tol:
+        rest()  # the stop cannot fire: raise what the full sum would
     with np.errstate(divide="ignore"):  # a factor that rounds to 0 logs to -inf, which ends the product
         log_product = _chunked_sum(
-            lambda n: np.log1p(-np.exp(-c * n**gamma)), index_start, n_cut, lambda total, _: total <= log_tol
+            lambda n: np.log1p(-np.exp(-c * n**gamma)),
+            index_start,
+            n_convex - 1 if convex else n_cut,
+            lambda total, _: total <= log_tol,
         )
         if log_product > log_tol:
-            log_product += rest()
+            log_product += convex_rest(log_product) if convex else rest()
     return log_product
 
 

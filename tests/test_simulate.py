@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special
 
 from glsreg import simulate as simulate_module
@@ -50,8 +50,9 @@ MODELS = [ExponentialPower, GaussianPower]
 EPSILONS = st.sampled_from([0.25, 0.5, 0.75])
 TOLERANCES = st.sampled_from([1e-10, 1e-12, 1e-13])
 # a reference that would sum more terms than this is skipped for time: it
-# costs about 60 ms per 1e6 terms
-REFERENCE_TERMS = 1 << 22
+# costs about 60 ms per 1e6 terms; the heaviest catalogue input (eps 0.25, u 1,
+# abs_tol 1e-13) needs 6.3e6
+REFERENCE_TERMS = 1 << 23
 
 
 def log_uniform(lo, hi):
@@ -79,7 +80,8 @@ def truncated_fsum(term, n_last, stop=None, index_start=1):
 
 
 # gamma -> rates c of the kernel property: at gamma 0.25 and c in [0.75, 1.5] the
-# product neither stops nor reaches its remainder threshold within REFERENCE_TERMS terms
+# product neither stops nor reaches its remainder threshold within 2**22 terms, so
+# random draws skip that band for time; an explicit example covers c = 1
 KERNEL_RATES = {
     0.25: st.one_of(log_uniform(1e-6, 0.75), log_uniform(1.5, 100.0)),
     0.75: log_uniform(1e-6, 100.0),
@@ -104,6 +106,24 @@ def fsum_log_product(c, gamma, index_start):
     """sum_{n=index_start}^{2e6 - 1} log1p(-exp(-c n**gamma)) by math.fsum; at every bound case its rest is < 1e-27."""
     idx = np.arange(float(index_start), 2_000_000.0)
     return math.fsum(np.log1p(-np.exp(-c * idx**gamma)))
+
+
+class TailGrid:
+    """The exact tail T(u) = P(eta > u) at n0 = 1 on the grid 0 = u_0 < ... < u_K = upper of K equal steps."""
+
+    def __init__(self, eps, upper, steps, tol=1e-12):
+        self.eps, self.upper, self.tol = eps, upper, tol
+        self.u = np.linspace(0.0, upper, steps + 1)
+        self.tail = np.asarray([1.0] + [exact_eta_tail(1.0, eps, float(x), abs_tol=tol) for x in self.u[1:]])
+
+    def moment_bracket(self, p):
+        """[lower, top] on ||eta||_p^p: T never increases, so with w_k = u_{k+1}^p - u_k^p
+        sum w_k T(u_{k+1}) <= ||eta||_p^p <= sum w_k T(u_k) + remainder beyond upper; tol upper^p covers T's error."""
+        weights = np.diff(self.u**p)
+        slack = self.tol * self.upper**p
+        lower = float(np.sum(weights * self.tail[1:])) - slack
+        top = float(np.sum(weights * self.tail[:-1])) + slack + _moment_tail_remainder(self.eps, p, self.upper, 1)
+        return lower, top
 
 
 @pytest.fixture()
@@ -316,17 +336,24 @@ class TestExpPowerCertified:
         assert exp_power_sum(1.3, 0.5, abs_tol=1e-10) == pytest.approx(brute, abs=1e-9)
 
     def test_sum_across_chunk_boundaries_matches_fsum(self):
-        # the cut, where the term meets 1e-10, is about 2.1e5, so the geometric
-        # chunk schedule crosses about 8 boundaries; past it the sum adds the
-        # midpoint of the integral bracket [I(N + 1), I(N)]
-        n_cut = math.ceil((math.log(1e10) / 0.05) ** 2)
-        idx = np.arange(1.0, n_cut + 1.0)
-        rest = exp_power_sum_tail_bound(0.05, 0.5, n_cut + 1) + exp_power_sum_tail_bound(0.05, 0.5, n_cut)
-        brute = math.fsum(np.exp(-0.05 * idx**0.5)) + 0.5 * rest
-        assert exp_power_sum(0.05, 0.5, abs_tol=1e-10) == pytest.approx(brute, abs=1e-12)
+        # the convex cut N, where the bracket width w = c gamma N**(gamma - 1) f(N) / 8 meets
+        # 1e-10, is about 5.6e4 (the term cut is 2.1e5), so the geometric chunk schedule
+        # crosses 5 boundaries; from N on the sum adds the midpoint of
+        # [I(N) + f(N)/2, I(N) + f(N)/2 + w]
+        c, gamma = 0.05, 0.5
+        idx = np.arange(1.0, 1e5)
+        width = c * gamma * idx ** (gamma - 1.0) * np.exp(-c * idx**gamma) / 8.0
+        n = simulate_module._convex_cut(c, gamma, 1e-10, 1, simulate_module._term_cut(c, gamma, 1e-10, 1))
+        assert width[n - 1] <= 1e-10 < width[int(0.999 * n) - 1]  # within 0.1% of the first such N
+        lo = exp_power_sum_tail_bound(c, gamma, n) + 0.5 * math.exp(-c * n**gamma)
+        brute = math.fsum(np.exp(-c * idx[: n - 1] ** gamma)) + lo + 0.5 * width[n - 1]
+        assert exp_power_sum(c, gamma, abs_tol=1e-10) == pytest.approx(brute, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(eps=EPSILONS, u=log_uniform(0.5, 50.0), abs_tol=TOLERANCES)
+    @example(eps=0.25, u=1.0, abs_tol=1e-13)  # the catalogue's heaviest sum
+    @example(eps=0.1, u=10.0, abs_tol=1e-10)  # convex cut 147, term cut 4190
+    @example(eps=2.0, u=0.01, abs_tol=1e-12)  # the sum crosses t* = 7.1, where f turns convex
     def test_sum_within_abs_tol_of_truncated_fsum(self, eps, u, abs_tol):
         n_last = exp_power_threshold(u, eps, abs_tol / 1000.0)
         assume(n_last <= REFERENCE_TERMS)
@@ -717,14 +744,18 @@ class TestExactTail:
     def test_small_u_saturates(self):
         assert exact_eta_tail(1.0, 0.5, 1e-8) == 1.0
 
-    def test_unreachable_tolerance_past_the_cap_raises_before_summing(self, summed_cells, deadline):
-        # the term cut passes the cap, the product stays near 1 and the bracket at the
-        # capped cut is 1.2e-11 wide; the moment meets the same tail at one of its nodes
-        with deadline(0.5), pytest.raises(ToleranceUnreachable, match="past index 100000001"):
-            exact_eta_tail(1.0, 0.05, 10.0)
-        assert summed_cells == []
-        with deadline(0.5), pytest.raises(ToleranceUnreachable, match="past index 100000001"):
-            exact_eta_moment(1.0, 0.1, 1.5)
+    def test_tail_past_the_term_cap_lies_in_the_integral_bracket(self, summed_cells, deadline):
+        # the term cut passes the cap and the integral bracket at the capped cut is 1.2e-11
+        # wide, so this raised; the convex cut is 1.2e4.  Reference: an fsum over 2**22
+        # terms plus the integral-test bracket on the rest past them, about 5e-10 wide
+        with deadline(0.5):
+            value = exact_eta_tail(1.0, 0.05, 10.0)
+        assert sum(summed_cells) <= 10**5
+        n = 1 << 22
+        head = math.fsum(np.log1p(-np.exp(-10.0 * np.arange(1.0, n + 1.0) ** 0.05)))
+        i_n, i_next = simulate_module._tail_integrals(10.0, 0.05, n, n + 1)
+        floor, ceiling = head + i_n / math.expm1(-10.0 * (n + 1) ** 0.05), head - i_next
+        assert -math.expm1(ceiling) - 1e-12 <= value <= -math.expm1(floor) + 1e-12
 
     @pytest.mark.parametrize("eps, u", [(0.02, 10.0), (0.5, 1e-200)])
     def test_saturated_tail_past_the_cap_returns_before_summing(self, summed_cells, deadline, eps, u):
@@ -774,6 +805,9 @@ class TestExactTail:
         index_start=st.sampled_from([1, 2, 10, 100]),
         abs_tol=TOLERANCES,
     )
+    @example(gamma_and_c=(0.25, 1.0), index_start=1, abs_tol=1e-13)  # the catalogue's heaviest tail
+    @example(gamma_and_c=(0.1, 10.0), index_start=1, abs_tol=1e-10)
+    @example(gamma_and_c=(2.0, 0.01), index_start=1, abs_tol=1e-12)  # crosses t* = 7.1
     def test_kernel_within_abs_tol_of_truncated_fsum(self, gamma_and_c, index_start, abs_tol):
         gamma, c = gamma_and_c
         ref_tol = abs_tol / 1000.0
@@ -785,6 +819,13 @@ class TestExactTail:
         )
         kernel = simulate_module._log_product(c, gamma, abs_tol, index_start)
         assert abs(math.expm1(kernel) - math.expm1(log_product)) <= abs_tol
+
+    def test_kernel_rest_below_the_tolerance_returns_its_top_end(self, summed_cells):
+        # the convex cut is index_start itself and the rest is about 151, so its I_2 part
+        # alone is 3.5e-4 wide, more than 2 abs_tol; but the rest's top end already puts the
+        # product below abs_tol, so the kernel returns that end and sums nothing
+        assert simulate_module._log_product(2e-5, 1.0, 1e-4, 290_000) <= math.log(1e-4)
+        assert summed_cells == [0]
 
     @pytest.mark.parametrize("u", [0.01, 0.05])
     def test_small_u_stops_within_abs_tol(self, u):
@@ -815,6 +856,16 @@ class TestTermCut:
         exp_power_sum(1.0, 0.25, abs_tol=1e-13)
         assert len(summed_cells) == 2
         assert max(summed_cells) <= cut
+
+    def test_convex_cut_sums_few_cells(self, summed_cells):
+        # the term cut is 2.66e7 and summed 26.6M cells; the kernel's convex cut is about 8.1e4
+        exact_eta_tail(1.0, 0.1, 5.0)
+        assert sum(summed_cells) <= 10**5
+
+    def test_bonferroni_check_sums_few_cells(self, summed_cells):
+        # 150 tails and 300 sums at abs_tol 1e-13: the term cuts summed 5.3M cells, the convex cuts 0.81M
+        verify.run_suite(["bonferroni-sandwich"])
+        assert sum(summed_cells) <= 10**6
 
     @pytest.mark.parametrize(
         "oracle, calls",
@@ -887,18 +938,10 @@ class TestExactMoment:
         assert exact_eta_moment(1.0, 0.5, 1.0) == pytest.approx(trapezoid, rel=1e-4)
 
     def test_monotone_tail_brackets_moment(self):
-        # T(u) = P(eta > u) never increases, so on 0 = u_0 < ... < u_K = U
-        #   sum (u_{k+1}^p - u_k^p) T(u_{k+1}) <= ||eta||_p^p
-        #   <= sum (u_{k+1}^p - u_k^p) T(u_k) + remainder beyond U
         # checks the quadrature independently of its own error estimate
-        upper, tol = 32.0, 1e-12
-        u = np.linspace(0.0, upper, 4001)
-        tail = np.asarray([1.0] + [exact_eta_tail(1.0, 0.5, float(x), abs_tol=tol) for x in u[1:]])
+        tails = TailGrid(0.5, 32.0, 4000)
         for p in (1.0, 1.5, 1.98):
-            weights = np.diff(u**p)
-            slack = tol * upper**p
-            lower = float(np.sum(weights * tail[1:])) - slack
-            top = float(np.sum(weights * tail[:-1])) + slack + _moment_tail_remainder(0.5, p, upper, 1)
+            lower, top = tails.moment_bracket(p)
             moment_p = exact_eta_moment(1.0, 0.5, p) ** p
             assert lower <= moment_p <= top
             assert top - lower <= 1e-2 * moment_p
@@ -933,14 +976,23 @@ class TestExactMoment:
             assert exact_eta_moment(1.0, eps, p, index_start=start) == pytest.approx(value, rel=1e-9, abs=0.0)
 
     def test_small_eps_raises_a_typed_error(self):
-        # the remainder's head at U = 32 would span 1.3e10 (eps 0.02) and 1e40 (eps 0.005)
-        # indices: its bound is +inf instead, the cut doubles, and the quadrature raises
-        for eps in (0.02, 0.005):
-            assert _moment_tail_remainder(eps, 1.5, 32.0, 1) == math.inf
-            start = time.perf_counter()
-            with pytest.raises(GLSError):
-                exact_eta_moment(1.0, eps, 1.5)
-            assert time.perf_counter() - start < 1.0
+        # the remainder's head at U = 32 would span 1e40 indices: its bound is +inf instead,
+        # the cut doubles, and the quadrature raises (eps 0.02 now answers, see below)
+        assert _moment_tail_remainder(0.005, 1.5, 32.0, 1) == math.inf
+        start = time.perf_counter()
+        with pytest.raises(GLSError):
+            exact_eta_moment(1.0, 0.005, 1.5)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("eps, upper, points", [(0.1, 16.0, 200), (0.02, 64.0, 640)])
+    def test_small_eps_moment_lies_in_a_monotone_bracket(self, deadline, eps, upper, points):
+        # these raised ToleranceUnreachable while the tails near the drop of P(eta > u)
+        # needed more than SERIES_TERM_CAP terms
+        with deadline(2.0):
+            moment_p = exact_eta_moment(1.0, eps, 1.5) ** 1.5
+        lower, top = TailGrid(eps, upper, points).moment_bracket(1.5)
+        assert lower <= moment_p <= top
+        assert top - lower <= 3e-2 * moment_p
 
     def test_remainder_past_a_float_is_infinite(self):
         # the tail's log bound is 1980 here, so e**700 would bound nothing
