@@ -12,12 +12,15 @@ its Bonferroni sandwich, and the exact moments by one fixed composite
 Gauss-Legendre rule against that tail: only the moments' cut of the integral
 at U is certified, and their rel_tol sets only that cut.  The sandwich sums
 (``exp_power_sum``) and the tail's log product (``_log_product``) are kernels
-on (c, gamma, n0) that run only to a cut and add the midpoint of a bracket on
-the rest: the integral test past the first index whose term is at most
-abs_tol, or, where the term is convex and the convexity bracket is narrower,
-that bracket from an earlier cut.  So each is an estimate certified within
-abs_tol (up to rounding), not a lower partial sum.  These exact routines are
-the oracles every simulated quantity is verified against.
+on (c, gamma, n0) with one cut rule (``_cut``): they sum n0..N-1 and bracket
+the rest from N.  N is the convex cut, where the convexity bracket first fits
+abs_tol, when that comes first, else one past the term cut, the first index
+whose term is at most abs_tol, and the integral test brackets the rest.  The
+cap on the number of terms is decided on the term cut.  Each adds the
+bracket's midpoint, or, once the product is below abs_tol, its top end.  So
+each is an estimate certified within abs_tol (up to rounding), not a lower
+partial sum.  These exact routines are the oracles every simulated quantity
+is verified against.
 
 Randomness is counter-based: index n of seed s is a Philox stream keyed
 (s, n), and trajectory j reads its word j, so the draw for (s, j, n) is a
@@ -269,41 +272,44 @@ def _term_cut(c: float, gamma: float, abs_tol: float, index_start: int) -> int:
     There the term f(N) = exp(-c N**gamma) is at most abs_tol, so the
     integral-test bracket [I(N + 1), I(N)] on the rest past N, which is
     int_N^{N+1} f <= f(N) wide, fits within 2 abs_tol whatever gamma is.
-    ``_convex_cut`` gives a smaller cut wherever f is convex and falls slowly.
+    ``_cut`` takes a smaller cut wherever f is convex and falls slowly.
     """
     log_cut = (math.log(-math.log(abs_tol)) - math.log(c)) / gamma
     return max(index_start, math.ceil(math.exp(min(log_cut, math.log(SERIES_TERM_CAP + 1.0)))))
 
 
-def _convex_cut(c: float, gamma: float, abs_tol: float, lowest: int, n_cut: int) -> int:
-    """An N >= lowest where the convexity bracket on sum_{n >= N} f(n) is at most abs_tol wide; n_cut unless smaller.
+def _cut(c: float, gamma: float, abs_tol: float, lowest: int, n_cut: int) -> tuple[int, bool]:
+    """(N, convex): the kernels sum up to N - 1 and bracket sum_{n >= N} f(n), by convexity if ``convex``.
 
+    N is the convex cut where that comes before the term cut n_cut, else
+    n_cut + 1, from where the integral test brackets the rest.  The convex cut
+    is the first N >= lowest whose convexity bracket is at most abs_tol wide.
     f(t) = exp(-c t**gamma) is convex on [N, inf) once c gamma N**gamma >=
     gamma - 1: always for gamma <= 1, past t* = ((gamma - 1) / (c gamma))**(1/gamma)
     for gamma > 1.  There the trapezoid on each [n, n + 1] exceeds the integral
     by between 0 and (f'(n + 1) - f'(n)) / 8 (first-order Euler-Maclaurin), so
-    sum_{n >= N} f(n) lies in [I(N) + f(N)/2, I(N) + f(N)/2 + w] with
-    w = c gamma N**(gamma - 1) f(N) / 8.  In x = ln N, w <= abs_tol reads
-    G(x) = c e**(gamma x) + (1 - gamma) x >= r = ln(c gamma / (8 abs_tol)).
+    the bracket is w = c gamma N**(gamma - 1) f(N) / 8 wide.  In x = ln N,
+    w <= abs_tol reads G(x) = c e**(gamma x) + (1 - gamma) x >= r = ln(c gamma / (8 abs_tol)).
     G is convex, and increasing where f is convex, so Newton steps from
     x = ln(n_cut) never fall below the root; three fixed steps (no search, no
     gammaincc call) come close to it, and the rounded-up N is checked.  The
     target abs_tol is half the 2 abs_tol a midpoint allows: a margin for
     rounding.
     """
-    if n_cut <= lowest:
-        return n_cut
-    r = math.log(c) + math.log(gamma) - math.log(8.0 * abs_tol)
-    x = x_cut = math.log(n_cut)
-    for _ in range(3):
-        s = c * math.exp(gamma * x)
-        slope = gamma * s + 1.0 - gamma  # G'(x), whose sign is that of f'' at e**x
-        if slope <= 0.0:
-            break
-        x = min(x_cut, x - (s + (1.0 - gamma) * x - r) / slope)
-    n = max(lowest, math.ceil(math.exp(x)))
-    s = c * n**gamma
-    return n if n < n_cut and s + (1.0 - gamma) * math.log(n) >= r and gamma * s >= gamma - 1.0 else n_cut
+    if n_cut > lowest:
+        r = math.log(c) + math.log(gamma) - math.log(8.0 * abs_tol)
+        x = x_cut = math.log(n_cut)
+        for _ in range(3):
+            s = c * math.exp(gamma * x)
+            slope = gamma * s + 1.0 - gamma  # G'(x), whose sign is that of f'' at e**x
+            if slope <= 0.0:
+                break
+            x = min(x_cut, x - (s + (1.0 - gamma) * x - r) / slope)
+        n = max(lowest, math.ceil(math.exp(x)))
+        s = c * n**gamma
+        if n < n_cut and s + (1.0 - gamma) * math.log(n) >= r and gamma * s >= gamma - 1.0:
+            return n, True
+    return n_cut + 1, False
 
 
 def _bracket_midpoint(lo: float, hi: float, n_cut: int, abs_tol: float) -> float:
@@ -316,21 +322,13 @@ def _bracket_midpoint(lo: float, hi: float, n_cut: int, abs_tol: float) -> float
 def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
     """Certified estimate of sum_{n >= index_start} exp(-c n**gamma), within abs_tol up to rounding.
 
-    Sums the terms f(n) = exp(-c n**gamma) up to a cut and adds the midpoint
-    of a bracket on the rest, at most 2 abs_tol wide, so the result is an
-    estimate, not a lower partial sum, within abs_tol of the series (up to
-    rounding).  Two brackets serve, with I(m) = int_m^inf f
-    (``_tail_integrals``):
-
-    - the integral test, for any gamma: past the first N whose f(N) is
-      <= abs_tol (``_term_cut``), the rest sum_{n > N} f(n) lies in
-      [I(N + 1), I(N)], at most f(N) wide;
-    - convexity, where f is convex on [N, inf) (gamma <= 1, or N past t*
-      for gamma > 1): sum_{n >= N} f(n) lies in [I(N) + f(N)/2,
-      I(N) + f(N)/2 + c gamma N**(gamma - 1) f(N) / 8].  The sum stops before
-      the first N whose bracket is at most abs_tol wide (``_convex_cut``),
-      which is used only where it comes before the term cut: at small gamma
-      it needs orders of magnitude fewer terms.
+    Sums the terms f(n) = exp(-c n**gamma) up to N - 1 (``_cut``) and adds
+    the midpoint of a bracket on the rest sum_{n >= N} f(n), at most 2 abs_tol
+    wide, so the result is an estimate, not a lower partial sum, within
+    abs_tol of the series (up to rounding).  With I(m) = int_m^inf f
+    (``_tail_integrals``), the rest lies in [I(N), I(N - 1)] by the integral
+    test, and in [I(N) + f(N)/2, I(N) + f(N)/2 + c gamma N**(gamma - 1) f(N) / 8]
+    by convexity.
 
     A tolerance whose term cut needs more than ``SERIES_TERM_CAP`` terms, or
     a sum past the float range (the rest's lower end reads +inf), raises
@@ -343,22 +341,20 @@ def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: i
     n_cut = _term_cut(c, gamma, abs_tol, index_start)
     if n_cut > SERIES_TERM_CAP:
         raise ToleranceUnreachable(f"a sum within {abs_tol} needs more than {SERIES_TERM_CAP} terms")
-    n_convex = _convex_cut(c, gamma, abs_tol, index_start, n_cut)
-    if n_convex < n_cut:
-        last = n_convex - 1
-        (i_rest,) = _tail_integrals(c, gamma, n_convex)
-        f = math.exp(-c * n_convex**gamma)
+    n, convex = _cut(c, gamma, abs_tol, index_start, n_cut)
+    if convex:
+        (i_rest,) = _tail_integrals(c, gamma, n)
+        f = math.exp(-c * n**gamma)
         lo = i_rest + 0.5 * f
-        hi = lo + c * gamma * n_convex ** (gamma - 1.0) * f / 8.0
+        hi = lo + c * gamma * n ** (gamma - 1.0) * f / 8.0
     else:
-        last = n_cut
-        hi, lo = _tail_integrals(c, gamma, n_cut, n_cut + 1)
+        hi, lo = _tail_integrals(c, gamma, n - 1, n)
     if math.isinf(lo):
         raise ToleranceUnreachable(
-            f"the sum passes the float range: its rest past index {last} is at least I({last + 1}) = inf"
+            f"the sum passes the float range: its rest past index {n - 1} is at least I({n}) = inf"
         )
-    total = _chunked_sum(lambda n: np.exp(-c * n**gamma), index_start, last)
-    return total + _bracket_midpoint(lo, hi, last, abs_tol)
+    total = _chunked_sum(lambda m: np.exp(-c * m**gamma), index_start, n - 1)
+    return total + _bracket_midpoint(lo, hi, n - 1, abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -489,34 +485,44 @@ def _log_product_bounds(c: float, gamma: float, index_start: int) -> tuple[float
     return -(math.exp(-t0) + i0) / -math.expm1(-t0), -i0
 
 
+def _log_rest(c: float, gamma: float, n: int, convex: bool) -> tuple[float, float]:
+    """(lo, hi) on sum_{m >= n} log1p(-exp(-c m**gamma)): ``_log_product``'s convexity or integral-test bracket."""
+    t = c * n**gamma
+    x, one_minus_x = math.exp(-t), -math.expm1(-t)
+    if convex:
+        i_1, i_2 = _tail_integrals(c, gamma, n, powers=(1, 2))
+        hi = -(i_1 + 0.5 * i_2) + 0.5 * math.log1p(-x)
+        return hi - (0.5 * i_2 * x / one_minus_x + c * gamma * n ** (gamma - 1.0) * x / (8.0 * one_minus_x)), hi
+    i_last, i_n = _tail_integrals(c, gamma, n - 1, n)
+    return -i_last / one_minus_x, -i_n
+
+
 def _log_product(c: float, gamma: float, abs_tol: float, index_start: int) -> float:
     """sum_{n >= index_start} log1p(-x_n), x_n = exp(-c n**gamma), within abs_tol, or a value <= ln(abs_tol).
 
-    The sum stops once it is <= ln(abs_tol): later terms only lower it.
-    Otherwise it runs to a cut and adds the midpoint of a bracket on the rest,
-    as ``exp_power_sum`` does, for the term g_n = -log1p(-x_n):
+    Sums the terms up to N - 1 (``_cut``), stopping once the sum is
+    <= ln(abs_tol) (later terms only lower it), and brackets the rest
+    sum_{n >= N} g_n, g = -log1p(-x) (``_log_rest``), with I_k(m) =
+    int_m^inf x**k (``_tail_integrals``) and I = I_1:
 
-    - the integral test, for any gamma: past the first N whose x_N is
-      <= abs_tol (``_term_cut``), x <= -log1p(-x) <= x / (1 - x) puts the
-      rest in [-I(N) / (1 - x_{N+1}), -I(N + 1)], at most x_N plus a term of
-      order abs_tol * I(N) wide;
-    - convexity, where x is convex on [N, inf) (see ``_convex_cut``), and so
-      g, a convex increasing function of x: sum_{n >= N} g_n lies in
-      [J + g_N/2, J + g_N/2 + c gamma N**(gamma - 1) x_N / (8 (1 - x_N))],
+    - integral test: x <= g <= x / (1 - x) puts it in
+      [I(N), I(N - 1) / (1 - x_N)], at most x_{N-1} plus a term of order
+      abs_tol * I(N) wide;
+    - convexity: g is a convex increasing function of a convex x, so it lies
+      in [J + g_N/2, J + g_N/2 + c gamma N**(gamma - 1) x_N / (8 (1 - x_N))],
       and J = int_N^inf g lies in [I_1 + I_2/2, I_1 + I_2 / (2 (1 - x_N))] by
-      x + x**2/2 <= -log1p(-x) <= x + x**2 / (2 (1 - x)), with I_k(N) the
-      integral of x**k (``_tail_integrals``).  Its cut is the convex cut, but
-      no lower than where x_N <= min(1/8, sqrt(abs_tol / ln(1/abs_tol))): if
-      the rest's top end leaves the product above abs_tol, then
-      I_1 < ln(1/abs_tol), so the I_2 part is at most 4/7 abs_tol wide and the
-      bracket fits.  It is used only where it comes before the term cut.
+      x + x**2/2 <= g <= x + x**2 / (2 (1 - x)).  Its cut is no lower than
+      where x_N <= min(1/8, sqrt(abs_tol / ln(1/abs_tol))): if the rest's top end
+      leaves the product above abs_tol, then I_1 < ln(1/abs_tol), so the I_2
+      part is at most 4/7 abs_tol wide and the bracket fits.
 
-    A bracket wider than 2 abs_tol raises ``ToleranceUnreachable``.  When the
-    term cut passes the cap, ``_log_product_bounds`` decides before any sum:
-    a ceiling <= ln(abs_tol) returns -inf, and, unless the convex cut comes
-    first, a floor above it raises what the full sum would.  The rest is -inf
-    where I(N) passes the float range, as the ceiling -I(n0) <= -I(N) is then
-    -inf.
+    Either bracket's top end is returned once it puts the product below
+    abs_tol; otherwise its midpoint is added, and a bracket wider than
+    2 abs_tol raises ``ToleranceUnreachable``.  When the term cut passes the
+    cap, ``_log_product_bounds`` decides first: a ceiling <= ln(abs_tol)
+    returns -inf, and a floor above it, which keeps both the stop and the top
+    end from firing, raises before the sum what the bracket would after it.
+    The top end is -inf where I(N) passes the float range.
     """
     n_cut = _term_cut(c, gamma, abs_tol, index_start)
     log_tol = math.log(abs_tol)
@@ -526,39 +532,19 @@ def _log_product(c: float, gamma: float, abs_tol: float, index_start: int) -> fl
         if ceiling <= log_tol:
             return -math.inf  # the product is already below abs_tol
     x_top = min(0.125, math.sqrt(abs_tol / -log_tol))
-    n_convex = _convex_cut(c, gamma, abs_tol, _term_cut(c, gamma, x_top, index_start), n_cut)
-
-    def rest() -> float:  # the integral-test bracket's midpoint on the sum past n_cut
-        i_cut, i_next = _tail_integrals(c, gamma, n_cut, n_cut + 1)
-        if math.isinf(i_cut):
-            return -math.inf
-        return _bracket_midpoint(i_cut / math.expm1(-c * (n_cut + 1) ** gamma), -i_next, n_cut, abs_tol)
-
-    def convex_rest(head: float) -> float:  # the convexity bracket's midpoint on the sum from n_convex
-        t = c * n_convex**gamma
-        x, one_minus_x = math.exp(-t), -math.expm1(-t)
-        i_1, i_2 = _tail_integrals(c, gamma, n_convex, powers=(1, 2))
-        if math.isinf(i_1):
-            return -math.inf
-        hi = -(i_1 + 0.5 * i_2) + 0.5 * math.log1p(-x)
-        if head + hi <= log_tol:
-            return hi  # the product is below abs_tol whatever the rest
-        width = 0.5 * i_2 * x / one_minus_x + c * gamma * n_convex ** (gamma - 1.0) * x / (8.0 * one_minus_x)
-        return _bracket_midpoint(hi - width, hi, n_convex - 1, abs_tol)
-
-    convex = n_convex < n_cut
-    if not convex and floor > log_tol:
-        rest()  # the stop cannot fire: raise what the full sum would
+    n, convex = _cut(c, gamma, abs_tol, _term_cut(c, gamma, x_top, index_start), n_cut)
+    if floor > log_tol:  # no sum can pass the floor: a bracket too wide raises now
+        _bracket_midpoint(*_log_rest(c, gamma, n, convex), n - 1, abs_tol)
     with np.errstate(divide="ignore"):  # a factor that rounds to 0 logs to -inf, which ends the product
         log_product = _chunked_sum(
-            lambda n: np.log1p(-np.exp(-c * n**gamma)),
-            index_start,
-            n_convex - 1 if convex else n_cut,
-            lambda total, _: total <= log_tol,
+            lambda m: np.log1p(-np.exp(-c * m**gamma)), index_start, n - 1, lambda total, _: total <= log_tol
         )
-        if log_product > log_tol:
-            log_product += convex_rest(log_product) if convex else rest()
-    return log_product
+    if log_product <= log_tol:
+        return log_product
+    lo, hi = _log_rest(c, gamma, n, convex)
+    if log_product + hi <= log_tol:
+        return log_product + hi
+    return log_product + _bracket_midpoint(lo, hi, n - 1, abs_tol)
 
 
 def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
