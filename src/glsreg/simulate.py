@@ -24,17 +24,28 @@ is verified against.
 
 Randomness is counter-based: index n of seed s is a Philox stream keyed
 (s, n), and trajectory j reads its word j, so the draw for (s, j, n) is a
-pure function of the three and does not change with the block size,
-n_last, index_start or a larger trajectory count.  ``simulate_trajectories``
-is the one column pass: one re-key and one ``Generator.random`` call fill an
-index's row of all T trajectories, and the rows go block by block into one
-reused buffer of about 1 MiB (``_BLOCK_CELLS`` float64 cells, at least one
-row) that is handed to a reducer.  Reducers fold each block into a few
-floats per trajectory; ``simulate_eta`` keeps the running regulator factor,
-so it holds one block plus 8 bytes per trajectory.  Max is exact, so the
-block size affects memory only, never a single bit of output.
-``glsreg simulate`` then streams eta.csv in blocks
-(``persist.write_eta_samples``).
+pure function of the three and does not change with the tile size, n_last,
+index_start or a larger trajectory count.  ``_uniform_tiles`` is that
+layout and the one place that keys a stream: one re-key per index, then
+``Generator.random`` fills the index's row, tile by tile, in one reused
+buffer.  Two folds read it.  ``simulate_trajectories`` is the dense column
+pass: it transforms each block of about 1 MiB (``_BLOCK_CELLS`` float64
+cells, at least one row) whole and hands it to a reducer, which folds it
+into a few floats per trajectory, as the convergence check does.
+``simulate_eta`` transforms only the cells that can raise eta.  A cell's
+ratio n**(alpha-eps) |Z_n| is g(u) w_n, with g the model's increasing draw
+(-log1p(-u), or sqrt(2) erfinv(u)) and w_n = n**(-eps) decreasing, so a
+cell with u <= g^-1(v_j / w_r) leaves trajectory j's running factor v_j as
+it is at every index n >= r.  Each trajectory keeps one such threshold,
+read from v_j with a margin for rounding (``_skip_thresholds``) whenever
+the cells drawn have doubled; v_j only grows, so a stale threshold only
+lets more cells through.  The cells that pass get the dense pass's
+arithmetic, and max is exact, so every eta keeps its bits, which the
+``regulator-eta-bitwise`` record of ``glsreg verify`` checks against the
+dense pass.  At 100k trajectories, 1.0% of the exponential model's cells
+(n_last 496) and 12% of the half-normal's (n_last 39) are transformed.
+Tile and block sizes affect memory only.  ``glsreg simulate`` then streams
+eta.csv in blocks (``persist.write_eta_samples``).
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 from scipy import special
@@ -83,6 +94,10 @@ TRUNCATION_CAP = 10**7
 _INDEX_MAX = 1e300  # exp_power_threshold reports no index past this
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _BLOCK_CELLS = 1 << 17  # cells of the column pass's buffer: 1 MiB of float64, cache-sized
+_FOLD_CELLS = 1 << 13  # cells simulate_eta draws at a time: 64 KiB, so its thresholds fit in the pass's memory
+_REFRESH_RATIO = 2  # simulate_eta re-reads its thresholds once the cells drawn reach this multiple of the last read's
+_SKIP_MARGIN = 2.0**-40  # relative margin of the skip test on the ratio's rounding (``_skip_thresholds``)
+_SKIP_SLACK = 2.0**-51  # absolute step of each skip threshold below g^-1: four float steps below u = 1
 _MOMENT_HEAD_CAP = 1 << 20  # indices _moment_tail_remainder sums one by one; past it the bound is +inf
 
 # nodes and weights on [-1, 1] of the rule exact_eta_moment applies on every panel
@@ -114,6 +129,12 @@ class ExponentialPower:
         np.log1p(out, out=out)
         return np.negative(out, out=out)
 
+    def _magnitude_cdf(self, magnitudes: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # the inverse of draw_magnitudes: 1 - exp(-x) = -expm1(-x)
+        np.negative(magnitudes, out=out)
+        np.expm1(out, out=out)
+        return np.negative(out, out=out)
+
 
 @dataclass(frozen=True)
 class GaussianPower:
@@ -137,6 +158,11 @@ class GaussianPower:
         # inverse CDF of |g|: P(|g| <= t) = erf(t / sqrt(2))
         out = special.erfinv(uniforms, out=out)
         return np.multiply(math.sqrt(2.0), out, out=out)
+
+    def _magnitude_cdf(self, magnitudes: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # the inverse of draw_magnitudes: erf(x / sqrt(2))
+        np.divide(magnitudes, math.sqrt(2.0), out=out)
+        return special.erf(out, out=out)
 
 
 SequenceModel = Union[ExponentialPower, GaussianPower]
@@ -395,33 +421,32 @@ def truncation_bound(plan: SimulationPlan, values: np.ndarray) -> float:
 # trajectory generation
 
 
-def _index_blocks(plan: SimulationPlan) -> list[range]:
-    """The column pass's index blocks: runs of max(1, _BLOCK_CELLS // trajectories) consecutive indices."""
-    per_block = max(1, _BLOCK_CELLS // plan.trajectories)
+def _index_blocks(plan: SimulationPlan, cells: int | None = None) -> list[range]:
+    """A pass's index blocks: runs of max(1, cells // trajectories) indices; cells defaults to ``_BLOCK_CELLS``."""
+    per_block = max(1, (cells or _BLOCK_CELLS) // plan.trajectories)
     stop = resolve_n_last(plan) + 1
     return [range(lo, min(stop, lo + per_block)) for lo in range(plan.index_start, stop, per_block)]
 
 
-def simulate_trajectories(plan: SimulationPlan, reduce: Callable[[slice, np.ndarray], object]) -> None:
-    """The one column pass: call ``reduce(rows, block)`` on each index block of the plan's raw Z_n.
+def _uniform_tiles(plan: SimulationPlan, cells: int) -> Iterator[tuple[range, slice, np.ndarray]]:
+    """The one stream layout: (indices, columns, tile), tile[k, i] the uniform of indices[k], columns.start + i.
 
-    ``block`` holds one row per index and one column per trajectory: its row
-    k is Z_n at n = index_start + rows.start + k, so ``rows`` is the block's
-    slice of the plan's indices index_start..n_last (and of
-    ``regulator_delta``).  Row n is the stream of a fresh
-    ``Philox(key=(seed, n))``, trajectory j reading its word j.  One Philox
-    serves every row: before each row its state is set to counter 0, key
-    (seed, n) and buffer_pos 4, which drops any partly used 4-word buffer.
-    The state holds plain Python ints, which the ``Philox.state`` setter
-    converts faster than numpy scalars.  Those two calls cost the same
-    whatever T, so the pass is cheapest per cell when T is large against
-    n_last; with few trajectories and a long n_last they, not the cells, set
-    its time.  The next block reuses the block's buffer, so ``reduce`` keeps
-    what it needs and may overwrite it.
+    Row n is the stream of a fresh ``Philox(key=(seed, n))``, trajectory j
+    reading its word j.  One Philox serves every row: before each row its
+    state is set to counter 0, key (seed, n) and buffer_pos 4, which drops
+    any partly used 4-word buffer.  The state holds plain Python ints, which
+    the ``Philox.state`` setter converts faster than numpy scalars.  Those
+    two calls cost the same whatever T, so a pass is cheapest per cell when
+    T is large against n_last; with few trajectories and a long n_last they,
+    not the cells, set its time.  Rows go ``_index_blocks(plan, cells)`` at
+    a time into one reused buffer; a row of more than ``cells`` trajectories
+    goes in pieces of ``cells``, each continuing the row's stream where the
+    last stopped, so the draws are the same whatever ``cells`` is.  The next
+    tile reuses the buffer, so the caller keeps what it needs and may
+    overwrite it.
     """
-    blocks = _index_blocks(plan)
-    n_idx = np.arange(plan.index_start, blocks[-1].stop, dtype=float)
-    scale = (n_idx ** (-plan.alpha))[:, None]
+    width = min(plan.trajectories, cells)
+    blocks = _index_blocks(plan, cells)
     key = [plan.seed, 0]
     state = {
         "bit_generator": "Philox",
@@ -433,13 +458,42 @@ def simulate_trajectories(plan: SimulationPlan, reduce: Callable[[slice, np.ndar
     }
     bits = np.random.Philox(key=0)  # re-keyed before every row
     gen = np.random.Generator(bits)
-    buffer = np.empty((len(blocks[0]), plan.trajectories))
+    buffer = np.empty((len(blocks[0]), width))
     for indices in blocks:
-        block = buffer[: len(indices)]
-        for n, row in zip(indices, block):
-            key[1] = n
+        if width == plan.trajectories:
+            tile = buffer[: len(indices)]
+            for n, row in zip(indices, tile):
+                key[1] = n
+                bits.state = state
+                gen.random(out=row)
+            yield indices, slice(0, width), tile
+        else:  # one index a block, in pieces
+            key[1] = indices.start
             bits.state = state
-            gen.random(out=row)
+            for lo in range(0, plan.trajectories, width):
+                tile = buffer[:, : min(width, plan.trajectories - lo)]
+                gen.random(out=tile[0])
+                yield indices, slice(lo, lo + tile.shape[1]), tile
+
+
+def _index_scale(plan: SimulationPlan) -> np.ndarray:
+    """n**(-alpha) at the plan's simulated indices index_start..n_last: Z_n = magnitude * scale."""
+    return np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float) ** (-plan.alpha)
+
+
+def simulate_trajectories(plan: SimulationPlan, reduce: Callable[[slice, np.ndarray], object]) -> None:
+    """The dense column pass: call ``reduce(rows, block)`` on each index block of the plan's raw Z_n.
+
+    ``block`` holds one row per index and one column per trajectory: its row
+    k is Z_n at n = index_start + rows.start + k, so ``rows`` is the block's
+    slice of the plan's indices index_start..n_last (and of
+    ``regulator_delta``).  The rows come from ``_uniform_tiles`` in blocks
+    of ``_BLOCK_CELLS`` cells (at least one whole row), each transformed
+    whole: magnitude, then times n**(-alpha).  The next block reuses the
+    block's buffer, so ``reduce`` keeps what it needs and may overwrite it.
+    """
+    scale = _index_scale(plan)[:, None]
+    for indices, _, block in _uniform_tiles(plan, max(_BLOCK_CELLS, plan.trajectories)):
         rows = slice(indices.start - plan.index_start, indices.stop - plan.index_start)
         plan.model.draw_magnitudes(block, out=block)
         reduce(rows, np.multiply(block, scale[rows], out=block))
@@ -455,17 +509,75 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
     """Realize eta = max_{index_start <= n <= n_last} n**(alpha-eps) |Z_n| per trajectory.
 
     Returns one record per trajectory with the single field ``value``: the
-    column pass folding each block into the running factors of
-    ``criteria.extract_regulator`` against ``regulator_delta``, so it holds
-    one block plus 8 bytes per trajectory.  ``truncation_bound`` gives the
-    batch's truncation risk.
+    regulator factors v_j of ``criteria.extract_regulator`` against
+    ``regulator_delta``, bit for bit those of the dense pass
+    (``simulate_trajectories``), but only the cells that can raise a factor
+    are transformed.  A cell's ratio is g(u) w_n, with g the model's
+    increasing draw and w_n = n**(-alpha) / delta_n = n**(-eps) decreasing
+    in n, so a cell with u <= g^-1(v_j / w_r) leaves v_j as it is in every
+    row n >= r.  The thresholds t_j are read from the running factors at a
+    row r, with a margin for rounding (``_skip_thresholds``), and read again
+    once the cells drawn reach ``_REFRESH_RATIO`` times those drawn at the
+    last read.  v_j only grows, so a stale t_j only lets more cells through.
+    The uniforms come from ``_uniform_tiles`` in tiles of ``_FOLD_CELLS``
+    cells.  A tile where more than an eighth of the cells pass is
+    transformed whole; otherwise the passing cells are gathered.  Either way
+    each transformed cell gets the dense pass's arithmetic: magnitude, times
+    n**(-alpha), |.| / delta_n, then the max.  The fold holds the factors,
+    the thresholds and one tile with its mask and gathers: 16 bytes a
+    trajectory plus about 100 KiB.  The dense pass holds 8 bytes a
+    trajectory plus a block of 1 MiB or one row, whichever is larger, so the
+    fold is no heavier to within those 100 KiB.
+    ``truncation_bound`` gives the batch's truncation risk.
     """
     delta = regulator_delta(plan)
+    scale = _index_scale(plan)
     eta = np.recarray(plan.trajectories, dtype=[("value", float)])  # filled in place: no copy at the end
     factors = eta.value
     factors.fill(0.0)  # the fold's start: every ratio is >= 0
-    simulate_trajectories(plan, lambda rows, block: extract_regulator(block, delta[rows], out=factors))
+    thresholds = np.zeros(plan.trajectories)  # no cell is skipped before the first read
+    passing = None
+    drawn = read_at = 0
+    for indices, columns, tile in _uniform_tiles(plan, _FOLD_CELLS):
+        row = indices.start - plan.index_start
+        rows = slice(row, row + len(indices))
+        if columns.start == 0 and drawn > read_at and drawn >= _REFRESH_RATIO * read_at:
+            _skip_thresholds(plan.model, factors, scale[row] / delta[row], out=thresholds)
+            read_at = drawn
+        drawn += tile.size
+        if passing is None:  # later tiles are no larger than the first
+            passing = np.empty(tile.shape, dtype=bool)
+        mask = np.greater(tile, thresholds[columns], out=passing[: tile.shape[0], : tile.shape[1]])
+        count = np.count_nonzero(mask)
+        if 8 * count > tile.size:  # the gathers would cost more time and memory than the whole tile
+            plan.model.draw_magnitudes(tile, out=tile)
+            extract_regulator(np.multiply(tile, scale[rows, None], out=tile), delta[rows], out=factors[columns])
+        elif count:  # a tile of several rows may pass one trajectory twice, hence maximum.at
+            passed = np.flatnonzero(mask)
+            k, j = np.divmod(passed, tile.shape[1]) if len(indices) > 1 else (0, passed)
+            cells = tile[k, j]
+            plan.model.draw_magnitudes(cells, out=cells)
+            np.multiply(cells, scale[rows][k], out=cells)
+            np.abs(cells, out=cells)
+            np.maximum.at(factors[columns], j, np.divide(cells, delta[rows][k], out=cells))
     return eta
+
+
+def _skip_thresholds(model: SequenceModel, factors: np.ndarray, weight: float, out: np.ndarray) -> np.ndarray:
+    """Into ``out``, t_j = g^-1(v_j / (w (1 + _SKIP_MARGIN))) - _SKIP_SLACK: cells with u <= t_j cannot raise v_j.
+
+    ``weight`` is w_r = n**(-alpha) / delta_n at the read's row r, and every
+    later row's weight is smaller (w_n = n**(-eps)).  The margin covers the
+    rounding of the cell's ratio: the draw g(u), the two products and the
+    weights, each a few ulps, against 2**-40.  The slack, four float steps
+    below 1, covers the rounding of g^-1 itself, which near u = 1 a margin
+    on v_j cannot: there g is steep, so one step in u moves g(u) by more
+    than the margin.  So u <= t_j gives g(u) <= v_j / (w_r (1 + margin)) and
+    a computed ratio no larger than v_j.
+    """
+    np.divide(factors, weight * (1.0 + _SKIP_MARGIN), out=out)
+    model._magnitude_cdf(out, out=out)
+    return np.subtract(out, _SKIP_SLACK, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -372,24 +372,21 @@ class TestRunSuite:
         import glsreg.verify as verify
         from glsreg.simulate import resolve_n_last
 
+        # cells are counted where every pass draws them, the shared stream layout; the caller is
+        # the function that iterates it: the dense pass the convergence check runs, or simulate_eta
         passes = []
-        column_pass = glsreg.simulate.simulate_trajectories
+        stream = glsreg.simulate._uniform_tiles
+        callers = {"simulate_trajectories": "convergence-diagnostics", "simulate_eta": "simulate_eta"}
 
-        def counted(caller):
-            def simulate_trajectories(plan, reduce):
-                cells = []
+        def counted(plan, cells):
+            caller = callers[sys._getframe(1).f_code.co_name]
+            drawn = 0
+            for indices, columns, tile in stream(plan, cells):
+                drawn += tile.size
+                yield indices, columns, tile
+            passes.append((caller, plan, drawn))
 
-                def counting(rows, block):
-                    cells.append(block.size)
-                    reduce(rows, block)
-
-                column_pass(plan, counting)
-                passes.append((caller, plan, sum(cells)))
-
-            return simulate_trajectories
-
-        monkeypatch.setattr(glsreg.simulate, "simulate_trajectories", counted("simulate_eta"))
-        monkeypatch.setattr(verify, "simulate_trajectories", counted("convergence-diagnostics"))
+        monkeypatch.setattr(glsreg.simulate, "_uniform_tiles", counted)
         verify.run_suite(verify.DEFAULT_SUITE, seed=1, trajectories=500)
         n_last = resolve_n_last(verify._exponential_plan(1, 500))
         convergence = verify._exponential_plan(1, 500, alpha=2.0)

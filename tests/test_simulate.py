@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,6 +196,24 @@ def pass_blocks(plan):
 def pass_batch(plan):
     """Every Z_n of a plan read through the one column pass, one trajectory per row."""
     return np.vstack([block for _, block in pass_blocks(plan)]).T
+
+
+def dense_eta(plan):
+    """The regulator of every trajectory from the dense pass: every cell transformed and folded by extract_regulator."""
+    delta = regulator_delta(plan)
+    factors = np.zeros(plan.trajectories)
+    simulate_trajectories(plan, lambda rows, block: extract_regulator(block, delta[rows], out=factors))
+    return factors
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def exp_plan(eps=0.5, trajectories=100, seed=7, start=1, **kw):
@@ -581,8 +600,81 @@ class TestSimulateEta:
         folded = np.maximum(eta(k, m - 1), eta(m, n_last))
         assert folded.tobytes() == eta(k, n_last).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(MODELS),
+        alpha=st.sampled_from([0.75, 1.0, 2.0]),
+        eps=st.sampled_from([0.1, 0.25, 0.5]),
+        trajectories=st.integers(1, 300),
+        start=st.integers(1, 6),
+        extra=st.one_of(st.none(), st.integers(0, 300)),
+        seed=st.integers(0, 2**64 - 1),
+        block_cells=st.sampled_from([1, 7 * 13, 4096, 1 << 17]),
+        fold_cells=st.sampled_from([7, 64, 1000, 1 << 13]),
+        refresh=st.sampled_from([1, 1.5, 2, 64]),
+    )
+    @example(
+        model=ExponentialPower, alpha=1.0, eps=0.5, trajectories=100_000, start=1, extra=39, seed=42,
+        block_cells=1 << 17, fold_cells=1 << 13, refresh=2,
+    )
+    def test_thresholded_fold_equals_dense_pass(
+        self, model, alpha, eps, trajectories, start, extra, seed, block_cells, fold_cells, refresh
+    ):
+        # simulate_eta transforms only the cells above each trajectory's skip threshold; the dense
+        # pass transforms every cell, so the two agree bit for bit only if no skipped cell could
+        # raise a factor.  extra None is a tail-target truncation (at eps 0.5: n_last 16 to 261);
+        # 7 and 1000 cells split rows into pieces, and a refresh ratio of 1 re-reads every tile
+        if extra is None:
+            eps, truncation = 0.5, TailTargetTruncation()
+        else:
+            truncation = FixedTruncation(n_last=start + extra)
+        plan = SimulationPlan(model(alpha=alpha, index_start=start), eps, trajectories, truncation, seed)
+        with mock.patch.multiple(
+            simulate_module, _BLOCK_CELLS=block_cells, _FOLD_CELLS=fold_cells, _REFRESH_RATIO=refresh
+        ):
+            assert simulate_eta(plan).value.tobytes() == dense_eta(plan).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(MODELS),
+        alpha=st.sampled_from([0.75, 1.0, 2.0]),
+        eps=st.sampled_from([0.01, 0.1, 0.5, 0.7]),
+        index=st.integers(1, 10**6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_skip_threshold_lies_below_every_cell_that_raises(self, model, alpha, eps, index, seed):
+        # each trajectory's factor is the ratio of its own cell u at the read's row, as when that
+        # cell has just set it; the next float above u at that row and u itself at the next rows
+        # must then pass the skip test wherever their computed ratio is larger.  The uniforms are
+        # the plan's own draws plus the floats next to 0 and next to 1, where g is steep
+        assume(eps < alpha)
+        plan = SimulationPlan(
+            model(alpha=alpha, index_start=index), eps, 4096, FixedTruncation(n_last=index + 3), seed
+        )
+        u = np.concatenate(
+            [
+                np.minimum(next(simulate_module._uniform_tiles(plan, 4096))[2][0], 1.0 - 2.0**-52),
+                2.0**-53 * np.arange(1, 65),
+                1.0 - 2.0**-53 * np.arange(2, 66),
+                1.0 - 2.0 ** -np.arange(2, 53),
+            ]
+        )  # every next float lies below 1, as every draw does
+        scale, delta = simulate_module._index_scale(plan), regulator_delta(plan)
+
+        def ratios(k, cells):
+            magnitudes = plan.model.draw_magnitudes(cells.copy())
+            return regulator_ratio_matrix(magnitudes * scale[k], delta[k])
+
+        factors = ratios(0, u)
+        thresholds = simulate_module._skip_thresholds(plan.model, factors, scale[0] / delta[0], np.empty_like(u))
+        for k, cells in ((0, np.nextafter(u, 1.0)), (1, u), (3, u), (3, np.nextafter(u, 1.0))):
+            raises = ratios(k, cells) > factors
+            assert np.all(cells[raises] > thresholds[raises])
+
     def test_eta_peak_memory_near_one_chunk(self, monkeypatch):
+        # the fold draws tiles of _FOLD_CELLS cells; at the size of the dense block it holds about one
         monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 1 << 20)
+        monkeypatch.setattr(simulate_module, "_FOLD_CELLS", 1 << 20)
         plan = exp_plan(trajectories=3000, seed=5, truncation=FixedTruncation(n_last=1000))
         blocks = simulate_module._index_blocks(plan)
         assert len(blocks) >= 2
@@ -600,13 +692,12 @@ class TestSimulateEta:
         # 20k rows of width 500 would fill 80 MB; the default block holds about 1 MiB of them
         plan = exp_plan(trajectories=20_000, seed=5, truncation=FixedTruncation(n_last=500))
         eta_bytes = plan.trajectories * np.dtype(float).itemsize
-        tracemalloc.start()
-        try:
-            simulate_eta(plan)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < (4 << 20) + eta_bytes
+        assert traced_peak(lambda: simulate_eta(plan)) < (4 << 20) + eta_bytes
+        # at 100k trajectories a dense block is one row, 8 bytes a trajectory; the thresholded fold
+        # holds its skip thresholds instead and draws the row in small tiles, so it stays at the
+        # dense pass's level (1.63 MiB), where a tile of one whole row would not
+        wide = exp_plan(trajectories=100_000, seed=5, truncation=FixedTruncation(n_last=40))
+        assert traced_peak(lambda: simulate_eta(wide)) <= traced_peak(lambda: dense_eta(wide))
 
     def test_truncation_bounds_certified_above_u_min(self):
         m = 500
