@@ -53,20 +53,21 @@ class MomentEnvelope:
         _check_model_fields(self.alpha, self.index_start)
 
 
-def _check_index_start(index_start: int) -> None:
-    """The first index of a sequence model: an integer >= 1 (``operator.index``, so 2.0 is refused)."""
+def _check_integer(name: str, value: int, lowest: int, highest: float = math.inf) -> None:
+    """``value`` must be an integer in [lowest, highest] (``operator.index``, so 2.0 and 1.5 are refused)."""
     try:
-        if operator.index(index_start) >= 1:
+        if lowest <= operator.index(value) <= highest:
             return
     except TypeError:
         pass
-    raise DomainError(f"index_start must be an integer >= 1, got {index_start!r}")
+    limits = f">= {lowest}" if highest == math.inf else f"in [{lowest}, {highest}]"
+    raise DomainError(f"{name} must be an integer {limits}, got {value!r}")
 
 
 def _check_model_fields(alpha: float, index_start: int) -> None:
     if not (math.isfinite(alpha) and alpha > 0):
         raise DomainError(f"decay exponent alpha must be positive, got {alpha}")
-    _check_index_start(index_start)
+    _check_integer("index_start", index_start, 1)
 
 
 def regulator_lp_bound(env: MomentEnvelope, eps: float, p: float) -> float:

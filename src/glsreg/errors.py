@@ -1,5 +1,22 @@
 """Exception hierarchy for the glsreg package."""
 
+__all__ = [
+    "GLSError",
+    "DomainError",
+    "EmptyDomain",
+    "InvalidEpsilon",
+    "InvalidExponent",
+    "NoFiniteMoment",
+    "EmptySample",
+    "LengthMismatch",
+    "NonpositiveDelta",
+    "Divergent",
+    "ToleranceUnreachable",
+    "MomentInfinite",
+    "TruncationInfeasible",
+    "ConfigError",
+]
+
 
 class GLSError(Exception):
     """Base class for all glsreg errors."""

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DomainError, EmptySample
 
+__all__ = ["Z99", "ConfidenceValue", "mean_estimate", "proportion_estimate", "power_mean_estimate"]
+
 #: Two-sided 99% normal quantile used for every confidence half-width.
 Z99 = 2.576
 

@@ -26,6 +26,24 @@ import numpy as np
 
 from .errors import DomainError, EmptyDomain, InvalidEpsilon
 
+__all__ = [
+    "UPPER_CAP",
+    "GRID_POINTS",
+    "EDGE_INSET",
+    "ExponentInterval",
+    "check_eps",
+    "intersect_domains",
+    "GeneratingFunction",
+    "PowerRoot",
+    "TwoSidedSingular",
+    "Extremal",
+    "Tabulated",
+    "NaturalFunction",
+    "Product",
+    "scan_grid_table",
+    "natural_function",
+]
+
 #: Scan cap standing in for an infinite upper exponent endpoint.
 UPPER_CAP = 1.0e4
 
@@ -141,8 +159,8 @@ class TwoSidedSingular(GeneratingFunction):
     def __post_init__(self) -> None:
         if not (math.isfinite(self.b) and self.b > 1.0):
             raise DomainError(f"upper endpoint must exceed 1, got {self.b}")
-        if self.alpha < 0 or self.beta < 0:
-            raise DomainError("singularity exponents must be nonnegative")
+        if not all(math.isfinite(e) and e >= 0 for e in (self.alpha, self.beta)):
+            raise DomainError(f"singularity exponents must be finite and nonnegative, got {self.alpha}, {self.beta}")
         self.domain  # (1, b) must hold a float
 
     @property

@@ -31,6 +31,8 @@ import numpy as np
 from .errors import LengthMismatch
 from .generating import GRID_POINTS, UPPER_CAP, ExponentInterval, scan_grid_table
 
+__all__ = ["ScanResult", "supremum_scan"]
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 

@@ -21,6 +21,8 @@ accept.
 
 from __future__ import annotations
 
+__all__ = ["find_error"]
+
 
 def find_error(instance, schema: dict) -> tuple[tuple, str] | None:
     """(instance path, message) of the error to report, or None when ``instance`` is valid.

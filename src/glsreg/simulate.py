@@ -10,17 +10,17 @@ module also evaluates the exact tail
 
 its Bonferroni sandwich, and the exact moments by one fixed composite
 Gauss-Legendre rule against that tail: only the moments' cut of the integral
-at U is certified, and their rel_tol sets only that cut.  The sandwich sums
-(``exp_power_sum``) and the tail's log product (``_log_product``) are kernels
-on (c, gamma, n0) with one cut rule (``_cut``): they sum n0..N-1 and bracket
-the rest from N.  N is the convex cut, where the convexity bracket first fits
-abs_tol, when that comes first, else one past the term cut, the first index
-whose term is at most abs_tol, and the integral test brackets the rest.  The
-cap on the number of terms is decided on the term cut.  Each adds the
-bracket's midpoint, or, once the product is below abs_tol, its top end.  So
-each is an estimate certified within abs_tol (up to rounding), not a lower
-partial sum.  These exact routines are the oracles every simulated quantity
-is verified against.
+at U is certified, by a closed-form bound, and rel_tol sets only that cut.
+The sandwich sums (``exp_power_sum``) and the tail's log product
+(``_log_product``) are kernels on (c, gamma, n0) with one cut rule (``_cut``):
+they sum n0..N-1 and bracket the rest from N.  N is the convex cut, where the
+convexity bracket first fits abs_tol, when that comes first, else one past the
+term cut, the first index whose term is at most abs_tol, and the integral test
+brackets the rest.  The cap on the number of terms is decided on the term
+cut.  Each adds the bracket's midpoint, or, once the product is below abs_tol,
+its top end.  So each is an estimate certified within abs_tol (up to
+rounding), not a lower partial sum.  These exact routines are the oracles
+every simulated quantity is verified against.
 
 Randomness is counter-based: index n of seed s is a Philox stream keyed
 (s, n), and trajectory j reads its word j, so the draw for (s, j, n) is a
@@ -62,7 +62,7 @@ from .criteria import extract_regulator
 from .errors import DomainError, MomentInfinite, ToleranceUnreachable, TruncationInfeasible
 from .generating import check_eps, natural_function
 from .moments import half_normal_moments, std_exponential_moments
-from .bounds import SERIES_TERM_CAP, MomentEnvelope, _check_index_start, _check_model_fields
+from .bounds import SERIES_TERM_CAP, MomentEnvelope, _check_integer, _check_model_fields
 from .sequences import PowerLogSequence, _chunked_sum
 
 __all__ = [
@@ -98,7 +98,6 @@ _FOLD_CELLS = 1 << 13  # cells simulate_eta draws at a time: 64 KiB, so its thre
 _REFRESH_RATIO = 2  # simulate_eta re-reads its thresholds once the cells drawn reach this multiple of the last read's
 _SKIP_MARGIN = 2.0**-40  # relative margin of the skip test on the ratio's rounding (``_skip_thresholds``)
 _SKIP_SLACK = 2.0**-51  # absolute step of each skip threshold below g^-1: four float steps below u = 1
-_MOMENT_HEAD_CAP = 1 << 20  # indices _moment_tail_remainder sums one by one; past it the bound is +inf
 
 # nodes and weights on [-1, 1] of the rule exact_eta_moment applies on every panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -175,8 +174,7 @@ class FixedTruncation:
     n_last: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_last <= TRUNCATION_CAP:
-            raise DomainError(f"fixed truncation must lie in [1, {TRUNCATION_CAP}], got {self.n_last}")
+        _check_integer("fixed truncation n_last", self.n_last, 1, TRUNCATION_CAP)
 
 
 @dataclass(frozen=True)
@@ -212,10 +210,8 @@ class SimulationPlan:
 
     def __post_init__(self) -> None:
         check_eps(self.eps, self.model.alpha)
-        if self.trajectories < 1:
-            raise DomainError(f"need at least one trajectory, got {self.trajectories}")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError("seed must fit an unsigned 64-bit integer")
+        _check_integer("trajectories", self.trajectories, 1)
+        _check_integer("seed", self.seed, 0, 2**64 - 1)
         if isinstance(self.truncation, FixedTruncation) and self.truncation.n_last < self.index_start:
             raise DomainError(
                 f"fixed truncation {self.truncation.n_last} sits before index_start {self.index_start}"
@@ -360,7 +356,7 @@ def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: i
     a sum past the float range (the rest's lower end reads +inf), raises
     ``ToleranceUnreachable`` before the sum starts.
     """
-    _check_index_start(index_start)
+    _check_integer("index_start", index_start, 1)
     if not (0.0 < abs_tol < 1.0):
         raise DomainError(f"abs_tol must lie in (0, 1), got {abs_tol}")
     _check_exp_power_args(c, gamma)
@@ -659,6 +655,11 @@ def _log_product(c: float, gamma: float, abs_tol: float, index_start: int) -> fl
     return log_product + _bracket_midpoint(lo, hi, n - 1, abs_tol)
 
 
+def _check_threshold(u: float) -> None:
+    if not (math.isfinite(u) and u > 0.0):
+        raise DomainError(f"tail threshold must be finite and positive, got {u}")
+
+
 def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> float:
     """Exact tail P(eta > u) of the exponential-power model, within abs_tol.
 
@@ -672,11 +673,11 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
     """
     _check_model_fields(alpha, index_start)
     check_eps(eps, alpha)
-    if not u > 0.0:
-        raise DomainError(f"tail threshold must be positive, got {u}")
+    _check_threshold(u)
     if not (0.0 < abs_tol < 1.0):
         raise DomainError(f"abs_tol must lie in (0, 1), got {abs_tol}")
-    return min(1.0, -math.expm1(_log_product(u, eps, abs_tol, index_start)))
+    # max: a product that rounds to 1 logs to +0.0, whose -expm1 is -0.0
+    return min(1.0, max(0.0, -math.expm1(_log_product(u, eps, abs_tol, index_start))))
 
 
 def bonferroni_sums(eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> tuple[float, float]:
@@ -687,8 +688,7 @@ def bonferroni_sums(eps: float, u: float, abs_tol: float = 1e-12, index_start: i
     so that sigma1 - sigma2 <= P(eta > u) <= sigma1.
     """
     check_eps(eps)
-    if not u > 0.0:
-        raise DomainError(f"tail threshold must be positive, got {u}")
+    _check_threshold(u)
     s1 = exp_power_sum(u, eps, abs_tol, index_start)
     s1_doubled = exp_power_sum(2.0 * u, eps, abs_tol, index_start)
     s2 = max(0.0, 0.5 * (s1 * s1 - s1_doubled))
@@ -702,39 +702,34 @@ def asymptotic_tail_constant(eps: float) -> float:
 
 
 def _moment_tail_remainder(eps: float, p: float, upper: float, index_start: int) -> float:
-    """Certified bound on int_upper^inf p u**(p-1) P(eta > u) du.
+    """Certified closed-form bound on int_upper^inf p u**(p-1) P(eta > u) du.
 
-    Uses P(eta > u) <= sum_n exp(-u n**eps) termwise:
-    int_upper^inf p u**(p-1) e**(-u n**eps) du = p n**(-p eps) Gamma(p, upper n**eps).
-    Head terms go through gammaincc; the rest through Gamma(p, x) <= 2 x**(p-1) e**(-x)
-    (valid for x >= 2 (p - 1)) and an integral test on n.  The bound is +inf, still
-    true, when the head would pass ``_MOMENT_HEAD_CAP`` indices or either part a float.
+    P(eta > u) <= sum_{n >= n0} exp(-u n**eps) bounds it by
+    sum_n p n**(-p eps) Gamma(p, upper n**eps).  Gamma(a, x) <= 2 x**(a-1) e**(-x)
+    for x >= 2 (a - 1) (DLMF 8.10) bounds term n by 2 p upper**(p-1) f(n), with
+    f(t) = t**(-eps) e**(-upper t**eps) falling, so sum_{n >= n0} f(n) is at most
+    f(n0) + int_{n0}^inf f = f(n0) + upper**(1 - 1/eps) Gamma(1/eps - 1, upper n0**eps) / eps.
+    This needs upper >= 2 (p - 1), which the first cut max(32, 4p) meets, and
+    never p < 1/eps; below that the bound is +inf.  It is taken in log space
+    and is +inf past a float.  Where gammaincc underflows, the same inequality
+    bounds Gamma(1/eps - 1, x) where it holds, and the bound is +inf
+    elsewhere, so no term is dropped.
     """
-    reach = (2.0 * (p - 1.0) + 50.0) / upper
-    if math.log(reach) / eps > math.log(_MOMENT_HEAD_CAP):
+    if upper < 2.0 * (p - 1.0):
         return math.inf
-    n_head = max(index_start, math.ceil(reach ** (1.0 / eps)))
-    idx = np.arange(index_start, n_head + 1, dtype=float)
-    head_sum = float(np.sum(idx ** (-p * eps) * special.gammaincc(p, upper * idx**eps)))
-    log_head = special.gammaln(p) + math.log(head_sum) if head_sum > 0.0 else -math.inf
-    if log_head > _LOG_FLOAT_MAX - math.log(p):
-        return math.inf
-    head = p * math.exp(log_head)
+    x = upper * index_start**eps
     a = 1.0 / eps - 1.0
-    q = float(special.gammaincc(a, upper * n_head**eps))
+    q = float(special.gammaincc(a, x))
     if q > 0.0:
-        log_tail = (
-            math.log(2.0 * p / eps)
-            + (p - 1.0 / eps) * math.log(upper)
-            + special.gammaln(a)
-            + math.log(q)
-        )
-        if log_tail > _LOG_FLOAT_MAX:
-            return math.inf
-        tail = math.exp(log_tail)
+        log_gamma = special.gammaln(a) + math.log(q)
+    elif x >= 2.0 * (a - 1.0):
+        log_gamma = math.log(2.0) + (a - 1.0) * math.log(x) - x
     else:
-        tail = 0.0
-    return head + tail
+        return math.inf
+    log_first = -eps * math.log(index_start) - x
+    log_rest = (1.0 - 1.0 / eps) * math.log(upper) + log_gamma - math.log(eps)
+    log_bound = math.log(2.0 * p) + (p - 1.0) * math.log(upper) + float(np.logaddexp(log_first, log_rest))
+    return math.exp(log_bound) if log_bound <= _LOG_FLOAT_MAX else math.inf
 
 
 def exact_eta_moment(
@@ -744,11 +739,12 @@ def exact_eta_moment(
 
     Integrates p u**(p-1) P(eta > u) over [0, U] with a composite 16-node
     Gauss-Legendre rule on 29 fixed panels graded towards u = 0, each tail
-    within 1e-12 absolute.  Only the cut at U is certified: U is pushed until
-    the certified remainder beyond it is below rel_tol/2 of the integral, and
-    rel_tol sets only that cut.  The rule carries no error estimate.  Only
-    p < 1/eps is served, mirroring the moment-blowup threshold of the bound
-    theory.
+    within 1e-12 absolute.  Only the cut at U is certified: from max(32, 4p),
+    U doubles until the closed-form remainder bound beyond it
+    (``_moment_tail_remainder``) is below rel_tol/2 of P(eta > 1) <= the
+    integral, and rel_tol sets only that cut.  The rule carries no error
+    estimate.  Only p < 1/eps is served, mirroring the moment-blowup
+    threshold of the bound theory; the cut does not need it.
     """
     _check_model_fields(alpha, index_start)
     check_eps(eps, alpha)

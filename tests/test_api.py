@@ -80,6 +80,16 @@ def _package():
     return defined, reached, exports
 
 
+def test_every_library_module_lists_its_public_names():
+    # the CLI and the package itself export nothing; every other module's __all__ is its public surface
+    missing = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name not in ("cli.py", "__init__.py") and not _exports(ast.parse(path.read_text()))
+    )
+    assert missing == []
+
+
 def test_every_export_is_reached_from_cli_or_verify():
     _, reached, exports = _package()
     unreached = sorted(exports - reached)

@@ -113,6 +113,12 @@ class TestTwoSidedSingular:
         with pytest.raises(DomainError):
             TwoSidedSingular(b=4.0, alpha=-0.1, beta=0.5)
 
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.5), (0.5, math.inf)])
+    def test_non_finite_exponents_rejected(self, alpha, beta):
+        # alpha nan built, and its weight read nan, 1.0 and nan at p = 1.5, 2 and 2.5
+        with pytest.raises(DomainError):
+            TwoSidedSingular(b=3.0, alpha=alpha, beta=beta)
+
 
 class TestExtremal:
     def test_point_domain(self):

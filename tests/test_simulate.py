@@ -429,6 +429,24 @@ class TestPlanValidation:
         with pytest.raises(DomainError):
             exp_plan(seed=-1)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: exp_plan(seed=1.5),  # drew the seed-1 stream and reported seed 1.5
+            lambda: exp_plan(seed=2.0),
+            lambda: exp_plan(trajectories=2.5),  # a bare TypeError deep in numpy
+            lambda: FixedTruncation(n_last=10.5),
+        ],
+        ids=["seed-1.5", "seed-2.0", "trajectories-2.5", "n_last-10.5"],
+    )
+    def test_integer_fields_refuse_floats(self, build):
+        with pytest.raises(DomainError, match="must be an integer"):
+            build()
+
+    def test_integer_fields_take_numpy_integers(self):
+        plan = exp_plan(trajectories=np.int64(3), seed=np.uint64(2**64 - 1), truncation=FixedTruncation(np.int32(5)))
+        assert simulate_eta(plan).value.shape == (3,)
+
     def test_model_delegates(self):
         plan = exp_plan(start=4)
         assert plan.alpha == 1.0 and plan.index_start == 4
@@ -938,6 +956,21 @@ class TestExactTail:
         brute = -math.expm1(math.fsum(np.log1p(-np.exp(-u * np.sqrt(idx)))))
         assert exact_eta_tail(1.0, 0.5, u) == pytest.approx(brute, rel=1e-9)
 
+    @pytest.mark.parametrize("u, index_start", [(800.0, 1), (700.0, 3), (1e300, 1)])
+    def test_tail_past_every_term_is_plus_zero(self, u, index_start):
+        # every factor rounds to 1 here; the tail read -0.0
+        assert math.copysign(1.0, exact_eta_tail(1.0, 0.5, u, index_start=index_start)) == 1.0
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [lambda u: exact_eta_tail(1.0, 0.5, u), lambda u: bonferroni_sums(0.5, u)],
+        ids=["exact_eta_tail", "bonferroni_sums"],
+    )
+    @pytest.mark.parametrize("u", [math.inf, math.nan, 0.0, -1.0])
+    def test_oracles_share_one_threshold_check(self, oracle, u):
+        with pytest.raises(DomainError, match="tail threshold must be finite and positive"):
+            oracle(u)
+
     def test_argument_guards(self):
         with pytest.raises(DomainError):
             exact_eta_tail(1.0, 0.5, 0.0)
@@ -1083,8 +1116,9 @@ class TestExactMoment:
             assert exact_eta_moment(1.0, eps, p, index_start=start) == pytest.approx(value, rel=1e-9, abs=0.0)
 
     def test_small_eps_node_whose_rest_lies_below_the_tolerance_is_one(self, deadline):
-        # the remainder's head at U = 32 would span 1e40 indices: its bound is +inf instead, and the cut doubles
-        assert _moment_tail_remainder(0.005, 1.5, 32.0, 1) == math.inf
+        # the remainder's bound at U = 32 exceeds rel_tol/2 of the anchor tail, so the cut doubles
+        anchor = exact_eta_tail(1.0, 0.005, 1.0)
+        assert _moment_tail_remainder(0.005, 1.5, 32.0, 1) > 0.5 * 1e-6 * anchor
         # a node of exact_eta_moment(1, 0.01, 1.5): the term cut is 1 and I(1) = 1.44e13, so the
         # integral-test bracket is 7.69 wide, but it lies wholly below ln(abs_tol); this raised
         with deadline(0.5):
@@ -1125,10 +1159,51 @@ class TestExactMoment:
             moments = [exact_eta_moment(1.0, eps, 1.5) for eps in (0.5, 0.25, 0.02, 0.01, 0.005, 0.003, 0.002, 0.001)]
         assert all(a < b for a, b in zip(moments, moments[1:]))
 
+    def test_remainder_bound_is_within_three_times_the_termwise_sum(self):
+        # the bound against sum_{n >= n0} p Gamma(p) n**(-p eps) Q(p, U n**eps), summed up to where
+        # U n**eps passes U n0**eps + 40 (the rest moves no ratio here by 1e-15)
+        for eps in (0.9, 0.5, 0.25, 0.1):
+            for p in (1.0, 1.5, 1.98, 3.0, 6.0, 12.0):
+                for upper in (k * max(32.0, 4.0 * p) for k in (1, 2, 8)):
+                    for n0 in (1, 2, 7, 100):
+                        first = upper * n0**eps
+                        n = np.arange(n0, math.ceil(((first + 40.0) / upper) ** (1.0 / eps)) + 1, dtype=float)
+                        terms = n ** (-p * eps) * special.gammaincc(p, upper * n**eps)
+                        termwise = p * math.gamma(p) * math.fsum(terms.tolist())
+                        if termwise == 0.0:  # every term underflowed
+                            continue
+                        bound = _moment_tail_remainder(eps, p, upper, n0)
+                        assert termwise <= bound <= 3.0 * termwise, (eps, p, upper, n0)
+
+    def test_remainder_below_its_range_is_infinite(self):
+        # Gamma(p, x) <= 2 x**(p-1) e**-x needs x >= 2 (p - 1): U = 16 lies below that at p = 12
+        assert _moment_tail_remainder(0.5, 12.0, 16.0, 1) == math.inf
+
+    def test_underflowed_gamma_drops_no_term(self, monkeypatch):
+        # with gammaincc read as 0, the rest is bounded by 2 x**(a-1) e**-x where x >= 2 (a - 1),
+        # else the bound is +inf (eps 0.05: a = 19 against x = 32); neither falls below the bound
+        points = [(0.5, 1.5, 32.0, 1), (0.25, 3.0, 64.0, 7), (0.1, 6.0, 32.0, 2), (0.05, 1.5, 32.0, 1)]
+        bounds = [_moment_tail_remainder(*point) for point in points]
+        monkeypatch.setattr(simulate_module.special, "gammaincc", lambda a, x: 0.0)
+        for point, bound in zip(points, bounds):
+            assert _moment_tail_remainder(*point) >= bound, point
+
+    @pytest.mark.parametrize("eps", [0.02, 0.03])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 1.98, 3.0])
+    def test_small_eps_remainder_certifies_the_first_cut(self, eps, p):
+        # the summed head of 2**20 indices read +inf here, and the cut doubled to 64
+        bound = _moment_tail_remainder(eps, p, 32.0, 1)
+        assert bound < 0.5 * 1e-6 * exact_eta_tail(1.0, eps, 1.0)
+
+    def test_small_eps_moment_against_a_converged_bracket(self):
+        # the midpoint of an 80 000-step monotone bracket of the exact tail on [0, 64]; at the
+        # cut U = 64 the rule read 19.719005
+        assert exact_eta_moment(1.0, 0.02, 1.5) == pytest.approx(19.7193521, rel=1e-7)
+
     def test_remainder_past_a_float_is_infinite(self):
-        # the tail's log bound is 1980 here, so e**700 would bound nothing
+        # the log of the bound is 1980 here, so e**700 would bound nothing
         assert _moment_tail_remainder(0.001, 1.5, 51.0, 1) == math.inf
-        # the head's passes a float at the first cut U = 4p of exact_eta_moment(1, 0.002, 400)
+        # the bound passes a float at the first cut U = 4p = 1600 of exact_eta_moment(1, 0.002, 400)
         assert _moment_tail_remainder(0.002, 400.0, 1600.0, 1) == math.inf
 
     def test_infinite_moment_guard(self):
