@@ -12,7 +12,6 @@ __all__ = [
     "NonpositiveDelta",
     "Divergent",
     "ToleranceUnreachable",
-    "MomentInfinite",
     "TruncationInfeasible",
     "ConfigError",
 ]
@@ -60,10 +59,6 @@ class Divergent(GLSError, ArithmeticError):
 
 class ToleranceUnreachable(GLSError, ArithmeticError):
     """Certified truncation cannot reach the requested tolerance under the term cap."""
-
-
-class MomentInfinite(GLSError, ArithmeticError):
-    """The requested moment order is outside the guaranteed-finite range."""
 
 
 class TruncationInfeasible(GLSError, ValueError):

@@ -9,8 +9,8 @@ module also evaluates the exact tail
     P(eta > u) = 1 - prod_n (1 - exp(-u n**eps)),
 
 its Bonferroni sandwich, and the exact moments by one fixed composite
-Gauss-Legendre rule against that tail: only the moments' cut of the integral
-at U is certified, by a closed-form bound, and rel_tol sets only that cut.
+Gauss-Legendre rule against that tail, at every p >= 1: only the moments'
+cut of the integral at U is certified, by a closed-form bound.
 The sandwich sums (``exp_power_sum``) and the tail's log product
 (``_log_product``) are kernels on (c, gamma, n0) with one cut rule (``_cut``):
 they sum n0..N-1 and bracket the rest from N.  N is the convex cut, where the
@@ -59,7 +59,7 @@ import numpy as np
 from scipy import special
 
 from .criteria import extract_regulator
-from .errors import DomainError, MomentInfinite, ToleranceUnreachable, TruncationInfeasible
+from .errors import DomainError, ToleranceUnreachable, TruncationInfeasible
 from .generating import check_eps, natural_function
 from .moments import half_normal_moments, std_exponential_moments
 from .bounds import SERIES_TERM_CAP, MomentEnvelope, _check_integer, _check_model_fields
@@ -98,6 +98,7 @@ _FOLD_CELLS = 1 << 13  # cells simulate_eta draws at a time: 64 KiB, so its thre
 _REFRESH_RATIO = 2  # simulate_eta re-reads its thresholds once the cells drawn reach this multiple of the last read's
 _SKIP_MARGIN = 2.0**-40  # relative margin of the skip test on the ratio's rounding (``_skip_thresholds``)
 _SKIP_SLACK = 2.0**-51  # absolute step of each skip threshold below g^-1: four float steps below u = 1
+_MOMENT_REL_TOL = 1e-6  # exact_eta_moment's remainder past its cut is at most half this share of the integral
 
 # nodes and weights on [-1, 1] of the rule exact_eta_moment applies on every panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -690,6 +691,8 @@ def bonferroni_sums(eps: float, u: float, abs_tol: float = 1e-12, index_start: i
     check_eps(eps)
     _check_threshold(u)
     s1 = exp_power_sum(u, eps, abs_tol, index_start)
+    if s1 == 0.0:  # sigma2 <= sigma1**2 / 2, and 2u may pass the float range
+        return s1, 0.0
     s1_doubled = exp_power_sum(2.0 * u, eps, abs_tol, index_start)
     s2 = max(0.0, 0.5 * (s1 * s1 - s1_doubled))
     return s1, s2
@@ -732,36 +735,33 @@ def _moment_tail_remainder(eps: float, p: float, upper: float, index_start: int)
     return math.exp(log_bound) if log_bound <= _LOG_FLOAT_MAX else math.inf
 
 
-def exact_eta_moment(
-    alpha: float, eps: float, p: float, rel_tol: float = 1e-6, index_start: int = 1
-) -> float:
-    """Exact ||eta||_p for the exponential-power model by a fixed quadrature rule.
+def exact_eta_moment(alpha: float, eps: float, p: float, index_start: int = 1) -> float:
+    """Exact ||eta||_p for the exponential-power model by a fixed quadrature rule, for every p >= 1.
 
     Integrates p u**(p-1) P(eta > u) over [0, U] with a composite 16-node
     Gauss-Legendre rule on 29 fixed panels graded towards u = 0, each tail
     within 1e-12 absolute.  Only the cut at U is certified: from max(32, 4p),
     U doubles until the closed-form remainder bound beyond it
-    (``_moment_tail_remainder``) is below rel_tol/2 of P(eta > 1) <= the
-    integral, and rel_tol sets only that cut.  The rule carries no error
-    estimate.  Only p < 1/eps is served, mirroring the moment-blowup
-    threshold of the bound theory; the cut does not need it.
+    (``_moment_tail_remainder``) is below ``_MOMENT_REL_TOL``/2 of
+    P(eta > 1) <= the integral.  The rule carries no error estimate.  Every
+    partial sum of the rule is at most p U**p; where that passes the float
+    range, ``ToleranceUnreachable`` is raised before the rule's tails are
+    evaluated.
     """
     _check_model_fields(alpha, index_start)
     check_eps(eps, alpha)
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"moment exponent must be >= 1, got {p}")
-    if p >= 1.0 / eps:
-        raise MomentInfinite(f"moments are only served for p < 1/eps = {1.0 / eps}, got p = {p}")
-    if not (0.0 < rel_tol < 1.0):
-        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
 
     tail_tol = 1e-12
     anchor = exact_eta_tail(alpha, eps, 1.0, tail_tol, index_start)  # integral >= anchor * 1**p
     upper = max(32.0, 4.0 * p)
-    while _moment_tail_remainder(eps, p, upper, index_start) > 0.5 * rel_tol * anchor:
+    while _moment_tail_remainder(eps, p, upper, index_start) > 0.5 * _MOMENT_REL_TOL * anchor:
         upper *= 2.0
         if upper > 1e9:
             raise DomainError("moment quadrature cannot certify its truncation point")
+    if math.log(p) + p * math.log(upper) > _LOG_FLOAT_MAX:
+        raise ToleranceUnreachable(f"the rule up to the cut U = {upper:g} passes the float range at p = {p}")
 
     # [0, 1e-4], 12 geometric panels on [1e-4, 1], 9 unit panels on [1, 10], 7 geometric on [10, U]
     edges = np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 13), np.arange(2.0, 11.0), np.geomspace(10.0, upper, 8)[1:]))

@@ -46,6 +46,7 @@ from .reports import CheckRecord, VerificationReport
 from .scan import supremum_scan
 from .sequences import DecaySequencePair, GeometricSequence
 from .simulate import (
+    _MOMENT_REL_TOL,
     ExponentialPower,
     FixedTruncation,
     SimulationPlan,
@@ -270,12 +271,12 @@ def check_tail_regimes(seed: int, trajectories: int, eta_values: EtaValues) -> l
 def check_moment_blowup_bracket(seed: int, trajectories: int, eta_values: EtaValues) -> list[CheckRecord]:
     """Exact moments: bracketed blowup rate near p = 1/eps, and eta >= Z_1."""
     del seed, trajectories, eta_values
-    eps, rel_tol = 0.5, 1e-6
+    eps = 0.5
     p_grid = (1.0, 1.5, 1.8, 1.98)
     records = []
     factors = []
     for p in p_grid:
-        moment = exact_eta_moment(1.0, eps, p, rel_tol=rel_tol)
+        moment = exact_eta_moment(1.0, eps, p)
         factors.append(moment * (1.0 / eps - p) ** (1.0 / p))
         records.append(
             CheckRecord(
@@ -284,7 +285,7 @@ def check_moment_blowup_bracket(seed: int, trajectories: int, eta_values: EtaVal
                 kind="lower",
                 theoretical=math.exp(special.gammaln(p + 1.0) / p),
                 estimate=moment,
-                tolerance=2.0 * rel_tol * moment,
+                tolerance=2.0 * _MOMENT_REL_TOL * moment,
                 params={"p": p, "eps": eps},
             )
         )

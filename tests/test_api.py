@@ -96,6 +96,17 @@ def test_every_export_is_reached_from_cli_or_verify():
     assert unreached == []
 
 
+def test_every_error_class_is_raised():
+    # a class in errors.__all__ that no raise statement names is one callers can only catch in vain
+    raised: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= _identifiers(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+    never_raised = sorted(_exports(ast.parse((PACKAGE / "errors.py").read_text())) - {"GLSError"} - raised)
+    assert never_raised == []
+
+
 def test_every_top_level_definition_is_reached_from_cli_or_verify():
     # dead code: a def or class that nothing the CLI or the verify suite runs can reach
     defined, reached, _ = _package()

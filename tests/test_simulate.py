@@ -12,11 +12,11 @@ from scipy import special
 
 from glsreg import simulate as simulate_module
 from glsreg import verify
+from glsreg.bounds import regulator_lp_bound
 from glsreg.criteria import criterion_functional, criterion_terms, extract_regulator, regulator_ratio_matrix
 from glsreg.errors import (
     DomainError,
     InvalidEpsilon,
-    MomentInfinite,
     ToleranceUnreachable,
     TruncationInfeasible,
 )
@@ -108,12 +108,14 @@ def fsum_log_product(c, gamma, index_start):
 
 
 class TailGrid:
-    """The exact tail T(u) = P(eta > u) at n0 = 1 on the grid 0 = u_0 < ... < u_K = upper of K equal steps."""
+    """The exact tail T(u) = P(eta > u) at n0 = index_start on the grid 0 = u_0 < ... < u_K = upper of K equal steps."""
 
-    def __init__(self, eps, upper, steps, tol=1e-12):
-        self.eps, self.upper, self.tol = eps, upper, tol
+    def __init__(self, eps, upper, steps, tol=1e-12, index_start=1):
+        self.eps, self.upper, self.tol, self.index_start = eps, upper, tol, index_start
         self.u = np.linspace(0.0, upper, steps + 1)
-        self.tail = np.asarray([1.0] + [exact_eta_tail(1.0, eps, float(x), abs_tol=tol) for x in self.u[1:]])
+        self.tail = np.asarray(
+            [1.0] + [exact_eta_tail(1.0, eps, float(x), abs_tol=tol, index_start=index_start) for x in self.u[1:]]
+        )
 
     def moment_bracket(self, p):
         """[lower, top] on ||eta||_p^p: T never increases, so with w_k = u_{k+1}^p - u_k^p
@@ -121,7 +123,8 @@ class TailGrid:
         weights = np.diff(self.u**p)
         slack = self.tol * self.upper**p
         lower = float(np.sum(weights * self.tail[1:])) - slack
-        top = float(np.sum(weights * self.tail[:-1])) + slack + _moment_tail_remainder(self.eps, p, self.upper, 1)
+        remainder = _moment_tail_remainder(self.eps, p, self.upper, self.index_start)
+        top = float(np.sum(weights * self.tail[:-1])) + slack + remainder
         return lower, top
 
 
@@ -1042,6 +1045,10 @@ class TestBonferroni:
         with pytest.raises(InvalidEpsilon):
             bonferroni_sums(eps, 1.0)
 
+    def test_threshold_whose_double_overflows(self):
+        # 2u reads inf here, and sigma1(2u) <= sigma1(u) = 0.0; this raised "exponential rate must be positive"
+        assert bonferroni_sums(0.5, 1e308) == (0.0, 0.0)
+
     def test_brute_force_at_u_two(self):
         idx = np.arange(1.0, 5_000.0)
         terms = np.exp(-2.0 * np.sqrt(idx))
@@ -1069,6 +1076,11 @@ class TestExactMoment:
     def test_frozen_values(self):
         assert exact_eta_moment(1.0, 0.5, 1.0) == pytest.approx(1.6949790294055491, rel=3e-6)
         assert exact_eta_moment(1.0, 0.5, 1.5) == pytest.approx(1.7892009394112762, rel=3e-6)
+        # past p = 1/eps, where the moments were once refused
+        past = {1: (2.009952, 2.420825, 3.079452, 5.296423), 2: (1.613427, 1.865740, 2.280208, 3.772402)}
+        for start, values in past.items():
+            for p, value in zip((2.5, 4.0, 6.0, 12.0), values):
+                assert exact_eta_moment(1.0, 0.5, p, index_start=start) == pytest.approx(value, rel=1e-6)
 
     def test_independent_quadrature(self):
         # trapezoid on a dense grid of the same exact tail, p = 1
@@ -1080,7 +1092,7 @@ class TestExactMoment:
     def test_monotone_tail_brackets_moment(self):
         # checks the quadrature independently of its own error estimate
         tails = TailGrid(0.5, 32.0, 4000)
-        for p in (1.0, 1.5, 1.98):
+        for p in (1.0, 1.5, 1.98, 2.0, 2.5, 4.0, 6.0):
             lower, top = tails.moment_bracket(p)
             moment_p = exact_eta_moment(1.0, 0.5, p) ** p
             assert lower <= moment_p <= top
@@ -1107,7 +1119,8 @@ class TestExactMoment:
 
     def test_rule_stable_under_node_doubling(self, monkeypatch):
         points = [(0.5, p, start) for p in (1.0, 1.5, 1.8, 1.98) for start in (1, 2)]
-        points += [(0.25, p, 1) for p in (1.0, 2.0, 3.5)]
+        points += [(0.5, p, start) for p in (2.5, 4.0, 6.0) for start in (1, 2)]
+        points += [(0.25, p, 1) for p in (1.0, 2.0, 3.5, 4.0, 8.0)]
         sixteen = [exact_eta_moment(1.0, eps, p, index_start=start) for eps, p, start in points]
         nodes, weights = np.polynomial.legendre.leggauss(32)
         monkeypatch.setattr(simulate_module, "_GL_NODES", nodes)
@@ -1206,17 +1219,36 @@ class TestExactMoment:
         # the bound passes a float at the first cut U = 4p = 1600 of exact_eta_moment(1, 0.002, 400)
         assert _moment_tail_remainder(0.002, 400.0, 1600.0, 1) == math.inf
 
-    def test_infinite_moment_guard(self):
-        with pytest.raises(MomentInfinite):
-            exact_eta_moment(1.0, 0.5, 2.0)
-        with pytest.raises(MomentInfinite):
-            exact_eta_moment(1.0, 0.5, 3.5)
+    @pytest.mark.parametrize("eps, p", [(0.5, 120.0), (0.002, 400.0)])
+    def test_rule_past_the_float_range_raises(self, deadline, eps, p):
+        # p U**p bounds every partial sum of the rule; at eps 0.002 the weights overflowed and the moment read nan
+        with deadline(0.1), pytest.raises(ToleranceUnreachable, match="float range"):
+            exact_eta_moment(1.0, eps, p)
+
+    @pytest.mark.parametrize(
+        "start, p",
+        [(2, 2.5), (2, 3.0), (2, 4.0), (2, 6.0)]
+        + [
+            pytest.param(
+                1,
+                p,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 1a: regulator_lp_bound ignores index_start, and at n0 1 the exact "
+                    "moment (2.4208 at p 4, 3.0795 at p 6) exceeds it (2.213, 2.667)",
+                ),
+            )
+            for p in (4.0, 6.0)
+        ],
+    )
+    def test_exact_moment_lies_below_the_regulator_bound(self, start, p):
+        # the monotone bracket's top end, not the rule's point value, against the bound's p-th power
+        _, top = TailGrid(0.5, 32.0, 4000, index_start=start).moment_bracket(p)
+        assert top <= regulator_lp_bound(ExponentialPower(alpha=1.0, index_start=start).moment_envelope(), 0.5, p) ** p
 
     def test_argument_guards(self):
         with pytest.raises(DomainError):
             exact_eta_moment(1.0, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            exact_eta_moment(1.0, 0.5, 1.0, rel_tol=0.0)
 
 
 class TestConfig:
