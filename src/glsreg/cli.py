@@ -31,16 +31,19 @@ from .errors import ConfigError, GLSError
 _SCHEMA_NAME = "experiment_config.schema.json"
 
 
-def _reject_constant(literal: str):
-    # json.load accepts NaN and +-Infinity, which are not JSON and would pass the schema as numbers
-    raise click.UsageError(f"config is not valid JSON: {literal} is not a number")
+def _finite(parse, literal: str):
+    value = parse(literal)  # json.load takes NaN and +-Infinity, which are not JSON, and reads 1e400 as inf
+    if not math.isfinite(float(value)):  # an integer past the float range raises OverflowError here
+        raise ValueError(f"{literal} is not a finite number")
+    return value
 
 
 def _load_config(path: str, command: str) -> dict:
     try:
-        with open(path) as fh:
-            cfg = json.load(fh, parse_constant=_reject_constant)
-    except json.JSONDecodeError as bad:
+        with open(path, encoding="utf-8") as fh:
+            number = functools.partial(_finite, float)
+            cfg = json.load(fh, parse_float=number, parse_constant=number, parse_int=functools.partial(_finite, int))
+    except (ValueError, OverflowError) as bad:  # not JSON, not UTF-8, or a number past the float range
         raise click.UsageError(f"config is not valid JSON: {bad}") from None
     if not isinstance(cfg, dict) or cfg.get("command") != command:
         raise click.UsageError(

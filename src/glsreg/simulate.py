@@ -8,9 +8,9 @@ module also evaluates the exact tail
 
     P(eta > u) = 1 - prod_n (1 - exp(-u n**eps)),
 
-its Bonferroni sandwich, and the exact moments by one fixed composite
-Gauss-Legendre rule against that tail, at every p >= 1: only the moments'
-cut of the integral at U is certified, by a closed-form bound.
+its Bonferroni sandwich, and the exact moments by a Gauss-Legendre rule
+placed on that tail's drop, at every p >= 1: only the moments' two cuts of
+the integral are certified, each by a closed-form bound.
 The sandwich sums (``exp_power_sum``) and the tail's log product
 (``_log_product``) are kernels on (c, gamma, n0) with one cut rule (``_cut``):
 they sum n0..N-1 and bracket the rest from N.  N is the convex cut, where the
@@ -98,7 +98,8 @@ _FOLD_CELLS = 1 << 13  # cells simulate_eta draws at a time: 64 KiB, so its thre
 _REFRESH_RATIO = 2  # simulate_eta re-reads its thresholds once the cells drawn reach this multiple of the last read's
 _SKIP_MARGIN = 2.0**-40  # relative margin of the skip test on the ratio's rounding (``_skip_thresholds``)
 _SKIP_SLACK = 2.0**-51  # absolute step of each skip threshold below g^-1: four float steps below u = 1
-_MOMENT_REL_TOL = 1e-6  # exact_eta_moment's remainder past its cut is at most half this share of the integral
+_MOMENT_REL_TOL = 1e-6  # each of exact_eta_moment's two cuts drops at most half this share of the integral
+_PANEL_WIDTH = 1.0  # exact_eta_moment's panels are at most this many eps wide in t = ln u
 
 # nodes and weights on [-1, 1] of the rule exact_eta_moment applies on every panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -712,11 +713,10 @@ def _moment_tail_remainder(eps: float, p: float, upper: float, index_start: int)
     for x >= 2 (a - 1) (DLMF 8.10) bounds term n by 2 p upper**(p-1) f(n), with
     f(t) = t**(-eps) e**(-upper t**eps) falling, so sum_{n >= n0} f(n) is at most
     f(n0) + int_{n0}^inf f = f(n0) + upper**(1 - 1/eps) Gamma(1/eps - 1, upper n0**eps) / eps.
-    This needs upper >= 2 (p - 1), which the first cut max(32, 4p) meets, and
-    never p < 1/eps; below that the bound is +inf.  It is taken in log space
-    and is +inf past a float.  Where gammaincc underflows, the same inequality
-    bounds Gamma(1/eps - 1, x) where it holds, and the bound is +inf
-    elsewhere, so no term is dropped.
+    This needs upper >= 2 (p - 1), and never p < 1/eps; below that the bound
+    is +inf.  It is taken in log space and is +inf past a float.  Where
+    gammaincc underflows, the same inequality bounds Gamma(1/eps - 1, x) where
+    it holds, and the bound is +inf elsewhere, so no term is dropped.
     """
     if upper < 2.0 * (p - 1.0):
         return math.inf
@@ -736,39 +736,41 @@ def _moment_tail_remainder(eps: float, p: float, upper: float, index_start: int)
 
 
 def exact_eta_moment(alpha: float, eps: float, p: float, index_start: int = 1) -> float:
-    """Exact ||eta||_p for the exponential-power model by a fixed quadrature rule, for every p >= 1.
+    """Exact ||eta||_p for the exponential-power model by a rule placed on the tail's drop, for every p >= 1.
 
-    Integrates p u**(p-1) P(eta > u) over [0, U] with a composite 16-node
-    Gauss-Legendre rule on 29 fixed panels graded towards u = 0, each tail
-    within 1e-12 absolute.  Only the cut at U is certified: from max(32, 4p),
-    U doubles until the closed-form remainder bound beyond it
-    (``_moment_tail_remainder``) is below ``_MOMENT_REL_TOL``/2 of
-    P(eta > 1) <= the integral.  The rule carries no error estimate.  Every
-    partial sum of the rule is at most p U**p; where that passes the float
-    range, ``ToleranceUnreachable`` is raised before the rule's tails are
-    evaluated.
+    Integrates p e**(p t) T(e**t) over t = ln u, T(u) = P(eta > u) within
+    1e-12, by 16-node Gauss-Legendre on panels at most ``_PANEL_WIDTH`` eps
+    wide.  At n0 1, T drops near t_m = eps (ln Gamma(1 + 1/eps) - ln ln 2),
+    over about eps.  Both cuts are certified within ``_MOMENT_REL_TOL``/2 of
+    P(eta > 1) <= the integral: t_lo steps down by eps from
+    t_m - eps ln(40 / ln 2) until the head, in [e**(p t_lo) T, e**(p t_lo)], is
+    that narrow (its lower end is taken), and t_hi up from t_m until
+    ``_moment_tail_remainder`` is.  The rule's own error is not bounded.  Where
+    p e**(p t_hi), a bound on every partial sum, passes the float range first,
+    ``ToleranceUnreachable`` is raised before the head's or any node's tail.
     """
     _check_model_fields(alpha, index_start)
     check_eps(eps, alpha)
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"moment exponent must be >= 1, got {p}")
 
-    tail_tol = 1e-12
-    anchor = exact_eta_tail(alpha, eps, 1.0, tail_tol, index_start)  # integral >= anchor * 1**p
-    upper = max(32.0, 4.0 * p)
-    while _moment_tail_remainder(eps, p, upper, index_start) > 0.5 * _MOMENT_REL_TOL * anchor:
-        upper *= 2.0
-        if upper > 1e9:
-            raise DomainError("moment quadrature cannot certify its truncation point")
-    if math.log(p) + p * math.log(upper) > _LOG_FLOAT_MAX:
-        raise ToleranceUnreachable(f"the rule up to the cut U = {upper:g} passes the float range at p = {p}")
+    def tail(t: float) -> float:
+        return exact_eta_tail(alpha, eps, math.exp(t), 1e-12, index_start)
 
-    # [0, 1e-4], 12 geometric panels on [1e-4, 1], 9 unit panels on [1, 10], 7 geometric on [10, U]
-    edges = np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 13), np.arange(2.0, 11.0), np.geomspace(10.0, upper, 8)[1:]))
+    tol = 0.5 * _MOMENT_REL_TOL * tail(0.0)  # what each cut may drop: the integral is at least P(eta > 1) * 1**p
+    t_mid = eps * (float(special.gammaln(1.0 + 1.0 / eps)) - math.log(math.log(2.0)))
+    t_lo, t_hi = t_mid - eps * math.log(40.0 / math.log(2.0)), t_mid
+    while math.log(p) + p * t_hi < _LOG_FLOAT_MAX and _moment_tail_remainder(eps, p, math.exp(t_hi), index_start) > tol:
+        t_hi += eps
+    if math.log(p) + p * t_hi >= _LOG_FLOAT_MAX:
+        raise ToleranceUnreachable(f"p u**p passes the float range at u = {math.exp(t_hi):g}, before the cut (p = {p})")
+    while math.exp(p * t_lo) * (1.0 - (head := tail(t_lo))) > tol:
+        t_lo -= eps
+    edges = np.linspace(t_lo, t_hi, math.ceil((t_hi - t_lo) / (_PANEL_WIDTH * eps)) + 1)
     half = 0.5 * np.diff(edges)[:, None]
-    u = (edges[:-1, None] + half + half * _GL_NODES).ravel()
-    tail = np.asarray([exact_eta_tail(alpha, eps, float(x), tail_tol, index_start) for x in u])
-    value = float(np.sum((half * _GL_WEIGHTS).ravel() * p * u ** (p - 1.0) * tail))
+    t = (edges[:-1, None] + half + half * _GL_NODES).ravel()
+    nodes = np.asarray([tail(float(x)) for x in t])
+    value = math.exp(p * t_lo) * head + float(np.sum((half * _GL_WEIGHTS).ravel() * p * np.exp(p * t) * nodes))
     return value ** (1.0 / p)
 
 

@@ -73,6 +73,8 @@ BOUND_REGULATOR = {
     "eps": 0.5,
 }
 
+CONJUGATE = {"schema_version": 1, "command": "conjugate", "psi": {"form": "power_root", "m": 3.0}, "v_grid": [4, 5]}
+
 
 def bound_pair(eps_seq: dict, beta_seq: dict) -> dict:
     return {
@@ -85,9 +87,10 @@ def bound_pair(eps_seq: dict, beta_seq: dict) -> dict:
 
 
 # Every config here must exit 2: the loader rejects a NaN or Infinity
-# literal, the schema rejects its shape, or a constructor's domain check
-# (q < Q, matching sequence types, knot order, matching lengths,
-# eps < alpha) rejects its values while the command builds its objects.
+# literal or a number past the float range, the schema rejects its shape,
+# or a constructor's domain check (q < Q, matching sequence types, knot
+# order, matching lengths, eps < alpha) rejects its values while the
+# command builds its objects.
 REJECTED_CONFIGS = {
     "psi-unknown-form": {**NORM, "psi": {"form": "mystery"}},
     "psi-missing-field": {**NORM, "psi": {"form": "power_root"}},
@@ -138,6 +141,8 @@ REJECTED_CONFIGS = {
     "simulate-p-grid-below-one": {**SIMULATE, "p_grid": [0.5]},
     "simulate-u-grid-negative": {**SIMULATE, "u_grid": [-1.0]},
     "bound-p-grid-nan": {**BOUND_REGULATOR, "p_grid": [math.nan, 3.0]},
+    # an integer literal past the float range passed the schema, then died in float() with a traceback
+    "bound-p-grid-integer-past-float-range": {**BOUND_REGULATOR, "p_grid": [10**400]},
     # (1, b) with b the float after 1 holds no float
     "two-sided-holds-no-float": {**NORM, "psi": {"form": "two_sided", "b": 1.0000000000000002, "alpha": 1.0, "beta": 0.0}},
     "grand-q-holds-no-float": {**NORM, "grand_q": 1.0000000000000002},
@@ -1071,6 +1076,32 @@ class TestCliErrors:
         result = runner.invoke(main, [cfg["command"], "--config", str(path), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, encoding",
+        [
+            # 1e400 read as inf: bound wrote "p": "inf" rows and exited 0, conjugate exited 1
+            ("bound", json.dumps(BOUND_REGULATOR).replace("[3.0]", "[1e400]"), "utf-8"),
+            ("conjugate", json.dumps(CONJUGATE).replace("[4, 5]", "[4, 1e400]"), "utf-8"),
+            # a file that is not UTF-8 died with a UnicodeDecodeError traceback and exit 1
+            ("norm", json.dumps(NORM), "utf-16"),
+        ],
+        ids=["bound-p-grid-1e400", "conjugate-v-grid-1e400", "norm-utf-16"],
+    )
+    def test_config_text_outside_json_exits_2(self, runner, tmp_path, command, text, encoding):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text.encode(encoding))
+        result = runner.invoke(main, [command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "config is not valid JSON" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_at_the_largest_u64_loads(self, runner, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**SIMULATE, "seed": 2**64 - 1}))
+        result = runner.invoke(main, ["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["provenance"]["seed"] == 2**64 - 1
 
     def test_mixed_sequence_spelling_names_its_key(self, runner, tmp_path):
         # no key of the other spelling is silently dropped, nor settled by precedence

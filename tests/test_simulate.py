@@ -107,6 +107,11 @@ def fsum_log_product(c, gamma, index_start):
     return math.fsum(np.log1p(-np.exp(-c * idx**gamma)))
 
 
+# (eps, p, index_start) at which exact_eta_moment is checked against its own refinements
+RULE_POINTS = [(0.5, p, start) for p in (1.0, 1.5, 1.8, 1.98, 2.5, 4.0, 6.0) for start in (1, 2)]
+RULE_POINTS += [(0.25, p, 1) for p in (1.0, 2.0, 3.5, 4.0, 8.0)]
+
+
 class TailGrid:
     """The exact tail T(u) = P(eta > u) at n0 = index_start on the grid 0 = u_0 < ... < u_K = upper of K equal steps."""
 
@@ -1090,17 +1095,23 @@ class TestExactMoment:
         assert exact_eta_moment(1.0, 0.5, 1.0) == pytest.approx(trapezoid, rel=1e-4)
 
     def test_monotone_tail_brackets_moment(self):
-        # checks the quadrature independently of its own error estimate
-        tails = TailGrid(0.5, 32.0, 4000)
-        for p in (1.0, 1.5, 1.98, 2.0, 2.5, 4.0, 6.0):
-            lower, top = tails.moment_bracket(p)
-            moment_p = exact_eta_moment(1.0, 0.5, p) ** p
-            assert lower <= moment_p <= top
-            assert top - lower <= 1e-2 * moment_p
+        # checks the quadrature independently of its own error estimate; at n0 100 and 1000 eta lies
+        # near 0.46 and 0.21, below the drop's n0-1 centre, so the head's cut steps down
+        for start, tails in (
+            (1, TailGrid(0.5, 32.0, 4000)),
+            (100, TailGrid(0.5, 10.0, 10000, tol=1e-14, index_start=100)),
+            (1000, TailGrid(0.5, 10.0, 30000, tol=1e-14, index_start=1000)),
+        ):
+            for p in (1.0, 1.5, 1.98, 2.0, 2.5, 4.0, 6.0):
+                lower, top = tails.moment_bracket(p)
+                moment_p = exact_eta_moment(1.0, 0.5, p, index_start=start) ** p
+                assert lower <= moment_p <= top, (start, p)
+                assert top - lower <= 1e-2 * moment_p, (start, p)
 
     def test_tail_evaluations_per_moment(self, monkeypatch):
-        # the anchor tail at u = 1 and 16 nodes on each of 29 panels: benchmarks/tracing.py
-        # reports this count as simulate.exact_eta_moment.p1.5.tail_evals
+        # the anchor tail at u = 1, one head tail at e**t_lo, and 16 nodes on each of the 10 panels
+        # eps wide from t_lo to t_hi: benchmarks/tracing.py reports this count as
+        # simulate.exact_eta_moment.p1.5.tail_evals
         calls = []
 
         def counting(*args):
@@ -1109,7 +1120,9 @@ class TestExactMoment:
 
         monkeypatch.setattr(simulate_module, "exact_eta_tail", counting)
         exact_eta_moment(1.0, 0.5, 1.5)
-        assert len(calls) == 465
+        assert len(calls) == 1 + 1 + 16 * 10
+        anchor, head, nodes = calls[0][2], calls[1][2], [args[2] for args in calls[2:]]
+        assert anchor == 1.0 and head < min(nodes)
 
     def test_dominates_first_term_moment(self):
         # eta >= Z_1 pointwise, so ||eta||_p >= Gamma(p+1)^(1/p)
@@ -1118,18 +1131,35 @@ class TestExactMoment:
             assert exact_eta_moment(1.0, 0.5, p) >= lower * (1.0 - 1e-5)
 
     def test_rule_stable_under_node_doubling(self, monkeypatch):
-        points = [(0.5, p, start) for p in (1.0, 1.5, 1.8, 1.98) for start in (1, 2)]
-        points += [(0.5, p, start) for p in (2.5, 4.0, 6.0) for start in (1, 2)]
-        points += [(0.25, p, 1) for p in (1.0, 2.0, 3.5, 4.0, 8.0)]
-        sixteen = [exact_eta_moment(1.0, eps, p, index_start=start) for eps, p, start in points]
+        sixteen = [exact_eta_moment(1.0, eps, p, index_start=start) for eps, p, start in RULE_POINTS]
         nodes, weights = np.polynomial.legendre.leggauss(32)
         monkeypatch.setattr(simulate_module, "_GL_NODES", nodes)
         monkeypatch.setattr(simulate_module, "_GL_WEIGHTS", weights)
-        for (eps, p, start), value in zip(points, sixteen):
+        for (eps, p, start), value in zip(RULE_POINTS, sixteen):
             assert exact_eta_moment(1.0, eps, p, index_start=start) == pytest.approx(value, rel=1e-9, abs=0.0)
 
+    def test_rule_stable_under_panel_halving(self, monkeypatch):
+        # the largest move, 7.6e-10 at eps 0.25 and p 8, is the tails' absolute error at u 20-49
+        whole = [exact_eta_moment(1.0, eps, p, index_start=start) for eps, p, start in RULE_POINTS]
+        monkeypatch.setattr(simulate_module, "_PANEL_WIDTH", 0.5)
+        for (eps, p, start), value in zip(RULE_POINTS, whole):
+            assert exact_eta_moment(1.0, eps, p, index_start=start) == pytest.approx(value, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.02, 0.002])
+    def test_moment_is_served_or_refused_on_a_log_grid_of_p(self, eps):
+        # every p either gets a finite positive norm, nondecreasing in p, or ToleranceUnreachable where
+        # p u**p passes the float range; no OverflowError and no nan
+        served = []
+        for p in np.geomspace(1.0, 1000.0, 7):
+            try:
+                served.append(exact_eta_moment(1.0, eps, float(p)))
+            except ToleranceUnreachable:
+                continue
+            assert math.isfinite(served[-1]) and served[-1] > 0.0, p
+        assert len(served) >= 4 and served == sorted(served)
+
     def test_small_eps_node_whose_rest_lies_below_the_tolerance_is_one(self, deadline):
-        # the remainder's bound at U = 32 exceeds rel_tol/2 of the anchor tail, so the cut doubles
+        # the remainder's bound at U = 32 exceeds rel_tol/2 of the anchor tail, so the cut lies past 32
         anchor = exact_eta_tail(1.0, 0.005, 1.0)
         assert _moment_tail_remainder(0.005, 1.5, 32.0, 1) > 0.5 * 1e-6 * anchor
         # a node of exact_eta_moment(1, 0.01, 1.5): the term cut is 1 and I(1) = 1.44e13, so the
@@ -1144,16 +1174,7 @@ class TestExactMoment:
             (0.02, 64.0, 640),
             (0.01, 128.0, 320),
             (0.005, 256.0, 320),
-            pytest.param(
-                0.003,
-                256.0,
-                320,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the fixed rule misses the exact moment by 1.6%: the tail drops within about 2 units "
-                    "of u near 124, inside the geometric panel [101, 161]",
-                ),
-            ),
+            (0.003, 256.0, 320),
         ],
     )
     def test_small_eps_moment_lies_in_a_monotone_bracket(self, deadline, eps, upper, points):
@@ -1216,7 +1237,7 @@ class TestExactMoment:
     def test_remainder_past_a_float_is_infinite(self):
         # the log of the bound is 1980 here, so e**700 would bound nothing
         assert _moment_tail_remainder(0.001, 1.5, 51.0, 1) == math.inf
-        # the bound passes a float at the first cut U = 4p = 1600 of exact_eta_moment(1, 0.002, 400)
+        # the bound passes a float at U = 4p = 1600 at eps 0.002 and p 400
         assert _moment_tail_remainder(0.002, 400.0, 1600.0, 1) == math.inf
 
     @pytest.mark.parametrize("eps, p", [(0.5, 120.0), (0.002, 400.0)])
