@@ -23,29 +23,32 @@ rounding), not a lower partial sum.  These exact routines are the oracles
 every simulated quantity is verified against.
 
 Randomness is counter-based: index n of seed s is a Philox stream keyed
-(s, n), and trajectory j reads its word j, so the draw for (s, j, n) is a
-pure function of the three and does not change with the tile size, n_last,
-index_start or a larger trajectory count.  ``_uniform_tiles`` is that
-layout and the one place that keys a stream: one re-key per index, then
-``Generator.random`` fills the index's row, tile by tile, in one reused
-buffer.  Two folds read it.  ``simulate_trajectories`` is the dense column
-pass: it transforms each block of about 1 MiB (``_BLOCK_CELLS`` float64
-cells, at least one row) whole and hands it to a reducer, which folds it
-into a few floats per trajectory, as the convergence check does.
+(s, n), and trajectory j reads its 64-bit word j, so the draw for (s, j, n)
+is a pure function of the three and does not change with the tile size,
+n_last, index_start or a larger trajectory count.  ``_uniform_tiles`` is
+that layout and the one place that keys a stream: one re-key per index,
+then ``Philox.random_raw`` draws the index's row of words, tile by tile.
+A word w is a uniform only once it is converted, as (w >> 11) 2**-53
+(``_uniforms``), the double ``Generator.random`` makes of the same word.
+Two folds read the words.  ``simulate_trajectories`` is the dense column
+pass: it converts and transforms each block of about 1 MiB (``_BLOCK_CELLS``
+cells, at least one row) whole, in place, and hands it to a reducer, which
+folds it into a few floats per trajectory, as the convergence check does.
 ``simulate_eta`` transforms only the cells that can raise eta.  A cell's
 ratio n**(alpha-eps) |Z_n| is g(u) w_n, with g the model's increasing draw
 (-log1p(-u), or sqrt(2) erfinv(u)) and w_n = n**(-eps) decreasing, so a
 cell with u <= g^-1(v_j / w_r) leaves trajectory j's running factor v_j as
 it is at every index n >= r.  Each trajectory keeps one such threshold,
 read from v_j with a margin for rounding (``_skip_thresholds``) whenever
-the cells drawn have doubled; v_j only grows, so a stale threshold only
-lets more cells through.  The cells that pass get the dense pass's
-arithmetic, and max is exact, so every eta keeps its bits, which the
-``regulator-eta-bitwise`` record of ``glsreg verify`` checks against the
-dense pass.  At 100k trajectories, 1.0% of the exponential model's cells
-(n_last 496) and 12% of the half-normal's (n_last 39) are transformed.
-Tile and block sizes affect memory only.  ``glsreg simulate`` then streams
-eta.csv in blocks (``persist.write_eta_samples``).
+the cells drawn have doubled, and held as the word threshold that the test
+u > t_j reads on the words (``_word_thresholds``); v_j only grows, so a
+stale threshold only lets more cells through.  Only the cells that pass are
+converted and get the dense pass's arithmetic, and max is exact, so every
+eta keeps its bits, which the ``regulator-eta-bitwise`` record of ``glsreg
+verify`` checks against the dense pass.  At 100k trajectories, 1.0% of the
+exponential model's cells (n_last 496) and 12% of the half-normal's (n_last
+39) are transformed.  Tile and block sizes affect memory only.  ``glsreg
+simulate`` then streams eta.csv in blocks (``persist.write_eta_samples``).
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ TRUNCATION_CAP = 10**7
 _INDEX_MAX = 1e300  # exp_power_threshold reports no index past this
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _BLOCK_CELLS = 1 << 17  # cells of the column pass's buffer: 1 MiB of float64, cache-sized
-_FOLD_CELLS = 1 << 13  # cells simulate_eta draws at a time: 64 KiB, so its thresholds fit in the pass's memory
+_FOLD_CELLS = 1 << 13  # cells simulate_eta draws at a time, and the most words any draw makes: 64 KiB
 _REFRESH_RATIO = 2  # simulate_eta re-reads its thresholds once the cells drawn reach this multiple of the last read's
 _SKIP_MARGIN = 2.0**-40  # relative margin of the skip test on the ratio's rounding (``_skip_thresholds``)
 _SKIP_SLACK = 2.0**-51  # absolute step of each skip threshold below g^-1: four float steps below u = 1
@@ -427,21 +430,24 @@ def _index_blocks(plan: SimulationPlan, cells: int | None = None) -> list[range]
 
 
 def _uniform_tiles(plan: SimulationPlan, cells: int) -> Iterator[tuple[range, slice, np.ndarray]]:
-    """The one stream layout: (indices, columns, tile), tile[k, i] the uniform of indices[k], columns.start + i.
+    """The one stream layout: (indices, columns, tile), tile[k, i] the Philox word of indices[k], columns.start + i.
 
     Row n is the stream of a fresh ``Philox(key=(seed, n))``, trajectory j
-    reading its word j.  One Philox serves every row: before each row its
-    state is set to counter 0, key (seed, n) and buffer_pos 4, which drops
-    any partly used 4-word buffer.  The state holds plain Python ints, which
-    the ``Philox.state`` setter converts faster than numpy scalars.  Those
-    two calls cost the same whatever T, so a pass is cheapest per cell when
-    T is large against n_last; with few trajectories and a long n_last they,
-    not the cells, set its time.  Rows go ``_index_blocks(plan, cells)`` at
-    a time into one reused buffer; a row of more than ``cells`` trajectories
-    goes in pieces of ``cells``, each continuing the row's stream where the
-    last stopped, so the draws are the same whatever ``cells`` is.  The next
-    tile reuses the buffer, so the caller keeps what it needs and may
-    overwrite it.
+    reading its 64-bit word j; the word's uniform is ``_uniforms``.  One
+    Philox serves every row: before each row its state is set to counter 0,
+    key (seed, n) and buffer_pos 4, which drops any partly used 4-word
+    buffer.  The state holds plain Python ints, which the ``Philox.state``
+    setter converts faster than numpy scalars.  That call and each draw's
+    fixed overhead cost the same whatever T, so a pass is cheapest per cell
+    when T is large against n_last; with few trajectories and a long n_last
+    they, not the cells, set its time.  Rows go ``_index_blocks(plan,
+    cells)`` at a time into one reused buffer, each drawn by
+    ``Philox.random_raw`` in pieces of at most ``_FOLD_CELLS`` words, so no
+    draw holds more than one fold tile beside the buffer.  A row of more
+    than ``cells`` trajectories goes in pieces of ``cells``, each a fresh
+    draw continuing the row's stream where the last stopped, so the words
+    are the same whatever ``cells`` is.  The next tile may reuse the buffer,
+    so the caller keeps what it needs and may overwrite it.
     """
     width = min(plan.trajectories, cells)
     blocks = _index_blocks(plan, cells)
@@ -455,23 +461,59 @@ def _uniform_tiles(plan: SimulationPlan, cells: int) -> Iterator[tuple[range, sl
         "uinteger": 0,
     }
     bits = np.random.Philox(key=0)  # re-keyed before every row
-    gen = np.random.Generator(bits)
-    buffer = np.empty((len(blocks[0]), width))
-    for indices in blocks:
-        if width == plan.trajectories:
-            tile = buffer[: len(indices)]
-            for n, row in zip(indices, tile):
-                key[1] = n
-                bits.state = state
-                gen.random(out=row)
-            yield indices, slice(0, width), tile
-        else:  # one index a block, in pieces
+    if width < plan.trajectories:  # one index a block, in pieces
+        for indices in blocks:
             key[1] = indices.start
             bits.state = state
             for lo in range(0, plan.trajectories, width):
-                tile = buffer[:, : min(width, plan.trajectories - lo)]
-                gen.random(out=tile[0])
-                yield indices, slice(lo, lo + tile.shape[1]), tile
+                hi = min(plan.trajectories, lo + width)
+                # bound to no name here, so simulate_eta can drop each piece before the next is drawn
+                yield indices, slice(lo, hi), bits.random_raw(hi - lo)[None]
+        return
+    buffer = np.empty((len(blocks[0]), width), dtype=np.uint64)
+    for indices in blocks:
+        tile = buffer[: len(indices)]
+        for n, row in zip(indices, tile):
+            key[1] = n
+            bits.state = state
+            if width <= _FOLD_CELLS:  # the common row, without the loop's cost per index
+                row[...] = bits.random_raw(width)
+            else:
+                for lo in range(0, width, _FOLD_CELLS):
+                    row[lo : lo + _FOLD_CELLS] = bits.random_raw(min(_FOLD_CELLS, width - lo))
+        yield indices, slice(0, width), tile
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """In place, the uniforms (w >> 11) 2**-53 of Philox words: the float64 view of ``words``.
+
+    That is the formula ``Generator.random`` applies to the same word, so
+    each double keeps its bits.  ``words`` is overwritten; it is
+    C-contiguous, so the cast goes through ``copyto`` on its flat view, which
+    converts in place where a ufunc would first copy its overlapping input.
+    """
+    flat = np.right_shift(words, 11, out=words).reshape(-1)
+    uniforms = flat.view(np.float64)
+    np.copyto(uniforms, flat, casting="unsafe")  # exact: every shifted word lies below 2**53
+    return np.multiply(uniforms, 2.0**-53, out=uniforms).reshape(words.shape)
+
+
+def _word_thresholds(thresholds: np.ndarray) -> np.ndarray:
+    """In place, W_j = (floor(t_j 2**53) + 1) 2**11, clipped at 0, from float64 t_j: the uint64 view of ``thresholds``.
+
+    A word w passes w >= W_j iff its uniform (w >> 11) 2**-53 exceeds t_j
+    (``_uniforms``): the uniform is k 2**-53 with k = w >> 11, and k > t_j 2**53
+    iff k >= floor(t_j 2**53) + 1.  Both products by powers of two are exact,
+    t_j <= 1 - 2**-51 (``_SKIP_SLACK``) keeps W_j below 2**64, and t_j < 0
+    gives W_j = 0, which every word passes.  ``thresholds`` is 1-D, so the
+    cast makes no copy, as in ``_uniforms``.
+    """
+    np.floor(np.multiply(thresholds, 2.0**53, out=thresholds), out=thresholds)
+    np.maximum(np.add(thresholds, 1.0, out=thresholds), 0.0, out=thresholds)
+    np.multiply(thresholds, 2.0**11, out=thresholds)
+    words = thresholds.view(np.uint64)
+    np.copyto(words, thresholds, casting="unsafe")  # exact: integers below 2**64
+    return words
 
 
 def _index_scale(plan: SimulationPlan) -> np.ndarray:
@@ -485,14 +527,16 @@ def simulate_trajectories(plan: SimulationPlan, reduce: Callable[[slice, np.ndar
     ``block`` holds one row per index and one column per trajectory: its row
     k is Z_n at n = index_start + rows.start + k, so ``rows`` is the block's
     slice of the plan's indices index_start..n_last (and of
-    ``regulator_delta``).  The rows come from ``_uniform_tiles`` in blocks
-    of ``_BLOCK_CELLS`` cells (at least one whole row), each transformed
-    whole: magnitude, then times n**(-alpha).  The next block reuses the
+    ``regulator_delta``).  The rows of words come from ``_uniform_tiles`` in
+    blocks of ``_BLOCK_CELLS`` cells (at least one whole row), each
+    converted to uniforms in place (``_uniforms``) and transformed whole:
+    magnitude, then times n**(-alpha).  The next block reuses the
     block's buffer, so ``reduce`` keeps what it needs and may overwrite it.
     """
     scale = _index_scale(plan)[:, None]
-    for indices, _, block in _uniform_tiles(plan, max(_BLOCK_CELLS, plan.trajectories)):
+    for indices, _, words in _uniform_tiles(plan, max(_BLOCK_CELLS, plan.trajectories)):
         rows = slice(indices.start - plan.index_start, indices.stop - plan.index_start)
+        block = _uniforms(words)
         plan.model.draw_magnitudes(block, out=block)
         reduce(rows, np.multiply(block, scale[rows], out=block))
 
@@ -517,15 +561,20 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
     row r, with a margin for rounding (``_skip_thresholds``), and read again
     once the cells drawn reach ``_REFRESH_RATIO`` times those drawn at the
     last read.  v_j only grows, so a stale t_j only lets more cells through.
-    The uniforms come from ``_uniform_tiles`` in tiles of ``_FOLD_CELLS``
-    cells.  A tile where more than an eighth of the cells pass is
-    transformed whole; otherwise the passing cells are gathered.  Either way
-    each transformed cell gets the dense pass's arithmetic: magnitude, times
-    n**(-alpha), |.| / delta_n, then the max.  The fold holds the factors,
-    the thresholds and one tile with its mask and gathers: 16 bytes a
-    trajectory plus about 100 KiB.  The dense pass holds 8 bytes a
-    trajectory plus a block of 1 MiB or one row, whichever is larger, so the
-    fold is no heavier to within those 100 KiB.
+    The test runs on the Philox words of ``_uniform_tiles``, in tiles of
+    ``_FOLD_CELLS`` cells: each t_j becomes a word threshold W_j
+    (``_word_thresholds``), and a word w passes iff w >= W_j, which is
+    exactly u > t_j for its uniform u (``_uniforms``).  Only the cells that
+    pass are converted to uniforms.  A tile where more than an eighth pass is
+    converted and transformed whole, in place; otherwise the passing words
+    are gathered and converted.  Either way each transformed cell gets the
+    dense pass's arithmetic: magnitude, times n**(-alpha), |.| / delta_n,
+    then the max.  The fold holds the factors, the word thresholds (whose
+    float reads share their memory) and one tile with its mask and gathers:
+    16 bytes a trajectory plus about 100 KiB.  A row wider than a tile comes
+    in fresh draws, so each is dropped before the next is made.  The dense
+    pass holds 8 bytes a trajectory plus a block of 1 MiB or one row,
+    whichever is larger, so the fold is no heavier to within those 100 KiB.
     ``truncation_bound`` gives the batch's truncation risk.
     """
     delta = regulator_delta(plan)
@@ -533,31 +582,33 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
     eta = np.recarray(plan.trajectories, dtype=[("value", float)])  # filled in place: no copy at the end
     factors = eta.value
     factors.fill(0.0)  # the fold's start: every ratio is >= 0
-    thresholds = np.zeros(plan.trajectories)  # no cell is skipped before the first read
+    thresholds = np.zeros(plan.trajectories, dtype=np.uint64)  # word thresholds: every word passes 0
     passing = None
     drawn = read_at = 0
     for indices, columns, tile in _uniform_tiles(plan, _FOLD_CELLS):
         row = indices.start - plan.index_start
         rows = slice(row, row + len(indices))
         if columns.start == 0 and drawn > read_at and drawn >= _REFRESH_RATIO * read_at:
-            _skip_thresholds(plan.model, factors, scale[row] / delta[row], out=thresholds)
+            _word_thresholds(_skip_thresholds(plan.model, factors, scale[row] / delta[row], out=thresholds.view(float)))
             read_at = drawn
         drawn += tile.size
         if passing is None:  # later tiles are no larger than the first
             passing = np.empty(tile.shape, dtype=bool)
-        mask = np.greater(tile, thresholds[columns], out=passing[: tile.shape[0], : tile.shape[1]])
+        mask = np.greater_equal(tile, thresholds[columns], out=passing[: tile.shape[0], : tile.shape[1]])
         count = np.count_nonzero(mask)
         if 8 * count > tile.size:  # the gathers would cost more time and memory than the whole tile
-            plan.model.draw_magnitudes(tile, out=tile)
-            extract_regulator(np.multiply(tile, scale[rows, None], out=tile), delta[rows], out=factors[columns])
+            cells = _uniforms(tile)
+            plan.model.draw_magnitudes(cells, out=cells)
+            extract_regulator(np.multiply(cells, scale[rows, None], out=cells), delta[rows], out=factors[columns])
         elif count:  # a tile of several rows may pass one trajectory twice, hence maximum.at
             passed = np.flatnonzero(mask)
             k, j = np.divmod(passed, tile.shape[1]) if len(indices) > 1 else (0, passed)
-            cells = tile[k, j]
+            cells = _uniforms(tile[k, j])
             plan.model.draw_magnitudes(cells, out=cells)
             np.multiply(cells, scale[rows][k], out=cells)
             np.abs(cells, out=cells)
             np.maximum.at(factors[columns], j, np.divide(cells, delta[rows][k], out=cells))
+        tile = cells = None  # a piece of a row is a fresh draw: drop this one before the next is made
     return eta
 
 
@@ -745,9 +796,11 @@ def exact_eta_moment(alpha: float, eps: float, p: float, index_start: int = 1) -
     P(eta > 1) <= the integral: t_lo steps down by eps from
     t_m - eps ln(40 / ln 2) until the head, in [e**(p t_lo) T, e**(p t_lo)], is
     that narrow (its lower end is taken), and t_hi up from t_m until
-    ``_moment_tail_remainder`` is.  The rule's own error is not bounded.  Where
-    p e**(p t_hi), a bound on every partial sum, passes the float range first,
-    ``ToleranceUnreachable`` is raised before the head's or any node's tail.
+    ``_moment_tail_remainder`` is.  The rule's own error is not bounded.
+    p e**(p t_hi) bounds every partial sum, so t_hi stays where it is a float:
+    a step that would pass the float range goes to the edge t_edge instead,
+    and a remainder that fails there too raises ``ToleranceUnreachable``
+    before the head's or any node's tail.
     """
     _check_model_fields(alpha, index_start)
     check_eps(eps, alpha)
@@ -760,10 +813,19 @@ def exact_eta_moment(alpha: float, eps: float, p: float, index_start: int = 1) -
     tol = 0.5 * _MOMENT_REL_TOL * tail(0.0)  # what each cut may drop: the integral is at least P(eta > 1) * 1**p
     t_mid = eps * (float(special.gammaln(1.0 + 1.0 / eps)) - math.log(math.log(2.0)))
     t_lo, t_hi = t_mid - eps * math.log(40.0 / math.log(2.0)), t_mid
-    while math.log(p) + p * t_hi < _LOG_FLOAT_MAX and _moment_tail_remainder(eps, p, math.exp(t_hi), index_start) > tol:
-        t_hi += eps
-    if math.log(p) + p * t_hi >= _LOG_FLOAT_MAX:
-        raise ToleranceUnreachable(f"p u**p passes the float range at u = {math.exp(t_hi):g}, before the cut (p = {p})")
+
+    def in_range(t: float) -> bool:  # p e**(p t) is a float
+        return math.log(p) + p * t < _LOG_FLOAT_MAX
+
+    t_edge = (_LOG_FLOAT_MAX - math.log(p)) / p
+    while not in_range(t_edge):
+        t_edge = math.nextafter(t_edge, -math.inf)
+    while in_range(t_hi) and _moment_tail_remainder(eps, p, math.exp(t_hi), index_start) > tol:
+        t_hi = t_edge if t_hi < t_edge and not in_range(t_hi + eps) else t_hi + eps
+    if not in_range(t_hi):
+        raise ToleranceUnreachable(
+            f"p u**p passes the float range past u = {math.exp(t_edge):g}, before the cut (p = {p})"
+        )
     while math.exp(p * t_lo) * (1.0 - (head := tail(t_lo))) > tol:
         t_lo -= eps
     edges = np.linspace(t_lo, t_hi, math.ceil((t_hi - t_lo) / (_PANEL_WIDTH * eps)) + 1)

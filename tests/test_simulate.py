@@ -660,6 +660,85 @@ class TestSimulateEta:
         ):
             assert simulate_eta(plan).value.tobytes() == dense_eta(plan).tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=st.one_of(
+            st.floats(-(2.0**-51), 1.0 - 2.0**-51),
+            st.floats(0.0, 0.5, exclude_max=True),  # floats finer than 2**-53
+            st.integers(0, 2**53 - 4).map(lambda k: k * 2.0**-53),
+        ),
+        words=st.lists(st.integers(0, 2**64 - 1), max_size=8),
+    )
+    @example(t=-(2.0**-51), words=[0])
+    @example(t=-5e-324, words=[2**11 - 1])
+    @example(t=0.0, words=[0, 2**11 - 1, 2**11])
+    @example(t=3 * 2.0**-53, words=[])
+    @example(t=0.25 + 2.0**-55, words=[])
+    @example(t=1.0 - 2.0**-51, words=[2**64 - 1])
+    def test_word_threshold_admits_exactly_the_uniforms_above_t(self, t, words):
+        # the fold compares Philox words w with W(t) instead of their uniforms (w >> 11) 2**-53 with t;
+        # the two tests must agree on every word, most of all on K 2**11 - 1 and K 2**11, either side
+        # of the threshold's K = floor(t 2**53) + 1
+        k = max(0, math.floor(t * 2.0**53) + 1)
+        threshold = int(simulate_module._word_thresholds(np.array([t]))[0])
+        assert threshold == k * 2**11
+        words = np.array(words + [k * 2**11] + [k * 2**11 - 1] * (k > 0), dtype=np.uint64)
+        uniforms = simulate_module._uniforms(words.copy())
+        assert uniforms.tolist() == [(int(w) >> 11) / 2**53 for w in words]
+        np.testing.assert_array_equal(words >= np.uint64(threshold), uniforms > t)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("fold_cells", [6, 9])
+    def test_word_pieces_that_split_the_philox_buffer_match_fresh_streams(self, monkeypatch, model, fold_cells):
+        # rows of 17 words go in pieces of 6, 6, 5 or 9, 8, so most pieces start inside Philox's 4-word
+        # buffer: in the fold's fresh draws and in the dense pass's rows alike.  A tile of 6 passes whole
+        # from its first passing cell on; tiles of 9 and 8 also take the gather branch.  The cells the
+        # fold transforms are the ones a float test u > t_j admits, replayed on the same words
+        monkeypatch.setattr(simulate_module, "_FOLD_CELLS", fold_cells)
+        plan = SimulationPlan(model(alpha=1.0), 0.5, 17, FixedTruncation(n_last=200), 2**64 - 3)
+        events, converted = [], []
+        uniform_tiles, skip_thresholds, uniforms = (
+            simulate_module._uniform_tiles, simulate_module._skip_thresholds, simulate_module._uniforms
+        )
+
+        def recorded_tiles(plan, cells):
+            for indices, columns, tile in uniform_tiles(plan, cells):
+                events.append((columns, tile.copy()))
+                yield indices, columns, tile
+
+        def recorded_thresholds(*args, **kwargs):
+            thresholds = skip_thresholds(*args, **kwargs)
+            events.append(thresholds.copy())
+            return thresholds
+
+        def counted_uniforms(words):
+            converted.append(words.size)
+            return uniforms(words)
+
+        with mock.patch.multiple(
+            simulate_module,
+            _uniform_tiles=recorded_tiles,
+            _skip_thresholds=recorded_thresholds,
+            _uniforms=counted_uniforms,
+        ):
+            eta = simulate_eta(plan).value
+        np.testing.assert_array_equal(eta, fresh_stream_eta(plan))
+        np.testing.assert_array_equal(pass_batch(plan), fresh_stream_batch(plan)[0])
+        # a read follows its tile's event and holds for that tile; the first tiles admit every cell
+        thresholds, admitted, branches = np.full(plan.trajectories, -1.0), 0, set()
+        for event, after in zip(events, events[1:] + [None]):
+            if isinstance(event, np.ndarray):
+                continue
+            columns, words = event
+            if isinstance(after, np.ndarray):
+                thresholds = after
+            count = np.count_nonzero((words >> 11) * 2.0**-53 > thresholds[columns])
+            whole = 8 * count > words.size
+            admitted += words.size if whole else count
+            branches.add("whole" if whole else "gather" if count else "skip")
+        assert sum(converted) == admitted
+        assert branches == ({"whole", "skip"} if fold_cells == 6 else {"whole", "gather", "skip"})
+
     @settings(max_examples=60, deadline=None)
     @given(
         model=st.sampled_from(MODELS),
@@ -1239,6 +1318,13 @@ class TestExactMoment:
         assert _moment_tail_remainder(0.001, 1.5, 51.0, 1) == math.inf
         # the bound passes a float at U = 4p = 1600 at eps 0.002 and p 400
         assert _moment_tail_remainder(0.002, 400.0, 1600.0, 1) == math.inf
+
+    def test_cut_that_would_step_past_the_float_range_stops_at_its_edge(self):
+        # at eps 0.5 the cut's step of e**0.5 in U jumped past the float range's edge before the
+        # remainder passed, and p 102.9-104 raised; the cut now tests the edge itself
+        moments = [exact_eta_moment(1.0, 0.5, p) for p in (102.5, 103.0, 104.0)]
+        assert all(math.isfinite(m) for m in moments)
+        assert moments == sorted(moments)
 
     @pytest.mark.parametrize("eps, p", [(0.5, 120.0), (0.002, 400.0)])
     def test_rule_past_the_float_range_raises(self, deadline, eps, p):
