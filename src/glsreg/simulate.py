@@ -471,16 +471,15 @@ def _uniform_tiles(plan: SimulationPlan, cells: int) -> Iterator[tuple[range, sl
                 yield indices, slice(lo, hi), bits.random_raw(hi - lo)[None]
         return
     buffer = np.empty((len(blocks[0]), width), dtype=np.uint64)
+    # each row's draws, made once: the row loop's own cost sets the time of few-trajectory passes
+    pieces = [(slice(lo, lo + _FOLD_CELLS), min(_FOLD_CELLS, width - lo)) for lo in range(0, width, _FOLD_CELLS)]
     for indices in blocks:
         tile = buffer[: len(indices)]
         for n, row in zip(indices, tile):
             key[1] = n
             bits.state = state
-            if width <= _FOLD_CELLS:  # the common row, without the loop's cost per index
-                row[...] = bits.random_raw(width)
-            else:
-                for lo in range(0, width, _FOLD_CELLS):
-                    row[lo : lo + _FOLD_CELLS] = bits.random_raw(min(_FOLD_CELLS, width - lo))
+            for piece, size in pieces:
+                row[piece] = bits.random_raw(size)
         yield indices, slice(0, width), tile
 
 

@@ -756,9 +756,10 @@ class TestSimulateEta:
         plan = SimulationPlan(
             model(alpha=alpha, index_start=index), eps, 4096, FixedTruncation(n_last=index + 3), seed
         )
+        words = next(simulate_module._uniform_tiles(plan, 4096))[2][0]
         u = np.concatenate(
             [
-                np.minimum(next(simulate_module._uniform_tiles(plan, 4096))[2][0], 1.0 - 2.0**-52),
+                np.minimum(simulate_module._uniforms(words), 1.0 - 2.0**-52),
                 2.0**-53 * np.arange(1, 65),
                 1.0 - 2.0**-53 * np.arange(2, 66),
                 1.0 - 2.0 ** -np.arange(2, 53),
