@@ -44,6 +44,8 @@ __all__ = [
     "exponential_tail_bound",
 ]
 
+_LANE_CELLS = 1 << 15  # atom-table cells discrete_moment_lanes evaluates at a time
+
 
 @dataclass(frozen=True)
 class MomentFunction(GeneratingFunction):
@@ -96,18 +98,20 @@ def half_normal_moments() -> MomentFunction:
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x), axis=1)) without overflow.
+    """log(sum(exp(x), axis=1)) without overflow; overwrites ``x``.
 
     Each row is shifted by its max, or by 0 when that max is not finite.  As
     in scipy.special.logsumexp, the terms equal to the max are counted, not
     summed: the result is log1p(rest / count) + log(count) + max, which is
-    -inf with no warning for a row of -inf (all atoms zero).
+    -inf with no warning for a row of -inf (all atoms zero).  The shifted
+    terms are formed in ``x`` itself, so callers pass a table they discard.
     """
     top = x.max(axis=1)
     at_top = x == top[:, None]
     count = at_top.sum(axis=1, dtype=float)
-    shift = np.where(np.isfinite(top), top, 0.0)
-    rest = np.exp(np.where(at_top, -np.inf, x) - shift[:, None]).sum(axis=1)
+    np.copyto(x, -np.inf, where=at_top)
+    x -= np.where(np.isfinite(top), top, 0.0)[:, None]
+    rest = np.exp(x, out=x).sum(axis=1)
     return np.log1p(rest / count) + np.log(count) + top
 
 
@@ -166,19 +170,29 @@ def discrete_moment_lanes(
     ``values`` takes exponents as a flat set and cannot keep them per lane.
 
     The atoms are padded to the longest lane by zero weights (log-weight
-    -inf), which add exact zeros to a lane's sums.  The table holds one
-    contiguous slab per atom and is summed over atoms slab by slab, in
-    order; numpy sums a row of up to seven atoms in order too, so with at
-    most seven atoms a lane equals its own curve bit for bit.
+    -inf), which add exact zeros to a lane's sums.  The lanes are evaluated
+    in chunks: each chunk's (atoms x lanes x n) table holds at most
+    ``_LANE_CELLS`` cells (256 KiB of floats), or one lane where a lane
+    alone holds more, so the evaluator's temporaries do not grow with the
+    number of lanes.  The table holds one contiguous slab per atom and is
+    summed over atoms slab by slab, in order; numpy sums a row of up to
+    seven atoms in order too, so with at most seven atoms a lane equals its
+    own curve bit for bit, whatever the chunk.
     """
     log_a, log_w = (np.ascontiguousarray(t.T)[:, :, None] for t in _discrete_logs(atoms, weights))
 
     def ev(p: np.ndarray) -> np.ndarray:
-        x = p * log_a  # (atoms, lanes, n)
-        x += log_w
-        # the transpose views the slabs as rows of atoms without copying them
-        lse = _logsumexp_rows(x.reshape(x.shape[0], -1).T).reshape(x.shape[1:])
-        return np.exp(lse / p)
+        p = np.broadcast_to(p, np.broadcast_shapes(p.shape, log_a.shape[1:]))  # (lanes, n)
+        out = np.empty(p.shape)
+        step = max(1, _LANE_CELLS // max(1, log_a.shape[0] * p.shape[1]))
+        for lo in range(0, p.shape[0], step):
+            lanes = slice(lo, lo + step)
+            x = p[lanes] * log_a[:, lanes]  # (atoms, chunk, n)
+            x += log_w[:, lanes]
+            # the transpose views the slabs as rows of atoms without copying them
+            lse = _logsumexp_rows(x.reshape(x.shape[0], -1).T).reshape(x.shape[1:])
+            np.exp(lse / p[lanes], out=out[lanes])
+        return out
 
     return MomentFunction(ExponentInterval(1.0, math.inf), ev)
 

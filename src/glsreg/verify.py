@@ -440,7 +440,10 @@ def norm_axiom_violations(seed: int, cases: int) -> dict[str, float]:
     extremal reduction to the plain p-norm, and |norm - 1| for natural
     generating functions of single curves and of pointwise-sup families.
     All cases are drawn first; each kind of norm then runs as the lanes of
-    one scan over a lane family of the random curves.
+    one scan over a lane family of the random curves.  The extremal scan
+    takes the sweep's grid size too: an extremal weight's domain holds the
+    one float r, whose grid is the one point r at any size, and a one-point
+    grid is not refined, so the size cannot move a value.
     """
     rng = np.random.default_rng(seed)
     worst = {"homogeneity": 0.0, "anti_monotonicity": -math.inf, "extremal": 0.0, "natural": 0.0}
@@ -456,7 +459,7 @@ def norm_axiom_violations(seed: int, cases: int) -> dict[str, float]:
     # constant factor >= 1 on the full domain keeps both scans on one grid
     grown = [MomentFunction(psi.domain, lambda p, k=k: np.full_like(p, k)) for psi, k in zip(psis, ks)]
     big = gls_norm(m, [Product(pair) for pair in zip(psis, grown)], n_points=n_points, refine=False)
-    at_r = gls_norm(m, [Extremal(r) for r in rs])
+    at_r = gls_norm(m, [Extremal(r) for r in rs], n_points=n_points)
     m_r = m.evaluator(np.array(rs)[:, None])[:, 0].tolist()
     (natural,) = _natural_norms(m, [m], n_points)
     family = sup_moment_function([m, discrete_moment_lanes(*zip(*others))])

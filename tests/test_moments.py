@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
+from glsreg import moments
 from glsreg.errors import DomainError, EmptyDomain, EmptySample, LengthMismatch
 from glsreg.estimates import ConfidenceValue, mean_estimate, power_mean_estimate
 from glsreg.generating import ExponentInterval, Extremal, PowerRoot, Tabulated, TwoSidedSingular
@@ -149,7 +150,7 @@ class TestDiscreteMomentLanes:
                 row = p if p.ndim == 1 else p[i]
                 assert _bits(got[i]) == _bits(curve.values(row)), (i, p.shape)
 
-    def test_two_thousand_random_lanes_bitwise(self):
+    def test_two_thousand_random_lanes_bitwise(self, monkeypatch):
         rng = np.random.default_rng(11)
         atoms, weights = [], []
         for _ in range(2000):
@@ -157,9 +158,15 @@ class TestDiscreteMomentLanes:
             atoms.append(rng.lognormal(0.0, 1.0, size=k))
             weights.append(rng.uniform(0.2, 1.0, size=k))
         p = np.geomspace(1.0, 1e4, 98)
-        got = discrete_moment_lanes(atoms, weights).evaluator(p)
-        for i, (a, w) in enumerate(zip(atoms, weights)):
-            assert _bits(got[i]) == _bits(discrete_moments(a, w).values(p)), i
+        want = [_bits(discrete_moments(a, w).values(p)) for a, w in zip(atoms, weights)]
+        lane_cells = max(map(len, atoms)) * p.size  # one lane's atom table: 6 x 98 cells
+        # one lane a chunk; 7 lanes a chunk, whose last chunk holds 2000 % 7 = 5; the default
+        # (55 lanes, last chunk 20); every lane in one chunk
+        for budget in (1, 7 * lane_cells, moments._LANE_CELLS, 2000 * lane_cells):
+            monkeypatch.setattr(moments, "_LANE_CELLS", budget)
+            got = discrete_moment_lanes(atoms, weights).evaluator(p)
+            for i, row in enumerate(got):
+                assert _bits(row) == want[i], (budget, i)
 
     def test_scaled_and_sup_of_lane_families(self):
         rng = np.random.default_rng(2)

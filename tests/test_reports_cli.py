@@ -589,6 +589,20 @@ class TestNormAxiomSweep:
 
         assert norm_axiom_violations(1, 0) == reference_norm_axiom_violations(1, 0)
 
+    def test_sweep_peak_memory_under_2_mib(self):
+        from glsreg.verify import norm_axiom_violations
+
+        # the lane tables are evaluated in chunks of at most 2**15 atom-table cells (256 KiB) and
+        # the extremal scan takes the sweep's 96 points, so the sweep peaks at about 1.7 MiB; a
+        # whole (atoms x lanes x n) table at once and a 250 x 512 extremal grid reached 4.87 MiB
+        tracemalloc.start()
+        try:
+            norm_axiom_violations(42, 250)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
+
 
 class TestNormCommand:
     def test_natural_curve_has_unit_norm(self, runner, tmp_path):
