@@ -9,9 +9,9 @@ simulate.plan_from_config) and returns an artifact map (file name -> JSON
 tree, text, or writer taking the path), a summary and an exit status.  The
 skeleton writes the map into --out only after the body returns, so a failed
 command writes nothing, then prints the summary.  Config problems
-(schema violations, and domain checks the schema cannot express) exit with
-status 2; runtime math failures exit with status 1; verify exits with the
-report's own status.
+(schema violations, and domain checks the schema cannot express) raise
+click.UsageError, which exits with status 2; runtime math failures exit
+with status 1; verify exits with the report's own status.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .errors import ConfigError, GLSError
+from .errors import GLSError
 
 _SCHEMA_NAME = "experiment_config.schema.json"
 
@@ -66,13 +66,13 @@ def _building():
     """Scope where a command builds its objects from a schema-valid config.
 
     The constructors still run the domain checks the schema cannot express
-    (q < Q, knot order, matching lengths, eps < alpha); a failure here is a
-    config error.
+    (q < Q, knot order, matching lengths, eps < alpha); a GLSError here is
+    re-raised as a click.UsageError, which exits with status 2.
     """
     try:
         yield
     except GLSError as bad:
-        raise ConfigError(f"config rejected: {bad}") from bad
+        raise click.UsageError(f"config rejected: {bad}") from bad
 
 
 def _command(seeded: bool = False):
@@ -108,8 +108,6 @@ def _command(seeded: bool = False):
             cfg = _load_config(config_path, body.__name__)
             try:
                 artifacts, summary, status = body(cfg, fmt, **options)
-            except ConfigError as bad:
-                raise click.UsageError(str(bad)) from bad
             except GLSError as bad:
                 raise click.ClickException(str(bad)) from bad
             from .persist import atomic_write_text, write_json
@@ -176,14 +174,15 @@ def _psi_from_config(cfg: dict, moments_obj=None):
     """Generating function from the config's psi block.
 
     The 'natural' form normalises the config's own moment curve, so it needs
-    a moments block to lean on.
+    a moments block to lean on; without one it raises a GLSError, which
+    ``_building`` rejects like any other config error.
     """
     from . import generating
 
     psi = cfg["psi"]
     if psi["form"] == "natural":
         if moments_obj is None:
-            raise ConfigError("psi form 'natural' needs a moments block in the config")
+            raise GLSError("psi form 'natural' needs a moments block in the config")
         return generating.natural_function(moments_obj)
     if psi["form"] == "power_root":
         return generating.PowerRoot(m=float(psi["m"]))

@@ -13,7 +13,6 @@ __all__ = [
     "Divergent",
     "ToleranceUnreachable",
     "TruncationInfeasible",
-    "ConfigError",
 ]
 
 
@@ -63,7 +62,3 @@ class ToleranceUnreachable(GLSError, ArithmeticError):
 
 class TruncationInfeasible(GLSError, ValueError):
     """No admissible truncation length satisfies the remainder target."""
-
-
-class ConfigError(GLSError, ValueError):
-    """An experiment configuration fails schema or semantic validation."""

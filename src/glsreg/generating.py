@@ -208,6 +208,8 @@ class Tabulated(GeneratingFunction):
             raise DomainError("a table needs at least two knots")
         ps = [p for p, _ in self.points]
         vs = [v for _, v in self.points]
+        if not all(math.isfinite(p) for p in ps):
+            raise DomainError(f"table knots must sit at finite exponents, got {ps}")
         if ps[0] < 1.0:
             raise DomainError(f"table knots must sit at exponents >= 1, got {ps[0]}")
         if any(b <= a for a, b in zip(ps, ps[1:])):

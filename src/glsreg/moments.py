@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyDomain, EmptySample, LengthMismatch
 from .estimates import ConfidenceValue, proportion_estimate
-from .generating import ExponentInterval, GeneratingFunction, Tabulated, intersect_domains
+from .generating import GRID_POINTS, ExponentInterval, GeneratingFunction, Tabulated, intersect_domains
 from .scan import ScanResult, supremum_scan
 
 __all__ = [
@@ -258,7 +258,7 @@ def norm_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def gls_norm_scan(
     moments: MomentFunction,
     psi: GeneratingFunction,
-    n_points: int = 512,
+    n_points: int = GRID_POINTS,
     refine: bool = True,
 ) -> ScanResult:
     """Scan detail behind gls_norm: grid, objective, argmax, unbounded flag."""
@@ -288,7 +288,7 @@ def _lane_ratio(moments: MomentFunction, weights: list[GeneratingFunction]):
 def gls_norm(
     moments: MomentFunction,
     psi: GeneratingFunction | Sequence[GeneratingFunction],
-    n_points: int = 512,
+    n_points: int = GRID_POINTS,
     refine: bool = True,
 ) -> float | list[float]:
     """sup_p ||f||_p / psi(p) over the common exponent domain.

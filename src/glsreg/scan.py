@@ -145,8 +145,7 @@ def supremum_scan(
     last = np.broadcast_to(size - 1, c.shape)
     capped = np.broadcast_to([d.upper > UPPER_CAP for d in domains], c.shape)
     obj = np.empty((c.size, table.shape[-1]))
-    obj[...] = objective(table, c[:, None])  # a lane-free objective's row fills every lane
-    obj[np.isnan(obj)] = -math.inf
+    obj[...] = _finite_part(objective(table, c[:, None]))  # a lane-free objective's row fills every lane
 
     rows = np.arange(c.size)
     table = np.broadcast_to(table, obj.shape)

@@ -63,10 +63,10 @@ from scipy import special
 
 from .criteria import extract_regulator
 from .errors import DomainError, ToleranceUnreachable, TruncationInfeasible
-from .generating import check_eps, natural_function
+from .generating import check_eps
 from .moments import half_normal_moments, std_exponential_moments
 from .bounds import SERIES_TERM_CAP, MomentEnvelope, _check_integer, _check_model_fields
-from .sequences import PowerLogSequence, _chunked_sum
+from .sequences import _chunked_sum
 
 __all__ = [
     "TRUNCATION_CAP",
@@ -121,7 +121,7 @@ class ExponentialPower:
 
     def moment_envelope(self) -> MomentEnvelope:
         """Exact envelope: ||Z_n||_p = Gamma(p+1)**(1/p) * n**(-alpha)."""
-        return MomentEnvelope(natural_function(std_exponential_moments()), self.alpha, self.index_start)
+        return MomentEnvelope(std_exponential_moments(), self.alpha, self.index_start)
 
     def tail_exponent(self, u: float, eps: float) -> tuple[float, float]:
         """(c, gamma) with P(n**(alpha-eps) |Z_n| > u) <= exp(-c n**gamma); here an equality."""
@@ -152,7 +152,7 @@ class GaussianPower:
         _check_model_fields(self.alpha, self.index_start)
 
     def moment_envelope(self) -> MomentEnvelope:
-        return MomentEnvelope(natural_function(half_normal_moments()), self.alpha, self.index_start)
+        return MomentEnvelope(half_normal_moments(), self.alpha, self.index_start)
 
     def tail_exponent(self, u: float, eps: float) -> tuple[float, float]:
         """(c, gamma) with P(n**(alpha-eps) |Z_n| > u) <= exp(-c n**gamma), from P(|g| > t) <= exp(-t^2 / 2)."""
@@ -543,7 +543,7 @@ def simulate_trajectories(plan: SimulationPlan, reduce: Callable[[slice, np.ndar
 def regulator_delta(plan: SimulationPlan) -> np.ndarray:
     """delta_n = n**(-(alpha - eps)) at the plan's simulated indices index_start..n_last."""
     n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
-    return PowerLogSequence(rate=plan.alpha - plan.eps).values(n_idx)
+    return n_idx ** (-(plan.alpha - plan.eps))
 
 
 def simulate_eta(plan: SimulationPlan) -> np.recarray:

@@ -152,6 +152,12 @@ class TestTabulated:
             Tabulated(points=((1.0, 1.0),))
         with pytest.raises(DomainError):
             Tabulated(points=((2.0, 1.0), (2.0, 2.0)))
+        # a knot below 1 or off the finite exponents: a NaN knot read NaN at every p, and an
+        # infinite last knot stretched the table's domain to [1, inf) with a flat tail
+        below_one = ((0.5, 1.0), (2.0, 2.0))
+        for points in (below_one, ((1.0, 1.0), (math.nan, 2.0), (3.0, 3.0)), ((1.0, 1.0), (2.0, 2.0), (math.inf, 3.0))):
+            with pytest.raises(DomainError, match="table knots must sit at"):
+                Tabulated(points=points)
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(DomainError):

@@ -10,8 +10,8 @@ from scipy import special
 
 from glsreg import moments
 from glsreg.errors import DomainError, EmptyDomain, EmptySample, LengthMismatch
-from glsreg.estimates import ConfidenceValue, mean_estimate, power_mean_estimate
-from glsreg.generating import ExponentInterval, Extremal, PowerRoot, Tabulated, TwoSidedSingular
+from glsreg.estimates import ConfidenceValue, mean_estimate, power_mean_estimate, proportion_estimate
+from glsreg.generating import ExponentInterval, Extremal, PowerRoot, Product, Tabulated, TwoSidedSingular
 from glsreg.moments import (
     _logsumexp_rows,
     classical_grand_norm,
@@ -30,6 +30,8 @@ from glsreg.moments import (
     young_fenchel,
     young_fenchel_scan,
 )
+from glsreg.sequences import GeometricSequence, PowerLogSequence
+from glsreg.simulate import exp_power_sum
 
 
 class TestStdExponentialMoments:
@@ -440,3 +442,36 @@ class TestNormProperties:
         from glsreg.generating import natural_function
 
         assert gls_norm(m, natural_function(m), n_points=64, refine=False) == 1.0
+
+
+# input guards no other test raises, with the type and message each raises
+UNRAISED_GUARDS = {
+    "mean-empty": (lambda: mean_estimate([]), EmptySample, "mean of an empty sample"),
+    "proportion-empty": (lambda: proportion_estimate(0, 0), EmptySample, "proportion of an empty sample"),
+    "power-mean-empty": (lambda: power_mean_estimate([], 2.0), EmptySample, "p-norm of an empty sample"),
+    "lanes-empty": (
+        lambda: discrete_moment_lanes([], []), EmptySample, "a family of discrete moment curves needs at least one curve"
+    ),
+    "product-empty": (lambda: Product(()), DomainError, "a product needs at least one factor"),
+    "constant-negative": (
+        lambda: constant_moments(-1.0), DomainError, "a p-norm level must be finite and nonnegative, got -1.0"
+    ),
+    "power-log-rate-zero": (lambda: PowerLogSequence(rate=0.0), DomainError, "decay rate must be positive, got 0.0"),
+    "power-log-log-power-nan": (
+        lambda: PowerLogSequence(rate=1.0, log_power=math.nan), DomainError, "log exponent must be finite, got nan"
+    ),
+    "geometric-scale-zero": (
+        lambda: GeometricSequence(q=0.5, scale=0.0), DomainError, "geometric scale must be positive, got 0.0"
+    ),
+    "exp-power-sum-tol-zero": (
+        lambda: exp_power_sum(1.0, 0.5, abs_tol=0.0), DomainError, "abs_tol must lie in (0, 1), got 0.0"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", UNRAISED_GUARDS.values(), ids=UNRAISED_GUARDS.keys())
+def test_input_guard_raises_its_type_and_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message

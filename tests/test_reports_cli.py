@@ -766,6 +766,24 @@ class TestBoundCommand:
             {"p": 4.0, "sigma": 2.0796009620600726, "bound": 8.31840384824029},
         ]
 
+    def test_series_diverging_at_one_exponent_writes_inf_rows(self, runner, tmp_path):
+        # the ratio n^-1 sums to inf at p = 1: that row reads inf in every format and the command exits 0
+        cfg = bound_pair({"form": "power_log", "alpha": 1.5}, {"form": "power_log", "theta": 0.5})
+        (tmp_path / "b.json").write_text(json.dumps({**cfg, "p_grid": [1.0, 2.0]}))
+        for fmt in ("json", "csv", "svg"):
+            out = tmp_path / fmt
+            result = invoke(runner, "bound", "--config", str(tmp_path / "b.json"), "--out", str(out), "--format", fmt)
+            assert result.exit_code == 0
+            assert "sequence bound finite at 1/2 exponents" in result.output
+        assert json.loads((tmp_path / "json" / "bound.json").read_text())["rows"] == [
+            {"p": 1.0, "sigma": "inf", "bound": "inf"},
+            {"p": 2.0, "sigma": 1.2825494580101517, "bound": 2.5650989160203035},
+        ]
+        assert "1.0,inf,inf" in (tmp_path / "csv" / "bounds.csv").read_text().splitlines()
+        svg = (tmp_path / "svg" / "bounds.svg").read_text()
+        assert "<desc>p,bound\n1.0,inf\n2.0,2.5650989160203035</desc>" in svg
+        assert '<polyline points="60.00,380.00"' in svg  # the one finite point
+
     def test_unreachable_tolerance_exits_1(self, runner, tmp_path):
         # p gamma - 1 = 1e-3 cannot certify 1e-9 within the term cap: a typed error, found before summing
         cfg = bound_pair({"form": "power_log", "alpha": 1.0}, {"form": "power_log", "theta": 0.5})

@@ -1032,6 +1032,14 @@ class TestExactTail:
             assert simulate_module._log_product(c, gamma, abs_tol, index_start) <= math.log(abs_tol)
         assert summed_cells == [0, 1]
 
+    def test_kernel_unreachable_rest_raises_before_summing(self, summed_cells, deadline):
+        # from index 5e7 the term cut passes the cap, and the floor on the log product (-22.13)
+        # sits above ln(1e-13) (-29.93), so no sum could stop the kernel: the 1.49e-6 wide
+        # bracket on the rest past the capped cut raises before any cell is summed
+        with deadline(0.5), pytest.raises(ToleranceUnreachable, match="bracketed only to 1.49e-06"):
+            exact_eta_tail(1.0, 0.1, 2.54691843897454, 1e-13, 50_000_000)
+        assert summed_cells == []
+
     @pytest.mark.parametrize("u", [0.01, 0.05])
     def test_small_u_stops_within_abs_tol(self, u):
         value = exact_eta_tail(1.0, 0.5, u)
