@@ -145,7 +145,8 @@ class PowerRoot(GeneratingFunction):
         return ExponentInterval(1.0, math.inf)
 
     def on_domain(self, q: np.ndarray) -> np.ndarray:
-        return q ** (1.0 / self.m)
+        with np.errstate(over="ignore"):  # +inf past the float range is the weight's value
+            return q ** (1.0 / self.m)
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,8 @@ class TwoSidedSingular(GeneratingFunction):
         return ExponentInterval(1.0, self.b, lower_open=True)
 
     def on_domain(self, q: np.ndarray) -> np.ndarray:
-        return (q - 1.0) ** (-self.alpha) * (self.b - q) ** (-self.beta)
+        with np.errstate(over="ignore"):  # +inf past the float range is the weight's value
+            return (q - 1.0) ** (-self.alpha) * (self.b - q) ** (-self.beta)
 
 
 @dataclass(frozen=True)

@@ -271,18 +271,20 @@ def gls_norm_scan(
     return supremum_scan(ratio, dom, (0.0,), n_points=n_points, refine=refine)[0]
 
 
-def _lane_ratio(moments: MomentFunction, weights: list[GeneratingFunction]):
-    """The ratio objective of a lane family against one weight per lane; the lane parameter is the lane's index."""
+def _lane_norms(moments: MomentFunction, domains, lanes: int, weights_at: Callable, n_points: int) -> list[float]:
+    """Each lane's sup_p ||f||_p / psi(p) on its grid alone, for the lane family ``moments``.
 
-    def ratio(p: np.ndarray, lane: np.ndarray) -> np.ndarray:
-        if p.ndim == 2:  # the grid table, a row per lane
-            return norm_ratio(moments.evaluator(p), np.array([w.values(row) for w, row in zip(weights, p)]))
-        # golden-section points, each with its own lane
-        i = lane.astype(int)
-        num = moments.evaluator(p)[i, np.arange(p.size)]
-        return norm_ratio(num, np.array([weights[j].value(x) for j, x in zip(i, p)]))
+    ``domains`` is one domain per lane, or one shared by all ``lanes``.
+    ``weights_at`` maps the grid (the shared (n,) row or the (lanes x n)
+    table) to a (lanes x n) table of weights; the family's own ``evaluator``
+    makes each curve its own weight, evaluated once per call.
+    """
 
-    return ratio
+    def ratio(p: np.ndarray, _: np.ndarray) -> np.ndarray:
+        num = moments.evaluator(p)
+        return norm_ratio(num, num if weights_at is moments.evaluator else weights_at(p))
+
+    return [scan.value for scan in supremum_scan(ratio, domains, np.arange(lanes), n_points, refine=False)]
 
 
 def gls_norm(
@@ -296,16 +298,18 @@ def gls_norm(
     ``psi`` is one weight, giving a float, or a sequence of weights, one per
     lane of the lane family ``moments`` (see ``discrete_moment_lanes``),
     giving a list of floats from one lockstep scan in which every lane
-    scans its own domain.  A norm is +inf when the ratio is still climbing
-    at the scan cap of an unbounded domain; a capped finite value would
-    understate it.
+    scans its own domain.  A sequence is scanned on each lane's grid alone;
+    ``refine`` applies to a single weight.  A norm is +inf when the ratio is
+    still climbing at the scan cap of an unbounded domain; a capped finite
+    value would understate it.
     """
     if isinstance(psi, GeneratingFunction):
         return gls_norm_scan(moments, psi, n_points=n_points, refine=refine).value
     weights = list(psi)
     domains = [intersect_domains(moments.domain, w.domain) for w in weights]
-    scans = supremum_scan(_lane_ratio(moments, weights), domains, np.arange(len(weights)), n_points, refine)
-    return [scan.value for scan in scans]
+    return _lane_norms(
+        moments, domains, len(weights), lambda p: np.array([w.values(row) for w, row in zip(weights, p)]), n_points
+    )
 
 
 def _grand_domain(moments: MomentFunction, q: float) -> ExponentInterval:

@@ -242,6 +242,15 @@ def _check_exp_power_args(c: float, gamma: float) -> None:
         raise DomainError(f"index power must lie in (0, 2], got {gamma}")
 
 
+def _rate_times_power(kc: float, m: int, gamma: float) -> float:
+    """kc m**gamma; in log space, saturating to +inf, where m**gamma alone passes the float range."""
+    try:
+        return kc * m**gamma
+    except OverflowError:
+        log_x = math.log(kc) + gamma * math.log(m)
+        return math.exp(log_x) if log_x < _LOG_FLOAT_MAX else math.inf
+
+
 def _tail_integrals(c: float, gamma: float, *starts: int, powers: tuple[int, ...] = (1,)) -> list[float]:
     """I_k(m) = int_m^inf exp(-k c t**gamma) dt = Gamma(1 + a) (k c)**(-a) Q(a, k c m**gamma), a = 1/gamma.
 
@@ -254,7 +263,7 @@ def _tail_integrals(c: float, gamma: float, *starts: int, powers: tuple[int, ...
     if log_front > _LOG_FLOAT_MAX:
         return [math.inf] * (len(starts) * len(powers))
     fronts = [math.exp(log_front - a * math.log(k)) for k in powers for _ in starts]
-    q = special.gammaincc(a, [k * c * m**gamma for k in powers for m in starts]).tolist()
+    q = special.gammaincc(a, [_rate_times_power(k * c, m, gamma) for k in powers for m in starts]).tolist()
     return [front * q_k for front, q_k in zip(fronts, q)]
 
 

@@ -32,18 +32,17 @@ from .generating import (
     TwoSidedSingular,
 )
 from .moments import (
-    MomentFunction,
+    _lane_norms,
+    constant_moments,
     discrete_moment_lanes,
     empirical_tail,
     gls_norm,
-    norm_ratio,
     scaled_moments,
     std_exponential_moments,
     sup_moment_function,
     young_fenchel,
 )
 from .reports import CheckRecord, VerificationReport
-from .scan import supremum_scan
 from .sequences import DecaySequencePair, GeometricSequence
 from .simulate import (
     _MOMENT_REL_TOL,
@@ -410,28 +409,6 @@ def _random_case(rng: np.random.Generator):
     return curve, psi, c, k, r, _random_atoms(rng)
 
 
-def _natural_norms(curves: MomentFunction, members: list[MomentFunction], n_points: int) -> list[list[float]]:
-    """Per member, each lane's norm against the natural weight of that lane of ``curves``.
-
-    On [1, inf) the natural weight is nu(1) up to p = 1 and nu(p) above it,
-    as ``natural_function`` builds it for one curve.
-    """
-    nu_1 = curves.evaluator(np.ones(1))
-
-    def against_natural(member: MomentFunction):
-        def ratio(p: np.ndarray, _: np.ndarray) -> np.ndarray:
-            nu = curves.evaluator(p)
-            return norm_ratio(nu if member is curves else member.evaluator(p), np.where(p > 1.0, nu, nu_1))
-
-        return ratio
-
-    lanes = np.arange(nu_1.shape[0])
-    return [
-        [scan.value for scan in supremum_scan(against_natural(member), curves.domain, lanes, n_points, refine=False)]
-        for member in members
-    ]
-
-
 def norm_axiom_violations(seed: int, cases: int) -> dict[str, float]:
     """Largest observed violation of each norm axiom over randomized inputs.
 
@@ -442,8 +419,10 @@ def norm_axiom_violations(seed: int, cases: int) -> dict[str, float]:
     All cases are drawn first; each kind of norm then runs as the lanes of
     one scan over a lane family of the random curves.  The extremal scan
     takes the sweep's grid size too: an extremal weight's domain holds the
-    one float r, whose grid is the one point r at any size, and a one-point
-    grid is not refined, so the size cannot move a value.
+    one float r, whose grid is the one point r at any size, so the size
+    cannot move a value.  On [1, inf) a curve is its own natural weight
+    (nu(1) at p = 1 and nu(p) above), so the natural scans weigh each lane
+    by its own curve.
     """
     rng = np.random.default_rng(seed)
     worst = {"homogeneity": 0.0, "anti_monotonicity": -math.inf, "extremal": 0.0, "natural": 0.0}
@@ -454,16 +433,15 @@ def norm_axiom_violations(seed: int, cases: int) -> dict[str, float]:
     m = discrete_moment_lanes(*zip(*curves))
     n_points = 96
 
-    base = gls_norm(m, psis, n_points=n_points, refine=False)
-    scaled = gls_norm(scaled_moments(m, np.array(cs)[:, None]), psis, n_points=n_points, refine=False)
-    # constant factor >= 1 on the full domain keeps both scans on one grid
-    grown = [MomentFunction(psi.domain, lambda p, k=k: np.full_like(p, k)) for psi, k in zip(psis, ks)]
-    big = gls_norm(m, [Product(pair) for pair in zip(psis, grown)], n_points=n_points, refine=False)
+    base = gls_norm(m, psis, n_points=n_points)
+    scaled = gls_norm(scaled_moments(m, np.array(cs)[:, None]), psis, n_points=n_points)
+    # a constant factor >= 1 has the domain [1, inf), so the product keeps psi's domain and grid
+    big = gls_norm(m, [Product((psi, constant_moments(k))) for psi, k in zip(psis, ks)], n_points=n_points)
     at_r = gls_norm(m, [Extremal(r) for r in rs], n_points=n_points)
     m_r = m.evaluator(np.array(rs)[:, None])[:, 0].tolist()
-    (natural,) = _natural_norms(m, [m], n_points)
+    natural = _lane_norms(m, m.domain, cases, m.evaluator, n_points)
     family = sup_moment_function([m, discrete_moment_lanes(*zip(*others))])
-    fam_m, fam_f = _natural_norms(family, [m, family], n_points)
+    fam_m, fam_f = (_lane_norms(member, family.domain, cases, family.evaluator, n_points) for member in (m, family))
 
     for c, b, s, g, e, e_ref, n, fm, ff in zip(cs, base, scaled, big, at_r, m_r, natural, fam_m, fam_f):
         if math.isfinite(b) and b > 0 and math.isfinite(s):

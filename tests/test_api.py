@@ -144,6 +144,16 @@ def test_only_generating_function_masks_the_domain():
     assert overrides == []
 
 
+def _calls(tree: ast.AST, name: str) -> bool:
+    return any(isinstance(node, ast.Call) and name in _identifiers(node.func) for node in ast.walk(tree))
+
+
+def test_only_moments_calls_supremum_scan():
+    # every sup-norm and conjugate scan goes through moments; a second caller is a second home for a norm
+    callers = sorted(path.name for path in PACKAGE.glob("*.py") if _calls(ast.parse(path.read_text()), "supremum_scan"))
+    assert callers == ["moments.py"]
+
+
 def _has_main_block(tree: ast.Module) -> bool:
     return any(
         isinstance(node, ast.If)

@@ -1,6 +1,7 @@
 """Generating-function domains, values, and constructors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,16 @@ WEIGHTS = {
 
 
 class TestTotality:
+    def test_weight_past_the_float_range_is_inf_without_a_warning(self):
+        # p**(1/0.0072) passes the float range from p = 166, and (p - 1)**-80 next to p = 1
+        p = np.asarray([1.0 + 1e-12, 2.0, 1e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            power = PowerRoot(m=0.0072).values(p)
+            singular = TwoSidedSingular(b=2e4, alpha=80.0, beta=0.5).values(p)
+        assert np.isfinite(power[:2]).all() and power[2] == math.inf
+        assert singular[0] == math.inf and np.isfinite(singular[1:]).all()
+
     @pytest.mark.parametrize("name", WEIGHTS)
     def test_infinite_off_domain(self, name):
         psi, outside, _ = WEIGHTS[name]

@@ -528,6 +528,19 @@ def invoke(runner, *args):
     return result
 
 
+def run_cli_process(tmp_path, cfg: dict) -> subprocess.CompletedProcess:
+    """The CLI on ``cfg`` in a fresh interpreter, with its own stdout and stderr."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    package_parent = str(Path(glsreg.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "glsreg.cli", cfg["command"], "--config", str(path), "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([package_parent, os.environ.get("PYTHONPATH", "")])},
+        capture_output=True,
+        text=True,
+    )
+
+
 def reference_norm_axiom_violations(seed: int, cases: int) -> dict[str, float]:
     """The randomized norm-axiom sweep one case at a time, one gls_norm call per norm."""
     from glsreg.generating import Extremal, Product, natural_function
@@ -690,6 +703,16 @@ class TestConjugateCommand:
         assert svg.startswith("<svg") and svg.endswith("</svg>\n")
         assert "<desc>v,h*(v)\n4.0,inf\n5.0,inf</desc>" in svg and "<polyline" not in svg
 
+    def test_weight_past_the_float_range_keeps_stderr_empty(self, tmp_path):
+        # p**(1/0.0072) passes the float range on the scan grid, where +inf is its value
+        cfg = {**CONJUGATE, "psi": {"form": "power_root", "m": 0.0072}, "v_grid": [1, 2], "t_grid": [3, 10]}
+        result = run_cli_process(tmp_path, cfg)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        payload = json.loads((tmp_path / "o" / "conjugate.json").read_text())
+        # -p ln psi falls for every v below 1/m, so h*(v) = v at p = 1
+        assert [row["value"] for row in payload["conjugate"]] == [1.0, 2.0]
+
     def test_one_scan_per_grid(self, runner, tmp_path, monkeypatch):
         from glsreg import moments
 
@@ -836,6 +859,16 @@ class TestSimulateCommand:
             result = invoke(runner, "simulate", "--config", str(tmp_path / "s.json"), "--out", str(tmp_path / "o"))
         assert result.exit_code == 1
         assert result.output.splitlines() == [f"Error: meeting rho = 0.0001 needs {needs}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_index_power_past_the_float_range_exits_1(self, tmp_path):
+        # the half-normal rate u_min**2 / 2 = 5e-321 puts the threshold near 7.2e201 at eps 0.8,
+        # where n**1.6 alone passes the float range: a typed error, not a traceback
+        model = {"kind": "gaussian_power", "alpha": 1.0}
+        result = run_cli_process(tmp_path, {**SIMULATE, "model": model, "eps": 0.8, "truncation": {"u_min": 1e-160}})
+        assert result.returncode == 1
+        assert result.stderr.startswith("Error: meeting rho = 0.0001 needs n_last = ")
+        assert result.stderr.endswith(" > 10000000\n") and "Traceback" not in result.stderr
         assert not (tmp_path / "o").exists()
 
     def test_reruns_are_byte_identical(self, runner, tmp_path):

@@ -344,6 +344,20 @@ class TestExpPowerCertified:
         assert n > 2**53
         assert exp_power_sum_tail_bound(1e-4, 0.25, n) <= 1e-12
 
+    @pytest.mark.parametrize("n_last", [10**200, 10**400], ids=["power-past-range", "start-past-range"])
+    def test_tail_bound_past_the_float_range_of_the_index_power(self, n_last):
+        # n**1.6 alone passes the float range at these starts, so c n**1.6 is taken in log space
+        assert exp_power_sum_tail_bound(1.0, 1.6, n_last) == 0.0
+        assert exp_power_sum_tail_bound(1.0, 1.5, n_last) == 0.0
+
+    def test_threshold_where_only_the_index_power_passes_the_float_range(self, deadline):
+        # at c = 5e-321 the threshold lies near 7.2e201, where n**1.6 passes the float range
+        # but c n**1.6 is a few hundred
+        with deadline(1.0):
+            n = exp_power_threshold(5e-321, 1.6, 1e-4)
+        assert n > 2**53
+        assert exp_power_sum_tail_bound(5e-321, 1.6, n) <= 1e-4 < exp_power_sum_tail_bound(5e-321, 1.6, n // 2)
+
     @pytest.mark.parametrize("c, gamma, rho", [(1e-200, 0.5, 5e-7), (1e-300, 0.25, 1e-12), (1e-300, 1.0, 1e-4)])
     def test_threshold_past_float_range_raises(self, c, gamma, rho, deadline):
         with deadline(1.0), pytest.raises(TruncationInfeasible, match=r"needs n_last > 1e\+300"):
