@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bounds import _check_integer
 from .errors import DomainError, NonpositiveDelta
 
 __all__ = [
@@ -66,11 +67,12 @@ def criterion_functional(block, n: int, index_start: int, out: np.ndarray) -> np
     larger of them and this block's.  Rows before n add nothing, so a block
     wholly before n leaves ``out`` as it is.  Once the last block is in,
     ``criterion_terms`` gives the functional's terms.  A non-finite value in
-    the window raises ``DomainError``.
+    the window, or a window start or index_start that is not an integer >= 1,
+    raises ``DomainError``.
     """
     block = _index_block(block)
-    if not (index_start >= 1 and n >= 1):
-        raise DomainError(f"window start {n} and index_start {index_start} must be >= 1")
+    _check_integer("window start", n, 1)
+    _check_integer("index_start", index_start, 1)
     window = block[max(0, n - index_start) :]  # no rows when the block lies wholly before n: the sups stay 0
     sups = window.max(axis=0, initial=0.0)
     np.maximum(sups, -window.min(axis=0, initial=0.0), out=sups)  # max |x| without an |x| copy

@@ -312,20 +312,16 @@ def gls_norm(
     )
 
 
-def _grand_domain(moments: MomentFunction, q: float) -> ExponentInterval:
-    """The exponents p in (1, q) where the curve is defined; raises EmptyDomain when no float is left."""
-    if not (math.isfinite(q) and q > 1.0):
-        raise EmptyDomain(f"classical grand norm needs q > 1, got {q}")
-    return intersect_domains(moments.domain, ExponentInterval(1.0, q, lower_open=True))
-
-
 def classical_grand_norm(moments: MomentFunction, q: float) -> float:
     """Classical grand Lebesgue norm sup_{0<eps<q-1} eps^(1/(q-eps)) ||f||_{q-eps}.
 
     Computed by substituting p = q - eps and scanning (q - p)^(1/p) ||f||_p
-    over p in (1, q).
+    over the p in (1, q) where the curve is defined; raises EmptyDomain when
+    no float is left there.
     """
-    dom = _grand_domain(moments, q)
+    if not (math.isfinite(q) and q > 1.0):
+        raise EmptyDomain(f"classical grand norm needs q > 1, got {q}")
+    dom = intersect_domains(moments.domain, ExponentInterval(1.0, q, lower_open=True))
 
     def objective(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return (q - p) ** (1.0 / p) * moments.values(p)

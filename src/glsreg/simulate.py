@@ -109,19 +109,36 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
-class ExponentialPower:
-    """Z_n = theta_n / n**alpha with theta_n i.i.d. standard exponential."""
+class SequenceModel:
+    """Z_n = xi_n / n**alpha for n >= index_start, with xi_n i.i.d. copies of a law's magnitude.
+
+    A law is a subclass that gives its ``kind``, the moment curve of xi
+    (``_magnitude_moments``), ``tail_exponent``, and the draw
+    ``draw_magnitudes`` with its inverse ``_magnitude_cdf``.
+    """
 
     alpha: float
     index_start: int = 1
-    kind = "exponential_power"
 
     def __post_init__(self) -> None:
         _check_model_fields(self.alpha, self.index_start)
 
     def moment_envelope(self) -> MomentEnvelope:
-        """Exact envelope: ||Z_n||_p = Gamma(p+1)**(1/p) * n**(-alpha)."""
-        return MomentEnvelope(std_exponential_moments(), self.alpha, self.index_start)
+        """Exact envelope: ||Z_n||_p = ||xi||_p * n**(-alpha)."""
+        return MomentEnvelope(self._magnitude_moments(), self.alpha, self.index_start)
+
+    def _cells(self, words: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """In place, Z_n of Philox words: the uniform (``_uniforms``), its magnitude, times ``scale`` = n**(-alpha)."""
+        cells = _uniforms(words)
+        self.draw_magnitudes(cells, out=cells)
+        return np.multiply(cells, scale, out=cells)
+
+
+class ExponentialPower(SequenceModel):
+    """Z_n = theta_n / n**alpha with theta_n i.i.d. standard exponential."""
+
+    kind = "exponential_power"
+    _magnitude_moments = staticmethod(std_exponential_moments)
 
     def tail_exponent(self, u: float, eps: float) -> tuple[float, float]:
         """(c, gamma) with P(n**(alpha-eps) |Z_n| > u) <= exp(-c n**gamma); here an equality."""
@@ -140,19 +157,11 @@ class ExponentialPower:
         return np.negative(out, out=out)
 
 
-@dataclass(frozen=True)
-class GaussianPower:
+class GaussianPower(SequenceModel):
     """Z_n = |g_n| / n**alpha with g_n i.i.d. standard normal."""
 
-    alpha: float
-    index_start: int = 1
     kind = "gaussian_power"
-
-    def __post_init__(self) -> None:
-        _check_model_fields(self.alpha, self.index_start)
-
-    def moment_envelope(self) -> MomentEnvelope:
-        return MomentEnvelope(half_normal_moments(), self.alpha, self.index_start)
+    _magnitude_moments = staticmethod(half_normal_moments)
 
     def tail_exponent(self, u: float, eps: float) -> tuple[float, float]:
         """(c, gamma) with P(n**(alpha-eps) |Z_n| > u) <= exp(-c n**gamma), from P(|g| > t) <= exp(-t^2 / 2)."""
@@ -167,9 +176,6 @@ class GaussianPower:
         # the inverse of draw_magnitudes: erf(x / sqrt(2))
         np.divide(magnitudes, math.sqrt(2.0), out=out)
         return special.erf(out, out=out)
-
-
-SequenceModel = Union[ExponentialPower, GaussianPower]
 
 
 @dataclass(frozen=True)
@@ -270,8 +276,7 @@ def _tail_integrals(c: float, gamma: float, *starts: int, powers: tuple[int, ...
 def exp_power_sum_tail_bound(c: float, gamma: float, n_last: int) -> float:
     """Integral-test bound on sum_{n > n_last} exp(-c n**gamma); +inf past the float range."""
     _check_exp_power_args(c, gamma)
-    if n_last < 1:
-        raise DomainError(f"tail start must be >= 1, got {n_last}")
+    _check_integer("tail start", n_last, 1)
     return _tail_integrals(c, gamma, n_last)[0]
 
 
@@ -397,13 +402,6 @@ def exp_power_sum(c: float, gamma: float, abs_tol: float = 1e-12, index_start: i
 # truncation control
 
 
-def _discard_tail_bound(model: SequenceModel, eps: float, u: float, n_last: int) -> float:
-    """Bound P(sup_{n > n_last} n**(alpha-eps) |Z_n| > u) for a generative model."""
-    if u <= 0.0:
-        return 1.0
-    return min(1.0, exp_power_sum_tail_bound(*model.tail_exponent(u, eps), n_last))
-
-
 def resolve_n_last(plan: SimulationPlan) -> int:
     """Truncation index of a plan; certified for tail-target truncations."""
     if isinstance(plan.truncation, FixedTruncation):
@@ -421,10 +419,14 @@ def resolve_n_last(plan: SimulationPlan) -> int:
 def truncation_bound(plan: SimulationPlan, values: np.ndarray) -> float:
     """Bound on the probability that indices n > n_last changed any of ``values``.
 
-    The discarded-tail bound falls as u grows, so its largest value over a
-    batch is the one at the smallest sample; it is evaluated there once.
+    The bound on P(sup_{n > n_last} n**(alpha-eps) |Z_n| > u) falls as u
+    grows, so its largest value over a batch is the one at the smallest
+    sample; it is evaluated there once.
     """
-    return _discard_tail_bound(plan.model, plan.eps, float(np.min(values)), resolve_n_last(plan))
+    u = float(np.min(values))
+    if u <= 0.0:
+        return 1.0
+    return min(1.0, exp_power_sum_tail_bound(*plan.model.tail_exponent(u, plan.eps), resolve_n_last(plan)))
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +546,7 @@ def simulate_trajectories(plan: SimulationPlan, reduce: Callable[[slice, np.ndar
     scale = _index_scale(plan)[:, None]
     for indices, _, words in _uniform_tiles(plan, max(_BLOCK_CELLS, plan.trajectories)):
         rows = slice(indices.start - plan.index_start, indices.stop - plan.index_start)
-        block = _uniforms(words)
-        plan.model.draw_magnitudes(block, out=block)
-        reduce(rows, np.multiply(block, scale[rows], out=block))
+        reduce(rows, plan.model._cells(words, scale[rows]))
 
 
 def regulator_delta(plan: SimulationPlan) -> np.ndarray:
@@ -605,15 +605,11 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
         mask = np.greater_equal(tile, thresholds[columns], out=passing[: tile.shape[0], : tile.shape[1]])
         count = np.count_nonzero(mask)
         if 8 * count > tile.size:  # the gathers would cost more time and memory than the whole tile
-            cells = _uniforms(tile)
-            plan.model.draw_magnitudes(cells, out=cells)
-            extract_regulator(np.multiply(cells, scale[rows, None], out=cells), delta[rows], out=factors[columns])
+            extract_regulator(plan.model._cells(tile, scale[rows, None]), delta[rows], out=factors[columns])
         elif count:  # a tile of several rows may pass one trajectory twice, hence maximum.at
             passed = np.flatnonzero(mask)
             k, j = np.divmod(passed, tile.shape[1]) if len(indices) > 1 else (0, passed)
-            cells = _uniforms(tile[k, j])
-            plan.model.draw_magnitudes(cells, out=cells)
-            np.multiply(cells, scale[rows][k], out=cells)
+            cells = plan.model._cells(tile[k, j], scale[rows][k])
             np.abs(cells, out=cells)
             np.maximum.at(factors[columns], j, np.divide(cells, delta[rows][k], out=cells))
         tile = cells = None  # a piece of a row is a fresh draw: drop this one before the next is made

@@ -154,6 +154,17 @@ def test_only_moments_calls_supremum_scan():
     assert callers == ["moments.py"]
 
 
+def test_only_sequence_model_cells_draws_z():
+    # one word -> Z_n transform: the dense pass and both fold paths call SequenceModel._cells,
+    # the one place in simulate.py that converts words (_uniforms) and draws magnitudes
+    tree = ast.parse((PACKAGE / "simulate.py").read_text())
+    scopes = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    classes = [c for c in tree.body if isinstance(c, ast.ClassDef)]
+    scopes += [(f"{c.name}.{f.name}", f) for c in classes for f in c.body if isinstance(f, ast.FunctionDef)]
+    callers = sorted({name for name, f in scopes for draw in ("_uniforms", "draw_magnitudes") if _calls(f, draw)})
+    assert callers == ["SequenceModel._cells"]
+
+
 def _has_main_block(tree: ast.Module) -> bool:
     return any(
         isinstance(node, ast.If)

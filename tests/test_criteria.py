@@ -56,6 +56,12 @@ class TestTrajectoryBatch:
         with pytest.raises(DomainError):
             fold(np.ones((2, 2)), 1, index_start=0)
 
+    @pytest.mark.parametrize("n, index_start", [(1.5, 1), (1, 1.5), (2.0, 1), (1, 1.0)])
+    def test_non_integer_window_start_or_index_start_is_a_domain_error(self, n, index_start):
+        # a float start died in the window slice with a bare TypeError
+        with pytest.raises(DomainError, match="must be an integer >= 1"):
+            fold(np.ones((3, 2)), n, index_start)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (2, 3), (4, 5)])
     def test_rejects_every_non_finite_value(self, bad, where):

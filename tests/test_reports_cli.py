@@ -146,6 +146,14 @@ REJECTED_CONFIGS = {
     # (1, b) with b the float after 1 holds no float
     "two-sided-holds-no-float": {**NORM, "psi": {"form": "two_sided", "b": 1.0000000000000002, "alpha": 1.0, "beta": 0.0}},
     "grand-q-holds-no-float": {**NORM, "grand_q": 1.0000000000000002},
+    # a field the bound mode ignores is a setting that changes nothing: the regulator takes no rel_tol,
+    # the pair route no eps or index_start
+    "bound-regulator-with-rel-tol": {**BOUND_REGULATOR, "rel_tol": 0.5},
+    "bound-pair-with-eps-and-index-start": {
+        **bound_pair({"form": "geometric", "q": 0.25}, {"form": "geometric", "Q": 0.5}),
+        "eps": 0.9,
+        "index_start": 7,
+    },
 }
 
 

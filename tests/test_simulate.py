@@ -27,7 +27,6 @@ from glsreg.simulate import (
     GaussianPower,
     SimulationPlan,
     TailTargetTruncation,
-    _discard_tail_bound,
     _moment_tail_remainder,
     asymptotic_tail_constant,
     bonferroni_sums,
@@ -433,6 +432,14 @@ class TestExpPowerCertified:
             exp_power_sum_tail_bound(1.0, 0.5, 0)
         with pytest.raises(DomainError):
             exp_power_sum(1.0, 0.5, index_start=0)
+
+    def test_tail_bound_refuses_a_non_integer_start(self):
+        # I(2.9) = e**-29 / 10 = 2.54e-14 falls below the sum over n > 2.9, 9.36e-14: the start must be an index
+        rest = math.fsum(math.exp(-10.0 * n) for n in range(3, 40))
+        assert math.exp(-29.0) / 10.0 < rest <= exp_power_sum_tail_bound(10.0, 1.0, 2)
+        for start in (2.9, 3.0):
+            with pytest.raises(DomainError, match="tail start must be an integer"):
+                exp_power_sum_tail_bound(10.0, 1.0, start)
 
 
 class TestPlanValidation:
@@ -840,7 +847,8 @@ class TestSimulateEta:
             plan = SimulationPlan(model=model(alpha=alpha, index_start=start), eps=0.5, trajectories=400, seed=seed)
             values = simulate_eta(plan).value
             n_last = resolve_n_last(plan)
-            reference = max(_discard_tail_bound(plan.model, plan.eps, float(v), n_last) for v in values)
+            per_sample = (exp_power_sum_tail_bound(*plan.model.tail_exponent(v, plan.eps), n_last) for v in values)
+            reference = max(min(1.0, bound) for bound in per_sample)
             assert truncation_bound(plan, values) == reference
 
     def test_gaussian_first_column_mean(self):
