@@ -101,12 +101,6 @@ def _geometric_sigma_series(delta: float, p: float, rel_tol: float) -> float:
     return total
 
 
-def _power_ratio_params(pair: DecaySequencePair, p: float) -> tuple[float, float, int]:
-    """(gamma, mu, head): past the head the p-th power of the ratio is C n**(-gamma) ln(n+1)**mu."""
-    e, b = pair.eps_seq, pair.beta_seq
-    return p * (e.rate - b.rate), p * (e.log_power - b.log_power), max(1, len(e.table), len(b.table))
-
-
 def _power_remainder_bound(
     term: Callable[[np.ndarray], np.ndarray], gamma: float, mu: float, n_last: int
 ) -> float:
@@ -127,7 +121,9 @@ def _power_remainder_bound(
 
 
 def _power_sigma_series(pair: DecaySequencePair, p: float, rel_tol: float) -> float:
-    gamma, mu, head = _power_ratio_params(pair, p)
+    # past the head the p-th power of the ratio is C n**(-gamma) ln(n+1)**mu
+    e, b = pair.eps_seq, pair.beta_seq
+    gamma, mu, head = p * (e.rate - b.rate), p * (e.log_power - b.log_power), max(1, len(e.table), len(b.table))
     if gamma < 1.0 or (gamma == 1.0 and mu >= -1.0):
         raise Divergent(f"series of (eps_n/beta_n)^p diverges at p = {p} (gamma = {gamma}, mu = {mu})")
     # the remainder bound needs n >= 2 at gamma == 1 and, for mu > 0, ln n >= 2 mu / (gamma - 1);

@@ -257,6 +257,8 @@ def conjugate(cfg, fmt):
     from . import moments
 
     with _building():
+        if "moments" in cfg and cfg["psi"]["form"] != "natural":
+            raise GLSError("a moments block is read only by psi form 'natural'")
         m = _moments_from_config(cfg["moments"]) if "moments" in cfg else None
         psi = _psi_from_config(cfg, m)
     v_grid = [float(v) for v in cfg.get("v_grid", np.linspace(0.0, 5.0, 26))]

@@ -8,11 +8,13 @@ moment curve ``p -> ||f||_p`` in the sup-norm
 
 so evaluation is total: outside the domain the weight is infinite and the
 corresponding ratio is zero (the convention ``C / inf := 0`` applies
-downstream).  A weight gives only its domain and its formula ``on_domain``;
-``GeneratingFunction.values`` alone masks the domain and fills +inf.  A
-moment curve (``moments.MomentFunction``) is a weight too.  The standing
-assumption ``inf psi > 0`` holds analytically for the closed forms, and
-tables reject nonpositive knot values; a moment curve is taken as given.
+downstream).  A weight gives only its domain and its formula ``on_domain``,
+and may give ``log_on_domain`` in closed form where the weight itself leaves
+the float range; ``GeneratingFunction.values`` and ``log_values`` alone mask
+the domain and fill +inf.  A moment curve (``moments.MomentFunction``) is a
+weight too.  The standing assumption ``inf psi > 0`` holds analytically for
+the closed forms, and tables reject nonpositive knot values; a moment curve
+is taken as given.
 """
 
 from __future__ import annotations
@@ -104,8 +106,9 @@ def intersect_domains(a: ExponentInterval, b: ExponentInterval) -> ExponentInter
 class GeneratingFunction(abc.ABC):
     """Positive exponent weight, evaluated as +inf off its domain.
 
-    A subclass gives its domain and its formula ``on_domain``; ``values`` is
-    the one place that masks the domain and fills +inf everywhere else.
+    A subclass gives its domain and its formula ``on_domain``; ``values`` and
+    ``log_values`` mask the domain, through one private path, and fill +inf
+    everywhere else.
     """
 
     @property
@@ -117,13 +120,25 @@ class GeneratingFunction(abc.ABC):
     def on_domain(self, q: np.ndarray) -> np.ndarray:
         """The weight at exponents that all lie in the domain."""
 
+    def log_on_domain(self, q: np.ndarray) -> np.ndarray:
+        """ln of the weight at exponents that all lie in the domain; a weight that underflows reads -inf."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.on_domain(q))
+
     def values(self, p: np.ndarray) -> np.ndarray:
         """Vectorised evaluation; entries off the domain come back +inf."""
+        return self._masked(p, self.on_domain)
+
+    def log_values(self, p: np.ndarray) -> np.ndarray:
+        """Vectorised ln psi(p); entries off the domain come back +inf."""
+        return self._masked(p, self.log_on_domain)
+
+    def _masked(self, p: np.ndarray, formula) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         out = np.full(p.shape, math.inf)
         inside = self.domain.contains_array(p)
         if inside.any():
-            out[inside] = self.on_domain(p[inside])
+            out[inside] = formula(p[inside])
         return out
 
     def value(self, p: float) -> float:
@@ -171,6 +186,9 @@ class TwoSidedSingular(GeneratingFunction):
     def on_domain(self, q: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # +inf past the float range is the weight's value
             return (q - 1.0) ** (-self.alpha) * (self.b - q) ** (-self.beta)
+
+    def log_on_domain(self, q: np.ndarray) -> np.ndarray:
+        return -self.alpha * np.log(q - 1.0) - self.beta * np.log(self.b - q)
 
 
 @dataclass(frozen=True)

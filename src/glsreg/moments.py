@@ -344,8 +344,7 @@ def _conjugate_scans(psi: GeneratingFunction, v, refine: bool = True) -> list[Sc
 
     def objective(p: np.ndarray, v: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
-            log_psi = np.log(psi.values(p))
-        return p * (v - log_psi)
+            return p * (v - psi.log_values(p))
 
     return supremum_scan(objective, psi.domain, v, refine=refine)
 

@@ -139,14 +139,12 @@ def _items(value, arg, path, schema, root):
             yield from _errors(value[index], arg, (*path, index), root)
 
 
-def _min_items(value, arg, path, schema, root):
-    if isinstance(value, list) and len(value) < arg:
-        yield path, f"{value!r} has fewer than {arg} items", "minItems"
+def _item_count(keyword: str, breaks, words: str):
+    def check(value, arg, path, schema, root):
+        if isinstance(value, list) and breaks(len(value), arg):
+            yield path, f"{value!r} has {words} {arg} items", keyword
 
-
-def _max_items(value, arg, path, schema, root):
-    if isinstance(value, list) and len(value) > arg:
-        yield path, f"{value!r} has more than {arg} items", "maxItems"
+    return check
 
 
 def _unique_items(value, arg, path, schema, root):
@@ -215,8 +213,8 @@ _CHECKS = {
     "additionalProperties": _additional_properties,
     "prefixItems": _prefix_items,
     "items": _items,
-    "minItems": _min_items,
-    "maxItems": _max_items,
+    "minItems": _item_count("minItems", lambda n, m: n < m, "fewer than"),
+    "maxItems": _item_count("maxItems", lambda n, m: n > m, "more than"),
     "uniqueItems": _unique_items,
     "minimum": _limit("minimum", lambda v, m: v < m, "less than the minimum of"),
     "maximum": _limit("maximum", lambda v, m: v > m, "greater than the maximum of"),

@@ -526,9 +526,9 @@ def _word_thresholds(thresholds: np.ndarray) -> np.ndarray:
     return words
 
 
-def _index_scale(plan: SimulationPlan) -> np.ndarray:
-    """n**(-alpha) at the plan's simulated indices index_start..n_last: Z_n = magnitude * scale."""
-    return np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float) ** (-plan.alpha)
+def _index_powers(plan: SimulationPlan, exponent: float) -> np.ndarray:
+    """n**exponent at the plan's simulated indices index_start..n_last."""
+    return np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float) ** exponent
 
 
 def simulate_trajectories(plan: SimulationPlan, reduce: Callable[[slice, np.ndarray], object]) -> None:
@@ -543,7 +543,7 @@ def simulate_trajectories(plan: SimulationPlan, reduce: Callable[[slice, np.ndar
     magnitude, then times n**(-alpha).  The next block reuses the
     block's buffer, so ``reduce`` keeps what it needs and may overwrite it.
     """
-    scale = _index_scale(plan)[:, None]
+    scale = _index_powers(plan, -plan.alpha)[:, None]
     for indices, _, words in _uniform_tiles(plan, max(_BLOCK_CELLS, plan.trajectories)):
         rows = slice(indices.start - plan.index_start, indices.stop - plan.index_start)
         reduce(rows, plan.model._cells(words, scale[rows]))
@@ -551,8 +551,7 @@ def simulate_trajectories(plan: SimulationPlan, reduce: Callable[[slice, np.ndar
 
 def regulator_delta(plan: SimulationPlan) -> np.ndarray:
     """delta_n = n**(-(alpha - eps)) at the plan's simulated indices index_start..n_last."""
-    n_idx = np.arange(plan.index_start, resolve_n_last(plan) + 1, dtype=float)
-    return n_idx ** (-(plan.alpha - plan.eps))
+    return _index_powers(plan, -(plan.alpha - plan.eps))
 
 
 def simulate_eta(plan: SimulationPlan) -> np.recarray:
@@ -586,7 +585,7 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
     ``truncation_bound`` gives the batch's truncation risk.
     """
     delta = regulator_delta(plan)
-    scale = _index_scale(plan)
+    scale = _index_powers(plan, -plan.alpha)
     eta = np.recarray(plan.trajectories, dtype=[("value", float)])  # filled in place: no copy at the end
     factors = eta.value
     factors.fill(0.0)  # the fold's start: every ratio is >= 0

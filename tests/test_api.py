@@ -154,6 +154,26 @@ def test_only_moments_calls_supremum_scan():
     assert callers == ["moments.py"]
 
 
+def _logs_of_values(tree: ast.AST) -> list[int]:
+    def is_call_of(node: ast.AST, attr: str) -> bool:
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if is_call_of(node, "log")
+        and getattr(node.func.value, "id", None) == "np"
+        and any(is_call_of(sub, "values") for arg in node.args for sub in ast.walk(arg))
+    ]
+
+
+def test_no_module_takes_the_log_of_a_weight_value():
+    # a weight below the float range reads 0, and its log -inf: ln psi goes through log_values,
+    # which a weight may give in closed form
+    sources = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert {name: lines for name, tree in sources.items() if (lines := _logs_of_values(tree))} == {}
+
+
 def test_only_sequence_model_cells_draws_z():
     # one word -> Z_n transform: the dense pass and both fold paths call SequenceModel._cells,
     # the one place in simulate.py that converts words (_uniforms) and draws magnitudes

@@ -336,6 +336,13 @@ class TestTotality:
         assert all(psi.value(p) == math.inf for p in ps)
 
     @pytest.mark.parametrize("name", WEIGHTS)
+    def test_log_values_is_the_log_of_values(self, name):
+        # off the domain both are +inf; TwoSidedSingular's closed-form log agrees to rounding
+        psi, outside, inside = WEIGHTS[name]
+        ps = np.asarray([math.nan, math.inf, -math.inf, 0.5, outside, inside])
+        np.testing.assert_allclose(psi.log_values(ps), np.log(psi.values(ps)), rtol=1e-14)
+
+    @pytest.mark.parametrize("name", WEIGHTS)
     def test_value_is_values_entry(self, name):
         psi, _, inside = WEIGHTS[name]
         assert psi.value(inside) == psi.values(np.asarray([inside]))[0]

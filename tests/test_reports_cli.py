@@ -124,6 +124,8 @@ REJECTED_CONFIGS = {
     "moments-table-knots-descending": {**NORM, "moments": {"kind": "table", "points": [[2.0, 1.0], [1.0, 1.5]]}},
     "discrete-length-mismatch": {**NORM, "moments": {"kind": "discrete", "atoms": [1.0, 2.0], "weights": [1.0]}},
     "natural-psi-without-moments": {"schema_version": 1, "command": "conjugate", "psi": {"form": "natural"}},
+    # only the natural weight reads the moment curve: any other form built it and dropped it
+    "conjugate-moments-unread": {**CONJUGATE, "moments": {"kind": "std_exponential"}},
     "simulate-eps-not-below-alpha": {**SIMULATE, "model": {"kind": "exponential_power", "alpha": 0.3}},
     "simulate-n-last-before-index-start": {
         **SIMULATE,
@@ -400,7 +402,7 @@ class TestRunSuite:
             passes.append((caller, plan, drawn))
 
         monkeypatch.setattr(glsreg.simulate, "_uniform_tiles", counted)
-        verify.run_suite(verify.DEFAULT_SUITE, seed=1, trajectories=500)
+        verify.run_suite(seed=1, trajectories=500)
         n_last = resolve_n_last(verify._exponential_plan(1, 500))
         convergence = verify._exponential_plan(1, 500, alpha=2.0)
         one_pass_per_plan = 500 * (n_last - 1) + 500 * n_last + 2 * 500 * resolve_n_last(convergence)
@@ -720,6 +722,17 @@ class TestConjugateCommand:
         payload = json.loads((tmp_path / "o" / "conjugate.json").read_text())
         # -p ln psi falls for every v below 1/m, so h*(v) = v at p = 1
         assert [row["value"] for row in payload["conjugate"]] == [1.0, 2.0]
+
+    def test_weight_below_the_float_range_keeps_the_conjugate_finite(self, tmp_path):
+        # psi = (p - 1)^-100 (10000 - p)^-100 underflows to 0 on the whole grid, so ln psi must come in closed form
+        psi = {"form": "two_sided", "b": 10000.0, "alpha": 100.0, "beta": 100.0}
+        result = run_cli_process(tmp_path, {**CONJUGATE, "psi": psi, "v_grid": [1], "t_grid": [3]})
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        h_star = json.loads((tmp_path / "o" / "conjugate.json").read_text())["conjugate"][0]["value"]
+        p = np.geomspace(1.0 + 1e-9, 10000.0 * (1.0 - 1e-12), 200_001)
+        reference = np.max(p * (1.0 + 100.0 * np.log(p - 1.0) + 100.0 * np.log(10000.0 - p)))
+        assert h_star == pytest.approx(reference, rel=1e-9)
 
     def test_one_scan_per_grid(self, runner, tmp_path, monkeypatch):
         from glsreg import moments

@@ -786,7 +786,7 @@ class TestSimulateEta:
                 1.0 - 2.0 ** -np.arange(2, 53),
             ]
         )  # every next float lies below 1, as every draw does
-        scale, delta = simulate_module._index_scale(plan), regulator_delta(plan)
+        scale, delta = simulate_module._index_powers(plan, -plan.alpha), regulator_delta(plan)
 
         def ratios(k, cells):
             magnitudes = plan.model.draw_magnitudes(cells.copy())
