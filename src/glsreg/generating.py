@@ -277,7 +277,7 @@ class NaturalFunction(GeneratingFunction):
 
 @dataclass(frozen=True)
 class Product(GeneratingFunction):
-    """Pointwise product of generating functions on the intersected domain."""
+    """Pointwise product of generating functions on the intersected domain; its log sums the factors' logs."""
 
     factors: tuple[GeneratingFunction, ...]
 
@@ -296,7 +296,13 @@ class Product(GeneratingFunction):
     def on_domain(self, q: np.ndarray) -> np.ndarray:
         out = np.ones(q.shape)
         for f in self.factors:
-            out = out * f.values(q)
+            out = out * f.on_domain(q)
+        return out
+
+    def log_on_domain(self, q: np.ndarray) -> np.ndarray:
+        out = np.zeros(q.shape)
+        for f in self.factors:
+            out = out + f.log_on_domain(q)
         return out
 
 
@@ -328,7 +334,7 @@ def scan_grid_table(domains: Sequence[ExponentInterval], n_points: int = GRID_PO
     grid[single, 0] = lo_eff[single]
     keep[single] = first
     above = np.where(lower_open[:, None], grid > lo[:, None], grid >= lo[:, None])
-    keep &= above & (grid < upper[:, None]) & np.isfinite(grid)
+    keep &= above & (grid < upper[:, None])
     empty = ~keep.any(axis=1)
     grid[empty, 0] = np.where(lower_open, np.nextafter(lo, math.inf), lo)[empty]
     keep[empty] = first

@@ -384,5 +384,5 @@ def exponential_tail_bound(psi: GeneratingFunction, t):
         raise DomainError(f"the conjugate tail bound needs t >= e, got {float(bad[0])}")
     # math.log and math.exp per entry keep every value equal to the scalar formula's
     h_star = young_fenchel(psi, np.array([math.log(x) for x in ts]))
-    bounds = np.array([0.0 if h == math.inf else min(1.0, math.exp(-h)) for h in h_star])
+    bounds = np.array([min(1.0, math.exp(-h)) for h in h_star])
     return float(bounds[0]) if np.ndim(t) == 0 else bounds

@@ -102,8 +102,6 @@ def _golden_section_max(
 def _climbing_at_cap(obj: np.ndarray, best: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Per lane: the grid maximum is the lane's last point and the objective still rises into it."""
     at_cap = (best == last) & (last >= 1)
-    if not at_cap.any():
-        return at_cap
     rows = np.arange(best.size)
     top, prev = obj[rows, last], obj[rows, np.maximum(last - 1, 0)]
     finite = np.isfinite(top) & np.isfinite(prev)

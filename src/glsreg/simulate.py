@@ -575,13 +575,14 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
     pass are converted to uniforms.  A tile where more than an eighth pass is
     converted and transformed whole, in place; otherwise the passing words
     are gathered and converted.  Either way each transformed cell gets the
-    dense pass's arithmetic: magnitude, times n**(-alpha), |.| / delta_n,
-    then the max.  The fold holds the factors, the word thresholds (whose
-    float reads share their memory) and one tile with its mask and gathers:
-    16 bytes a trajectory plus about 100 KiB.  A row wider than a tile comes
-    in fresh draws, so each is dropped before the next is made.  The dense
-    pass holds 8 bytes a trajectory plus a block of 1 MiB or one row,
-    whichever is larger, so the fold is no heavier to within those 100 KiB.
+    dense pass's bits: magnitude, times n**(-alpha) (+0.0 or more, which the
+    dense pass's |.| keeps), / delta_n, then the max.  The fold holds the
+    factors, the word thresholds (whose float reads share their memory) and
+    one tile with its mask and gathers: 16 bytes a trajectory plus about
+    100 KiB.  A row wider than a tile comes in fresh draws, so each is
+    dropped before the next is made.  The dense pass holds 8 bytes a
+    trajectory plus a block of 1 MiB or one row, whichever is larger, so the
+    fold is no heavier to within those 100 KiB.
     ``truncation_bound`` gives the batch's truncation risk.
     """
     delta = regulator_delta(plan)
@@ -609,7 +610,6 @@ def simulate_eta(plan: SimulationPlan) -> np.recarray:
             passed = np.flatnonzero(mask)
             k, j = np.divmod(passed, tile.shape[1]) if len(indices) > 1 else (0, passed)
             cells = plan.model._cells(tile[k, j], scale[rows][k])
-            np.abs(cells, out=cells)
             np.maximum.at(factors[columns], j, np.divide(cells, delta[rows][k], out=cells))
         tile = cells = None  # a piece of a row is a fresh draw: drop this one before the next is made
     return eta
@@ -732,8 +732,8 @@ def exact_eta_tail(alpha: float, eps: float, u: float, abs_tol: float = 1e-12, i
     _check_threshold(u)
     if not (0.0 < abs_tol < 1.0):
         raise DomainError(f"abs_tol must lie in (0, 1), got {abs_tol}")
-    # max: a product that rounds to 1 logs to +0.0, whose -expm1 is -0.0
-    return min(1.0, max(0.0, -math.expm1(_log_product(u, eps, abs_tol, index_start))))
+    # _log_product is <= 0, so -expm1 lies in [0, 1]; max: a product that rounds to 1 gives -expm1(+0.0) = -0.0
+    return max(0.0, -math.expm1(_log_product(u, eps, abs_tol, index_start)))
 
 
 def bonferroni_sums(eps: float, u: float, abs_tol: float = 1e-12, index_start: int = 1) -> tuple[float, float]:

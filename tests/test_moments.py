@@ -380,6 +380,24 @@ class TestYoungFenchel:
                 direct = np.min((psi.values(scan.grid) / t) ** scan.grid)
             assert math.exp(-scan.value) == pytest.approx(direct, rel=1e-9)
 
+    def test_product_below_the_float_range_keeps_a_finite_transform(self):
+        # the two-sided factor is below the float range on the whole grid, so the log of the
+        # product read -inf and h*(1) read +inf; the factors' closed-form logs keep it finite.
+        # Reference: the maximum of p (1 - ln psi(p)) over a geometric grid, in log space
+        psi = Product((TwoSidedSingular(b=1e4, alpha=100.0, beta=100.0), PowerRoot(m=1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = young_fenchel(psi, np.array([1.0]))[0]
+            p = np.geomspace(1.0, 1e4, 200_001)[1:-1]
+            grid_max = float(np.max(p * (1.0 + 100.0 * np.log(p - 1.0) + 100.0 * np.log(1e4 - p) - np.log(p))))
+        assert value == pytest.approx(grid_max, rel=1e-8)
+
+    def test_one_factor_product_has_its_factor_transform(self):
+        # the product's log starts from 0.0, and 0.0 + x is x
+        vs = np.linspace(-2.0, 5.0, 15)
+        product = young_fenchel(Product((PowerRoot(m=2.0),)), vs)
+        assert product.tobytes() == young_fenchel(PowerRoot(m=2.0), vs).tobytes()
+
 
 class TestExponentialTailBound:
     def test_rejects_small_thresholds(self):
@@ -400,6 +418,14 @@ class TestExponentialTailBound:
         # h*(ln t) = t/e for psi(p) = p, so the bound is exp(-t/e)
         t = 12.0
         assert exponential_tail_bound(PowerRoot(m=1.0), t) == pytest.approx(math.exp(-t / math.e), rel=1e-6)
+
+    def test_unbounded_transform_gives_a_zero_bound(self):
+        # h*(ln t) peaks at p = t/e = 22073, past the scan cap, so the transform reads +inf
+        # and exp(-inf) is 0.0
+        t = 6e4
+        assert young_fenchel(PowerRoot(m=1.0), math.log(t)) == math.inf
+        assert exponential_tail_bound(PowerRoot(m=1.0), t) == 0.0
+        assert exponential_tail_bound(PowerRoot(m=1.0), np.array([t])).tolist() == [0.0]
 
 
 class TestDiagnostics:

@@ -612,6 +612,22 @@ class TestNormAxiomSweep:
 
         assert norm_axiom_violations(1, 0) == reference_norm_axiom_violations(1, 0)
 
+    def test_one_scan_per_kind_of_norm(self, monkeypatch):
+        from glsreg import moments
+        from glsreg.verify import norm_axiom_violations
+
+        # base, scaled, grown weight, extremal, natural and the sup family's own norm: a member's
+        # norm under the family's natural weight is at most the family's, so no member is scanned
+        scan, scans = moments.supremum_scan, []
+
+        def counting(*args, **kwargs):
+            scans.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "supremum_scan", counting)
+        norm_axiom_violations(42, 10)
+        assert len(scans) == 6
+
     def test_sweep_peak_memory_under_2_mib(self):
         from glsreg.verify import norm_axiom_violations
 

@@ -106,6 +106,18 @@ def fsum_log_product(c, gamma, index_start):
     return math.fsum(np.log1p(-np.exp(-c * idx**gamma)))
 
 
+# (eps, p, index_start) at which exact_eta_moment is checked against the union bracket;
+# eps 0.1 waits for ROADMAP item 27: each of its moments takes about 1 s
+UNION_POINTS = [(0.5, p, start) for p in (5.0, 8.0, 12.0, 16.0, 24.0, 32.0, 50.0, 100.0) for start in (1, 2)]
+UNION_POINTS += [(0.25, p, start) for p in (9.0, 12.0, 16.0, 24.0, 32.0, 50.0, 100.0) for start in (1, 2)]
+# measured: from p 16 the rule's norm lies 1.3e-5 (eps 0.5, n0 1, p 16) up to 2.3e-3 (eps 0.25, n0 2, p 32)
+# above the union bound's ceiling, through the exact tails' midpoint error at large u
+UNION_BRACKET_OVERSHOOT = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 13: the exact tails' midpoint error at large u puts the moment above the union bound "
+    "from p 16",
+)
+
 # (eps, p, index_start) at which exact_eta_moment is checked against its own refinements
 RULE_POINTS = [(0.5, p, start) for p in (1.0, 1.5, 1.8, 1.98, 2.5, 4.0, 6.0) for start in (1, 2)]
 RULE_POINTS += [(0.25, p, 1) for p in (1.0, 2.0, 3.5, 4.0, 8.0)]
@@ -1074,6 +1086,19 @@ class TestExactTail:
         brute = -math.expm1(math.fsum(np.log1p(-np.exp(-u * np.sqrt(idx)))))
         assert exact_eta_tail(1.0, 0.5, u) == pytest.approx(brute, rel=1e-9)
 
+    def test_tail_lies_in_the_unit_interval_at_every_return_of_the_kernel(self):
+        # _log_product is <= 0 at each return, so -expm1 of it needs no clamp at 1.  The grid
+        # reaches the cap's -inf (eps 0.02 up to u 10), the stopped product (eps 0.5 at u 0.05)
+        # and the midpoint (every eps at u 50); the last point reaches the rest's top end
+        points = [
+            (eps, u, start)
+            for eps in (0.02, 0.25, 0.5, 0.9)
+            for u in (1e-3, 0.05, 1.0, 10.0, 50.0, 300.0)
+            for start in (1, 7)
+        ] + [(0.01, 28.062258499190293, 1)]
+        for eps, u, start in points:
+            assert 0.0 <= exact_eta_tail(1.0, eps, u, index_start=start) <= 1.0, (eps, u, start)
+
     @pytest.mark.parametrize("u, index_start", [(800.0, 1), (700.0, 3), (1e300, 1)])
     def test_tail_past_every_term_is_plus_zero(self, u, index_start):
         # every factor rounds to 1 here; the tail read -0.0
@@ -1383,6 +1408,23 @@ class TestExactMoment:
         # the monotone bracket's top end, not the rule's point value, against the bound's p-th power
         _, top = TailGrid(0.5, 32.0, 4000, index_start=start).moment_bracket(p)
         assert top <= regulator_lp_bound(ExponentialPower(alpha=1.0, index_start=start).moment_envelope(), 0.5, p) ** p
+
+    @pytest.mark.parametrize(
+        "eps, p, start",
+        [point if point[1] < 16.0 else pytest.param(*point, marks=UNION_BRACKET_OVERSHOOT) for point in UNION_POINTS],
+    )
+    def test_moment_lies_in_the_union_bracket(self, eps, p, start):
+        # with S1 = zeta(p eps, n0): Gamma(p+1) [S1 - 2**(-p-1) (zeta(p eps / 2, n0)**2 - S1)] <= E eta**p
+        # <= Gamma(p+1) S1, by Bonferroni and AM-GM below and the union bound above, in log space.
+        # The rule's two cuts may each drop _MOMENT_REL_TOL / 2 of the moment, so the floor may
+        # sit that far above it; nothing may sit above the ceiling
+        s1 = float(special.zeta(p * eps, start))
+        rest = s1 - 2.0 ** (-p - 1.0) * (float(special.zeta(p * eps / 2.0, start)) ** 2 - s1)
+        log_gamma = float(special.gammaln(p + 1.0))
+        floor = log_gamma + math.log(rest) if rest > 0.0 else -math.inf
+        log_moment = p * math.log(exact_eta_moment(1.0, eps, p, index_start=start))
+        assert floor <= log_moment + math.log1p(simulate_module._MOMENT_REL_TOL)
+        assert log_moment <= log_gamma + math.log(s1)
 
     def test_argument_guards(self):
         with pytest.raises(DomainError):
