@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 _LANE_CELLS = 1 << 15  # atom-table cells discrete_moment_lanes evaluates at a time
+_STIRLING_FROM = 10.0  # _log_gamma sums Stirling's series from here and recurs below
+# B_2k / (2k (2k - 1)), k = 1..8: the coefficients of Stirling's series for ln Gamma (DLMF 5.11.1)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+# ln Gamma(y) = (y - 1/2)(ln y - 1) + (ln(2 pi) - 1) / 2 + the series
+_STIRLING_OFFSET = 0.5 * math.log(2.0 * math.pi) - 0.5
+_LOG_GAMMA_ERR = 2.0**-46  # _log_gamma's error bound, relative to 1 + |ln Gamma|
 
 
 @dataclass(frozen=True)
@@ -79,19 +85,45 @@ def constant_moments(c: float) -> MomentFunction:
     return MomentFunction(ExponentInterval(1.0, math.inf), lambda p: np.full(p.shape, float(c)))
 
 
-def std_exponential_moments() -> MomentFunction:
-    """||theta||_p = Gamma(p+1)^(1/p) for a standard exponential variable."""
-    from scipy import special
+def _log_gamma(x: float) -> float:
+    """ln Gamma(x) for x > 0 (+inf at +inf), within ``_LOG_GAMMA_ERR`` (1 + |ln Gamma(x)|).
 
-    return MomentFunction(ExponentInterval(1.0, math.inf), lambda p: np.exp(special.gammaln(p + 1.0) / p))
+    Stirling's series to its eighth term (DLMF 5.11.1) at y = x when x >= 10,
+    else at y = x + m in [10, 11), m = ceil(10 - x), less
+    ln(x (x + 1) ... (x + m - 1)) (DLMF 5.5.1).  For real y > 0 the series'
+    remainder is below its first omitted term (DLMF 5.11(ii)), 1.8e-18 at
+    y >= 10, so the bound is one of rounding: a few ulps of
+    (y - 1/2)(ln y - 1) above 10, and below it a few ulps of ln Gamma(y) and
+    of the log of the product, both near 15, which the bound's constant term
+    covers.  A test holds it against mpmath; the largest error seen is about
+    half of it.  ln Gamma(1) = ln Gamma(2) = 0 exactly.
+    """
+    if x == 1.0 or x == 2.0:  # the zeros of ln Gamma, where the recurrence leaves a rounding error
+        return 0.0
+    if x < _STIRLING_FROM:
+        m = math.ceil(_STIRLING_FROM - x)
+        return _log_gamma(x + m) - math.log(math.prod([x + k for k in range(m)]))
+    z = 1.0 / x / x  # 1 / (x * x) would overflow, and warn under np.vectorize, past x = 1e154
+    series = 0.0
+    for coefficient in reversed(_STIRLING):
+        series = series * z + coefficient
+    return (x - 0.5) * (math.log(x) - 1.0) + _STIRLING_OFFSET + series / x
+
+
+# elementwise _log_gamma of an array
+_log_gamma_array = np.vectorize(_log_gamma, otypes=[float])
+
+
+def std_exponential_moments() -> MomentFunction:
+    """||theta||_p = Gamma(p+1)^(1/p) for a standard exponential variable (ln Gamma: ``_log_gamma``)."""
+    return MomentFunction(ExponentInterval(1.0, math.inf), lambda p: np.exp(_log_gamma_array(p + 1.0) / p))
 
 
 def half_normal_moments() -> MomentFunction:
-    """||g||_p = (2^(p/2) Gamma((p+1)/2) / sqrt(pi))^(1/p) for |g|, g standard normal."""
-    from scipy import special
+    """||g||_p = (2^(p/2) Gamma((p+1)/2) / sqrt(pi))^(1/p) for |g|, g standard normal (ln Gamma: ``_log_gamma``)."""
 
     def ev(p: np.ndarray) -> np.ndarray:
-        log_moment = 0.5 * p * math.log(2.0) + special.gammaln((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)
+        log_moment = 0.5 * p * math.log(2.0) + _log_gamma_array((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)
         return np.exp(log_moment / p)
 
     return MomentFunction(ExponentInterval(1.0, math.inf), ev)

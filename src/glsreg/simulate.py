@@ -11,6 +11,12 @@ module also evaluates the exact tail
 its Bonferroni sandwich, and the exact moments by a Gauss-Legendre rule
 placed on that tail's drop, at every p >= 1: only the moments' two cuts of
 the integral are certified, each by a closed-form bound.
+The Gamma functions those bounds read are the package's own, with stated
+error bounds: ln Gamma by Stirling's series (``moments._log_gamma``, within
+2**-46 (1 + |ln Gamma|)), and Q(a, x) = Gamma(a, x) / Gamma(a) by its series
+or continued fraction (``_log_q``), widened upward by its rounding budget,
+so every certified bound reads both from above.  The exponential path so
+loads no scipy; only the half-normal law's erf and erfinv do.
 The sandwich sums (``exp_power_sum``) and the tail's log product
 (``_log_product``) are kernels on (c, gamma, n0) with one cut rule (``_cut``):
 they sum n0..N-1 and bracket the rest from N.  N is the convex cut, where the
@@ -59,12 +65,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
 
 import numpy as np
-from scipy import special
 
 from .criteria import extract_regulator
 from .errors import DomainError, ToleranceUnreachable, TruncationInfeasible
 from .generating import check_eps
-from .moments import half_normal_moments, std_exponential_moments
+from .moments import _LOG_GAMMA_ERR, _log_gamma, half_normal_moments, std_exponential_moments
 from .bounds import SERIES_TERM_CAP, MomentEnvelope, _check_integer, _check_model_fields
 from .sequences import _chunked_sum
 
@@ -106,6 +111,10 @@ _PANEL_WIDTH = 1.0  # exact_eta_moment's panels are at most this many eps wide i
 
 # nodes and weights on [-1, 1] of the rule exact_eta_moment applies on every panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_Q_ERR = 2.0**-50  # _log_q's rounding budget per unit of 1 + x + a |ln x|
+_Q_STEP_TOL = 2.0**-52  # _log_q's series and continued fraction stop at a relative step this small
+_Q_INVERSE_TOL = 2.0**-50  # _inverse_log_q stops at a step or bracket this small, relative to x
+_Q_INVERSE_STEPS = 100  # and after this many steps: bisection alone needs about 50 from a bracket [x/2, x]
 
 
 @dataclass(frozen=True)
@@ -168,12 +177,16 @@ class GaussianPower(SequenceModel):
         return u * u / 2.0, 2.0 * eps
 
     def draw_magnitudes(self, uniforms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # inverse CDF of |g|: P(|g| <= t) = erf(t / sqrt(2))
+        # inverse CDF of |g|: P(|g| <= t) = erf(t / sqrt(2)); scipy is imported by this law alone
+        from scipy import special
+
         out = special.erfinv(uniforms, out=out)
         return np.multiply(math.sqrt(2.0), out, out=out)
 
     def _magnitude_cdf(self, magnitudes: np.ndarray, out: np.ndarray) -> np.ndarray:
         # the inverse of draw_magnitudes: erf(x / sqrt(2))
+        from scipy import special
+
         np.divide(magnitudes, math.sqrt(2.0), out=out)
         return special.erf(out, out=out)
 
@@ -257,24 +270,118 @@ def _rate_times_power(kc: float, m: int, gamma: float) -> float:
         return math.exp(log_x) if log_x < _LOG_FLOAT_MAX else math.inf
 
 
+def _log_q(a: float, xs: list[float]) -> list[float]:
+    """ln of an upper bound on Q(a, x) = Gamma(a, x) / Gamma(a), for each x >= 0 of ``xs``; a > 0.
+
+    With F = x**a e**-x / Gamma(a), ln F = a ln x - x - ln Gamma(a)
+    (``_log_gamma``): below x = a + 1, P = 1 - Q is F / a times
+    sum_n x**n / ((a + 1) ... (a + n)) (DLMF 8.7.3); from there Q is F over
+    the even part of the continued fraction of DLMF 8.9.2, by Lentz's method.
+    Each stops at a relative step of ``_Q_STEP_TOL``.  The budget
+
+        d = _LOG_GAMMA_ERR (1 + |ln Gamma(a)|) + _Q_ERR (1 + x + a |ln x|)
+
+    covers ln Gamma's bound and the rounding of ln F, whose terms are up to
+    x + a |ln x| large, and of the sum or the fraction.  It is taken as the
+    error of P (relative) or of ln Q (absolute), and the value returned is
+    widened by it: ln(1 - P (1 - d)) or ln Q + d.  So it lies at or above
+    ln Q, and within 2 d max(1, P / Q) of it; below x = a + 1, P / Q < 48 for
+    a >= 0.1.  The bound is stated for a in (0.1, 1000] and x in [0, +inf],
+    where a test holds it against mpmath at 140 bits: the largest error seen
+    there is about a quarter of d.  Q(a, 0) = 1 and Q(a, inf) = 0 exactly.
+    """
+    log_gamma_a = _log_gamma(a)
+    log_gamma_err = _LOG_GAMMA_ERR * (1.0 + abs(log_gamma_a))
+    out = []
+    for x in xs:
+        if x == 0.0 or x == math.inf:
+            out.append(0.0 if x == 0.0 else -math.inf)
+            continue
+        log_x = math.log(x)
+        log_front = a * log_x - x - log_gamma_a
+        err = log_gamma_err + _Q_ERR * (1.0 + x + a * abs(log_x))
+        if x < a + 1.0:
+            term = total = 1.0
+            n = a
+            while term > total * _Q_STEP_TOL:
+                n += 1.0
+                term *= x / n
+                total += term
+            p = math.exp(log_front) * total / a
+            out.append(math.log1p(-p * (1.0 - err)))
+        else:
+            b = x + 1.0 - a
+            f = c = b
+            e = math.inf  # 1 / Lentz's D, as D itself turns subnormal once x passes 2**1022
+            delta, n = 0.0, 0
+            while abs(delta - 1.0) > _Q_STEP_TOL:
+                n += 1
+                step = -n * (n - a)
+                b += 2.0
+                e = b + step / e
+                c = b + step / c
+                delta = c / e
+                f *= delta
+            out.append(log_front - math.log(f) + err)
+    return out
+
+
+def _inverse_log_q(a: float, log_q: float) -> float:
+    """The x where ``_log_q``(a, [x]) falls through log_q < 0, by Newton steps on ln Q kept in a bracket.
+
+    -d ln Q / dx = x**(a - 1) e**-x / (Gamma(a) Q).  A step that leaves the
+    bracket [lo, hi] on the crossing bisects it instead, or doubles x while
+    no upper end is known.  The steps stop once a step or the bracket is at
+    most ``_Q_INVERSE_TOL`` x, so x lies within about that of the crossing,
+    and the crossing within 2 d max(1, P / Q) / |d ln Q / dx| of the root of
+    the true ln Q (``_log_q``'s bound d).
+    """
+    log_gamma_a = _log_gamma(a)
+    lo, hi = 0.0, math.inf
+    x = a + 1.0 - log_q
+    for _ in range(_Q_INVERSE_STEPS):
+        (value,) = _log_q(a, [x])
+        if value > log_q:
+            lo = x
+        else:
+            hi = x
+        slope = math.exp((a - 1.0) * math.log(x) - x - log_gamma_a - value)
+        step = (value - log_q) / slope if slope > 0.0 else math.inf
+        if abs(step) <= _Q_INVERSE_TOL * x or hi - lo <= _Q_INVERSE_TOL * x:
+            break
+        x += step
+        if not lo < x < hi:
+            x = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+    return x
+
+
 def _tail_integrals(c: float, gamma: float, *starts: int, powers: tuple[int, ...] = (1,)) -> list[float]:
     """I_k(m) = int_m^inf exp(-k c t**gamma) dt = Gamma(1 + a) (k c)**(-a) Q(a, k c m**gamma), a = 1/gamma.
 
     One value per power k and start m, powers outermost; I(m) is I_1(m).  One
-    gammaln and one gammaincc call serve every start and power.  Where the
-    front Gamma(1 + a) c**(-a) passes the float range, each value reads +inf.
+    ``_log_q`` call serves every start and power.  Each value is taken on the
+    upper side of both ln Gamma(1 + a), by ``_log_gamma``'s bound, and Q, by
+    ``_log_q``'s, so it is at or above I_k(m) up to the rounding of
+    a ln(k c) and of the exp.  Where the front Gamma(1 + a) c**(-a) passes the
+    float range, each value reads +inf.
     """
     a = 1.0 / gamma
-    log_front = special.gammaln(1.0 + a) - a * math.log(c)
+    log_gamma = _log_gamma(1.0 + a)
+    log_front = log_gamma + _LOG_GAMMA_ERR * (1.0 + abs(log_gamma)) - a * math.log(c)
     if log_front > _LOG_FLOAT_MAX:
         return [math.inf] * (len(starts) * len(powers))
-    fronts = [math.exp(log_front - a * math.log(k)) for k in powers for _ in starts]
-    q = special.gammaincc(a, [_rate_times_power(k * c, m, gamma) for k in powers for m in starts]).tolist()
-    return [front * q_k for front, q_k in zip(fronts, q)]
+    log_fronts = [log_front - a * math.log(k) for k in powers for _ in starts]
+    log_q = _log_q(a, [_rate_times_power(k * c, m, gamma) for k in powers for m in starts])
+    return [math.exp(front + q) for front, q in zip(log_fronts, log_q)]
 
 
 def exp_power_sum_tail_bound(c: float, gamma: float, n_last: int) -> float:
-    """Integral-test bound on sum_{n > n_last} exp(-c n**gamma); +inf past the float range."""
+    """Integral-test bound on sum_{n > n_last} exp(-c n**gamma); +inf past the float range.
+
+    It is I(n_last) (``_tail_integrals``), read on the upper side of ln Gamma
+    and of Q by the bounds of ``_log_gamma`` and ``_log_q``, so it bounds the
+    sum up to the rounding of a ln c and of one exp.
+    """
     _check_exp_power_args(c, gamma)
     _check_integer("tail start", n_last, 1)
     return _tail_integrals(c, gamma, n_last)[0]
@@ -283,17 +390,21 @@ def exp_power_sum_tail_bound(c: float, gamma: float, n_last: int) -> float:
 def exp_power_threshold(c: float, gamma: float, rho: float) -> int:
     """Smallest n_last whose exp_power_sum_tail_bound is <= rho (past 2**53: certified, maybe not smallest).
 
-    The first estimate is taken in log space, so a tiny c cannot overflow it;
-    an index past ``_INDEX_MAX`` raises ``TruncationInfeasible``.
+    The first estimate solves Gamma(1 + a) c**(-a) Q(a, x) = rho, a = 1/gamma,
+    for x = c n**gamma by ``_inverse_log_q`` on ln Q, in log space, so a tiny
+    c or rho cannot under- or overflow it; an index past ``_INDEX_MAX``
+    raises ``TruncationInfeasible``.  The walks from it then read
+    exp_power_sum_tail_bound itself, so the n returned is certified on the
+    same bounds as that (``_log_gamma``'s and ``_log_q``'s).
     """
     _check_exp_power_args(c, gamma)
     if not (0.0 < rho < 1.0):
         raise DomainError(f"target remainder must lie in (0, 1), got {rho}")
     a = 1.0 / gamma
-    log_q = math.log(rho) - special.gammaln(1.0 + a) + a * math.log(c)
+    log_q = math.log(rho) - _log_gamma(1.0 + a) + a * math.log(c)
     if log_q >= 0.0:
         return 1
-    x = float(special.gammainccinv(a, math.exp(log_q)))  # inf once q underflows
+    x = _inverse_log_q(a, log_q)
     log_n = a * (math.log(x) - math.log(c))
     if log_n > math.log(_INDEX_MAX):
         raise TruncationInfeasible(f"meeting rho = {rho} needs n_last > {_INDEX_MAX:g}")
@@ -756,7 +867,7 @@ def bonferroni_sums(eps: float, u: float, abs_tol: float = 1e-12, index_start: i
 def asymptotic_tail_constant(eps: float) -> float:
     """Gamma(1 + 1/eps), the constant of the u**(-1/eps) tail comparison."""
     check_eps(eps)
-    return math.exp(special.gammaln(1.0 + 1.0 / eps))
+    return math.exp(_log_gamma(1.0 + 1.0 / eps))
 
 
 def _moment_tail_remainder(eps: float, p: float, upper: float, index_start: int) -> float:
@@ -768,17 +879,20 @@ def _moment_tail_remainder(eps: float, p: float, upper: float, index_start: int)
     f(t) = t**(-eps) e**(-upper t**eps) falling, so sum_{n >= n0} f(n) is at most
     f(n0) + int_{n0}^inf f = f(n0) + upper**(1 - 1/eps) Gamma(1/eps - 1, upper n0**eps) / eps.
     This needs upper >= 2 (p - 1), and never p < 1/eps; below that the bound
-    is +inf.  It is taken in log space and is +inf past a float.  Where
-    gammaincc underflows, the same inequality bounds Gamma(1/eps - 1, x) where
-    it holds, and the bound is +inf elsewhere, so no term is dropped.
+    is +inf.  It is taken in log space and is +inf past a float.
+    ln Gamma(a, x) = ln Gamma(a) + ln Q(a, x) is read on the upper side of
+    both, by the bounds of ``_log_gamma`` and ``_log_q``.  Where Q reads 0
+    (x = +inf), the same inequality bounds Gamma(1/eps - 1, x) where it
+    holds, and the bound is +inf elsewhere, so no term is dropped.
     """
     if upper < 2.0 * (p - 1.0):
         return math.inf
     x = upper * index_start**eps
     a = 1.0 / eps - 1.0
-    q = float(special.gammaincc(a, x))
-    if q > 0.0:
-        log_gamma = special.gammaln(a) + math.log(q)
+    (log_q,) = _log_q(a, [x])
+    if log_q > -math.inf:
+        log_gamma = _log_gamma(a)
+        log_gamma += _LOG_GAMMA_ERR * (1.0 + abs(log_gamma)) + log_q
     elif x >= 2.0 * (a - 1.0):
         log_gamma = math.log(2.0) + (a - 1.0) * math.log(x) - x
     else:
@@ -799,7 +913,8 @@ def exact_eta_moment(alpha: float, eps: float, p: float, index_start: int = 1) -
     P(eta > 1) <= the integral: t_lo steps down by eps from
     t_m - eps ln(40 / ln 2) until the head, in [e**(p t_lo) T, e**(p t_lo)], is
     that narrow (its lower end is taken), and t_hi up from t_m until
-    ``_moment_tail_remainder`` is.  The rule's own error is not bounded.
+    ``_moment_tail_remainder`` is, on the bounds of ``_log_gamma`` and
+    ``_log_q`` that it names.  The rule's own error is not bounded.
     p e**(p t_hi) bounds every partial sum, so t_hi stays where it is a float:
     a step that would pass the float range goes to the edge t_edge instead,
     and a remainder that fails there too raises ``ToleranceUnreachable``
@@ -814,7 +929,7 @@ def exact_eta_moment(alpha: float, eps: float, p: float, index_start: int = 1) -
         return exact_eta_tail(alpha, eps, math.exp(t), 1e-12, index_start)
 
     tol = 0.5 * _MOMENT_REL_TOL * tail(0.0)  # what each cut may drop: the integral is at least P(eta > 1) * 1**p
-    t_mid = eps * (float(special.gammaln(1.0 + 1.0 / eps)) - math.log(math.log(2.0)))
+    t_mid = eps * (_log_gamma(1.0 + 1.0 / eps) - math.log(math.log(2.0)))
     t_lo, t_hi = t_mid - eps * math.log(40.0 / math.log(2.0)), t_mid
 
     def in_range(t: float) -> bool:  # p e**(p t) is a float

@@ -34,6 +34,29 @@ from glsreg.sequences import GeometricSequence, PowerLogSequence
 from glsreg.simulate import exp_power_sum
 
 
+class TestLogGamma:
+    def test_lies_within_its_bound_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        # log-spaced on [1, 1e3], the integers there, both sides of 10, both zeros of ln Gamma and
+        # the a below 1 that Q(a, x) takes
+        xs = [10.0 ** (3.0 * k / 400) for k in range(401)] + [float(n) for n in range(1, 1001)]
+        xs += [1e-300, 1e-8, 0.111, 0.5, 0.9]
+        xs += [10.0 + d for d in (-1e-12, -0.5, 0.5)] + [z + d for z in (1.0, 2.0) for d in (-1e-6, -1e-12, 1e-12, 1e-6)]
+        for x in xs:
+            with mpmath.workprec(120):
+                ref = float(mpmath.loggamma(x))
+            assert abs(moments._log_gamma(x) - ref) <= moments._LOG_GAMMA_ERR * (1.0 + abs(ref)), x
+
+    def test_ends(self):
+        assert moments._log_gamma(1.0) == moments._log_gamma(2.0) == 0.0
+        assert moments._log_gamma(math.inf) == math.inf
+
+    def test_array_form_is_the_scalar_one(self):
+        x = np.array([[0.5, 1.0, 2.5], [9.99, 10.0, 1e300]])
+        expected = [[moments._log_gamma(float(v)) for v in row] for row in x]
+        np.testing.assert_array_equal(moments._log_gamma_array(x), expected)
+
+
 class TestStdExponentialMoments:
     def test_matches_gamma_closed_form(self):
         m = std_exponential_moments()

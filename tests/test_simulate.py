@@ -1,5 +1,6 @@
 """Trajectory simulation, certified truncation, and exact-model oracles."""
 
+import decimal
 import functools
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special
 
+from glsreg import moments as moments_module
 from glsreg import simulate as simulate_module
 from glsreg import verify
 from glsreg.bounds import regulator_lp_bound
@@ -165,19 +167,15 @@ def summed_cells(monkeypatch):
 
 @pytest.fixture()
 def gammaincc_calls(monkeypatch):
-    """Argument tuples of the ``special.gammaincc`` calls that ``glsreg.simulate`` makes."""
+    """Argument tuples of the calls that ``glsreg.simulate`` makes to its Q(a, x), ``_log_q``."""
     calls = []
+    log_q = simulate_module._log_q
 
-    class Counting:
-        def __getattr__(self, name):
-            return getattr(special, name)
+    def counting(*args):
+        calls.append(args)
+        return log_q(*args)
 
-        @staticmethod
-        def gammaincc(*args):
-            calls.append(args)
-            return special.gammaincc(*args)
-
-    monkeypatch.setattr(simulate_module, "special", Counting())
+    monkeypatch.setattr(simulate_module, "_log_q", counting)
     return calls
 
 
@@ -339,9 +337,91 @@ class TestChunkedSum:
         assert _chunked_sum(lambda n: n, lo, hi) == (hi * (hi + 1) - (lo - 1) * lo) / 2
 
 
+# the a the Q(a, x) tests probe: eps 0.9 and 0.75 through 0.25, 0.05 and 0.002
+GAMMA_Q_A = [0.111, 0.5, 1.0, 4.0 / 3.0, 2.0, 4.0, 20.0, 500.0, 1000.0]
+
+
+def gamma_q_points(a):
+    """x across the seam x = a + 1 of _log_q's two methods, through the bulk and out past Q's underflow."""
+    seam = [a + 1.0 + d for d in (-1e-9, 0.0, 1e-9)]
+    bulk = [a + k * math.sqrt(a) for k in (-3.0, -1.0, -0.25, 0.5, 2.0, 6.0)]
+    return [x for x in [1e-6, 1e-3, 0.1, 0.9 * a, *seam, *bulk, 3.0 * a + 50.0, 10.0 * a + 800.0, 1e6] if x > 0.0]
+
+
+def q_budget(a, x):
+    """_log_q's stated budget d at (a, x)."""
+    log_gamma = simulate_module._log_gamma(a)
+    return moments_module._LOG_GAMMA_ERR * (1.0 + abs(log_gamma)) + simulate_module._Q_ERR * (
+        1.0 + x + a * abs(math.log(x))
+    )
+
+
+class TestGammaFunctions:
+    @pytest.mark.parametrize("a", GAMMA_Q_A)
+    def test_log_q_lies_within_its_bound_of_mpmath(self, a):
+        mpmath = pytest.importorskip("mpmath")
+        xs = gamma_q_points(a)
+        for x, got in zip(xs, simulate_module._log_q(a, xs)):
+            with mpmath.workprec(140):
+                upper = mpmath.gammainc(a, x, regularized=True)
+                lower = mpmath.gammainc(a, 0, x, regularized=True)
+                ref = float(mpmath.log(upper) if lower > 0.5 else mpmath.log1p(-lower))
+                ratio = float(lower / upper)
+            widest = 2.0 * q_budget(a, x) * max(1.0, ratio)
+            assert ref <= got <= ref + widest, (a, x, got, ref, widest)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 10, 40])
+    def test_log_q_of_integer_a_lies_within_its_bound_of_the_closed_form(self, a):
+        # Q(n, x) = e**-x sum_{k < n} x**k / k!, in 400-digit decimals: enough to resolve 1 - Q = 1e-288
+        with decimal.localcontext() as ctx:
+            ctx.prec = 400
+            xs = gamma_q_points(float(a))
+            for x, got in zip(xs, simulate_module._log_q(float(a), xs)):
+                x_dec = decimal.Decimal(x)
+                q = (-x_dec).exp() * sum(x_dec**k / math.factorial(k) for k in range(a))
+                ref = float(q.ln())
+                widest = 2.0 * q_budget(a, x) * max(1.0, float(1 / q - 1))
+                assert ref <= got <= ref + widest, (a, x, got, ref, widest)
+
+    def test_log_q_ends(self):
+        assert simulate_module._log_q(2.0, [0.0, math.inf]) == [0.0, -math.inf]
+
+    @pytest.mark.parametrize(
+        "a, log_q", [(2.0, -20.0), (1.0, -17.0), (4.0, -30.0), (4.0, -2794.0), (0.625, -470.0), (500.0, -3.0), (0.5, -0.2)]
+    )
+    def test_inverse_lies_within_its_bound_of_mpmath(self, a, log_q):
+        # within _Q_INVERSE_TOL x of the crossing of the computed ln Q, and that within
+        # 2 d max(1, P / Q) / |d ln Q / dx| of the root of the true one
+        mpmath = pytest.importorskip("mpmath")
+        x = simulate_module._inverse_log_q(a, log_q)
+        with mpmath.workprec(140):
+            root = mpmath.findroot(lambda t: mpmath.log(mpmath.gammainc(a, t, regularized=True)) - log_q, x)
+            upper = mpmath.gammainc(a, root, regularized=True)
+            slope = float(root ** (a - 1) * mpmath.exp(-root) / mpmath.gamma(a) / upper)
+            ratio = max(1.0, float((1 - upper) / upper))
+        allowed = 2.0 * simulate_module._Q_INVERSE_TOL * x + 2.0 * q_budget(a, x) * ratio / slope
+        assert abs(x - float(root)) <= allowed, (a, log_q, x, float(root), allowed)
+
+
 class TestExpPowerCertified:
     def test_threshold_frozen_value(self):
         assert exp_power_threshold(1.0, 0.5, 1e-6) == 304
+
+    @pytest.mark.parametrize(
+        "c, gamma, rho, n",
+        [
+            (0.5, 1.0, 1e-08, 39),
+            (0.5, 1.0, 1e-3 / 3000, 32),
+            (1.0, 0.5, 1e-08, 496),
+            (1.0, 0.5, 5e-08, 424),
+            (1.0, 0.5, 1e-07, 394),
+            (1.0, 0.5, 5e-07, 330),
+        ],
+    )
+    def test_threshold_of_every_shipped_plan(self, c, gamma, rho, n):
+        # every threshold that configs/*.json, the verify catalogue and the benchmark workloads ask
+        # for, as scipy's gammainccinv and gammaincc gave it
+        assert exp_power_threshold(c, gamma, rho) == n
 
     def test_threshold_is_minimal(self):
         n = exp_power_threshold(1.0, 0.5, 1e-6)
@@ -1349,11 +1429,11 @@ class TestExactMoment:
         assert _moment_tail_remainder(0.5, 12.0, 16.0, 1) == math.inf
 
     def test_underflowed_gamma_drops_no_term(self, monkeypatch):
-        # with gammaincc read as 0, the rest is bounded by 2 x**(a-1) e**-x where x >= 2 (a - 1),
+        # with Q read as 0, the rest is bounded by 2 x**(a-1) e**-x where x >= 2 (a - 1),
         # else the bound is +inf (eps 0.05: a = 19 against x = 32); neither falls below the bound
         points = [(0.5, 1.5, 32.0, 1), (0.25, 3.0, 64.0, 7), (0.1, 6.0, 32.0, 2), (0.05, 1.5, 32.0, 1)]
         bounds = [_moment_tail_remainder(*point) for point in points]
-        monkeypatch.setattr(simulate_module.special, "gammaincc", lambda a, x: 0.0)
+        monkeypatch.setattr(simulate_module, "_log_q", lambda a, xs: [-math.inf for _ in xs])
         for point, bound in zip(points, bounds):
             assert _moment_tail_remainder(*point) >= bound, point
 

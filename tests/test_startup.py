@@ -113,9 +113,29 @@ class TestCommandImports:
         assert "numpy" in loaded  # the run got past the config check
 
     def test_simulate_loads_no_quadrature(self, tmp_path):
+        # the exponential law's oracles use the package's own ln Gamma and Q(a, x)
         loaded = _loaded_after(
             tmp_path, "simulate", "--config", "configs/simulate_small.json", "--out", str(tmp_path / "out")
         )
+        assert "numpy" in loaded
+        assert "scipy" not in loaded
+
+    def test_half_normal_simulate_loads_special_but_no_quadrature(self, tmp_path):
+        # erf and erfinv, the half-normal law's draw and its inverse, are the one use of scipy
+        config = tmp_path / "half_normal.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "command": "simulate",
+                    "model": {"kind": "gaussian_power", "alpha": 1.0},
+                    "eps": 0.5,
+                    "trajectories": 200,
+                    "seed": 7,
+                }
+            )
+        )
+        loaded = _loaded_after(tmp_path, "simulate", "--config", str(config), "--out", str(tmp_path / "out"))
         assert "scipy.special" in loaded
         assert "scipy.integrate" not in loaded
 
@@ -125,8 +145,17 @@ class TestCommandImports:
             json.dumps({"schema_version": 1, "command": "verify", "checks": ["moment-blowup-bracket"], "seed": 42})
         )
         loaded = _loaded_after(tmp_path, "verify", "--config", str(config), "--out", str(tmp_path / "out"))
-        assert "scipy.special" in loaded
-        assert "scipy.integrate" not in loaded
+        assert "numpy" in loaded
+        assert "scipy" not in loaded
+
+    def test_verify_suite_loads_no_scipy(self):
+        probe = (
+            "import sys, glsreg.verify; glsreg.verify.run_suite(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy' in sys.modules)"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=CHILD_ENV, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["[]", "True"]
 
     def test_no_module_imports_scipy_integrate(self):
         for path, names in _imported_names():
