@@ -113,8 +113,6 @@ _PANEL_WIDTH = 1.0  # exact_eta_moment's panels are at most this many eps wide i
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _Q_ERR = 2.0**-50  # _log_q's rounding budget per unit of 1 + x + a |ln x|
 _Q_STEP_TOL = 2.0**-52  # _log_q's series and continued fraction stop at a relative step this small
-_Q_INVERSE_TOL = 2.0**-50  # _inverse_log_q stops at a step or bracket this small, relative to x
-_Q_INVERSE_STEPS = 100  # and after this many steps: bisection alone needs about 50 from a bracket [x/2, x]
 
 
 @dataclass(frozen=True)
@@ -326,35 +324,6 @@ def _log_q(a: float, xs: list[float]) -> list[float]:
     return out
 
 
-def _inverse_log_q(a: float, log_q: float) -> float:
-    """The x where ``_log_q``(a, [x]) falls through log_q < 0, by Newton steps on ln Q kept in a bracket.
-
-    -d ln Q / dx = x**(a - 1) e**-x / (Gamma(a) Q).  A step that leaves the
-    bracket [lo, hi] on the crossing bisects it instead, or doubles x while
-    no upper end is known.  The steps stop once a step or the bracket is at
-    most ``_Q_INVERSE_TOL`` x, so x lies within about that of the crossing,
-    and the crossing within 2 d max(1, P / Q) / |d ln Q / dx| of the root of
-    the true ln Q (``_log_q``'s bound d).
-    """
-    log_gamma_a = _log_gamma(a)
-    lo, hi = 0.0, math.inf
-    x = a + 1.0 - log_q
-    for _ in range(_Q_INVERSE_STEPS):
-        (value,) = _log_q(a, [x])
-        if value > log_q:
-            lo = x
-        else:
-            hi = x
-        slope = math.exp((a - 1.0) * math.log(x) - x - log_gamma_a - value)
-        step = (value - log_q) / slope if slope > 0.0 else math.inf
-        if abs(step) <= _Q_INVERSE_TOL * x or hi - lo <= _Q_INVERSE_TOL * x:
-            break
-        x += step
-        if not lo < x < hi:
-            x = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
-    return x
-
-
 def _tail_integrals(c: float, gamma: float, *starts: int, powers: tuple[int, ...] = (1,)) -> list[float]:
     """I_k(m) = int_m^inf exp(-k c t**gamma) dt = Gamma(1 + a) (k c)**(-a) Q(a, k c m**gamma), a = 1/gamma.
 
@@ -388,34 +357,30 @@ def exp_power_sum_tail_bound(c: float, gamma: float, n_last: int) -> float:
 
 
 def exp_power_threshold(c: float, gamma: float, rho: float) -> int:
-    """Smallest n_last whose exp_power_sum_tail_bound is <= rho (past 2**53: certified, maybe not smallest).
+    """Smallest n_last whose exp_power_sum_tail_bound is <= rho; past 2**53, within one float step of it.
 
-    The first estimate solves Gamma(1 + a) c**(-a) Q(a, x) = rho, a = 1/gamma,
-    for x = c n**gamma by ``_inverse_log_q`` on ln Q, in log space, so a tiny
-    c or rho cannot under- or overflow it; an index past ``_INDEX_MAX``
-    raises ``TruncationInfeasible``.  The walks from it then read
-    exp_power_sum_tail_bound itself, so the n returned is certified on the
-    same bounds as that (``_log_gamma``'s and ``_log_q``'s).
+    It bisects that bound itself, so the n returned is certified on the same
+    bounds (``_log_gamma``'s and ``_log_q``'s).  n squares from 1, up to
+    ``_INDEX_MAX``, until the bound fits (else ``TruncationInfeasible``); the
+    bracket then halves geometrically while it spans more than a factor of 2,
+    then on ints, until it is one index wide, or past 2**53 one float step of
+    its lower end: the bound reads n as a float.
     """
     _check_exp_power_args(c, gamma)
     if not (0.0 < rho < 1.0):
         raise DomainError(f"target remainder must lie in (0, 1), got {rho}")
-    a = 1.0 / gamma
-    log_q = math.log(rho) - _log_gamma(1.0 + a) + a * math.log(c)
-    if log_q >= 0.0:
-        return 1
-    x = _inverse_log_q(a, log_q)
-    log_n = a * (math.log(x) - math.log(c))
-    if log_n > math.log(_INDEX_MAX):
-        raise TruncationInfeasible(f"meeting rho = {rho} needs n_last > {_INDEX_MAX:g}")
-    n = max(1, math.ceil(math.exp(log_n)))
-    # guard against ceil rounding; past 2**53, n and n - 1 are the same float,
-    # so the upward step grows past one ulp of n and the minimality walk stops
-    while exp_power_sum_tail_bound(c, gamma, n) > rho:
-        n += 1 + (n >> 52)
-    while 1 < n <= 2**53 and exp_power_sum_tail_bound(c, gamma, n - 1) <= rho:
-        n -= 1
-    return n
+    lo, hi = 0, 1  # the bound fits at hi and not at lo
+    while exp_power_sum_tail_bound(c, gamma, hi) > rho:
+        if hi >= _INDEX_MAX:
+            raise TruncationInfeasible(f"meeting rho = {rho} needs n_last > {_INDEX_MAX:g}")
+        lo, hi = hi, min(max(2, hi * hi), int(_INDEX_MAX))
+    while hi - lo > 1 << max(0, lo.bit_length() - 53):  # one index, or one float step of lo past 2**53
+        mid = math.isqrt(lo * hi) if hi > 2 * lo else (lo + hi) // 2
+        if exp_power_sum_tail_bound(c, gamma, mid) > rho:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _term_cut(c: float, gamma: float, abs_tol: float, index_start: int) -> int:
@@ -882,21 +847,17 @@ def _moment_tail_remainder(eps: float, p: float, upper: float, index_start: int)
     is +inf.  It is taken in log space and is +inf past a float.
     ln Gamma(a, x) = ln Gamma(a) + ln Q(a, x) is read on the upper side of
     both, by the bounds of ``_log_gamma`` and ``_log_q``.  Where Q reads 0
-    (x = +inf), the same inequality bounds Gamma(1/eps - 1, x) where it
-    holds, and the bound is +inf elsewhere, so no term is dropped.
+    (x = +inf) the bound is +inf, so no term is dropped.
     """
     if upper < 2.0 * (p - 1.0):
         return math.inf
     x = upper * index_start**eps
     a = 1.0 / eps - 1.0
     (log_q,) = _log_q(a, [x])
-    if log_q > -math.inf:
-        log_gamma = _log_gamma(a)
-        log_gamma += _LOG_GAMMA_ERR * (1.0 + abs(log_gamma)) + log_q
-    elif x >= 2.0 * (a - 1.0):
-        log_gamma = math.log(2.0) + (a - 1.0) * math.log(x) - x
-    else:
+    if log_q == -math.inf:
         return math.inf
+    log_gamma = _log_gamma(a)
+    log_gamma += _LOG_GAMMA_ERR * (1.0 + abs(log_gamma)) + log_q
     log_first = -eps * math.log(index_start) - x
     log_rest = (1.0 - 1.0 / eps) * math.log(upper) + log_gamma - math.log(eps)
     log_bound = math.log(2.0 * p) + (p - 1.0) * math.log(upper) + float(np.logaddexp(log_first, log_rest))

@@ -386,22 +386,6 @@ class TestGammaFunctions:
     def test_log_q_ends(self):
         assert simulate_module._log_q(2.0, [0.0, math.inf]) == [0.0, -math.inf]
 
-    @pytest.mark.parametrize(
-        "a, log_q", [(2.0, -20.0), (1.0, -17.0), (4.0, -30.0), (4.0, -2794.0), (0.625, -470.0), (500.0, -3.0), (0.5, -0.2)]
-    )
-    def test_inverse_lies_within_its_bound_of_mpmath(self, a, log_q):
-        # within _Q_INVERSE_TOL x of the crossing of the computed ln Q, and that within
-        # 2 d max(1, P / Q) / |d ln Q / dx| of the root of the true one
-        mpmath = pytest.importorskip("mpmath")
-        x = simulate_module._inverse_log_q(a, log_q)
-        with mpmath.workprec(140):
-            root = mpmath.findroot(lambda t: mpmath.log(mpmath.gammainc(a, t, regularized=True)) - log_q, x)
-            upper = mpmath.gammainc(a, root, regularized=True)
-            slope = float(root ** (a - 1) * mpmath.exp(-root) / mpmath.gamma(a) / upper)
-            ratio = max(1.0, float((1 - upper) / upper))
-        allowed = 2.0 * simulate_module._Q_INVERSE_TOL * x + 2.0 * q_budget(a, x) * ratio / slope
-        assert abs(x - float(root)) <= allowed, (a, log_q, x, float(root), allowed)
-
 
 class TestExpPowerCertified:
     def test_threshold_frozen_value(self):
@@ -434,6 +418,58 @@ class TestExpPowerCertified:
             n = exp_power_threshold(1e-4, 0.25, 1e-12)
         assert n > 2**53
         assert exp_power_sum_tail_bound(1e-4, 0.25, n) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "c, gamma, rho",
+        [(30.66, 0.01244, 0.3646), (24.0, 0.00518, 4.56e-4), (9.74, 0.0153, 0.568), (1.0, 0.01, 1e-7), (1.0, 0.5, 1e-8)],
+    )
+    def test_threshold_takes_bounded_work(self, monkeypatch, deadline, c, gamma, rho):
+        # a Newton estimate just short of the crossing walked one float step of n per call here:
+        # 130 870 calls and 1.5 s at the first input
+        calls = []
+        bound = simulate_module.exp_power_sum_tail_bound
+
+        def counting(*args):
+            calls.append(args)
+            return bound(*args)
+
+        monkeypatch.setattr(simulate_module, "exp_power_sum_tail_bound", counting)
+        with deadline(0.1):
+            n = exp_power_threshold(c, gamma, rho)
+        assert len(calls) <= 100
+        assert bound(c, gamma, n) <= rho
+
+    @pytest.mark.parametrize(
+        "c, gamma, rho",
+        [
+            (0.5, 1.0, 1e-08),
+            (0.5, 1.0, 1e-3 / 3000),
+            (1.0, 0.5, 1e-08),
+            (1.0, 0.5, 5e-08),
+            (1.0, 0.5, 1e-07),
+            (1.0, 0.5, 5e-07),
+            (1.0, 0.5, 1e-06),
+            (30.66, 0.01244, 0.3646),
+            (24.0, 0.00518, 4.56e-4),
+            (9.74, 0.0153, 0.568),
+            (1.0, 0.01, 1e-7),
+        ],
+    )
+    def test_threshold_against_the_true_integral(self, c, gamma, rho):
+        # I(n) = Gamma(1 + a) c**(-a) Q(a, c n**gamma), a = 1/gamma, at 140 bits: n meets rho,
+        # and up to 2**53 n - 1 does not
+        mpmath = pytest.importorskip("mpmath")
+        n = exp_power_threshold(c, gamma, rho)
+        with mpmath.workprec(140):
+            a, c_mp = 1 / mpmath.mpf(gamma), mpmath.mpf(c)
+
+            def integral(m):
+                x = c_mp * mpmath.mpf(m) ** mpmath.mpf(gamma)
+                return mpmath.gamma(1 + a) * c_mp ** (-a) * mpmath.gammainc(a, x, regularized=True)
+
+            assert integral(n) <= rho, (c, gamma, rho, n)
+            if n <= 2**53:
+                assert rho < integral(n - 1), (c, gamma, rho, n)
 
     @pytest.mark.parametrize("n_last", [10**200, 10**400], ids=["power-past-range", "start-past-range"])
     def test_tail_bound_past_the_float_range_of_the_index_power(self, n_last):
