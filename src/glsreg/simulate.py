@@ -284,9 +284,12 @@ def _log_q(a: float, xs: list[float]) -> list[float]:
     error of P (relative) or of ln Q (absolute), and the value returned is
     widened by it: ln(1 - P (1 - d)) or ln Q + d.  So it lies at or above
     ln Q, and within 2 d max(1, P / Q) of it; below x = a + 1, P / Q < 48 for
-    a >= 0.1.  The bound is stated for a in (0.1, 1000] and x in [0, +inf],
-    where a test holds it against mpmath at 140 bits: the largest error seen
-    there is about a quarter of d.  Q(a, 0) = 1 and Q(a, inf) = 0 exactly.
+    a >= 0.1.  The bound is stated for a in [0.001, 10000] and x in
+    [0, +inf], where a test holds it against mpmath at 140 bits: the largest
+    error seen there, before the widening, is below a quarter of d.  Its
+    callers pass a = 1/eps - 1 and 1/gamma, so a > 10000 (eps or gamma below
+    1e-4) and a < 0.001 (eps above 1/1.001) are untested.  Q(a, 0) = 1 and
+    Q(a, inf) = 0 exactly.
     """
     log_gamma_a = _log_gamma(a)
     log_gamma_err = _LOG_GAMMA_ERR * (1.0 + abs(log_gamma_a))
@@ -712,19 +715,6 @@ def _skip_thresholds(model: SequenceModel, factors: np.ndarray, weight: float, o
 # exact oracles for the exponential model
 
 
-def _log_product_bounds(c: float, gamma: float, index_start: int) -> tuple[float, float]:
-    """(floor, ceiling) = (-(x_{n0} + I(n0)) / (1 - x_{n0}), -I(n0)) on sum_{n >= n0} log1p(-x_n).
-
-    x_n = exp(-c n**gamma), n0 = index_start and I is ``_tail_integrals``.
-    They hold as x <= -log1p(-x) <= x / (1 - x) and, x_n being decreasing,
-    I(n0) <= sum_{n >= n0} x_n <= x_{n0} + I(n0).  Both are -inf where I(n0)
-    passes the float range.
-    """
-    t0 = c * index_start**gamma
-    i0 = _tail_integrals(c, gamma, index_start)[0]
-    return -(math.exp(-t0) + i0) / -math.expm1(-t0), -i0
-
-
 def _log_rest(c: float, gamma: float, n: int, convex: bool) -> tuple[float, float]:
     """(lo, hi) on sum_{m >= n} log1p(-exp(-c m**gamma)): ``_log_product``'s convexity or integral-test bracket."""
     t = c * n**gamma
@@ -759,16 +749,17 @@ def _log_product(c: float, gamma: float, abs_tol: float, index_start: int) -> fl
     Either bracket's top end is returned once it puts the product below
     abs_tol; otherwise its midpoint is added, and a bracket wider than
     2 abs_tol raises ``ToleranceUnreachable``.  When the term cut passes the
-    cap, ``_log_product_bounds`` decides first: a ceiling <= ln(abs_tol)
-    returns -inf, and a floor above it, which keeps both the stop and the top
-    end from firing, raises before the sum what the bracket would after it.
+    cap, the integral-test bracket on the whole sum, the rest from
+    index_start, decides first: a ceiling <= ln(abs_tol) returns -inf, and a
+    floor above it, which keeps both the stop and the top end from firing,
+    raises before the sum what the bracket would after it.
     The top end is -inf where I(N) passes the float range.
     """
     n_cut = _term_cut(c, gamma, abs_tol, index_start)
     log_tol = math.log(abs_tol)
     floor = -math.inf
     if n_cut > SERIES_TERM_CAP:
-        floor, ceiling = _log_product_bounds(c, gamma, index_start)
+        floor, ceiling = _log_rest(c, gamma, index_start, False)
         if ceiling <= log_tol:
             return -math.inf  # the product is already below abs_tol
     x_top = min(0.125, math.sqrt(abs_tol / -log_tol))
@@ -871,7 +862,11 @@ def exact_eta_moment(alpha: float, eps: float, p: float, index_start: int = 1) -
     1e-12, by 16-node Gauss-Legendre on panels at most ``_PANEL_WIDTH`` eps
     wide.  At n0 1, T drops near t_m = eps (ln Gamma(1 + 1/eps) - ln ln 2),
     over about eps.  Both cuts are certified within ``_MOMENT_REL_TOL``/2 of
-    P(eta > 1) <= the integral: t_lo steps down by eps from
+    an anchor A <= P(eta > 1) <= the integral, A the larger of the tail at
+    u = 1 less its abs_tol and e**(-n0**eps) = P(theta_{n0} > n0**eps).
+    Where the tail reads at most its abs_tol and e**(-n0**eps) underflows
+    (n0**eps past about 745), A is 0 and the cuts run until their bounds
+    underflow.  t_lo steps down by eps from
     t_m - eps ln(40 / ln 2) until the head, in [e**(p t_lo) T, e**(p t_lo)], is
     that narrow (its lower end is taken), and t_hi up from t_m until
     ``_moment_tail_remainder`` is, on the bounds of ``_log_gamma`` and
@@ -889,7 +884,8 @@ def exact_eta_moment(alpha: float, eps: float, p: float, index_start: int = 1) -
     def tail(t: float) -> float:
         return exact_eta_tail(alpha, eps, math.exp(t), 1e-12, index_start)
 
-    tol = 0.5 * _MOMENT_REL_TOL * tail(0.0)  # what each cut may drop: the integral is at least P(eta > 1) * 1**p
+    # what each cut may drop: the integral is at least T(1) = P(eta > 1), read on two lower bounds
+    tol = 0.5 * _MOMENT_REL_TOL * max(tail(0.0) - 1e-12, math.exp(-(index_start**eps)))
     t_mid = eps * (_log_gamma(1.0 + 1.0 / eps) - math.log(math.log(2.0)))
     t_lo, t_hi = t_mid - eps * math.log(40.0 / math.log(2.0)), t_mid
 

@@ -64,47 +64,43 @@ __all__ = ["CHECKS", "run_suite", "norm_axiom_violations"]
 
 
 #: Regulator values of a plan and their truncation bound.  ``run_suite`` memoises them per call
-#: (``_stream_eta_values``): one column pass per stream, and each start index's eta folded from it.
+#: (``_stream_eta_values``): one pass per plan, and a start-1 plan folds its row 1 into the start-2 plan's eta.
 EtaValues = Callable[[SimulationPlan], tuple[np.ndarray, float]]
 
 
-def _eta_values(plan: SimulationPlan, held: tuple[int, np.ndarray] | None = None) -> tuple[np.ndarray, float]:
-    """eta of a plan and its truncation bound; given ``held``, only the head rows are drawn.
+def _eta_values(plan: SimulationPlan, later: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """eta of a plan and its truncation bound; given ``later``, only row index_start is drawn.
 
-    ``held`` is (s, eta at start s) of the plan's stream, s > index_start:
-    row n of the column pass is keyed by (seed, n) alone and eta is a max,
-    which is exact, so the elementwise max of the held eta and a pass over
-    the rows index_start..s-1 alone is the plan's eta, bit for bit.
+    ``later`` is the eta of the same plan from index_start + 1: row n of the
+    column pass is keyed by (seed, n) alone and eta is a max, which is exact,
+    so the elementwise max of ``later`` and a pass over row index_start alone
+    is the plan's eta, bit for bit.
     """
-    if held is None:
+    if later is None:
         values = simulate_eta(plan).value
     else:
-        start, later = held
-        values = simulate_eta(replace(plan, truncation=FixedTruncation(n_last=start - 1))).value
+        values = simulate_eta(replace(plan, truncation=FixedTruncation(n_last=plan.index_start))).value
         np.maximum(values, later, out=values)
     values.flags.writeable = False  # one array serves every check that asks for this plan
     return values, truncation_bound(plan, values)
 
 
 def _stream_eta_values() -> EtaValues:
-    """A fresh memo in which plans that differ only in index_start share one column pass.
+    """A fresh memo of one pass per plan, but a start-1 plan with n_last > 1 folds its row 1 into the start-2 plan's.
 
-    The stream is the seed, the trajectory count, the model with index_start
-    set to 1, eps and the resolved n_last.  The memo holds the lowest start
-    folded so far for each stream; a lower start draws only its head rows
-    and folds them in, another plan at or above it gets a fresh pass.
+    The start-2 plan is the same plan at index_start 2, held in the same
+    memo; the two resolve the same n_last once it passes 1.  Index 2 is
+    moment-sup-bound's start (the index-blind envelope bound needs n0 >= 2),
+    so the start-1 plans of tail-oracle-agreement and natural-envelope-bound
+    share its pass in any check order.
     """
-    folds: dict[tuple, tuple[int, np.ndarray]] = {}  # stream -> (lowest start folded, its eta)
 
     @functools.cache
     def eta_values(plan: SimulationPlan) -> tuple[np.ndarray, float]:
-        stream = (plan.seed, plan.trajectories, replace(plan.model, index_start=1), plan.eps, resolve_n_last(plan))
-        held = folds.get(stream)
-        if held is not None and plan.index_start >= held[0]:
-            return _eta_values(plan)
-        values, trunc = _eta_values(plan, held)
-        folds[stream] = (plan.index_start, values)
-        return values, trunc
+        if plan.index_start == 1 and resolve_n_last(plan) > 1:
+            later, _ = eta_values(replace(plan, model=replace(plan.model, index_start=2)))
+            return _eta_values(plan, later)
+        return _eta_values(plan)
 
     return eta_values
 
@@ -562,9 +558,10 @@ def run_suite(
     """Run the selected checks (default: all) and collect a report.
 
     The checks share one ``_stream_eta_values`` memo, made fresh for this
-    call.  In the catalogue's order, moment-sup-bound (n0 = 2) runs the
-    column pass, and the n0 = 1 plan of tail-oracle-agreement and
-    natural-envelope-bound draws index 1 alone and folds it in.
+    call.  In any order, the n0 = 2 plan of moment-sup-bound gets the column
+    pass, and the n0 = 1 plan of tail-oracle-agreement and
+    natural-envelope-bound draws index 1 alone and folds it in; the
+    convergence check's n0 = 1 plan is a start-2 pass and a row-1 fold.
     """
     ids = tuple(check_ids) if check_ids else tuple(CHECKS)
     unknown = [i for i in ids if i not in CHECKS]

@@ -377,13 +377,13 @@ class TestRunSuite:
         monkeypatch.setattr(verify, "simulate_eta", counting)
         checks = ["moment-sup-bound", "tail-oracle-agreement", "natural-envelope-bound", "convergence-diagnostics"]
         verify.run_suite(checks, seed=1, trajectories=500)
-        assert len(plans) == 3 and len(set(plans)) == 3
+        assert len(plans) == 4 and len(set(plans)) == 4
         verify.run_suite(checks, seed=1, trajectories=500)
-        assert len(plans) == 6
+        assert len(plans) == 8
 
     def test_each_stream_drawn_once_per_suite(self, monkeypatch):
-        # the n0 = 2 and n0 = 1 plans share every row past index 1, so the n0 = 1 plan draws
-        # only its head row; the convergence check keeps its own fold pass beside simulate_eta's
+        # the n0 = 2 and n0 = 1 plans share every row past index 1, so each n0 = 1 plan draws only its
+        # row 1 and folds it into its start-2 plan's pass; the convergence check keeps its own dense pass
         import glsreg.verify as verify
         from glsreg.simulate import resolve_n_last
 
@@ -407,16 +407,13 @@ class TestRunSuite:
         convergence = verify._exponential_plan(1, 500, alpha=2.0)
         one_pass_per_plan = 500 * (n_last - 1) + 500 * n_last + 2 * 500 * resolve_n_last(convergence)
         assert sum(cells for *_, cells in passes) == one_pass_per_plan - 500 * (n_last - 1)
-        assert [caller for caller, plan, _ in passes if plan == convergence] == [
-            "convergence-diagnostics",
-            "simulate_eta",
-        ]
+        assert [caller for caller, plan, _ in passes if plan == convergence] == ["convergence-diagnostics"]
 
     @pytest.mark.parametrize(
         "checks, drawn",
         [
             (["moment-sup-bound", "tail-oracle-agreement", "natural-envelope-bound"], lambda n: [(2, n), (1, 1)]),
-            (["tail-oracle-agreement", "moment-sup-bound"], lambda n: [(1, n), (2, n)]),  # a later start: a fresh pass
+            (["tail-oracle-agreement", "moment-sup-bound"], lambda n: [(2, n), (1, 1)]),  # any order: one pass
         ],
         ids=["head-fold", "fresh-pass"],
     )
