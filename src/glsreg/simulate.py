@@ -15,8 +15,10 @@ The Gamma functions those bounds read are the package's own, with stated
 error bounds: ln Gamma by Stirling's series (``moments._log_gamma``, within
 2**-46 (1 + |ln Gamma|)), and Q(a, x) = Gamma(a, x) / Gamma(a) by its series
 or continued fraction (``_log_q``), widened upward by its rounding budget,
-so every certified bound reads both from above.  The exponential path so
-loads no scipy; only the half-normal law's erf and erfinv do.
+so every certified bound reads both from above.  No path loads scipy: the
+half-normal law's draw and its inverse are the package's own quantile
+(``_half_normal_quantile``, by Wichura's AS241) and erf (``_erf``, by Cody's
+rational approximations), each with a stated error bound.
 The sandwich sums (``exp_power_sum``) and the tail's log product
 (``_log_product``) are kernels on (c, gamma, n0) with one cut rule (``_cut``):
 they sum n0..N-1 and bracket the rest from N.  N is the convex cut, where the
@@ -105,7 +107,7 @@ _BLOCK_CELLS = 1 << 17  # cells of the column pass's buffer: 1 MiB of float64, c
 _FOLD_CELLS = 1 << 13  # cells simulate_eta draws at a time, and the most words any draw makes: 64 KiB
 _REFRESH_RATIO = 2  # simulate_eta re-reads its thresholds once the cells drawn reach this multiple of the last read's
 _SKIP_MARGIN = 2.0**-40  # relative margin of the skip test on the ratio's rounding (``_skip_thresholds``)
-_SKIP_SLACK = 2.0**-51  # absolute step of each skip threshold below g^-1: four float steps below u = 1
+_SKIP_SLACK = 2.0**-50  # absolute step of each skip threshold below g^-1: eight float steps below u = 1
 _MOMENT_REL_TOL = 1e-6  # each of exact_eta_moment's two cuts drops at most half this share of the integral
 _PANEL_WIDTH = 1.0  # exact_eta_moment's panels are at most this many eps wide in t = ln u
 
@@ -175,18 +177,13 @@ class GaussianPower(SequenceModel):
         return u * u / 2.0, 2.0 * eps
 
     def draw_magnitudes(self, uniforms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # inverse CDF of |g|: P(|g| <= t) = erf(t / sqrt(2)); scipy is imported by this law alone
-        from scipy import special
-
-        out = special.erfinv(uniforms, out=out)
-        return np.multiply(math.sqrt(2.0), out, out=out)
+        # inverse CDF of |g|: the t with P(|g| <= t) = erf(t / sqrt(2)) = u, by the package's own quantile
+        return _half_normal_quantile(uniforms, np.empty(uniforms.shape) if out is None else out)
 
     def _magnitude_cdf(self, magnitudes: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # the inverse of draw_magnitudes: erf(x / sqrt(2))
-        from scipy import special
-
+        # the inverse of draw_magnitudes: erf(x / sqrt(2)), by the package's own erf
         np.divide(magnitudes, math.sqrt(2.0), out=out)
-        return special.erf(out, out=out)
+        return _erf(out, out)
 
 
 @dataclass(frozen=True)
@@ -324,6 +321,161 @@ def _log_q(a: float, xs: list[float]) -> list[float]:
                 delta = c / e
                 f *= delta
             out.append(log_front - math.log(f) + err)
+    return out
+
+
+def _pairs(numerator: tuple[float, ...], denominator: tuple[float, ...]) -> np.ndarray:
+    """A rational function's coefficients, from the highest power down, as ``_rational`` reads them: shape (k, 2, 1)."""
+    return np.array([numerator, denominator]).T[:, :, None]
+
+
+# Rational approximations, each a (numerator, denominator) pair of coefficients from the highest power
+# down.  Wichura's AS241 (PPND16, Appl. Statist. 37, 1988) for the normal quantile, in r = 0.180625 - h**2,
+# sqrt(-ln q) - 1.6 and sqrt(-ln q) - 5:
+_AS241_CENTRAL = _pairs(
+    (
+        2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4, 4.5921953931549871457e4,
+        1.3731693765509461125e4, 1.9715909503065514427e3, 1.3314166789178437745e2, 3.3871328727963666080e0,
+    ),
+    (
+        5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4, 2.1213794301586595867e4,
+        5.3941960214247511077e3, 6.8718700749205790830e2, 4.2313330701600911252e1, 1.0,
+    ),
+)
+_AS241_TAIL = _pairs(
+    (
+        7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+        1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+        4.63033784615654529590e0, 1.42343711074968357734e0,
+    ),
+    (
+        1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+        1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+        2.05319162663775882187e0, 1.0,
+    ),
+)
+_AS241_FAR = _pairs(
+    (
+        2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+        2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+        5.46378491116411436990e0, 6.65790464350110377720e0,
+    ),
+    (
+        2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+        7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+        5.99832206555887937690e-1, 1.0,
+    ),
+)
+# Cody's erf and erfc (Math. Comp. 23, 1969, as his CALERF evaluates them), in y**2 up to 0.46875, in y up
+# to 4, and in 1 / y**2 beyond:
+_CODY_ERF = _pairs(
+    (1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2, 3.77485237685302021e2,
+     3.20937758913846947e3),
+    (1.0, 2.36012909523441209e1, 2.44024637934444173e2, 1.28261652607737228e3, 2.84423683343917062e3),
+)
+_CODY_ERFC = _pairs(
+    (
+        2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0, 6.61191906371416295e1,
+        2.98635138197400131e2, 8.81952221241769090e2, 1.71204761263407058e3, 2.05107837782607147e3,
+        1.23033935479799725e3,
+    ),
+    (
+        1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2, 1.62138957456669019e3,
+        3.29079923573345963e3, 4.36261909014324716e3, 3.43936767414372164e3, 1.23033935480374942e3,
+    ),
+)
+_CODY_ERFC_FAR = _pairs(
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+     1.60837851487422766e-2, 6.58749161529837803e-4),
+    (1.0, 2.56852019228982242e0, 1.87295284992346725e0, 5.27905102951428412e-1, 6.05183413124413191e-2,
+     2.33520497626869185e-3),
+)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_QUANTILE_ERR = 2.0**-49  # _half_normal_quantile's relative error bound
+_ERF_ERR = 2.0**-51  # _erf's absolute error bound
+
+
+def _rational(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P(x) / Q(x) at 1-D ``x``, by Horner's rule on both polynomials at once (``_pairs``)."""
+    acc = coefficients[0] * x
+    for c in coefficients[1:-1]:
+        acc += c
+        acc *= x
+    acc += coefficients[-1]
+    return np.divide(acc[0], acc[1], out=acc[0])
+
+
+def _half_normal_quantile(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Into C-contiguous ``out``, the t with P(|g| <= t) = u for each u in [0, 1]: sqrt(2) erfinv(u), g standard normal.
+
+    That is the normal quantile Phi^-1(1 - q / 2) at q = 1 - u, by Wichura's
+    AS241 (``_AS241_CENTRAL``, ``_AS241_TAIL``, ``_AS241_FAR``): t = h A(r)
+    / B(r) at h = u / 2 and r = 0.180625 - h**2 up to u = 0.85; beyond it s
+    = sqrt(-ln(q / 2)) and t = C(s - 1.6) / D(s - 1.6) up to s = 5, else
+    E(s - 5) / F(s - 5).  h, q and q / 2 are exact (q by Sterbenz's lemma,
+    as u > 0.85), so no step cancels: t keeps its relative accuracy up to u
+    = 1 - 2**-53, the largest uniform, and u = 1 gives +inf.  The relative
+    error is at most ``_QUANTILE_ERR`` = 2**-49, which a test holds against
+    mpmath at 120 bits on u = 0, on u = k 2**-53 up to 1 - 2**-53, and at
+    every branch edge; the largest error seen there is about 6 ulp.
+    ``out`` may be ``u``; it is filled ``_FOLD_CELLS`` cells at a time, so
+    the temporaries stay that small.
+    """
+    flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat_u.size, _FOLD_CELLS):
+        piece, t = flat_u[lo : lo + _FOLD_CELLS], flat_out[lo : lo + _FOLD_CELLS]
+        central = piece <= 0.85
+        tail = ~central
+        h = 0.5 * piece[central]  # both gathered before t, which may be piece, is written
+        q = 1.0 - piece[tail]
+        if h.size:
+            t[central] = np.multiply(h, _rational(_AS241_CENTRAL, 0.180625 - h * h), out=h)
+        if q.size:
+            with np.errstate(divide="ignore", invalid="ignore"):  # u = 1: s = +inf, and inf / inf
+                s = np.sqrt(-np.log(np.multiply(q, 0.5, out=q), out=q), out=q)
+                tail_t = _rational(_AS241_TAIL, s - 1.6)
+                far = s > 5.0
+                if np.count_nonzero(far):  # u above 1 - 2.8e-11
+                    tail_t[far] = _rational(_AS241_FAR, s[far] - 5.0)
+                    tail_t[s == np.inf] = np.inf
+            t[tail] = tail_t
+    return out
+
+
+def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Into C-contiguous ``out``, erf(x) for each x >= 0, by Cody's rational Chebyshev approximations.
+
+    Up to x = 0.46875, erf = x P(x**2) / Q(x**2) (``_CODY_ERF``); beyond it
+    erf = (0.5 - erfc) + 0.5, with erfc = e**(-x**2) R(x) up to x = 4
+    (``_CODY_ERFC``) and e**(-x**2) (1/sqrt(pi) - z S(z)) / x at z = 1 / x**2
+    beyond (``_CODY_ERFC_FAR``), e**(-x**2) taken as e**(-y**2) e**(-(x - y)
+    (x + y)) at y = x rounded down to a multiple of 1/16, as Cody's CALERF
+    does.  From x = 6, where erfc < 2**-54, erf rounds to 1, so x is held
+    there.  The absolute error is at most ``_ERF_ERR`` = 2**-51, which a
+    test holds against mpmath at 120 bits across the three ranges and their
+    edges; the largest error seen there and on 60 000 random x past 0.46875
+    is 2.3 2**-53, from erfc's few ulps where erfc is near 0.5.  ``out``
+    may be ``x``; it is filled ``_FOLD_CELLS`` cells at a time.
+    """
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat_x.size, _FOLD_CELLS):
+        piece, e = flat_x[lo : lo + _FOLD_CELLS], flat_out[lo : lo + _FOLD_CELLS]
+        near = piece <= 0.46875
+        beyond = ~near
+        small = piece[near]  # both gathered before e, which may be piece, is written
+        y = np.minimum(piece[beyond], 6.0)
+        if small.size:
+            e[near] = np.multiply(small, _rational(_CODY_ERF, small * small), out=small)
+        if y.size:
+            erfc = _rational(_CODY_ERFC, y)
+            far = y > 4.0
+            if np.count_nonzero(far):
+                w = y[far]
+                z = 1.0 / (w * w)
+                erfc[far] = (_INV_SQRT_PI - z * _rational(_CODY_ERFC_FAR, z)) / w
+            floor = np.floor(y * 16.0) / 16.0
+            erfc *= np.exp(-floor * floor) * np.exp(-(y - floor) * (y + floor))
+            e[beyond] = (0.5 - erfc) + 0.5
     return out
 
 
@@ -593,7 +745,7 @@ def _word_thresholds(thresholds: np.ndarray) -> np.ndarray:
     A word w passes w >= W_j iff its uniform (w >> 11) 2**-53 exceeds t_j
     (``_uniforms``): the uniform is k 2**-53 with k = w >> 11, and k > t_j 2**53
     iff k >= floor(t_j 2**53) + 1.  Both products by powers of two are exact,
-    t_j <= 1 - 2**-51 (``_SKIP_SLACK``) keeps W_j below 2**64, and t_j < 0
+    t_j <= 1 - 2**-50 (``_SKIP_SLACK``) keeps W_j below 2**64, and t_j < 0
     gives W_j = 0, which every word passes.  ``thresholds`` is 1-D, so the
     cast makes no copy, as in ``_uniforms``.
     """
@@ -699,12 +851,17 @@ def _skip_thresholds(model: SequenceModel, factors: np.ndarray, weight: float, o
 
     ``weight`` is w_r = n**(-alpha) / delta_n at the read's row r, and every
     later row's weight is smaller (w_n = n**(-eps)).  The margin covers the
-    rounding of the cell's ratio: the draw g(u), the two products and the
-    weights, each a few ulps, against 2**-40.  The slack, four float steps
-    below 1, covers the rounding of g^-1 itself, which near u = 1 a margin
-    on v_j cannot: there g is steep, so one step in u moves g(u) by more
-    than the margin.  So u <= t_j gives g(u) <= v_j / (w_r (1 + margin)) and
-    a computed ratio no larger than v_j.
+    relative errors of the cell's computed ratio and of g^-1's argument: the
+    two products, the weights and the divisions, each a few ulps, and the
+    draw g(u), within 2**-49 for the half-normal law (``_QUANTILE_ERR``),
+    all far below 2**-40.  The slack covers the absolute error of the
+    computed g^-1, which near u = 1 a margin on v_j cannot: there g is
+    steep, so one step in u moves g(u) by more than the margin.  That error
+    is at most 2**-51 for the half-normal law (``_erf``'s ``_ERF_ERR``) and
+    about a step of 2**-53 for -expm1(-x), and subtracting the slack rounds
+    by at most 2**-55, so eight steps, 2**-50, cover both laws.  So u <= t_j
+    gives g(u) <= v_j / (w_r (1 + margin)) and a computed ratio no larger
+    than v_j.
     """
     np.divide(factors, weight * (1.0 + _SKIP_MARGIN), out=out)
     model._magnitude_cdf(out, out=out)

@@ -186,7 +186,7 @@ def fresh_stream_column(plan, n):
     if isinstance(plan.model, ExponentialPower):
         magnitudes = -np.log1p(-u)
     else:
-        magnitudes = math.sqrt(2.0) * special.erfinv(u)
+        magnitudes = simulate_module._half_normal_quantile(u, np.empty_like(u))
     return magnitudes * np.asarray([float(n)]) ** (-plan.alpha)
 
 
@@ -271,7 +271,7 @@ class TestModels:
         np.testing.assert_array_equal(exp_draw, -np.log1p(-kept))
         gauss_draw = GaussianPower(alpha=1.0).draw_magnitudes(u)
         np.testing.assert_array_equal(u, kept)
-        np.testing.assert_array_equal(gauss_draw, math.sqrt(2.0) * special.erfinv(kept))
+        np.testing.assert_array_equal(gauss_draw, simulate_module._half_normal_quantile(kept, np.empty_like(kept)))
 
     @pytest.mark.parametrize("model", MODELS)
     def test_draws_in_place_match_draws_into_new_array(self, model):
@@ -387,6 +387,75 @@ class TestGammaFunctions:
 
     def test_log_q_ends(self):
         assert simulate_module._log_q(2.0, [0.0, math.inf]) == [0.0, -math.inf]
+
+
+def quantile_points():
+    """Uniforms across _half_normal_quantile's three branches and the float steps either side of their edges."""
+    steps = 2.0**-53 * np.arange(-3, 4)
+    edges = [0.85 + 4 * steps, 1.0 - 2.0 * math.exp(-25.0) + steps]  # h = 0.425 and s = 5
+    near_zero, near_one = 2.0**-53 * np.arange(1, 65), 1.0 - 2.0**-53 * np.arange(1, 65)
+    halvings = 1.0 - 2.0 ** -np.arange(1.0, 54.0)  # 0.5 through 1 - 2**-53
+    words = np.random.Generator(np.random.Philox(key=17)).integers(0, 2**53, 300) * 2.0**-53
+    return np.concatenate([[0.0], near_zero, near_one, halvings, *edges, words])
+
+
+def erf_points():
+    """x across _erf's three ranges, the float steps either side of their edges, and out where erf rounds to 1."""
+    edges = [float(np.nextafter(edge, side)) for edge in (0.46875, 4.0, 6.0) for side in (0.0, edge, 7.0)]
+    grid = np.random.Generator(np.random.Philox(key=18)).uniform(0.0, 7.0, 300)
+    return np.concatenate([[0.0, 5e-324, 1e-300, 1e-8, 0.1, 0.25, 0.5, 0.7, 1.0, 2.0, 26.5, 1e10, np.inf], edges, grid])
+
+
+class TestNormalFunctions:
+    def test_quantile_lies_within_its_bound_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        u = quantile_points()
+        got = simulate_module._half_normal_quantile(u, np.empty_like(u))
+        assert got[0] == 0.0  # u = 0
+        with mpmath.workprec(120):
+            for x, t in zip(u[1:], got[1:]):
+                ref = mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(x))
+                assert abs(t - ref) <= simulate_module._QUANTILE_ERR * ref, (x, t)
+
+    def test_erf_lies_within_its_bound_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = erf_points()
+        got = simulate_module._erf(x, np.empty_like(x))
+        with mpmath.workprec(120):
+            for y, e in zip(x, got):
+                ref = mpmath.mpf(1) if y == np.inf else mpmath.erf(mpmath.mpf(y))
+                assert abs(e - ref) <= simulate_module._ERF_ERR, (y, e)
+
+    def test_both_lie_near_scipy(self):
+        # a second reference, on many more points: scipy's own error is a few ulps, so the two may
+        # differ by up to twice each stated bound
+        rng = np.random.Generator(np.random.Philox(key=19))
+        u = np.concatenate([quantile_points(), rng.random(50_000), 1.0 - rng.random(50_000) * 1e-6])
+        got = simulate_module._half_normal_quantile(u, np.empty_like(u))
+        ref = math.sqrt(2.0) * special.erfinv(u)
+        assert np.all(np.abs(got - ref) <= 2.0 * simulate_module._QUANTILE_ERR * ref)
+        x = np.concatenate([erf_points(), rng.uniform(0.0, 7.0, 100_000)])
+        got = simulate_module._erf(x, np.empty_like(x))
+        assert np.all(np.abs(got - special.erf(x)) <= 2.0 * simulate_module._ERF_ERR)
+
+    def test_quantile_of_one_is_infinite(self):
+        assert simulate_module._half_normal_quantile(np.array([1.0]), np.empty(1))[0] == np.inf
+
+    @pytest.mark.parametrize("routine, points", [("_half_normal_quantile", quantile_points), ("_erf", erf_points)])
+    def test_in_place_and_in_pieces_match_one_pass(self, monkeypatch, routine, points):
+        # both fill their output _FOLD_CELLS cells at a time, gathering each branch's cells first;
+        # pieces of 7 split every branch mix, and the output may be the input itself
+        values = points()[:300].reshape(3, 100)
+        expected = getattr(simulate_module, routine)(values, np.empty_like(values))
+        monkeypatch.setattr(simulate_module, "_FOLD_CELLS", 7)
+        assert getattr(simulate_module, routine)(values, values) is values
+        np.testing.assert_array_equal(values, expected)
+
+    def test_skip_margin_and_slack_cover_the_stated_bounds(self):
+        # _skip_thresholds' argument: the slack covers erf's absolute error and the rounding of
+        # t - slack; the margin covers the quantile's relative error and a few ulps more
+        assert simulate_module._SKIP_SLACK >= simulate_module._ERF_ERR + 2.0**-55
+        assert simulate_module._SKIP_MARGIN >= simulate_module._QUANTILE_ERR + 16 * 2.0**-53
 
 
 class TestExpPowerCertified:
